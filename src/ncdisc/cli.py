@@ -78,6 +78,9 @@ from .words import (
 
 SCHEMA_VERSION = 1
 DEFAULT_TRIALS = 10_000
+#: Smallest cutoff the operator suite's specs fit: the conjugation check
+#: sandwiches by a shift of length one on each side.
+MIN_OPERATOR_CUTOFF = 2
 
 
 @dataclass
@@ -699,10 +702,10 @@ def suite_words(config: RunConfig) -> Report:
 
 def suite_operators(config: RunConfig) -> Report:
     m, cutoff, seed, tol = config.alphabet, config.cutoff, config.seed, config.tol
-    conj_deg = min(3, max(0, cutoff - 2))
-    conj_w = max(1, (cutoff - conj_deg) // 2)
+    conj_deg = min(3, cutoff - 2)
+    conj_w = (cutoff - conj_deg) // 2
     specs = [
-        ("operators.isometry_relations", {"m": m, "cutoff": max(cutoff, 1)}),
+        ("operators.isometry_relations", {"m": m, "cutoff": cutoff}),
         ("operators.commutant", {"m": m, "cutoff": cutoff, "pair_max": min(3, cutoff)}),
         (
             "operators.band_projections",
@@ -856,6 +859,8 @@ def _cmd_verify(args: argparse.Namespace, suites: list[str]) -> int:
         return _cmd_replay(args.replay)
     try:
         config = _config_from_args(args)
+        if "operators" in suites and config.cutoff < MIN_OPERATOR_CUTOFF:
+            raise ValueError(f"the operator suite needs cutoff at least {MIN_OPERATOR_CUTOFF}")
     except ValueError as err:
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2

@@ -5,14 +5,15 @@ entries ``<T xi_u, xi_v>`` for all words u, v of length at most N.
 Compression does not commute with products, so operator identities are
 asserted only on compatible-degree columns: those whose degree leaves
 room for every factor to act without leaving the truncated space.
-Matrices are stored sparsely as word-indexed entries; dense numpy arrays
-appear only inside the norm estimator.
+Matrices are stored sparsely as word-indexed entries; the norm estimator
+works matrix-free on coordinate arrays built from those entries.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import chain
 from typing import IO, Mapping, Optional
 
 import numpy as np
@@ -20,12 +21,13 @@ import numpy as np
 from .series import Series, first_letter_part
 from .words import Alphabet, Word, enumerate_words
 
-#: Largest dimension converted to a dense array for norm estimation.
-DENSE_LIMIT = 5000
-
-
 class PowerIterationError(RuntimeError):
-    """Norm estimation did not converge within the iteration cap."""
+    """Norm estimation did not converge within the iteration cap.
+
+    Raised by :func:`norm_estimate` when the Lanczos iteration reaches
+    ``max_iter`` steps with its top Ritz value still moving by more than the
+    tolerance; the name is kept for the callers that catch it.
+    """
 
 
 class TruncationBasis:
@@ -253,52 +255,69 @@ def cesaro_op(op: TruncatedOperator, k: int) -> TruncatedOperator:
 
 
 def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
+    """Largest singular value via Lanczos on the Gram operator ``A^H A``.
 
-    Deterministic all-ones start vector; stops when the Rayleigh quotient
-    stabilizes to the relative tolerance, and raises
-    :class:`PowerIterationError` past the iteration cap.  The estimate
-    approaches the norm from below, up to rounding in the matrix products.
+    The Gram operator is applied matrix-free from the coordinate arrays of
+    the entries.  Lanczos starts from the deterministic all-ones vector and
+    keeps every Lanczos vector fully reorthogonalized; it stops when the top
+    Ritz value of the tridiagonal changes by at most ``tol`` (relative)
+    between steps, or when the next Lanczos vector vanishes to rounding
+    level, so the Krylov space is invariant and the Ritz value exact.  Past
+    ``max_iter`` steps it raises :class:`PowerIterationError`.  Ritz values
+    never exceed the top eigenvalue, so the estimate is a lower bound for
+    the norm up to rounding in the products.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not op.entries:
         return 0.0
     n = op.basis.dimension
-    if n <= DENSE_LIMIT:
-        dense = op.to_dense()
-        gram = dense.conj().T @ dense
+    count = len(op.entries)
+    positions = np.fromiter(chain.from_iterable(op.entries), dtype=np.intp, count=2 * count)
+    rows, cols = positions[0::2], positions[1::2]
+    vals = np.fromiter(op.entries.values(), dtype=complex, count=count)
+    conj_vals = vals.conjugate()
 
-        def matvec(x: np.ndarray) -> np.ndarray:
-            return gram @ x
+    def gram(x: np.ndarray) -> np.ndarray:
+        mid = np.zeros(n, dtype=complex)
+        np.add.at(mid, rows, vals * x[cols])
+        out = np.zeros(n, dtype=complex)
+        np.add.at(out, cols, conj_vals * mid[rows])
+        return out
 
-    else:
-        keys = list(op.entries)
-        rows = np.array([k[0] for k in keys])
-        cols = np.array([k[1] for k in keys])
-        vals = np.array([op.entries[k] for k in keys])
-
-        def matvec(x: np.ndarray) -> np.ndarray:
-            mid = np.zeros(n, dtype=complex)
-            np.add.at(mid, rows, vals * x[cols])
-            out = np.zeros(n, dtype=complex)
-            np.add.at(out, cols, vals.conjugate() * mid[rows])
-            return out
-
-    x = np.ones(n, dtype=complex) / math.sqrt(n)
+    # Lanczos vectors as rows; the storage doubles as needed, never past n
+    lanczos = np.empty((min(n, 16), n), dtype=complex)
+    lanczos[0] = 1.0 / math.sqrt(n)
+    alphas: list[float] = []
+    betas: list[float] = []
     previous = None
-    for _ in range(max_iter):
-        y = matvec(x)
-        rayleigh = float(np.real(np.vdot(x, y)))
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0
-        x = y / norm_y
-        if previous is not None and abs(rayleigh - previous) <= tol * max(abs(rayleigh), 1e-300):
-            return math.sqrt(max(rayleigh, 0.0))
-        previous = rayleigh
+    for step in range(1, max_iter + 1):
+        basis_so_far = lanczos[:step]
+        q = basis_so_far[-1]
+        w = gram(q)
+        alphas.append(float(np.vdot(q, w).real))
+        w -= alphas[-1] * q
+        if betas:
+            w -= betas[-1] * basis_so_far[-2]
+        # full reorthogonalization against every Lanczos vector so far
+        w -= (basis_so_far @ w.conj()).conj() @ basis_so_far
+        beta = float(np.linalg.norm(w))
+        tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz = float(np.linalg.eigvalsh(tridiagonal)[-1])
+        # rounding in one Gram product is about sqrt(n) eps times its norm
+        invariant = step == n or beta <= math.sqrt(n) * np.finfo(float).eps * max(ritz, 0.0)
+        settled = previous is not None and abs(ritz - previous) <= tol * max(abs(ritz), 1e-300)
+        if invariant or settled:
+            return math.sqrt(max(ritz, 0.0))
+        previous = ritz
+        betas.append(beta)
+        if step == len(lanczos):
+            grown = np.empty((min(2 * step, n), n), dtype=complex)
+            grown[:step] = lanczos
+            lanczos = grown
+        lanczos[step] = w / beta
     raise PowerIterationError(
-        f"power iteration did not stabilize to {tol} within {max_iter} steps"
+        f"Lanczos did not stabilize to {tol} within {max_iter} steps"
     )
 
 

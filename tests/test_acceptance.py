@@ -324,7 +324,7 @@ def test_criterion_9_mobius_witness():
     assert elapsed < 10.0
     assert ratio <= 2.0 + 1e-6
     # The truncated ratio at cutoff 60 is 1.7461 (exact SVD agrees with the
-    # power iteration); it reaches 1.8 only past cutoff ~80 on its way to
+    # Lanczos estimate); it reaches 1.8 only past cutoff ~80 on its way to
     # the limit 1.9.  The stated threshold at this cutoff is not attainable.
     assert ratio >= 1.8, (
         f"constant-removal norm ratio at cutoff 60 is {ratio:.4f}; "

@@ -92,6 +92,30 @@ def test_bad_config_is_rejected(capsys):
     assert code == 2
 
 
+def test_small_cutoffs_are_bad_configurations(capsys):
+    for argv in (
+        ("verify-operators", "--cutoff", "0"),
+        ("verify-operators", "--cutoff", "1"),
+        ("report-all", "--cutoff", "1"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("bad configuration:")
+        assert "Traceback" not in captured.err
+    code, out = run(capsys, "verify-operators", "--cutoff", "2")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_dump_matrix_at_cutoff_zero(tmp_path, capsys):
+    infile = tmp_path / "series.json"
+    infile.write_text(json.dumps(Series(A2, {A2.unit(): 2.0}).to_json_dict()))
+    code, out = run(capsys, "verify-operators", "--cutoff", "0", "--dump-matrix", str(infile))
+    assert code == 0
+    assert out.strip().splitlines() == ["row,col,re,im", "e,e,2.0,0.0"]
+
+
 def test_solve_derivation_roundtrip(tmp_path, capsys):
     symbol = Series(A2, {A2.word([0, 1]): 2.0, A2.generator(1): -1.0})
     derivation = GeneratorDerivation.inner(symbol)

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,15 +252,43 @@ def test_norm_estimate_matches_svd_oracle():
         assert estimate <= exact + 1e-9
 
 
-def test_norm_estimate_sparse_path_matches_dense(monkeypatch):
-    import ncdisc.operators as ops
+def test_norm_estimate_lanczos_matches_svd_oracle():
+    rng = random.Random(300)
+    cases = [left_matrix(random_series(rng, A2, 3), TruncationBasis(A2, c)) for c in range(6, 10)]
+    cases.append(random_operator(TruncationBasis(A2, 3), 300))
+    for op in cases:
+        exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+        estimate = norm_estimate(op, tol=1e-11)
+        assert estimate == pytest.approx(exact, rel=1e-8)
+        assert estimate <= exact * (1 + 1e-12)
 
+
+def test_norm_estimate_step_budget():
+    # power iteration at the same tolerance needs 1153 steps on this symbol
+    phi = random_series(random.Random(12), A2, 3)
+    op = left_matrix(phi, TruncationBasis(A2, 10))
+    assert 0 < norm_estimate(op, 1e-9, max_iter=150) <= phi.l1_norm() + 1e-9
+
+
+def test_norm_estimate_invariant_subspace_is_exact():
+    # a tolerance no Ritz value change can meet: only the invariant exit returns
     basis = TruncationBasis(A2, 3)
-    op = random_operator(basis, 300)
-    dense_value = norm_estimate(op, tol=1e-11)
-    monkeypatch.setattr(ops, "DENSE_LIMIT", 1)
-    sparse_value = norm_estimate(op, tol=1e-11)
-    assert sparse_value == pytest.approx(dense_value, rel=1e-8)
+    identity = TruncatedOperator.identity(basis)
+    assert norm_estimate(identity, tol=1e-15, max_iter=1) == pytest.approx(1.0, abs=1e-14)
+    rank_one = TruncatedOperator(
+        basis, {(basis.index[w2(0, 1)], basis.index[Z1]): 3.0}
+    )
+    assert norm_estimate(rank_one, tol=1e-15, max_iter=2) == pytest.approx(3.0, abs=1e-14)
+    # a cap far above the dimension sizes no storage
+    scalar = TruncatedOperator(TruncationBasis(Alphabet(1), 0), {(0, 0): 3 - 4j})
+    tracemalloc.start()
+    try:
+        value = norm_estimate(scalar, tol=1e-15, max_iter=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(5.0, abs=1e-14)
+    assert peak < 2**20
 
 
 def test_norm_estimate_nonconvergence_reported():
