@@ -5,21 +5,29 @@ entries ``<T xi_u, xi_v>`` for all words u, v of length at most N.
 Compression does not commute with products, so operator identities are
 asserted only on compatible-degree columns: those whose degree leaves
 room for every factor to act without leaving the truncated space.
-Matrices are stored sparsely as word-indexed entries; the norm estimator
-works matrix-free on coordinate arrays built from those entries.
+Basis positions are graded-lex ranks computed by formula; matrices are
+canonical coordinate arrays of ranks, which every operation here uses directly.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from itertools import chain
+from types import MappingProxyType
 from typing import IO, Mapping, Optional
 
 import numpy as np
 
-from .series import Series, first_letter_part
-from .words import Alphabet, Word, enumerate_words
+from .series import Series, conjugate_by, first_letter_part
+from .words import Alphabet, Word
+
+#: Matrix entries keyed by (row, col) rank.
+Entries = Mapping[tuple[int, int], complex]
+
+#: Largest basis built (m = 2 fits up to cutoff 21): ranks are int64
+#: arithmetic, and the norm estimator keeps dozens of vectors this long.
+MAX_DIMENSION = 1 << 22
+
 
 class PowerIterationError(RuntimeError):
     """Norm estimation did not converge within the iteration cap.
@@ -30,22 +38,68 @@ class PowerIterationError(RuntimeError):
     """
 
 
-class TruncationBasis:
-    """Ordered basis of all words of length <= cutoff, in graded-lex order."""
+def _count_shorter(m: int, n):
+    """Number of words shorter than n over m generators; n may be an array."""
+    return n if m == 1 else (m**n - 1) // (m - 1)
 
-    __slots__ = ("alphabet", "cutoff", "words", "index")
+
+def basis_dimension(m: int, cutoff: int) -> int:
+    """Number of words of length <= cutoff over m generators; ValueError past MAX_DIMENSION."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    # for m >= 2 the count is over budget by length 64, so no larger power is formed
+    dimension = _count_shorter(m, (cutoff if m == 1 else min(cutoff, 64)) + 1)
+    if dimension > MAX_DIMENSION:
+        raise ValueError(f"{m} generators at cutoff {cutoff} give over {MAX_DIMENSION} basis words")
+    return dimension
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(start, start + count)`` over the pairs."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+class TruncationBasis:
+    """All words of length <= cutoff in graded-lex order, ranked by formula.
+
+    The words shorter than n number (m^n - 1)/(m - 1), or n when m = 1, and
+    within one length a word's rank is its base-m value; ``rank`` and
+    ``word`` convert between the two, and ``lengths[i]`` is the length of
+    the word of rank i.
+    """
+
+    __slots__ = ("alphabet", "cutoff", "dimension", "lengths")
 
     def __init__(self, alphabet: Alphabet, cutoff: int):
-        if cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
+        self.dimension = basis_dimension(alphabet.size, cutoff)
         self.alphabet = alphabet
         self.cutoff = cutoff
-        self.words = tuple(enumerate_words(alphabet, cutoff))
-        self.index = {w: i for i, w in enumerate(self.words)}
+        levels = np.arange(cutoff + 1, dtype=np.int64)
+        self.lengths = np.repeat(levels, alphabet.size**levels)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.words)
+    def offsets(self) -> np.ndarray:
+        """``offsets()[n]`` is the rank of the first word of length n, n <= cutoff + 1."""
+        return _count_shorter(self.alphabet.size, np.arange(self.cutoff + 2, dtype=np.int64))
+
+    def rank(self, word: Word) -> int:
+        if word.alphabet != self.alphabet or len(word) > self.cutoff:
+            raise ValueError(f"word {word} outside the truncation basis")
+        m = self.alphabet.size
+        value = sum(letter * m**k for k, letter in enumerate(reversed(word.letters)))
+        return _count_shorter(m, len(word)) + value
+
+    def word(self, rank: int) -> Word:
+        if not 0 <= rank < self.dimension:
+            raise ValueError(f"rank {rank} outside the truncation basis")
+        m, n = self.alphabet.size, int(self.lengths[rank])
+        value = int(rank) - _count_shorter(m, n)
+        return self.alphabet.word(value // m**k % m for k in reversed(range(n)))
+
+    def concat(self, left, right) -> np.ndarray:
+        """Ranks of the products ``x*y`` for ranks x, y whose lengths sum to at most the cutoff."""
+        offsets, m = self.offsets(), self.alphabet.size
+        nx, ny = self.lengths[left], self.lengths[right]
+        return offsets[nx + ny] + (left - offsets[nx]) * m**ny + right - offsets[ny]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -54,35 +108,42 @@ class TruncationBasis:
             and self.cutoff == other.cutoff
         )
 
-    def __repr__(self) -> str:
-        return f"TruncationBasis(m={self.alphabet.size}, cutoff={self.cutoff})"
-
 
 class TruncatedOperator:
-    """Complex matrix over a truncation basis, stored as sparse entries.
+    """Complex matrix over a truncation basis, stored as coordinate arrays.
 
-    Keys are ``(row, col)`` positions into ``basis.words``; exact zeros are
-    never stored.
+    ``rows``, ``cols`` and ``vals`` list the entries sorted by (row, col)
+    rank, with no repeated position and no exact zero.
     """
 
-    __slots__ = ("basis", "entries")
+    __slots__ = ("basis", "rows", "cols", "vals")
 
-    def __init__(
-        self,
-        basis: TruncationBasis,
-        entries: Optional[Mapping[tuple[int, int], complex]] = None,
-    ):
-        table: dict[tuple[int, int], complex] = {}
+    def __init__(self, basis: TruncationBasis, entries: Optional[Entries] = None):
+        entries = entries or {}
+        positions = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        if np.any((positions < 0) | (positions >= basis.dimension)):
+            raise ValueError("entry position outside the basis")
+        self._store(basis, positions[:, 0], positions[:, 1], [complex(v) for v in entries.values()])
+
+    def _store(self, basis: TruncationBasis, rows, cols, vals) -> None:
+        """Keep the canonical form: sorted, repeated positions summed, exact zeros dropped."""
         n = basis.dimension
-        if entries:
-            for (row, col), value in entries.items():
-                if not (0 <= row < n and 0 <= col < n):
-                    raise ValueError("entry position outside the basis")
-                value = complex(value)
-                if value != 0:
-                    table[(row, col)] = value
-        self.basis = basis
-        self.entries = table
+        keys = np.asarray(rows, dtype=np.int64) * n + cols
+        vals = np.asarray(vals, dtype=complex)
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            keys, vals = keys[order], vals[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            keys, vals = keys[starts], np.add.reduceat(vals, starts)
+        keep = vals != 0
+        self.basis, self.vals = basis, vals[keep]
+        self.rows, self.cols = np.divmod(keys[keep], n)
+
+    @classmethod
+    def _from_coo(cls, basis: TruncationBasis, rows, cols, vals) -> "TruncatedOperator":
+        op = cls.__new__(cls)
+        op._store(basis, rows, cols, vals)
+        return op
 
     @classmethod
     def zero(cls, basis: TruncationBasis) -> "TruncatedOperator":
@@ -90,7 +151,7 @@ class TruncatedOperator:
 
     @classmethod
     def identity(cls, basis: TruncationBasis) -> "TruncatedOperator":
-        return cls(basis, {(i, i): 1.0 for i in range(basis.dimension)})
+        return cls._from_coo(basis, *np.diag_indices(basis.dimension), np.ones(basis.dimension))
 
     @classmethod
     def from_dense(cls, basis: TruncationBasis, matrix: np.ndarray) -> "TruncatedOperator":
@@ -99,123 +160,108 @@ class TruncatedOperator:
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape} does not match dimension {n}")
         rows, cols = np.nonzero(matrix)
-        return cls(basis, {(int(i), int(j)): complex(matrix[i, j]) for i, j in zip(rows, cols)})
+        return cls._from_coo(basis, rows, cols, matrix[rows, cols])
+
+    @property
+    def entries(self) -> Entries:
+        """Read-only ``{(row, col): value}`` view, built on each access."""
+        positions = zip(self.rows.tolist(), self.cols.tolist())
+        return MappingProxyType(dict(zip(positions, self.vals.tolist())))
 
     def _require_same_basis(self, other: "TruncatedOperator") -> None:
         if self.basis != other.basis:
             raise ValueError("operators over different truncation bases")
 
-    def coefficient(self, row_word: Word, col_word: Word) -> complex:
-        key = (self.basis.index[row_word], self.basis.index[col_word])
-        return self.entries.get(key, 0j)
+    def _with_vals(self, vals: np.ndarray) -> "TruncatedOperator":
+        """The same positions holding ``vals``; the zeros among them drop out."""
+        return TruncatedOperator._from_coo(self.basis, self.rows, self.cols, vals)
 
-    def column(self, col_word: Word) -> dict[Word, complex]:
-        j = self.basis.index[col_word]
-        words = self.basis.words
-        return {words[i]: v for (i, jj), v in self.entries.items() if jj == j}
+    def band_lengths(self) -> np.ndarray:
+        """Row length minus column length, per entry."""
+        lengths = self.basis.lengths
+        return lengths[self.rows] - lengths[self.cols]
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         self._require_same_basis(other)
-        table = dict(self.entries)
-        for key, value in other.entries.items():
-            table[key] = table.get(key, 0j) + value
-        return TruncatedOperator(self.basis, table)
+        return TruncatedOperator._from_coo(
+            self.basis,
+            np.concatenate((self.rows, other.rows)),
+            np.concatenate((self.cols, other.cols)),
+            np.concatenate((self.vals, other.vals)),
+        )
 
     def __neg__(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.basis, {k: -v for k, v in self.entries.items()})
+        return self._with_vals(-self.vals)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         return self + (-other)
 
     def __mul__(self, scalar: complex) -> "TruncatedOperator":
-        scalar = complex(scalar)
-        return TruncatedOperator(self.basis, {k: scalar * v for k, v in self.entries.items()})
+        return self._with_vals(self.vals * complex(scalar))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         self._require_same_basis(other)
-        by_col: dict[int, list[tuple[int, complex]]] = {}
-        for (i, j), v in self.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        table: dict[tuple[int, int], complex] = {}
-        for (j, k), bv in other.entries.items():
-            for i, av in by_col.get(j, ()):
-                key = (i, k)
-                table[key] = table.get(key, 0j) + av * bv
-        return TruncatedOperator(self.basis, table)
-
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(
-            self.basis, {(j, i): v.conjugate() for (i, j), v in self.entries.items()}
+        # each entry (i, j) of self meets the run of other's row j
+        first = np.searchsorted(other.rows, self.cols, "left")
+        counts = np.searchsorted(other.rows, self.cols, "right") - first
+        left = np.repeat(np.arange(len(self.vals)), counts)
+        right = _ranges(first, counts)
+        return TruncatedOperator._from_coo(
+            self.basis, self.rows[left], other.cols[right], self.vals[left] * other.vals[right]
         )
 
-    def apply(self, phi: Series) -> Series:
-        """Matrix action on the coefficient vector of phi.
+    def adjoint(self) -> "TruncatedOperator":
+        return TruncatedOperator._from_coo(self.basis, self.cols, self.rows, self.vals.conj())
 
-        The support of phi must lie inside the basis.
-        """
-        index = self.basis.index
-        words = self.basis.words
-        for w in phi.support():
-            if w not in index:
-                raise ValueError(f"word {w} outside the truncation basis")
-        vector = {index[w]: c for w, c in phi.iter_terms()}
-        out: dict[Word, complex] = {}
-        for (i, j), v in self.entries.items():
-            c = vector.get(j)
-            if c is not None:
-                w = words[i]
-                out[w] = out.get(w, 0j) + v * c
-        return Series(self.basis.alphabet, out)
+    def apply(self, phi: Series) -> Series:
+        """Matrix action on the coefficient vector of phi, whose support must lie in the basis."""
+        basis = self.basis
+        vector = np.zeros(basis.dimension, dtype=complex)
+        for w, c in phi.iter_terms():
+            vector[basis.rank(w)] = c
+        out = np.zeros(basis.dimension, dtype=complex)
+        np.add.at(out, self.rows, self.vals * vector[self.cols])
+        return Series(basis.alphabet, {basis.word(i): out[i] for i in np.flatnonzero(out)})
 
     def to_dense(self) -> np.ndarray:
         n = self.basis.dimension
         out = np.zeros((n, n), dtype=complex)
-        for (i, j), v in self.entries.items():
-            out[i, j] = v
+        out[self.rows, self.cols] = self.vals
         return out
 
 
-def left_matrix(phi: Series, basis: TruncationBasis) -> TruncatedOperator:
-    """Compression of the left convolution operator with symbol phi.
-
-    Entry at ``(w*u, u)`` is ``phi(w)`` whenever both words fit the cutoff.
-    """
+def _convolution_matrix(phi: Series, basis: TruncationBasis, on_left: bool) -> TruncatedOperator:
+    """Entry ``phi(w)`` at ``(w*u, u)``, or at ``(u*w, u)`` if not on_left, wherever both fit."""
     if phi.alphabet != basis.alphabet:
         raise ValueError("series and basis over different alphabets")
-    cutoff = basis.cutoff
-    index = basis.index
-    entries: dict[tuple[int, int], complex] = {}
-    for u in basis.words:
-        for w, c in phi.iter_terms():
-            if len(w) + len(u) <= cutoff:
-                entries[(index[w * u], index[u])] = c
-    return TruncatedOperator(basis, entries)
+    terms = [(basis.rank(w), c) for w, c in phi.iter_terms() if len(w) <= basis.cutoff]
+    ranks = np.array([r for r, _ in terms], dtype=np.int64)
+    # the columns u with |w| + |u| <= cutoff are the ranks below offsets[cutoff + 1 - |w|]
+    fits = basis.offsets()[basis.cutoff + 1 - basis.lengths[ranks]]
+    cols = _ranges(np.zeros_like(fits), fits)
+    words = np.repeat(ranks, fits)
+    rows = basis.concat(words, cols) if on_left else basis.concat(cols, words)
+    return TruncatedOperator._from_coo(basis, rows, cols, np.repeat([c for _, c in terms], fits))
+
+
+def left_matrix(phi: Series, basis: TruncationBasis) -> TruncatedOperator:
+    """Compression of the left convolution operator: entry ``phi(w)`` at ``(w*u, u)``."""
+    return _convolution_matrix(phi, basis, on_left=True)
 
 
 def right_matrix(phi: Series, basis: TruncationBasis) -> TruncatedOperator:
     """Compression of the right convolution operator: entry ``phi(w)`` at ``(u*w, u)``."""
-    if phi.alphabet != basis.alphabet:
-        raise ValueError("series and basis over different alphabets")
-    cutoff = basis.cutoff
-    index = basis.index
-    entries: dict[tuple[int, int], complex] = {}
-    for u in basis.words:
-        for w, c in phi.iter_terms():
-            if len(w) + len(u) <= cutoff:
-                entries[(index[u * w], index[u])] = c
-    return TruncatedOperator(basis, entries)
+    return _convolution_matrix(phi, basis, on_left=False)
 
 
 def q_projection(basis: TruncationBasis, k: int) -> TruncatedOperator:
     """Diagonal projection onto the span of the words of length exactly k."""
     if k < 0:
         raise ValueError("length must be nonnegative")
-    return TruncatedOperator(
-        basis,
-        {(i, i): 1.0 for i, w in enumerate(basis.words) if len(w) == k},
-    )
+    diagonal = np.flatnonzero(basis.lengths == k)
+    return TruncatedOperator._from_coo(basis, diagonal, diagonal, np.ones(len(diagonal)))
 
 
 def degree_band(op: TruncatedOperator, j: int) -> TruncatedOperator:
@@ -226,15 +272,7 @@ def degree_band(op: TruncatedOperator, j: int) -> TruncatedOperator:
     """
     if abs(j) > op.basis.cutoff:
         raise ValueError("band index exceeds the cutoff")
-    words = op.basis.words
-    return TruncatedOperator(
-        op.basis,
-        {
-            (i, k): v
-            for (i, k), v in op.entries.items()
-            if len(words[i]) - len(words[k]) == j
-        },
-    )
+    return op._with_vals(np.where(op.band_lengths() == j, op.vals, 0))
 
 
 def cesaro_op(op: TruncatedOperator, k: int) -> TruncatedOperator:
@@ -245,38 +283,29 @@ def cesaro_op(op: TruncatedOperator, k: int) -> TruncatedOperator:
     """
     if k < 1:
         raise ValueError("order must be positive")
-    words = op.basis.words
-    table: dict[tuple[int, int], complex] = {}
-    for (i, jcol), v in op.entries.items():
-        band = abs(len(words[i]) - len(words[jcol]))
-        if band < k:
-            table[(i, jcol)] = v * (1.0 - band / k)
-    return TruncatedOperator(op.basis, table)
+    band = np.abs(op.band_lengths())
+    return op._with_vals(np.where(band < k, op.vals * (1.0 - band / k), 0))
 
 
 def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_000) -> float:
     """Largest singular value via Lanczos on the Gram operator ``A^H A``.
 
-    The Gram operator is applied matrix-free from the coordinate arrays of
-    the entries.  Lanczos starts from the deterministic all-ones vector and
-    keeps every Lanczos vector fully reorthogonalized; it stops when the top
-    Ritz value of the tridiagonal changes by at most ``tol`` (relative)
-    between steps, or when the next Lanczos vector vanishes to rounding
-    level, so the Krylov space is invariant and the Ritz value exact.  Past
-    ``max_iter`` steps it raises :class:`PowerIterationError`.  Ritz values
-    never exceed the top eigenvalue, so the estimate is a lower bound for
-    the norm up to rounding in the products.
+    The Gram operator is applied matrix-free from the coordinate arrays.
+    Lanczos starts from the deterministic all-ones vector and keeps every
+    Lanczos vector fully reorthogonalized; it stops when the top Ritz value
+    of the tridiagonal changes by at most ``tol`` (relative) between steps,
+    or when the next Lanczos vector vanishes to rounding level, so the
+    Krylov space is invariant and the Ritz value exact.  Past ``max_iter``
+    steps it raises :class:`PowerIterationError`.  Ritz values never exceed
+    the top eigenvalue, so the estimate is a lower bound for the norm up to
+    rounding in the products.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if not op.entries:
+    if not op.vals.size:
         return 0.0
     n = op.basis.dimension
-    count = len(op.entries)
-    positions = np.fromiter(chain.from_iterable(op.entries), dtype=np.intp, count=2 * count)
-    rows, cols = positions[0::2], positions[1::2]
-    vals = np.fromiter(op.entries.values(), dtype=complex, count=count)
-    conj_vals = vals.conjugate()
+    rows, cols, vals, conj_vals = op.rows, op.cols, op.vals, op.vals.conjugate()
 
     def gram(x: np.ndarray) -> np.ndarray:
         mid = np.zeros(n, dtype=complex)
@@ -316,25 +345,18 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
             grown[:step] = lanczos
             lanczos = grown
         lanczos[step] = w / beta
-    raise PowerIterationError(
-        f"Lanczos did not stabilize to {tol} within {max_iter} steps"
-    )
+    raise PowerIterationError(f"Lanczos did not stabilize to {tol} within {max_iter} steps")
 
 
 def max_column_deviation(
-    a: TruncatedOperator,
-    b: TruncatedOperator,
-    max_col_degree: Optional[int] = None,
+    a: TruncatedOperator, b: TruncatedOperator, max_col_degree: Optional[int] = None
 ) -> float:
     """Largest entrywise |a - b| over the columns of degree <= max_col_degree."""
-    a._require_same_basis(b)
-    words = a.basis.words
-    deviation = 0.0
-    for key in set(a.entries) | set(b.entries):
-        if max_col_degree is not None and len(words[key[1]]) > max_col_degree:
-            continue
-        deviation = max(deviation, abs(a.entries.get(key, 0j) - b.entries.get(key, 0j)))
-    return deviation
+    diff = a - b
+    deviation = np.abs(diff.vals)
+    if max_col_degree is not None:
+        deviation = deviation[a.basis.lengths[diff.cols] <= max_col_degree]
+    return float(deviation.max(initial=0.0))
 
 
 def commutant_check(u: Word, v: Word, basis: TruncationBasis) -> bool:
@@ -345,16 +367,14 @@ def commutant_check(u: Word, v: Word, basis: TruncationBasis) -> bool:
     """
     left = left_matrix(Series.basis(u), basis)
     right = right_matrix(Series.basis(v), basis)
-    both = left @ right
-    swapped = right @ left
     limit = basis.cutoff - len(u) - len(v)
-    for w in basis.words:
-        if len(w) > limit:
-            continue
-        expected = {u * w * v: 1 + 0j}
-        if both.column(w) != expected or swapped.column(w) != expected:
-            return False
-    return True
+    if limit < 0:
+        return True
+    fitting = np.arange(basis.offsets()[limit + 1])
+    target = basis.concat(basis.rank(u), basis.concat(fitting, basis.rank(v)))
+    expected = TruncatedOperator._from_coo(basis, target, fitting, np.ones(len(fitting)))
+    products = (left @ right, right @ left)
+    return all(max_column_deviation(p, expected, limit) == 0.0 for p in products)
 
 
 def isometry_relations(basis: TruncationBasis) -> dict[str, float]:
@@ -369,55 +389,35 @@ def isometry_relations(basis: TruncationBasis) -> dict[str, float]:
         raise ValueError("cutoff must be at least 1")
     alphabet = basis.alphabet
     inner_limit = basis.cutoff - 1
-    shifts = [
-        left_matrix(Series.basis(alphabet.generator(a)), basis)
-        for a in alphabet.letters()
-    ]
-    identity = TruncatedOperator.identity(basis)
-
-    orthogonality = 0.0
-    for a, sa in enumerate(shifts):
-        for b, sb in enumerate(shifts):
-            product = sa.adjoint() @ sb
-            expected = identity if a == b else TruncatedOperator.zero(basis)
-            orthogonality = max(
-                orthogonality, max_column_deviation(product, expected, inner_limit)
-            )
-
-    range_sum = TruncatedOperator.zero(basis)
-    for sa in shifts:
-        range_sum = range_sum + sa @ sa.adjoint()
-    unit_index = basis.index[alphabet.unit()]
-    complement = identity - TruncatedOperator(basis, {(unit_index, unit_index): 1.0})
-    range_dev = max_column_deviation(range_sum, complement, inner_limit)
-
-    unit_defect = abs(
-        (identity - range_sum).entries.get((unit_index, unit_index), 0j) - 1.0
+    shifts = [left_matrix(Series.basis(alphabet.generator(a)), basis) for a in alphabet.letters()]
+    identity, zero = TruncatedOperator.identity(basis), TruncatedOperator.zero(basis)
+    orthogonality = max(
+        max_column_deviation(sa.adjoint() @ sb, identity if a == b else zero, inner_limit)
+        for a, sa in enumerate(shifts)
+        for b, sb in enumerate(shifts)
     )
+    range_sum = sum((sa @ sa.adjoint() for sa in shifts), zero)
+    # the unit vector spans the range of the length-0 projection
+    complement = identity - q_projection(basis, 0)
+    unit_weight = (identity - range_sum).apply(Series.unit(alphabet)).coeff(alphabet.unit())
     return {
         "orthogonality": orthogonality,
-        "range_sum": range_dev,
-        "unit_defect": unit_defect,
+        "range_sum": max_column_deviation(range_sum, complement, inner_limit),
+        "unit_defect": abs(unit_weight - 1.0),
     }
 
 
-def conjugation_check(
-    w: Word, phi: Series, basis: TruncationBasis, tol: float = 1e-12
-) -> bool:
+def conjugation_check(w: Word, phi: Series, basis: TruncationBasis, tol: float = 1e-12) -> bool:
     """Sandwiching the compression of phi between the shift by w and its adjoint
     matches the compression of the transported series.
 
     Requires ``deg(phi) + 2|w| <= cutoff``; compared on the columns of degree
     at most ``cutoff - deg(phi) - 2|w|``.
     """
-    from .series import conjugate_by
-
     deg = 0 if phi.is_zero() else int(phi.degree())
     budget = deg + 2 * len(w)
     if budget > basis.cutoff:
-        raise ValueError(
-            f"cutoff {basis.cutoff} too small for degree {deg} and |w| = {len(w)}"
-        )
+        raise ValueError(f"cutoff {basis.cutoff} too small for degree {deg} and |w| = {len(w)}")
     shift = left_matrix(Series.basis(w), basis)
     sandwiched = shift.adjoint() @ left_matrix(phi, basis) @ shift
     transported = left_matrix(conjugate_by(w, phi), basis)
@@ -455,10 +455,9 @@ def mobius_witness_ratio(c: float, cutoff: int, tol: float = 1e-9) -> float:
 
 
 def write_csv(op: TruncatedOperator, stream: IO[str]) -> None:
-    """Dump the nonzero entries as ``row,col,re,im`` rows with word labels."""
-    words = op.basis.words
+    """Dump the entries as ``row,col,re,im`` rows with word labels, in (row, col) rank order."""
+    word = op.basis.word
     writer = csv.writer(stream)
     writer.writerow(["row", "col", "re", "im"])
-    for i, j in sorted(op.entries):
-        value = op.entries[(i, j)]
-        writer.writerow([str(words[i]), str(words[j]), repr(value.real), repr(value.imag)])
+    for i, j, value in zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist()):
+        writer.writerow([str(word(i)), str(word(j)), repr(value.real), repr(value.imag)])

@@ -232,6 +232,36 @@ def test_replay_rejects_unknown_check(tmp_path, capsys):
     assert code == 2
 
 
+def test_replay_rejects_params_its_check_refuses(tmp_path, capsys):
+    payload = {
+        "check": "operators.conjugation",
+        "params": {"m": 2, "cutoff": 1, "w_max": 1, "deg": 1, "seed": 1, "trials": 3},
+    }
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code = main(["verify-operators", "--replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad replay payload:")
+    assert "Traceback" not in captured.err
+
+
+def test_basis_over_the_dimension_budget_is_a_bad_configuration(tmp_path, capsys):
+    infile = tmp_path / "series.json"
+    infile.write_text(json.dumps(Series(A2, {A2.generator(0): 1.0}).to_json_dict()))
+    for argv in (
+        ("verify-operators", "--cutoff", "40"),
+        ("report-all", "--cutoff", "40"),
+        ("verify-operators", "--alphabet", "3", "--cutoff", "1000000000"),
+        ("verify-operators", "--cutoff", "40", "--dump-matrix", str(infile)),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("bad configuration:")
+        assert "Traceback" not in captured.err
+
+
 def test_dump_matrix(tmp_path, capsys):
     series = Series(A2, {A2.generator(0): 1.0})
     infile = tmp_path / "series.json"

@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncdisc.operators import (
+    MAX_DIMENSION,
     PowerIterationError,
     TruncatedOperator,
     TruncationBasis,
@@ -32,7 +35,7 @@ from ncdisc.series import (
     first_letter_part,
     max_coeff_diff,
 )
-from ncdisc.words import Alphabet
+from ncdisc.words import Alphabet, enumerate_words
 
 A2 = Alphabet(2)
 E = A2.unit()
@@ -73,13 +76,57 @@ def test_basis_dimension_is_geometric_sum():
     assert TruncationBasis(A2, 0).dimension == 1
 
 
-def test_basis_order_and_index():
-    basis = TruncationBasis(A2, 3)
-    assert list(basis.words) == sorted(basis.words)
-    for i, w in enumerate(basis.words):
-        assert basis.index[w] == i
+def test_rank_matches_enumeration_oracle():
+    for m in (1, 2, 3):
+        alphabet = Alphabet(m)
+        for cutoff in range(6):
+            basis = TruncationBasis(alphabet, cutoff)
+            words = enumerate_words(alphabet, cutoff)
+            assert basis.dimension == len(words)
+            assert [basis.word(i) for i in range(basis.dimension)] == words
+            assert [basis.rank(w) for w in words] == list(range(basis.dimension))
+            assert list(basis.lengths) == [len(w) for w in words]
     with pytest.raises(ValueError):
         TruncationBasis(A2, -1)
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=7),
+    st.data(),
+)
+def test_rank_word_roundtrip(m, cutoff, data):
+    alphabet = Alphabet(m)
+    basis = TruncationBasis(alphabet, cutoff)
+    letters = data.draw(st.lists(st.integers(0, m - 1), max_size=cutoff))
+    w = alphabet.word(letters)
+    assert basis.word(basis.rank(w)) == w
+    i = data.draw(st.integers(0, basis.dimension - 1))
+    assert basis.rank(basis.word(i)) == i
+
+
+def test_rank_rejects_words_outside_the_basis():
+    basis = TruncationBasis(A2, 2)
+    with pytest.raises(ValueError):
+        basis.rank(Alphabet(3).generator(0))
+    with pytest.raises(ValueError):
+        basis.rank(w2(0, 1, 0))
+    for rank in (-1, basis.dimension):
+        with pytest.raises(ValueError):
+            basis.word(rank)
+
+
+def test_dimension_budget_refused_before_allocation():
+    assert TruncationBasis(A2, 19).dimension == 2**20 - 1 <= MAX_DIMENSION
+    tracemalloc.start()
+    try:
+        for alphabet, cutoff in ((A2, 40), (Alphabet(3), 10**9), (Alphabet(1), 10**9)):
+            with pytest.raises(ValueError):
+                TruncationBasis(alphabet, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- compressions -------------------------------------------------------------
@@ -88,10 +135,44 @@ def test_basis_order_and_index():
 def test_left_matrix_examples():
     basis = TruncationBasis(A2, 2)
     shift = left_matrix(xi(0), basis)
-    assert shift.coefficient(Z0, E) == 1
-    assert shift.coefficient(w2(0, 1), Z1) == 1
-    assert shift.coefficient(Z1, E) == 0
+    assert shift.apply(Series.unit(A2)) == xi(0)
+    assert shift.apply(xi(1)) == xi(0, 1)
+    assert shift.apply(xi(0, 1)).is_zero()
     assert left_matrix(Series.unit(A2), basis).entries == TruncatedOperator.identity(basis).entries
+
+
+def test_compressions_match_loop_reference():
+    rng = random.Random(41)
+    for m in (1, 2, 3):
+        alphabet = Alphabet(m)
+        for cutoff in range(5):
+            basis = TruncationBasis(alphabet, cutoff)
+            words = enumerate_words(alphabet, cutoff)
+            phi = random_series(rng, alphabet, cutoff + 1)
+            left, right = {}, {}
+            for u in words:
+                for w, c in phi.iter_terms():
+                    if len(w) + len(u) <= cutoff:
+                        left[(basis.rank(w * u), basis.rank(u))] = c
+                        right[(basis.rank(u * w), basis.rank(u))] = c
+            assert left_matrix(phi, basis).entries == left
+            assert right_matrix(phi, basis).entries == right
+
+
+def test_operator_arithmetic_matches_dense():
+    basis = TruncationBasis(Alphabet(3), 2)
+    rng = random.Random(43)
+    a = left_matrix(random_series(rng, basis.alphabet, 2, terms=6), basis)
+    b = right_matrix(random_series(rng, basis.alphabet, 2, terms=6), basis)
+    da, db = a.to_dense(), b.to_dense()
+    assert np.allclose((a @ b).to_dense(), da @ db, rtol=0, atol=1e-12)
+    assert np.array_equal((a + b).to_dense(), da + db)
+    assert np.array_equal((a - b).to_dense(), da - db)
+    assert np.array_equal((2j * a).to_dense(), 2j * da)
+    assert np.array_equal(a.adjoint().to_dense(), da.conj().T)
+    for op in (a @ b, a + b, a.adjoint()):
+        assert np.all(np.diff(op.rows * basis.dimension + op.cols) > 0)
+        assert np.all(op.vals != 0)
 
 
 def test_left_matrix_action_matches_convolution():
@@ -106,8 +187,11 @@ def test_left_matrix_action_matches_convolution():
 
 def test_right_matrix_acts_on_the_right():
     basis = TruncationBasis(A2, 4)
-    column = right_matrix(xi(1), basis).column(w2(0, 1))
-    assert column == {w2(0, 1, 1): 1 + 0j}
+    op = right_matrix(xi(1), basis)
+    assert op.apply(xi(0, 1)) == xi(0, 1, 1)
+    dense = op.to_dense()
+    assert dense[basis.rank(w2(0, 1, 1)), basis.rank(w2(0, 1))] == 1
+    assert np.count_nonzero(dense[:, basis.rank(w2(0, 1))]) == 1
 
 
 def test_compression_product_identity():
@@ -234,7 +318,7 @@ def test_norm_estimate_examples():
     assert norm_estimate(TruncatedOperator.identity(basis)) == pytest.approx(1.0, abs=1e-9)
     assert norm_estimate(left_matrix(xi(0, 1), basis)) == pytest.approx(1.0, abs=1e-9)
     rank_one = TruncatedOperator(
-        basis, {(basis.index[w2(0, 1)], basis.index[Z1]): 3.0}
+        basis, {(basis.rank(w2(0, 1)), basis.rank(Z1)): 3.0}
     )
     assert norm_estimate(rank_one) == pytest.approx(3.0, abs=1e-8)
     assert norm_estimate(TruncatedOperator.zero(basis)) == 0.0
@@ -276,7 +360,7 @@ def test_norm_estimate_invariant_subspace_is_exact():
     identity = TruncatedOperator.identity(basis)
     assert norm_estimate(identity, tol=1e-15, max_iter=1) == pytest.approx(1.0, abs=1e-14)
     rank_one = TruncatedOperator(
-        basis, {(basis.index[w2(0, 1)], basis.index[Z1]): 3.0}
+        basis, {(basis.rank(w2(0, 1)), basis.rank(Z1)): 3.0}
     )
     assert norm_estimate(rank_one, tol=1e-15, max_iter=2) == pytest.approx(3.0, abs=1e-14)
     # a cap far above the dimension sizes no storage
@@ -408,3 +492,17 @@ def test_write_csv():
     assert lines[0] == "row,col,re,im"
     assert "z0,e,1.0,0.0" in lines
     assert len(lines) == 1 + len(op.entries)
+
+
+def test_write_csv_values_and_order():
+    basis = TruncationBasis(A2, 2)
+    op = left_matrix((0.1 + 0.2j) * xi(1) - 2 * Series.unit(A2), basis)
+    buffer = io.StringIO()
+    write_csv(op, buffer)
+    rows = [line.split(",") for line in buffer.getvalue().strip().splitlines()[1:]]
+    assert ["z1", "e", "0.1", "0.2"] in rows
+    assert ["z1z0", "z0", "0.1", "0.2"] in rows
+    assert ["e", "e", "-2.0", "0.0"] in rows
+    positions = [(basis.rank(A2.parse(r)), basis.rank(A2.parse(c))) for r, c, _, _ in rows]
+    assert positions == sorted(positions)
+    assert len(set(positions)) == len(rows) == 1 + 2 + 7
