@@ -26,7 +26,6 @@ from .cohomology import (
     Cochain,
     NonCocycleError,
     coboundary,
-    first_cocycle_violation,
     generator_cocycles,
     homotopy,
     homotopy_on_series,
@@ -102,8 +101,10 @@ class RunConfig:
             raise ValueError("max word length must be nonnegative")
         if self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass
@@ -161,12 +162,14 @@ def _random_series(
     max_terms: int = 5,
     min_len: int = 0,
 ) -> Series:
-    table: dict[Word, complex] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        w = _random_word(rng, alphabet, max_len, min_len)
-        c = complex(rng.randint(-3, 3), rng.randint(-3, 3))
-        table[w] = table.get(w, 0j) + c
-    return Series(alphabet, table)
+    terms = [
+        (
+            _random_word(rng, alphabet, max_len, min_len),
+            complex(rng.randint(-3, 3), rng.randint(-3, 3)),
+        )
+        for _ in range(rng.randint(1, max_terms))
+    ]
+    return Series._from_valid((alphabet,), terms)
 
 
 def _random_dense_operator(basis: TruncationBasis, seed: int) -> TruncatedOperator:
@@ -460,23 +463,13 @@ def _check_mobius_witness(params: dict) -> tuple[bool, Optional[dict]]:
 # --------------------------------------------------------------------------
 
 
-def _random_symbol(rng: random.Random, alphabet: Alphabet, deg: int) -> Series:
-    """Random finitely supported series with integer weights and no unit term."""
-    table: dict[Word, complex] = {}
-    for _ in range(rng.randint(1, 4)):
-        w = _random_word(rng, alphabet, deg, min_len=1)
-        c = complex(rng.randint(-3, 3), rng.randint(-3, 3))
-        table[w] = table.get(w, 0j) + c
-    return Series(alphabet, table)
-
-
 @_register("derivations.inner_roundtrip")
 def _check_inner_roundtrip(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     for trial in range(params["trials"]):
         for m in params["sizes"]:
             alphabet = Alphabet(m)
-            symbol = _random_symbol(rng, alphabet, params["deg"])
+            symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
             derivation = GeneratorDerivation.inner(symbol)
             recovered = solve_inner_symbol(derivation)
             if recovered != symbol:
@@ -498,7 +491,7 @@ def _check_screens(params: dict) -> tuple[bool, Optional[dict]]:
         w for w in enumerate_words(alphabet, 3) if not w.is_unit()
     ]
     for trial in range(params["trials"]):
-        symbol = _random_symbol(rng, alphabet, params["deg"])
+        symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         for w in probe_words:
             if not commuting_support_vanishes(derivation, w):
@@ -522,7 +515,7 @@ def _check_stabilization(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     probes = [w for w in enumerate_words(alphabet, 2) if not w.is_unit()]
     for trial in range(params["trials"]):
-        symbol = _random_symbol(rng, alphabet, params["deg"])
+        symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         for w in probes:
             value = derivation.of_word(w)
@@ -543,7 +536,7 @@ def _check_normal_approx(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
     for trial in range(params["trials"]):
-        symbol = _random_symbol(rng, alphabet, params["deg"])
+        symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
         phi = _random_series(rng, alphabet, params["deg"])
         k = rng.randint(1, 32)
         full = frozenset(alphabet.letters())
@@ -567,13 +560,14 @@ def _random_cochain(
 ) -> Cochain:
     if arity == 0:
         return Cochain.scalar(alphabet, complex(rng.randint(-3, 3), rng.randint(-3, 3)))
-    table: dict[tuple[Word, ...], complex] = {}
-    for _ in range(terms):
-        key = tuple(
-            _random_word(rng, alphabet, max_len) for _ in range(arity)
+    keyed = [
+        (
+            tuple(_random_word(rng, alphabet, max_len) for _ in range(arity)),
+            complex(rng.randint(-3, 3), rng.randint(-3, 3)),
         )
-        table[key] = table.get(key, 0j) + complex(rng.randint(-3, 3), rng.randint(-3, 3))
-    return Cochain(arity, alphabet, table)
+        for _ in range(terms)
+    ]
+    return Cochain._from_valid((arity, alphabet), keyed)
 
 
 @_register("cohomology.coboundary_squared")
@@ -893,12 +887,12 @@ def _load_json(path: str) -> dict:
 def _cmd_dump_matrix(args: argparse.Namespace) -> int:
     """Write the left compression of a series as a word-labelled CSV."""
     try:
-        config = _config_from_args(args)
         series = Series.from_json_dict(_load_json(args.dump_matrix))
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as err:
         print(f"bad series input: {err}", file=sys.stderr)
         return 2
     try:
+        config = _config_from_args(args)
         basis = TruncationBasis(series.alphabet, config.cutoff)
     except ValueError as err:
         print(f"bad configuration: {err}", file=sys.stderr)
@@ -969,20 +963,20 @@ def _cmd_trivialize_cocycle(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as err:
         print(f"bad cochain input: {err}", file=sys.stderr)
         return 2
-    witness = first_cocycle_violation(cochain)
-    if witness is not None:
+    try:
+        psi = homotopy(cochain)
+    except NonCocycleError as err:
         report = {
             "schema": SCHEMA_VERSION,
             "suite": "trivialize-cocycle",
             "passed": False,
             "error": {
                 "message": "input is not a cocycle",
-                "witness": [str(w) for w in witness],
+                "witness": [str(w) for w in err.witness],
             },
         }
         print(json.dumps(report, indent=2, sort_keys=True))
         return 1
-    psi = homotopy(cochain)
     residual = coboundary(psi) - cochain
     report = {
         "schema": SCHEMA_VERSION,

@@ -2,20 +2,24 @@
 
 Cochains are finitely supported coefficient tables on tuples of words,
 representing multilinear functionals on the span of the basis shifts with
-values in the scalars.  Both module actions multiply by the coefficient at
-the unit word, so the bimodule is symmetric and the degree-zero coboundary
-vanishes.  The coboundary of a table is again a finitely supported table,
-and every cocycle of arity at least two is trivialized by an explicit
-homotopy that cuts the first word after its first letter.
+values in the scalars.  They share the coefficient-table core of
+``series``: the arity and the tuple keys are checked once, at the public
+constructor, and the coboundary and the homotopy build their results
+through the core's one sum-and-prune step.  Both module actions multiply
+by the coefficient at the unit word, so the bimodule is symmetric and the
+degree-zero coboundary vanishes.  The coboundary of a table is again a
+finitely supported table, and every cocycle of arity at least two is
+trivialized by an explicit homotopy that cuts the first word after its
+first letter.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .series import PRUNE_EPS, Series, adjoint_shift, first_letter_part
+from .series import CoefficientTable, Series, adjoint_shift, first_letter_part
 from .words import Alphabet, Word, enumerate_words
 
 WordTuple = tuple[Word, ...]
@@ -29,36 +33,25 @@ class NonCocycleError(ValueError):
         self.witness = witness
 
 
-class CutPair(NamedTuple):
-    """First letter of a word and the remainder; the unit cuts to (e, e)."""
-
-    first: Word
-    rest: Word
-
-
-def cut(w: Word) -> CutPair:
+def cut(w: Word) -> tuple[Word, Word]:
     """Split off the first letter: ``w == first * rest``, with first the unit
     only for the unit word."""
-    alphabet = w.alphabet
-    return CutPair(
-        Word(alphabet, w.letters[:1]), Word(alphabet, w.letters[1:])
-    )
+    return Word(w.alphabet, w.letters[:1]), Word(w.alphabet, w.letters[1:])
 
 
 def module_left(gamma: complex, phi: Series) -> complex:
-    """Left module action of a series on a scalar: multiply by the unit weight."""
+    """Module action of a series on a scalar: multiply by the unit weight.
+
+    The right action is the same product, so the bimodule is symmetric."""
     return complex(gamma) * phi.coeff(phi.alphabet.unit())
 
 
-def module_right(phi: Series, gamma: complex) -> complex:
-    """Right module action; agrees with the left action."""
-    return phi.coeff(phi.alphabet.unit()) * complex(gamma)
-
-
-class Cochain:
+class Cochain(CoefficientTable):
     """Finitely supported table on n-tuples of words; arity zero is a scalar."""
 
-    __slots__ = ("arity", "alphabet", "table")
+    __slots__ = ("arity",)
+
+    _KEY_FIELD = "words"
 
     def __init__(
         self,
@@ -68,21 +61,33 @@ class Cochain:
     ):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        pruned: dict[WordTuple, complex] = {}
-        if table:
-            for key, value in table.items():
-                key = tuple(key)
-                if len(key) != arity:
-                    raise ValueError(f"key {key} does not have arity {arity}")
-                for w in key:
-                    if w.alphabet != alphabet:
-                        raise ValueError("key word over a different alphabet")
-                value = complex(value)
-                if abs(value) > PRUNE_EPS:
-                    pruned[key] = value
         self.arity = arity
-        self.alphabet = alphabet
-        self.table = pruned
+        super().__init__(alphabet, table)
+
+    def _check_key(self, key: WordTuple) -> WordTuple:
+        key = tuple(key)
+        if len(key) != self.arity:
+            raise ValueError(f"key {key} does not have arity {self.arity}")
+        for w in key:
+            if not isinstance(w, Word) or w.alphabet != self.alphabet:
+                raise ValueError(f"key word {w!r} is not a word over {self.alphabet}")
+        return key
+
+    def _shape(self) -> tuple:
+        return (self.arity, self.alphabet)
+
+    @staticmethod
+    def _sort_key(key: WordTuple) -> tuple:
+        """Tuple-lexicographic in the word order."""
+        return tuple(w.sort_key() for w in key)
+
+    @staticmethod
+    def _key_text(key: WordTuple) -> list[str]:
+        return [str(w) for w in key]
+
+    @staticmethod
+    def _parse_key(alphabet: Alphabet, texts: Sequence[str]) -> WordTuple:
+        return tuple(alphabet.parse(text) for text in texts)
 
     @classmethod
     def scalar(cls, alphabet: Alphabet, value: complex) -> "Cochain":
@@ -92,18 +97,6 @@ class Cochain:
         if self.arity != 0:
             raise ValueError("not an arity-zero cochain")
         return self.table.get((), 0j)
-
-    def coeff(self, key: WordTuple) -> complex:
-        return self.table.get(tuple(key), 0j)
-
-    def items(self) -> list[tuple[WordTuple, complex]]:
-        """Terms sorted tuple-lexicographically in the word order."""
-        return sorted(
-            self.table.items(), key=lambda kv: tuple(w.sort_key() for w in kv[0])
-        )
-
-    def is_zero(self) -> bool:
-        return not self.table
 
     def evaluate(self, *args: Series) -> complex:
         """Multilinear extension: weight each table entry by the argument
@@ -120,58 +113,16 @@ class Cochain:
             total += factor
         return total
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Cochain)
-            and self.arity == other.arity
-            and self.alphabet == other.alphabet
-            and self.table == other.table
-        )
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if self.arity != other.arity or self.alphabet != other.alphabet:
-            raise ValueError("cochains of different shape")
-        table = dict(self.table)
-        for key, value in other.table.items():
-            table[key] = table.get(key, 0j) + value
-        return Cochain(self.arity, self.alphabet, table)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(
-            self.arity, self.alphabet, {k: -v for k, v in self.table.items()}
-        )
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def __mul__(self, scalar: complex) -> "Cochain":
-        scalar = complex(scalar)
-        return Cochain(
-            self.arity, self.alphabet, {k: scalar * v for k, v in self.table.items()}
-        )
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"Cochain(arity={self.arity}, terms={len(self.table)})"
 
     def to_json_dict(self) -> dict:
-        terms = [
-            {"words": [str(w) for w in key], "re": c.real, "im": c.imag}
-            for key, c in self.items()
-        ]
-        return {"arity": self.arity, "alphabet": self.alphabet.size, "terms": terms}
+        return {"arity": self.arity, **super().to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Cochain":
-        arity = int(data["arity"])
-        alphabet = Alphabet(int(data["alphabet"]))
-        table: dict[WordTuple, complex] = {}
-        for term in data.get("terms", ()):
-            key = tuple(alphabet.parse(text) for text in term["words"])
-            value = complex(float(term["re"]), float(term.get("im", 0.0)))
-            table[key] = table.get(key, 0j) + value
-        return cls(arity, alphabet, table)
+        shape = (int(data["arity"]), Alphabet(int(data["alphabet"])))
+        return cls._from_json_terms(shape, data)
 
 
 def coboundary(phi: Cochain) -> Cochain:
@@ -187,25 +138,22 @@ def coboundary(phi: Cochain) -> Cochain:
     n = phi.arity
     alphabet = phi.alphabet
     if n == 0:
-        return Cochain(1, alphabet, {})
+        return Cochain(1, alphabet)
     e = alphabet.unit()
-    out: dict[WordTuple, complex] = {}
-
-    def accumulate(key: WordTuple, value: complex) -> None:
-        out[key] = out.get(key, 0j) + value
-
     last_sign = 1.0 if (n + 1) % 2 == 0 else -1.0
-    for key, c in phi.table.items():
-        accumulate((e, *key), c)
-        for i in range(n):
-            s = key[i]
-            sign = -1.0 if i % 2 == 0 else 1.0
-            for cut_at in range(len(s) + 1):
-                head = Word(alphabet, s.letters[:cut_at])
-                tail = Word(alphabet, s.letters[cut_at:])
-                accumulate((*key[:i], head, tail, *key[i + 1 :]), sign * c)
-        accumulate((*key, e), last_sign * c)
-    return Cochain(n + 1, alphabet, out)
+
+    def terms():
+        for key, c in phi.table.items():
+            yield (e, *key), c
+            for i, s in enumerate(key):
+                sign = -1.0 if i % 2 == 0 else 1.0
+                for cut_at in range(len(s) + 1):
+                    head = Word(alphabet, s.letters[:cut_at])
+                    tail = Word(alphabet, s.letters[cut_at:])
+                    yield (*key[:i], head, tail, *key[i + 1 :]), sign * c
+            yield (*key, e), last_sign * c
+
+    return Cochain._from_valid((n + 1, alphabet), terms())
 
 
 def is_cocycle(phi: Cochain) -> bool:
@@ -217,7 +165,7 @@ def first_cocycle_violation(phi: Cochain) -> Optional[WordTuple]:
     boundary = coboundary(phi)
     if boundary.is_zero():
         return None
-    return min(boundary.table, key=lambda key: tuple(w.sort_key() for w in key))
+    return min(boundary.table, key=Cochain._sort_key)
 
 
 def homotopy(phi: Cochain) -> Cochain:
@@ -238,19 +186,16 @@ def homotopy(phi: Cochain) -> Cochain:
             f"not a cocycle: coboundary is nonzero at ({', '.join(str(w) for w in witness)})",
             witness=witness,
         )
-    alphabet = phi.alphabet
-    e = alphabet.unit()
-    out: dict[WordTuple, complex] = {}
-    for key, c in phi.table.items():
-        s1, s2 = key[0], key[1]
-        tail = key[2:]
-        if len(s1) == 1:
-            target = (s1 * s2, *tail)
-            out[target] = out.get(target, 0j) - c
-        elif s1 == e and s2 == e:
-            target = (e, *tail)
-            out[target] = out.get(target, 0j) + c
-    return Cochain(phi.arity - 1, alphabet, out)
+    e = phi.alphabet.unit()
+
+    def terms():
+        for (s1, s2, *tail), c in phi.table.items():
+            if len(s1) == 1:
+                yield (s1 * s2, *tail), -c
+            elif s1 == e and s2 == e:
+                yield (e, *tail), c
+
+    return Cochain._from_valid((phi.arity - 1, phi.alphabet), terms())
 
 
 def homotopy_on_series(phi: Cochain, args: Sequence[Series]) -> complex:

@@ -105,29 +105,27 @@ class GeneratorDerivation:
         """
         alphabet = self.alphabet
         letters = w.letters
-        table: dict[Word, complex] = {}
-        for i, a in enumerate(letters):
-            prefix = letters[:i]
-            suffix = letters[i + 1 :]
-            for u, c in self.values[a].iter_terms():
-                key = Word(alphabet, prefix + u.letters + suffix)
-                table[key] = table.get(key, 0j) + c
-        return Series(alphabet, table)
+        return Series._from_valid(
+            (alphabet,),
+            (
+                (Word(alphabet, letters[:i] + u.letters + letters[i + 1 :]), c)
+                for i, a in enumerate(letters)
+                for u, c in self.values[a].iter_terms()
+            ),
+        )
 
     def of_word_power(self, w: Word, k: int) -> Series:
         """Value at ``w**k`` as the k-term sum of ``w``-power sandwiches."""
         if k < 1:
             raise ValueError("power must be positive")
         alphabet = self.alphabet
+        letters = w.letters
         dw = self.of_word(w)
-        table: dict[Word, complex] = {}
-        for m in range(k):
-            prefix = (w ** (k - 1 - m)).letters
-            suffix = (w**m).letters
-            for u, c in dw.iter_terms():
-                key = Word(alphabet, prefix + u.letters + suffix)
-                table[key] = table.get(key, 0j) + c
-        return Series(alphabet, table)
+        return dw._like(
+            (Word(alphabet, letters * (k - 1 - m) + u.letters + letters * m), c)
+            for m in range(k)
+            for u, c in dw.iter_terms()
+        )
 
     def subtract_inner(self, t: Series) -> "GeneratorDerivation":
         """The derivation minus the commutator derivation with symbol t."""
@@ -195,21 +193,18 @@ def conjugate_vanishing_index(w: Word, phi: Series, cap: int) -> int:
     )
 
 
-def stabilized_conjugate_sum(
-    derivation: GeneratorDerivation, w: Word, k_max: Optional[int] = None
-) -> Series:
+def stabilized_conjugate_sum(derivation: GeneratorDerivation, w: Word) -> Series:
     """Sum of the conjugate-transport iterates of the value at w.
 
     The partial sums stabilize once an iterate vanishes; the stabilized sum
     s satisfies ``D(w) = s - conjugate_by(w, s)`` exactly.  For consistent
-    data the iterates die within about ``deg / |w|`` steps; the default cap
-    is ``deg + 3``.
+    data the iterates die within about ``deg / |w|`` steps; the cap is
+    ``deg + 3``.
     """
     if w.is_unit():
         raise ValueError("the unit has value zero; no sum to stabilize")
     phi = derivation.of_word(w)
-    if k_max is None:
-        k_max = (0 if phi.is_zero() else int(phi.degree())) + 3
+    k_max = (0 if phi.is_zero() else int(phi.degree())) + 3
     total = Series.zero(derivation.alphabet)
     term = phi
     for _ in range(k_max + 1):
@@ -225,9 +220,7 @@ def stabilized_conjugate_sum(
     )
 
 
-def solve_local_inner(
-    derivation: GeneratorDerivation, w: Word, k_max: Optional[int] = None
-) -> Series:
+def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:
     """A series t with ``D(w) = xi_w * t - t * xi_w``, for consistent data.
 
     Built from the stabilized conjugate sum: terms below the length of w
@@ -239,7 +232,7 @@ def solve_local_inner(
     if w.is_unit():
         raise ValueError("cannot solve at the unit")
     alphabet = derivation.alphabet
-    total = stabilized_conjugate_sum(derivation, w, k_max)
+    total = stabilized_conjugate_sum(derivation, w)
     high = Series(
         alphabet, {u: c for u, c in total.iter_terms() if len(u) >= len(w)}
     )
@@ -299,9 +292,7 @@ def _check_pair_structure(value: Series, beta: int, alpha: int) -> None:
             )
 
 
-def solve_inner_symbol(
-    derivation: GeneratorDerivation, k_max: Optional[int] = None
-) -> Series:
+def solve_inner_symbol(derivation: GeneratorDerivation) -> Series:
     """Recover a series t with ``D(z_a) = [xi_{z_a}, t]`` for every generator.
 
     Pipeline: screen the generator values, solve locally at the first
@@ -330,7 +321,7 @@ def solve_inner_symbol(
                 coefficient=offender[1],
             )
 
-    total = solve_local_inner(derivation, alphabet.generator(0), k_max)
+    total = solve_local_inner(derivation, alphabet.generator(0))
     current = derivation.subtract_inner(total)
     for b in range(1, alphabet.size):
         value = current.value(b)

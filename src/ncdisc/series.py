@@ -1,4 +1,5 @@
-"""Finitely supported complex series on a free semigroup.
+"""Finitely supported complex series on a free semigroup, and the
+coefficient-table core they share with cochains.
 
 A series plays two roles: a vector in the square-summable sequence space
 over the semigroup, and the symbol of the convolution operator it induces
@@ -7,14 +8,25 @@ there.  The product is convolution,
     (phi * psi)(w) = sum over prefixes u of w of phi(u) * psi(u^{-1} w),
 
 which on basis elements is concatenation: ``xi_u * xi_v = xi_{uv}``.
-All operations preserve finite support; coefficients below ``PRUNE_EPS``
-in magnitude are dropped so that cancellation leaves no dust.
+
+``CoefficientTable`` is the one sparse core behind ``Series`` and
+``cohomology.Cochain``: a dict from keys (words, or tuples of words) to
+complex coefficients, with one canonical step -- sum repeated keys, then
+drop coefficients of magnitude at most ``PRUNE_EPS``, so that cancellation
+leaves no dust -- plus the linear structure, equality and the re/im JSON
+term codec.  Keys and coefficients are checked once, by the public
+constructor, which refuses a key over another alphabet and a NaN or
+infinite coefficient.  Results of operations are built from keys that are
+already valid through the internal ``_from_valid`` constructor, which runs
+only the canonical step.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Iterable, ItemsView, Mapping, Optional
+from itertools import chain
+from typing import Hashable, Iterable, ItemsView, Mapping, Optional
 
 from .words import Alphabet, Word, transport
 
@@ -23,27 +35,144 @@ PRUNE_EPS = 1e-14
 #: Degree of the zero series; keeps max-degree arithmetic total.
 ZERO_DEGREE = float("-inf")
 
+Terms = Iterable[tuple[Hashable, complex]]
 
-class Series:
-    """Immutable finitely supported map from words to complex coefficients."""
 
-    __slots__ = ("alphabet", "_coeffs")
+def _sum_and_prune(terms: Terms) -> dict:
+    """The canonical step: sum repeated keys, then drop |c| <= PRUNE_EPS.
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        coeffs: Optional[Mapping[Word, complex]] = None,
-    ):
-        table: dict[Word, complex] = {}
-        if coeffs:
-            for word, value in coeffs.items():
-                if word.alphabet != alphabet:
-                    raise ValueError("coefficient at a word over a different alphabet")
-                value = complex(value)
-                if abs(value) > PRUNE_EPS:
-                    table[word] = value
+    A NaN (past the boundary check only an overflow or a non-finite scalar
+    can make one) is kept in sight rather than dropped.
+    """
+    table: dict = {}
+    for key, value in terms:
+        table[key] = table.get(key, 0j) + value
+    return {key: c for key, c in table.items() if not abs(c) <= PRUNE_EPS}
+
+
+class CoefficientTable:
+    """Immutable finitely supported map from keys to complex coefficients.
+
+    A subclass says how a key is checked (``_check_key``), ordered
+    (``_sort_key``) and written in JSON (``_KEY_FIELD``, ``_key_text`` and
+    its inverse ``_parse_key``).  ``_shape`` gives the public constructor's
+    leading arguments; tables of one shape can be added and compared.
+    """
+
+    __slots__ = ("alphabet", "table")
+
+    def __init__(self, alphabet: Alphabet, coeffs: Optional[Mapping] = None):
         self.alphabet = alphabet
-        self._coeffs = table
+        self.table = _sum_and_prune(self._checked(coeffs.items())) if coeffs else {}
+
+    def _checked(self, terms: Terms) -> Terms:
+        """The boundary check: each key valid, each coefficient finite."""
+        for key, value in terms:
+            value = complex(value)
+            if not cmath.isfinite(value):
+                raise ValueError(f"non-finite coefficient {value} at {key}")
+            yield self._check_key(key), value
+
+    def _shape(self) -> tuple:
+        return (self.alphabet,)
+
+    @classmethod
+    def _from_valid(cls, shape: tuple, terms: Terms):
+        """Internal constructor: ``shape`` as ``_shape()`` gives it, and keys
+        already valid for it; only the canonical step runs."""
+        out = cls(*shape)
+        out.table = _sum_and_prune(terms)
+        return out
+
+    def _like(self, terms: Terms):
+        """Internal constructor for a result of this table's shape."""
+        return self._from_valid(self._shape(), terms)
+
+    def _require_same_shape(self, other: "CoefficientTable") -> None:
+        if type(other) is not type(self) or self._shape() != other._shape():
+            raise ValueError(f"{type(self).__name__} operands of different shape")
+
+    # -- inspection ------------------------------------------------------
+
+    def coeff(self, key) -> complex:
+        return self.table.get(key, 0j)
+
+    def items(self) -> list:
+        """Terms sorted by key, for deterministic output."""
+        return sorted(self.table.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def is_zero(self) -> bool:
+        return not self.table
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self._shape() == other._shape()
+            and self.table == other.table
+        )
+
+    # -- linear structure --------------------------------------------------
+
+    def __add__(self, other):
+        self._require_same_shape(other)
+        return self._like(chain(self.table.items(), other.table.items()))
+
+    def __sub__(self, other):
+        self._require_same_shape(other)
+        negated = ((key, -c) for key, c in other.table.items())
+        return self._like(chain(self.table.items(), negated))
+
+    def __neg__(self):
+        return self._like((key, -c) for key, c in self.table.items())
+
+    def scaled(self, scalar: complex):
+        scalar = complex(scalar)
+        return self._like((key, scalar * c) for key, c in self.table.items())
+
+    __mul__ = __rmul__ = scaled
+
+    # -- interchange format ----------------------------------------------
+
+    def to_json_dict(self) -> dict:
+        terms = [
+            {self._KEY_FIELD: self._key_text(key), "re": c.real, "im": c.imag}
+            for key, c in self.items()
+        ]
+        return {"alphabet": self.alphabet.size, "terms": terms}
+
+    @classmethod
+    def _from_json_terms(cls, shape: tuple, data: Mapping):
+        """A table of the given shape from ``data["terms"]``, through the
+        boundary check; repeated keys are summed."""
+        out = cls(*shape)
+        terms = (
+            (
+                cls._parse_key(out.alphabet, term[cls._KEY_FIELD]),
+                complex(float(term["re"]), float(term.get("im", 0.0))),
+            )
+            for term in data.get("terms", ())
+        )
+        out.table = _sum_and_prune(out._checked(terms))
+        return out
+
+
+class Series(CoefficientTable):
+    """Finitely supported map from words to complex coefficients."""
+
+    __slots__ = ()
+
+    _KEY_FIELD = "word"
+    _key_text = staticmethod(str)
+    _parse_key = staticmethod(Alphabet.parse)
+    _sort_key = staticmethod(Word.sort_key)
+
+    def _check_key(self, word: Word) -> Word:
+        if not isinstance(word, Word) or word.alphabet != self.alphabet:
+            raise ValueError(f"coefficient at {word!r}, not a word over {self.alphabet}")
+        return word
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "Series":
@@ -59,125 +188,57 @@ class Series:
         """The convolution unit delta_e."""
         return cls.basis(alphabet.unit())
 
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "Series":
+        return cls._from_json_terms((Alphabet(int(data["alphabet"])),), data)
+
     # -- inspection ------------------------------------------------------
 
-    def coeff(self, word: Word) -> complex:
-        return self._coeffs.get(word, 0j)
-
     def iter_terms(self) -> ItemsView[Word, complex]:
-        return self._coeffs.items()
-
-    def items(self) -> list[tuple[Word, complex]]:
-        """Terms sorted by word, for deterministic output."""
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
+        return self.table.items()
 
     def support(self) -> frozenset[Word]:
-        return frozenset(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return frozenset(self.table)
 
     def degree(self) -> float:
         """Max word length over the support; ``ZERO_DEGREE`` for the zero series."""
-        if not self._coeffs:
+        if not self.table:
             return ZERO_DEGREE
-        return max(len(w) for w in self._coeffs)
+        return max(len(w) for w in self.table)
 
     def l2_norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self._coeffs.values()))
+        return math.sqrt(sum(abs(c) ** 2 for c in self.table.values()))
 
     def l1_norm(self) -> float:
-        return sum(abs(c) for c in self._coeffs.values())
+        return sum(abs(c) for c in self.table.values())
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self._coeffs.values()), default=0.0)
+        return max((abs(c) for c in self.table.values()), default=0.0)
 
     def letters_used(self) -> frozenset[int]:
-        return frozenset(letter for w in self._coeffs for letter in w.letters)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.alphabet == other.alphabet
-            and self._coeffs == other._coeffs
-        )
+        return frozenset(letter for w in self.table for letter in w.letters)
 
     def allclose(self, other: "Series", tol: float = 1e-12) -> bool:
         return max_coeff_diff(self, other) <= tol
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self.table:
             return "Series(0)"
         body = " + ".join(f"({c})*{w}" for w, c in self.items())
         return f"Series({body})"
-
-    # -- linear structure and convolution --------------------------------
-
-    def _require_same_alphabet(self, other: "Series") -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("series over different alphabets")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._require_same_alphabet(other)
-        table = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            table[w] = table.get(w, 0j) + c
-        return Series(self.alphabet, table)
-
-    def __neg__(self) -> "Series":
-        return Series(self.alphabet, {w: -c for w, c in self._coeffs.items()})
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
-
-    def scaled(self, scalar: complex) -> "Series":
-        scalar = complex(scalar)
-        return Series(self.alphabet, {w: scalar * c for w, c in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, Series):
             return convolve(self, other)
         return self.scaled(other)
 
-    def __rmul__(self, scalar: complex) -> "Series":
-        return self.scaled(scalar)
-
-    # -- interchange format ----------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        terms = [
-            {"word": str(w), "re": c.real, "im": c.imag} for w, c in self.items()
-        ]
-        return {"alphabet": self.alphabet.size, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Series":
-        alphabet = Alphabet(int(data["alphabet"]))
-        table: dict[Word, complex] = {}
-        for term in data.get("terms", ()):
-            word = alphabet.parse(term["word"])
-            value = complex(float(term["re"]), float(term.get("im", 0.0)))
-            table[word] = table.get(word, 0j) + value
-        return cls(alphabet, table)
-
 
 def convolve(phi: Series, psi: Series) -> Series:
     """Convolution product; the bilinear extension of ``xi_u * xi_v = xi_{uv}``."""
-    phi._require_same_alphabet(psi)
-    table: dict[Word, complex] = {}
-    for u, a in phi.iter_terms():
-        for v, b in psi.iter_terms():
-            w = u * v
-            table[w] = table.get(w, 0j) + a * b
-    return Series(phi.alphabet, table)
-
-
-def right_apply(phi: Series, psi: Series) -> Series:
-    """The right convolution operator with symbol phi applied to psi: ``psi * phi``."""
-    return convolve(psi, phi)
+    phi._require_same_shape(psi)
+    return phi._like(
+        (u * v, a * b) for u, a in phi.table.items() for v, b in psi.table.items()
+    )
 
 
 def adjoint_shift(u: Word, phi: Series) -> Series:
@@ -186,12 +247,11 @@ def adjoint_shift(u: Word, phi: Series) -> Series:
     Keeps the terms left-divisible by u and strips the prefix; everything
     else is annihilated.
     """
-    table: dict[Word, complex] = {}
-    for w, c in phi.iter_terms():
-        rest = w.strip_prefix(u)
-        if rest is not None:
-            table[rest] = c
-    return Series(phi.alphabet, table)
+    return phi._like(
+        (rest, c)
+        for w, c in phi.table.items()
+        if (rest := w.strip_prefix(u)) is not None
+    )
 
 
 def conjugate_by(w: Word, phi: Series) -> Series:
@@ -201,27 +261,23 @@ def conjugate_by(w: Word, phi: Series) -> Series:
     when no such v exists; this is the series-level form of sandwiching the
     convolution operator between the shift by w and its adjoint.
     """
-    table: dict[Word, complex] = {}
-    for u, c in phi.iter_terms():
-        v = transport(w, u)
-        if v is not None:
-            table[v] = c
-    return Series(phi.alphabet, table)
+    return phi._like(
+        (v, c) for u, c in phi.table.items() if (v := transport(w, u)) is not None
+    )
 
 
 def degree_part(phi: Series, j: int) -> Series:
     """Restriction of phi to words of length exactly j."""
-    return Series(phi.alphabet, {w: c for w, c in phi.iter_terms() if len(w) == j})
+    return phi._like((w, c) for w, c in phi.table.items() if len(w) == j)
 
 
 def cesaro(phi: Series, k: int) -> Series:
     """Fejer-weighted truncation: degree-j part scaled by ``1 - j/k`` for j < k."""
     if k < 1:
         raise ValueError("order must be positive")
-    table = {
-        w: c * (1.0 - len(w) / k) for w, c in phi.iter_terms() if len(w) < k
-    }
-    return Series(phi.alphabet, table)
+    return phi._like(
+        (w, c * (1.0 - len(w) / k)) for w, c in phi.table.items() if len(w) < k
+    )
 
 
 def conditional_expectation(phi: Series, letters: Iterable[int]) -> Series:
@@ -235,26 +291,24 @@ def conditional_expectation(phi: Series, letters: Iterable[int]) -> Series:
     for letter in allowed:
         if not 0 <= letter < size:
             raise ValueError(f"letter {letter} outside alphabet of size {size}")
-    table = {
-        w: c
-        for w, c in phi.iter_terms()
+    return phi._like(
+        (w, c)
+        for w, c in phi.table.items()
         if all(letter in allowed for letter in w.letters)
-    }
-    return Series(phi.alphabet, table)
+    )
 
 
 def first_letter_part(phi: Series, letter: int) -> Series:
     """Restriction of phi to words whose first letter is the given generator."""
     if not 0 <= letter < phi.alphabet.size:
         raise ValueError(f"letter {letter} outside alphabet of size {phi.alphabet.size}")
-    table = {
-        w: c for w, c in phi.iter_terms() if w.letters and w.letters[0] == letter
-    }
-    return Series(phi.alphabet, table)
+    return phi._like(
+        (w, c) for w, c in phi.table.items() if w.letters and w.letters[0] == letter
+    )
 
 
 def max_coeff_diff(phi: Series, psi: Series) -> float:
     """Largest coefficientwise deviation between two series."""
-    phi._require_same_alphabet(psi)
-    words = set(phi._coeffs) | set(psi._coeffs)
+    phi._require_same_shape(psi)
+    words = set(phi.table) | set(psi.table)
     return max((abs(phi.coeff(w) - psi.coeff(w)) for w in words), default=0.0)

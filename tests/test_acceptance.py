@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from ncdisc.cli import _random_series
 from ncdisc.cohomology import (
     Cochain,
     coboundary,
@@ -51,16 +52,6 @@ E2 = A2.unit()
 
 def _line(criterion, label, ok):
     print(f"ACCEPTANCE {criterion} {label}: {'PASS' if ok else 'FAIL'}")
-
-
-def _random_series(rng, alphabet, max_len, terms=5, min_len=0):
-    table = {}
-    for _ in range(rng.randint(1, terms)):
-        w = alphabet.word(
-            rng.randrange(alphabet.size) for _ in range(rng.randint(min_len, max_len))
-        )
-        table[w] = table.get(w, 0j) + complex(rng.randint(-3, 3), rng.randint(-3, 3))
-    return Series(alphabet, table)
 
 
 def _random_operator(basis, seed):
@@ -156,8 +147,8 @@ def test_criterion_4_conditional_expectation():
     fixation_ok = True
     for trial in range(10_000):
         alphabet = A2 if trial % 2 == 0 else Alphabet(3)
-        phi = _random_series(rng, alphabet, 3, terms=4)
-        psi = _random_series(rng, alphabet, 3, terms=4)
+        phi = _random_series(rng, alphabet, 3, max_terms=4)
+        psi = _random_series(rng, alphabet, 3, max_terms=4)
         subset = [a for a in alphabet.letters() if rng.random() < 0.5]
         lhs = conditional_expectation(convolve(phi, psi), subset)
         rhs = convolve(
@@ -205,7 +196,7 @@ def test_criterion_6_derivation_pipeline():
     stabilization_ok = True
     for trial in range(200):
         alphabet = A2 if trial % 2 == 0 else Alphabet(3)
-        symbol = _random_series(rng, alphabet, 3, terms=4, min_len=1)
+        symbol = _random_series(rng, alphabet, 3, max_terms=4, min_len=1)
         if symbol.is_zero():
             continue
         derivation = GeneratorDerivation.inner(symbol)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 from ncdisc.cli import main
 from ncdisc.cohomology import Cochain, coboundary
@@ -288,3 +289,44 @@ def test_report_written_to_file(tmp_path, capsys):
     assert report["suite"] == "words"
     # stdout carries one status line per check
     assert len(out.strip().splitlines()) == len(report["checks"])
+
+
+def test_bad_seed_and_tolerance_are_bad_configurations(tmp_path, capsys):
+    # a negative seed crashed numpy's generator; a NaN tolerance switched off
+    # the Lanczos stop test
+    infile = tmp_path / "series.json"
+    infile.write_text(json.dumps(Series.unit(A2).to_json_dict()))
+    for argv in (
+        ("verify-operators", "--seed", "-5"),
+        ("verify-words", "--seed", "-1"),
+        ("verify-operators", "--tol", "nan"),
+        ("report-all", "--tol", "inf"),
+        ("verify-operators", "--dump-matrix", str(infile), "--seed", "-1"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("bad configuration:")
+        assert "Traceback" not in captured.err
+
+
+def test_non_finite_coefficients_are_bad_input(tmp_path, capsys):
+    infile = tmp_path / "input.json"
+    for value in (math.nan, math.inf, -math.inf):
+        series = {"alphabet": 2, "terms": [{"word": "z0z1", "re": value, "im": 0.0}]}
+        cochain = {
+            "arity": 2,
+            "alphabet": 2,
+            "terms": [{"words": ["z0", "z1"], "re": 1.0, "im": value}],
+        }
+        for argv, data, message in (
+            (("solve-derivation", "--in"), {"alphabet": 2, "values": {"0": series}}, "derivation"),
+            (("trivialize-cocycle", "--in"), cochain, "cochain"),
+            (("verify-operators", "--dump-matrix"), series, "series"),
+        ):
+            infile.write_text(json.dumps(data))
+            code = main([*argv, str(infile)])
+            captured = capsys.readouterr()
+            assert code == 2, (argv, value)
+            assert captured.err.startswith(f"bad {message} input:")
+            assert captured.out == ""

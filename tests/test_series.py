@@ -1,9 +1,12 @@
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncdisc
+from ncdisc.cohomology import Cochain, coboundary, homotopy
 from ncdisc.series import (
     PRUNE_EPS,
     ZERO_DEGREE,
@@ -16,7 +19,6 @@ from ncdisc.series import (
     degree_part,
     first_letter_part,
     max_coeff_diff,
-    right_apply,
 )
 from ncdisc.words import Alphabet, transport
 
@@ -143,13 +145,14 @@ def test_degree_additive(phi, psi):
 
 
 def test_right_apply():
-    assert right_apply(xi(1), xi(0)) == xi(0, 1)
-    assert right_apply(DELTA_E, xi(0, 1)) == xi(0, 1)
+    # the right convolution operator with symbol phi sends x to x * phi
+    assert convolve(xi(0), xi(1)) == xi(0, 1)
+    assert convolve(xi(0, 1), DELTA_E) == xi(0, 1)
     rng = random.Random(5)
     for _ in range(25):
         phi, psi, x = (random_series(rng, A2, 2) for _ in range(3))
-        twice = right_apply(phi, right_apply(psi, x))
-        once = right_apply(convolve(psi, phi), x)
+        twice = convolve(convolve(x, psi), phi)
+        once = convolve(x, convolve(psi, phi))
         assert twice == once
 
 
@@ -337,3 +340,91 @@ def test_json_roundtrip_is_lossless():
 def test_json_rejects_bad_words():
     with pytest.raises(ValueError):
         Series.from_json_dict({"alphabet": 2, "terms": [{"word": "z5", "re": 1.0, "im": 0.0}]})
+
+
+def test_json_rejects_non_finite_coefficients():
+    for re, im in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+        data = {"alphabet": 2, "terms": [{"word": "z0z1", "re": re, "im": im}]}
+        with pytest.raises(ValueError):
+            Series.from_json_dict(json.loads(json.dumps(data)))
+
+
+# -- the shared coefficient-table core -------------------------------------------
+
+
+def test_constructor_rejects_non_finite_coefficients():
+    # NaN fails every comparison, so a prune test alone drops it silently
+    for value in (math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            Series(A2, {Z0: value})
+        with pytest.raises(ValueError):
+            Cochain(1, A2, {(Z0,): value})
+        term = {"words": ["z0"], "re": value.real, "im": value.imag}
+        with pytest.raises(ValueError):
+            Cochain.from_json_dict({"arity": 1, "alphabet": 2, "terms": [term]})
+
+
+#: Differs from 1 by less than PRUNE_EPS, so sums against -1 leave dust.
+NEAR_ONE = 1 + PRUNE_EPS / 4
+SCALARS = st.sampled_from([0, 2, -1j, PRUNE_EPS / 4, NEAR_ONE])
+
+
+def coeff_strategy():
+    integers = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda ab: complex(*ab))
+    return st.one_of(integers, st.sampled_from([NEAR_ONE, -NEAR_ONE]))
+
+
+def cochain_strategy(arity, max_len=2):
+    keys = st.tuples(*[words_strategy(A2, max_len)] * arity)
+    return st.dictionaries(keys, coeff_strategy(), max_size=4).map(
+        lambda table: Cochain(arity, A2, table)
+    )
+
+
+def assert_canonical(result):
+    """Operation results equal themselves passed through the public
+    constructor: every key valid, no coefficient at most PRUNE_EPS."""
+    if isinstance(result, Cochain):
+        rebuilt = Cochain(result.arity, result.alphabet, result.table)
+    else:
+        rebuilt = Series(result.alphabet, result.table)
+    assert rebuilt == result
+    assert all(abs(c) > PRUNE_EPS for c in result.table.values())
+
+
+@settings(max_examples=150)
+@given(
+    st.dictionaries(words_strategy(A2), coeff_strategy(), max_size=5),
+    st.dictionaries(words_strategy(A2), coeff_strategy(), max_size=5),
+    SCALARS,
+)
+def test_series_results_are_canonical(a, b, scalar):
+    phi, psi = Series(A2, a), Series(A2, b)
+    for result in (
+        phi + psi,
+        phi - psi,
+        -phi,
+        phi.scaled(scalar),
+        scalar * phi,
+        convolve(phi, psi),
+        convolve(phi + psi, phi - psi),
+    ):
+        assert_canonical(result)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.tuples(cochain_strategy(n), cochain_strategy(n))),
+    SCALARS,
+)
+def test_cochain_results_are_canonical(pair, scalar):
+    phi, psi = pair
+    boundary = coboundary(phi)
+    for result in (phi + psi, phi - psi, -phi, scalar * phi, boundary, homotopy(boundary)):
+        assert_canonical(result)
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in ncdisc.__all__ if not hasattr(ncdisc, name)]
+    assert missing == []
+    assert len(set(ncdisc.__all__)) == len(ncdisc.__all__)
