@@ -81,6 +81,10 @@ DEFAULT_TRIALS = 10_000
 #: Smallest cutoff the operator suite's specs fit: the conjugation check
 #: sandwiches by a shift of length one on each side.
 MIN_OPERATOR_CUTOFF = 2
+#: Cutoff of the operator checks that draw dense random operators.
+DENSE_CUTOFF = 4
+#: Most entries (16 bytes each) of one dense random operator: dimension 2048.
+MAX_DENSE_ENTRIES = 1 << 22
 
 
 @dataclass
@@ -269,17 +273,16 @@ def _check_power_shift_sweep(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     bases = [w for w in enumerate_words(alphabet, params["w_max"]) if not w.is_unit()]
     candidates = enumerate_words(alphabet, params["u_max"])
-    by_length: dict[int, list[Word]] = {}
-    for w in candidates:
-        by_length.setdefault(len(w), []).append(w)
     for w in bases:
         for u in candidates:
             k_min = math.ceil(len(u) / len(w)) + 1
             for k in (k_min, k_min + 1):
-                # the hypothesis forces |v| == |u|
-                for v in by_length[len(u)]:
-                    if not power_shift_check(w, u, v, k):
-                        return False, {"w": str(w), "u": str(u), "v": str(v), "k": k}
+                # both sides of v w^k = w^k u have length |u| + k|w|, so the
+                # hypothesis forces v to be the |u|-prefix of w^k u; every
+                # other v of length |u| passes vacuously
+                v = Word(alphabet, (w**k * u).letters[: len(u)])
+                if not power_shift_check(w, u, v, k):
+                    return False, {"w": str(w), "u": str(u), "v": str(v), "k": k}
     return True, None
 
 
@@ -648,6 +651,9 @@ def _run_checks(suite: str, specs: list[tuple[str, dict]], config: RunConfig) ->
             passed, counterexample = CHECKS[name](params)
         except PowerIterationError as err:
             passed, counterexample = False, {"non_convergence": str(err)}
+        except Exception as err:
+            # a crashing check is a failed check; its params replay it
+            passed, counterexample = False, {"exception": f"{type(err).__name__}: {err}"}
         elapsed = time.perf_counter() - start
         results.append(CheckResult(name, passed, params, counterexample, elapsed))
     return Report(
@@ -699,12 +705,13 @@ def suite_operators(config: RunConfig) -> Report:
     m, cutoff, seed, tol = config.alphabet, config.cutoff, config.seed, config.tol
     conj_deg = min(3, cutoff - 2)
     conj_w = (cutoff - conj_deg) // 2
+    dense_cutoff = min(cutoff, DENSE_CUTOFF)
     specs = [
         ("operators.isometry_relations", {"m": m, "cutoff": cutoff}),
         ("operators.commutant", {"m": m, "cutoff": cutoff, "pair_max": min(3, cutoff)}),
         (
             "operators.band_projections",
-            {"m": m, "cutoff": min(cutoff, 4), "seed": seed, "trials": 3, "tol": tol},
+            {"m": m, "cutoff": dense_cutoff, "seed": seed, "trials": 3, "tol": tol},
         ),
         (
             "operators.compression_product",
@@ -712,7 +719,7 @@ def suite_operators(config: RunConfig) -> Report:
         ),
         (
             "operators.cesaro_contraction",
-            {"m": m, "cutoff": min(cutoff, 4), "seed": seed + 2, "trials": 20, "tol": tol},
+            {"m": m, "cutoff": dense_cutoff, "seed": seed + 2, "trials": 20, "tol": tol},
         ),
         (
             "operators.cesaro_vector_bound",
@@ -853,6 +860,16 @@ def _cmd_replay(path: str) -> int:
     return 0 if passed else 1
 
 
+def _check_dense_size(config: RunConfig) -> None:
+    """Refuse, before allocation, dense random operators past MAX_DENSE_ENTRIES."""
+    dimension = basis_dimension(config.alphabet, min(config.cutoff, DENSE_CUTOFF))
+    if dimension * dimension > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"dense random operators of dimension {dimension} exceed "
+            f"{MAX_DENSE_ENTRIES} entries"
+        )
+
+
 def _cmd_verify(args: argparse.Namespace, suites: list[str]) -> int:
     if getattr(args, "replay", None):
         return _cmd_replay(args.replay)
@@ -862,6 +879,7 @@ def _cmd_verify(args: argparse.Namespace, suites: list[str]) -> int:
             if config.cutoff < MIN_OPERATOR_CUTOFF:
                 raise ValueError(f"the operator suite needs cutoff at least {MIN_OPERATOR_CUTOFF}")
             basis_dimension(config.alphabet, config.cutoff)
+            _check_dense_size(config)
     except ValueError as err:
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2

@@ -295,10 +295,16 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     Lanczos vector fully reorthogonalized; it stops when the top Ritz value
     of the tridiagonal changes by at most ``tol`` (relative) between steps,
     or when the next Lanczos vector vanishes to rounding level, so the
-    Krylov space is invariant and the Ritz value exact.  Past ``max_iter``
-    steps it raises :class:`PowerIterationError`.  Ritz values never exceed
-    the top eigenvalue, so the estimate is a lower bound for the norm up to
-    rounding in the products.
+    Krylov space is invariant and the Ritz value exact on it.  The spectrum
+    on the complement of that space is unseen, so an invariant exit before
+    step n returns only if a Collatz-Wielandt bound certifies the Ritz value
+    to ``tol``; otherwise Lanczos restarts once, from a deterministic vector
+    without structure made orthogonal to every stored Lanczos vector (in
+    general position it meets every eigenspace of the complement), and the
+    larger top Ritz value of the two runs is returned.  Past ``max_iter``
+    steps in all it raises :class:`PowerIterationError`.  Ritz values never
+    exceed the top eigenvalue, so the estimate is a lower bound for the norm
+    up to rounding in the products.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -306,6 +312,7 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
         return 0.0
     n = op.basis.dimension
     rows, cols, vals, conj_vals = op.rows, op.cols, op.vals, op.vals.conjugate()
+    eps = np.finfo(float).eps
 
     def gram(x: np.ndarray) -> np.ndarray:
         mid = np.zeros(n, dtype=complex)
@@ -314,9 +321,30 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
         np.add.at(out, cols, conj_vals * mid[rows])
         return out
 
+    def may_hide_more(top: float, tridiagonal: np.ndarray, krylov: np.ndarray) -> bool:
+        """Whether ``A^H A`` may have an eigenvalue above ``top * (1 + tol)``.
+
+        Collatz-Wielandt: ``||A||^2 <= rho(B) <= max_j (B p)_j / p_j`` for
+        ``B = |A|^T |A|`` and every positive p, and a power step ``p <- B p``
+        never raises the bound.  p starts at the modulus of the top Ritz
+        vector, floored to stay positive, and gets one power step per
+        Lanczos step taken, so the test costs no more than the run it checks.
+        """
+        magnitudes = np.abs(vals)
+        p = np.abs(np.linalg.eigh(tridiagonal)[1][:, -1] @ krylov)
+        for _ in range(len(krylov)):
+            p = p / p.max() + eps
+            mid = np.bincount(rows, magnitudes * p[cols], n)
+            b_p = np.bincount(cols, magnitudes * mid[rows], n)
+            if (b_p / p).max() <= top * (1 + max(tol, math.sqrt(n) * eps)):
+                return False
+            p = b_p
+        return True
+
     # Lanczos vectors as rows; the storage doubles as needed, never past n
     lanczos = np.empty((min(n, 16), n), dtype=complex)
     lanczos[0] = 1.0 / math.sqrt(n)
+    first_run: Optional[float] = None  # top Ritz value of the run before the restart
     alphas: list[float] = []
     betas: list[float] = []
     previous = None
@@ -333,17 +361,31 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
         beta = float(np.linalg.norm(w))
         tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         ritz = float(np.linalg.eigvalsh(tridiagonal)[-1])
+        best = max(ritz, first_run or 0.0)
         # rounding in one Gram product is about sqrt(n) eps times its norm
-        invariant = step == n or beta <= math.sqrt(n) * np.finfo(float).eps * max(ritz, 0.0)
+        invariant = step == n or beta <= math.sqrt(n) * eps * best
         settled = previous is not None and abs(ritz - previous) <= tol * max(abs(ritz), 1e-300)
-        if invariant or settled:
-            return math.sqrt(max(ritz, 0.0))
-        previous = ritz
-        betas.append(beta)
+        restart = (
+            invariant and step < n and first_run is None
+            and may_hide_more(best, tridiagonal, basis_so_far)
+        )
+        if (invariant or settled) and not restart:
+            return math.sqrt(best)
         if step == len(lanczos):
             grown = np.empty((min(2 * step, n), n), dtype=complex)
             grown[:step] = lanczos
             lanczos = grown
+        if restart:
+            first_run, alphas, betas, previous = best, [], [], None
+            # fractional parts of j * golden ratio: deterministic, with no pattern to
+            # line up with a structured eigenvector, and no numpy.random import
+            w = (np.modf(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2))[0] - 0.5).astype(complex)
+            for _ in range(2):  # twice is enough against cancellation
+                w -= (basis_so_far @ w.conj()).conj() @ basis_so_far
+            beta = float(np.linalg.norm(w))
+        else:
+            previous = ritz
+            betas.append(beta)
         lanczos[step] = w / beta
     raise PowerIterationError(f"Lanczos did not stabilize to {tol} within {max_iter} steps")
 

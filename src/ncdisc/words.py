@@ -195,6 +195,9 @@ def power_shift_check(w: Word, u: Word, v: Word, k: int) -> bool:
     If ``v * w**k == w**k * u`` then u and w commute and ``u == v``; the
     instance passes vacuously when the hypothesis fails.  The implication
     is guaranteed for ``k >= len(u)/len(w) + 1``; the unit w is rejected.
+    Both sides of the hypothesis have length ``len(u) + k*len(w)``, so for
+    fixed (w, u, k) only the ``len(u)``-prefix of ``w**k * u`` can satisfy
+    it; every other v passes vacuously.
     """
     if w.is_unit():
         raise ValueError("base word must not be the unit")

@@ -1,12 +1,16 @@
 import copy
 import json
 import math
+import tracemalloc
 
-from ncdisc.cli import main
+import pytest
+
+from ncdisc import cli
+from ncdisc.cli import RunConfig, main
 from ncdisc.cohomology import Cochain, coboundary
 from ncdisc.derivations import GeneratorDerivation, inner_derivation
 from ncdisc.series import Series
-from ncdisc.words import Alphabet
+from ncdisc.words import Alphabet, enumerate_words
 
 A2 = Alphabet(2)
 
@@ -330,3 +334,102 @@ def test_non_finite_coefficients_are_bad_input(tmp_path, capsys):
             assert code == 2, (argv, value)
             assert captured.err.startswith(f"bad {message} input:")
             assert captured.out == ""
+
+
+def full_scan_power_shift(params):
+    """The power-shift sweep over every v with |v| == |u|, in the sweep's order."""
+    alphabet = Alphabet(params["m"])
+    bases = [w for w in enumerate_words(alphabet, params["w_max"]) if not w.is_unit()]
+    candidates = enumerate_words(alphabet, params["u_max"])
+    for w in bases:
+        for u in candidates:
+            k_min = math.ceil(len(u) / len(w)) + 1
+            for k in (k_min, k_min + 1):
+                for v in candidates:
+                    if len(v) == len(u) and not cli.power_shift_check(w, u, v, k):
+                        return False, {"w": str(w), "u": str(u), "v": str(v), "k": k}
+    return True, None
+
+
+SWEEP_PARAMS = (
+    {"m": 1, "w_max": 3, "u_max": 5},
+    {"m": 2, "w_max": 2, "u_max": 3},
+    {"m": 3, "w_max": 2, "u_max": 2},
+)
+
+
+@pytest.mark.parametrize("params", SWEEP_PARAMS)
+def test_power_shift_sweep_matches_full_scan(params):
+    sweep = cli.CHECKS["words.power_shift_sweep"]
+    assert sweep(params) == full_scan_power_shift(params) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "params, failing",
+    [
+        (SWEEP_PARAMS[0], ("z0", "z0z0", "z0z0", 3)),
+        (SWEEP_PARAMS[1], ("z0z1", "z0z1", "z0z1", 3)),
+        (SWEEP_PARAMS[2], ("z0z2", "z0z2", "z0z2", 3)),
+    ],
+)
+def test_power_shift_sweep_reports_the_full_scan_counterexample(monkeypatch, params, failing):
+    alphabet = Alphabet(params["m"])
+    w0, u0, v0 = (alphabet.parse(text) for text in failing[:3])
+    k0 = failing[3]
+    # the planted failure meets the hypothesis, so it is no vacuous instance
+    assert v0 * w0**k0 == w0**k0 * u0
+    real = cli.power_shift_check
+
+    def planted(w, u, v, k):
+        return (w, u, v, k) != (w0, u0, v0, k0) and real(w, u, v, k)
+
+    monkeypatch.setattr(cli, "power_shift_check", planted)
+    expected = (False, {"w": failing[0], "u": failing[1], "v": failing[2], "k": k0})
+    assert full_scan_power_shift(params) == expected
+    assert cli.CHECKS["words.power_shift_sweep"](params) == expected
+
+
+def test_crashing_check_is_a_failed_check(monkeypatch, capsys):
+    def crash(params):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setitem(cli.CHECKS, "words.concat_laws", crash)
+    code = main(["verify-words", "--max-len", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    checks = {check["name"]: check for check in json.loads(captured.out)["checks"]}
+    crashed = checks.pop("words.concat_laws")
+    assert crashed["passed"] is False
+    assert crashed["counterexample"] == {"exception": "ZeroDivisionError: planted"}
+    # the params stay, so the failure replays
+    assert crashed["params"] == {"m": 2, "len": 2}
+    assert all(check["passed"] for check in checks.values())
+
+
+def test_oversized_dense_operators_are_refused_before_allocation(capsys):
+    # 2,625,641 words pass the basis budget; a dense operator on them is ~110 TB
+    for argv in (
+        ("verify-operators", "--alphabet", "40", "--cutoff", "4"),
+        ("report-all", "--alphabet", "40", "--cutoff", "4"),
+    ):
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("bad configuration:")
+        assert "Traceback" not in captured.err
+        assert peak < 2**20
+
+
+def test_dense_operator_size_is_predicted_at_the_dense_cutoff():
+    # dimension at cutoff 4: 1555 words (2.4M entries) at m=6, 2801 (7.8M) at m=7
+    cli._check_dense_size(RunConfig(alphabet=6, cutoff=9))
+    with pytest.raises(ValueError, match="dense random operators"):
+        cli._check_dense_size(RunConfig(alphabet=7, cutoff=4))
+    # below the dense cutoff the operators shrink with the cutoff: 400 words
+    cli._check_dense_size(RunConfig(alphabet=7, cutoff=3))

@@ -375,6 +375,41 @@ def test_norm_estimate_invariant_subspace_is_exact():
     assert peak < 2**20
 
 
+def test_norm_estimate_restarts_past_a_kernel_start():
+    # the all-ones start vector is in the kernel: the first run sees only 0
+    basis = TruncationBasis(A2, 2)
+    op = TruncatedOperator(basis, {(0, 0): 1.0, (0, 1): -1.0})
+    exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+    assert exact == pytest.approx(np.sqrt(2), rel=1e-15)
+    assert norm_estimate(op, tol=1e-12) == pytest.approx(exact, rel=1e-12)
+
+
+def test_norm_estimate_restarts_past_a_lower_eigenspace():
+    # I + 2 x x^T with x orthogonal to the all-ones start: the first run sees
+    # only the eigenvalue 1
+    basis = TruncationBasis(A2, 1)
+    x = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+    op = TruncatedOperator.from_dense(basis, np.eye(3) + 2 * np.outer(x, x))
+    exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+    assert exact == pytest.approx(3.0, rel=1e-15)
+    assert norm_estimate(op, tol=1e-12) == pytest.approx(exact, rel=1e-12)
+
+
+def test_norm_estimate_invariant_exits_match_svd_oracle():
+    # from the all-ones start, e + z1z0 compressions and the Mobius Toeplitz
+    # matrices end in an invariant Krylov space: the first are certified as
+    # they stand, the second restart
+    phi = Series(A2, {E: 3 + 2j, w2(1, 0): -3 + 2j})
+    cases = [left_matrix(phi, TruncationBasis(A2, cutoff)) for cutoff in (6, 7, 8)]
+    one = Alphabet(1)
+    coefficients = mobius_coefficients(0.9, 41)
+    mobius = Series(one, {one.word([0] * k): c for k, c in enumerate(coefficients)})
+    cases.append(left_matrix(mobius, TruncationBasis(one, 40)))
+    for op in cases:
+        exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+        assert norm_estimate(op, tol=1e-11) == pytest.approx(exact, rel=1e-10)
+
+
 def test_norm_estimate_nonconvergence_reported():
     basis = TruncationBasis(A2, 2)
     op = random_operator(basis, 7)
