@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -643,17 +643,29 @@ def _check_h1_dimension(params: dict) -> tuple[bool, Optional[dict]]:
 # --------------------------------------------------------------------------
 
 
+def _call_check(
+    fn: CheckFn, params: dict, refused: tuple[type[Exception], ...] = ()
+) -> tuple[bool, Optional[dict]]:
+    """Run one check; a crash is a failed check whose params replay it.
+
+    Exceptions of the ``refused`` types propagate: replay turns them into a
+    refusal of the payload.
+    """
+    try:
+        return fn(params)
+    except refused:
+        raise
+    except PowerIterationError as err:
+        return False, {"non_convergence": str(err)}
+    except Exception as err:
+        return False, {"exception": f"{type(err).__name__}: {err}"}
+
+
 def _run_checks(suite: str, specs: list[tuple[str, dict]], config: RunConfig) -> Report:
     results = []
     for name, params in specs:
         start = time.perf_counter()
-        try:
-            passed, counterexample = CHECKS[name](params)
-        except PowerIterationError as err:
-            passed, counterexample = False, {"non_convergence": str(err)}
-        except Exception as err:
-            # a crashing check is a failed check; its params replay it
-            passed, counterexample = False, {"exception": f"{type(err).__name__}: {err}"}
+        passed, counterexample = _call_check(CHECKS[name], params)
         elapsed = time.perf_counter() - start
         results.append(CheckResult(name, passed, params, counterexample, elapsed))
     return Report(
@@ -821,11 +833,24 @@ def _report_text(report_dict: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(report_dict: dict, args: argparse.Namespace) -> None:
+def _write_out(path: str, write: Callable[[TextIO], object], newline: Optional[str] = None) -> bool:
+    """Write a result file through ``write``; on failure say so on stderr and
+    return False, so that the command exits 2."""
+    try:
+        with open(path, "w", newline=newline) as handle:
+            write(handle)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit_report(report_dict: dict, args: argparse.Namespace) -> bool:
+    """Print or write the report; False when ``--out`` cannot be written."""
     text = _report_text(report_dict, args.format)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        if not _write_out(args.out, lambda handle: handle.write(text)):
+            return False
         reports = report_dict.get("reports", [report_dict])
         for rep in reports:
             for check in rep.get("checks", ()):
@@ -833,6 +858,7 @@ def _emit_report(report_dict: dict, args: argparse.Namespace) -> None:
                 print(f"{status}  {rep['suite']}: {check['name']}")
     else:
         print(text, end="")
+    return True
 
 
 def _cmd_replay(path: str) -> int:
@@ -845,9 +871,10 @@ def _cmd_replay(path: str) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
         print(f"bad replay payload: {err}", file=sys.stderr)
         return 2
+    refused = (ValueError, KeyError, TypeError)
     try:
-        passed, counterexample = fn(params)
-    except (ValueError, KeyError, TypeError) as err:
+        passed, counterexample = _call_check(fn, params, refused)
+    except refused as err:
         print(f"bad replay payload: {err}", file=sys.stderr)
         return 2
     print(
@@ -893,7 +920,8 @@ def _cmd_verify(args: argparse.Namespace, suites: list[str]) -> int:
             "passed": all(r.passed for r in reports),
             "reports": [r.to_json_dict() for r in reports],
         }
-    _emit_report(merged, args)
+    if not _emit_report(merged, args):
+        return 2
     return 0 if merged["passed"] else 1
 
 
@@ -917,8 +945,8 @@ def _cmd_dump_matrix(args: argparse.Namespace) -> int:
         return 2
     op = left_matrix(series, basis)
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            write_csv(op, handle)
+        if not _write_out(args.out, lambda handle: write_csv(op, handle), newline=""):
+            return 2
     else:
         write_csv(op, sys.stdout)
     return 0
@@ -928,6 +956,11 @@ def _cmd_verify_operators(args: argparse.Namespace) -> int:
     if getattr(args, "dump_matrix", None):
         return _cmd_dump_matrix(args)
     return _cmd_verify(args, ["operators"])
+
+
+def _dump_json(data: dict, handle: TextIO) -> None:
+    json.dump(data, handle, indent=2, sort_keys=True)
+    handle.write("\n")
 
 
 def _cmd_solve_derivation(args: argparse.Namespace) -> int:
@@ -964,9 +997,8 @@ def _cmd_solve_derivation(args: argparse.Namespace) -> int:
     }
     series_dict = symbol.to_json_dict()
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(series_dict, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        if not _write_out(args.out, lambda handle: _dump_json(series_dict, handle)):
+            return 2
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(json.dumps({"series": series_dict, "report": report}, indent=2, sort_keys=True))
@@ -1004,9 +1036,8 @@ def _cmd_trivialize_cocycle(args: argparse.Namespace) -> int:
     }
     psi_dict = psi.to_json_dict()
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(psi_dict, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        if not _write_out(args.out, lambda handle: _dump_json(psi_dict, handle)):
+            return 2
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(json.dumps({"cochain": psi_dict, "report": report}, indent=2, sort_keys=True))

@@ -5,7 +5,11 @@ representing multilinear functionals on the span of the basis shifts with
 values in the scalars.  They share the coefficient-table core of
 ``series``: the arity and the tuple keys are checked once, at the public
 constructor, and the coboundary and the homotopy build their results
-through the core's one sum-and-prune step.  Both module actions multiply
+through the core's one sum-and-prune step.  The coboundary runs that step
+over keys spelled as tuples of letter tuples, which hash and compare
+natively, and builds ``Word`` objects only for the keys that survive it.
+The JSON reader of the core parses each distinct word text once per
+input.  Both module actions multiply
 by the coefficient at the unit word, so the bimodule is symmetric and the
 degree-zero coboundary vanishes.  The coboundary of a table is again a
 finitely supported table, and every cocycle of arity at least two is
@@ -15,11 +19,18 @@ first letter.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+import functools
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .series import CoefficientTable, Series, adjoint_shift, first_letter_part
+from .series import (
+    CoefficientTable,
+    Series,
+    _sum_and_prune,
+    adjoint_shift,
+    first_letter_part,
+)
 from .words import Alphabet, Word, enumerate_words
 
 WordTuple = tuple[Word, ...]
@@ -86,8 +97,8 @@ class Cochain(CoefficientTable):
         return [str(w) for w in key]
 
     @staticmethod
-    def _parse_key(alphabet: Alphabet, texts: Sequence[str]) -> WordTuple:
-        return tuple(alphabet.parse(text) for text in texts)
+    def _parse_key(parse: Callable[[str], Word], texts: Sequence[str]) -> WordTuple:
+        return tuple(map(parse, texts))
 
     @classmethod
     def scalar(cls, alphabet: Alphabet, value: complex) -> "Cochain":
@@ -134,26 +145,34 @@ def coboundary(phi: Cochain) -> Cochain:
     last slot.  The output support enumerates, for each support word, all
     of its two-factor splittings, so no truncation is involved.  Degree
     zero maps to the zero one-cochain: the scalar bimodule is symmetric.
+
+    The terms are summed and pruned under keys spelled as tuples of letter
+    tuples, in the order the formula generates them; only the surviving
+    keys become word tuples, one ``Word`` per distinct letter tuple.
     """
     n = phi.arity
     alphabet = phi.alphabet
     if n == 0:
         return Cochain(1, alphabet)
-    e = alphabet.unit()
     last_sign = 1.0 if (n + 1) % 2 == 0 else -1.0
 
     def terms():
         for key, c in phi.table.items():
-            yield (e, *key), c
-            for i, s in enumerate(key):
-                sign = -1.0 if i % 2 == 0 else 1.0
+            spelled = tuple(w.letters for w in key)
+            yield ((), *spelled), c
+            for i, s in enumerate(spelled):
+                sign_c = (-1.0 if i % 2 == 0 else 1.0) * c
+                before, after = spelled[:i], spelled[i + 1 :]
                 for cut_at in range(len(s) + 1):
-                    head = Word(alphabet, s.letters[:cut_at])
-                    tail = Word(alphabet, s.letters[cut_at:])
-                    yield (*key[:i], head, tail, *key[i + 1 :]), sign * c
-            yield (*key, e), last_sign * c
+                    yield (*before, s[:cut_at], s[cut_at:], *after), sign_c
+            yield (*spelled, ()), last_sign * c
 
-    return Cochain._from_valid((n + 1, alphabet), terms())
+    word = functools.cache(functools.partial(Word, alphabet))
+    summed = _sum_and_prune(terms())
+    return Cochain._from_valid(
+        (n + 1, alphabet),
+        ((tuple(map(word, spelled)), c) for spelled, c in summed.items()),
+    )
 
 
 def is_cocycle(phi: Cochain) -> bool:

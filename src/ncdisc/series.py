@@ -18,15 +18,18 @@ term codec.  Keys and coefficients are checked once, by the public
 constructor, which refuses a key over another alphabet and a NaN or
 infinite coefficient.  Results of operations are built from keys that are
 already valid through the internal ``_from_valid`` constructor, which runs
-only the canonical step.
+only the canonical step.  The JSON reader parses each distinct word text
+once per input, through a parser memoised for that call; every text still
+meets ``Alphabet.parse``, so bad input is refused as before.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from itertools import chain
-from typing import Hashable, Iterable, ItemsView, Mapping, Optional
+from typing import Callable, Hashable, Iterable, ItemsView, Mapping, Optional
 
 from .words import Alphabet, Word, transport
 
@@ -146,11 +149,16 @@ class CoefficientTable:
     @classmethod
     def _from_json_terms(cls, shape: tuple, data: Mapping):
         """A table of the given shape from ``data["terms"]``, through the
-        boundary check; repeated keys are summed."""
+        boundary check; repeated keys are summed.
+
+        Each distinct word text is parsed once: ``_parse_key`` gets a parser
+        memoised for this call, so every text still meets ``Alphabet.parse``.
+        """
         out = cls(*shape)
+        parse = functools.cache(out.alphabet.parse)
         terms = (
             (
-                cls._parse_key(out.alphabet, term[cls._KEY_FIELD]),
+                cls._parse_key(parse, term[cls._KEY_FIELD]),
                 complex(float(term["re"]), float(term.get("im", 0.0))),
             )
             for term in data.get("terms", ())
@@ -166,8 +174,11 @@ class Series(CoefficientTable):
 
     _KEY_FIELD = "word"
     _key_text = staticmethod(str)
-    _parse_key = staticmethod(Alphabet.parse)
     _sort_key = staticmethod(Word.sort_key)
+
+    @staticmethod
+    def _parse_key(parse: Callable[[str], Word], text: str) -> Word:
+        return parse(text)
 
     def _check_key(self, word: Word) -> Word:
         if not isinstance(word, Word) or word.alphabet != self.alphabet:

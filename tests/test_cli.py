@@ -433,3 +433,88 @@ def test_dense_operator_size_is_predicted_at_the_dense_cutoff():
         cli._check_dense_size(RunConfig(alphabet=7, cutoff=4))
     # below the dense cutoff the operators shrink with the cutoff: 400 words
     cli._check_dense_size(RunConfig(alphabet=7, cutoff=3))
+
+
+def test_replaying_a_crashing_check_reports_the_failed_check(tmp_path, monkeypatch, capsys):
+    def crash(params):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setitem(cli.CHECKS, "words.concat_laws", crash)
+    assert main(["verify-words", "--max-len", "2"]) == 1
+    checks = {check["name"]: check for check in json.loads(capsys.readouterr().out)["checks"]}
+    crashed = checks["words.concat_laws"]
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"check": crashed["name"], "params": crashed["params"]}))
+
+    code = main(["verify-words", "--replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    replayed = json.loads(captured.out)
+    assert replayed == {
+        "check": "words.concat_laws",
+        "passed": False,
+        "counterexample": crashed["counterexample"],
+    }
+
+
+def test_replaying_a_non_converging_check_reports_the_failed_check(tmp_path, monkeypatch, capsys):
+    def stall(params):
+        raise cli.PowerIterationError("no convergence in 3 steps")
+
+    monkeypatch.setitem(cli.CHECKS, "operators.commutant", stall)
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"check": "operators.commutant", "params": {}}))
+    code = main(["verify-operators", "--replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["counterexample"] == {
+        "non_convergence": "no convergence in 3 steps"
+    }
+
+
+def _assert_unwritable(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("cannot write output:")
+    assert "Traceback" not in captured.err
+    return captured
+
+
+@pytest.mark.parametrize("command", ["verify-words", "report-all"])
+def test_unwritable_report_out_is_exit_2(tmp_path, capsys, command):
+    out_path = tmp_path / "missing" / "x.json"
+    code = main([command, "--max-len", "2", "--cutoff", "2", "--out", str(out_path)])
+    _assert_unwritable(capsys, code)
+    assert not out_path.parent.exists()
+
+
+def test_unwritable_dump_matrix_out_is_exit_2(tmp_path, capsys):
+    infile = tmp_path / "series.json"
+    infile.write_text(json.dumps(Series.basis(A2.generator(0)).to_json_dict()))
+    out_path = tmp_path / "missing" / "x.json"
+    code = main(
+        ["verify-operators", "--dump-matrix", str(infile), "--cutoff", "2", "--out", str(out_path)]
+    )
+    captured = _assert_unwritable(capsys, code)
+    assert captured.out == ""
+
+
+def test_unwritable_solve_derivation_out_is_exit_2(tmp_path, capsys):
+    derivation = GeneratorDerivation.inner(Series(A2, {A2.word([0, 1]): 2.0}))
+    infile = tmp_path / "derivation.json"
+    infile.write_text(json.dumps(derivation.to_json_dict()))
+    out_path = tmp_path / "missing" / "x.json"
+    code = main(["solve-derivation", "--in", str(infile), "--out", str(out_path)])
+    captured = _assert_unwritable(capsys, code)
+    assert captured.out == ""
+
+
+def test_unwritable_trivialize_cocycle_out_is_exit_2(tmp_path, capsys):
+    cocycle = coboundary(Cochain(2, A2, {(A2.generator(0), A2.word([1, 0])): 1.5}))
+    infile = tmp_path / "cocycle.json"
+    infile.write_text(json.dumps(cocycle.to_json_dict()))
+    out_path = tmp_path / "missing" / "x.json"
+    code = main(["trivialize-cocycle", "--in", str(infile), "--out", str(out_path)])
+    captured = _assert_unwritable(capsys, code)
+    assert captured.out == ""

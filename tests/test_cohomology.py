@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdisc.cohomology import (
     Cochain,
@@ -18,7 +19,7 @@ from ncdisc.cohomology import (
     one_cocycle_constraints,
     one_cocycle_dimension,
 )
-from ncdisc.series import Series
+from ncdisc.series import PRUNE_EPS, Series
 from ncdisc.words import Alphabet, enumerate_words
 
 A2 = Alphabet(2)
@@ -163,6 +164,85 @@ def test_coboundary_squares_to_zero():
         for _ in range(10):
             phi = random_cochain(rng, A2, arity)
             assert coboundary(coboundary(phi)).is_zero()
+
+
+#: Dust unit: every coefficient below is a multiple of 2**-47 of magnitude
+#: under 32, so all sums are exact in any order, and one or two units
+#: (7e-15, 1.4e-14) sit on either side of PRUNE_EPS.
+DUST = 2.0**-47
+#: Total key length bound; keeps the oracle's window to a few thousand tuples.
+MAX_TOTAL = 4
+
+
+def _part(base):
+    return st.builds(lambda b, k: b + k * DUST, base, st.integers(-2, 2))
+
+
+def _table(draw, alphabet, arity, base):
+    word = st.lists(st.integers(0, alphabet.size - 1), max_size=3).map(alphabet.word)
+    key = st.tuples(*[word] * arity).filter(lambda k: sum(map(len, k)) <= MAX_TOTAL)
+    coeff = st.builds(complex, _part(base), _part(base))
+    return draw(st.dictionaries(key, coeff, max_size=6))
+
+
+@st.composite
+def dusty_cochains(draw):
+    """Cochains of arity 0-3 over m = 1-3 with words of length <= 3.  Part of
+    each is a coboundary moved by a few dust units per term, so that dd = 0
+    leaves exact zeros and dust on both sides of PRUNE_EPS."""
+    alphabet = Alphabet(draw(st.integers(1, 3)))
+    arity = draw(st.integers(0, 3))
+    table = _table(draw, alphabet, arity, st.integers(-2, 2))
+    if arity >= 1:
+        psi = Cochain(arity - 1, alphabet, _table(draw, alphabet, arity - 1, st.integers(-1, 1)))
+        for key, c in coboundary(psi).table.items():
+            table[key] = table.get(key, 0j) + c + draw(st.sampled_from([1, -1, 0, 2])) * DUST
+    return Cochain(arity, alphabet, table)
+
+
+def _window(words_by_len, slots, budget):
+    """Every tuple of ``slots`` words of total length <= budget."""
+    if slots == 0:
+        yield ()
+        return
+    for length in range(budget + 1):
+        for w in words_by_len[length]:
+            for rest in _window(words_by_len, slots - 1, budget - length):
+                yield (w, *rest)
+
+
+def _coboundary_at(phi, ws):
+    """The defining formula at one tuple (w0, ..., wn):
+    e(w0) phi(w1, ...) + sum_i (-1)^(i+1) phi(..., wi wi+1, ...)
+    + (-1)^(n+1) phi(..., w(n-1)) e(wn)."""
+    n = phi.arity
+    value = 0j
+    if ws[0].is_unit():
+        value += phi.coeff(ws[1:])
+    for i in range(n):
+        value += (-1) ** (i + 1) * phi.coeff((*ws[:i], ws[i] * ws[i + 1], *ws[i + 2 :]))
+    if ws[n].is_unit():
+        value += (-1) ** (n + 1) * phi.coeff(ws[:n])
+    return value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dusty_cochains())
+def test_coboundary_matches_pointwise_formula_on_the_whole_window(phi):
+    boundary = coboundary(phi)
+    assert boundary.arity == phi.arity + 1
+    # the public constructor finds nothing to check, sum or prune
+    assert Cochain(boundary.arity, phi.alphabet, boundary.table) == boundary
+    # every output tuple has the total length of an input key
+    budget = max((sum(map(len, key)) for key in phi.table), default=0)
+    words = enumerate_words(phi.alphabet, budget)
+    words_by_len = [[w for w in words if len(w) == n] for n in range(budget + 1)]
+    expected = {}
+    for ws in _window(words_by_len, phi.arity + 1, budget):
+        value = _coboundary_at(phi, ws)
+        if not abs(value) <= PRUNE_EPS:
+            expected[ws] = value
+    assert boundary.table == expected
 
 
 # -- cocycles -------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncdisc
+from ncdisc.cli import main
 from ncdisc.cohomology import Cochain, coboundary, homotopy
 from ncdisc.series import (
     PRUNE_EPS,
@@ -347,6 +348,51 @@ def test_json_rejects_non_finite_coefficients():
         data = {"alphabet": 2, "terms": [{"word": "z0z1", "re": re, "im": im}]}
         with pytest.raises(ValueError):
             Series.from_json_dict(json.loads(json.dumps(data)))
+
+
+#: A few word texts, so that drawn terms repeat them often.
+TEXT_POOL = ["e", "z0", "z1", "z0z1", "z1z0z0"]
+INT_COEFF = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(st.sampled_from(TEXT_POOL), INT_COEFF), max_size=12),
+    st.lists(
+        st.tuples(st.tuples(*[st.sampled_from(TEXT_POOL)] * 2), INT_COEFF), max_size=12
+    ),
+)
+def test_json_reader_with_repeated_texts_sums_term_by_term(series_terms, cochain_terms):
+    # the expected tables add one public-constructor table per term
+    terms = [{"word": text, "re": re, "im": im} for text, (re, im) in series_terms]
+    expected = sum(
+        (Series(A2, {A2.parse(text): complex(*c)}) for text, c in series_terms), Series(A2)
+    )
+    assert Series.from_json_dict({"alphabet": 2, "terms": terms}) == expected
+    terms = [{"words": list(texts), "re": re, "im": im} for texts, (re, im) in cochain_terms]
+    expected = sum(
+        (Cochain(2, A2, {tuple(map(A2.parse, texts)): complex(*c)}) for texts, c in cochain_terms),
+        Cochain(2, A2),
+    )
+    assert Cochain.from_json_dict({"arity": 2, "alphabet": 2, "terms": terms}) == expected
+
+
+@pytest.mark.parametrize("bad", ["z2", "z0x", "", "ez0"])
+def test_json_reader_refuses_a_bad_text_after_many_repeats(tmp_path, capsys, bad):
+    repeats = [{"word": "z0z1", "re": 1.0, "im": 0.0}] * 50
+    with pytest.raises(ValueError):
+        Series.from_json_dict({"alphabet": 2, "terms": [*repeats, {"word": bad, "re": 1.0}]})
+    keys = [{"words": ["z0z1", "e"], "re": 1.0, "im": 0.0}] * 50
+    cochain = {"arity": 2, "alphabet": 2, "terms": [*keys, {"words": ["z0z1", bad], "re": 1.0}]}
+    with pytest.raises(ValueError):
+        Cochain.from_json_dict(cochain)
+    infile = tmp_path / "cochain.json"
+    infile.write_text(json.dumps(cochain))
+    code = main(["trivialize-cocycle", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad cochain input:")
+    assert captured.out == ""
 
 
 # -- the shared coefficient-table core -------------------------------------------
