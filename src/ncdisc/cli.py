@@ -12,6 +12,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -280,7 +281,7 @@ def _check_power_shift_sweep(params: dict) -> tuple[bool, Optional[dict]]:
                 # both sides of v w^k = w^k u have length |u| + k|w|, so the
                 # hypothesis forces v to be the |u|-prefix of w^k u; every
                 # other v of length |u| passes vacuously
-                v = Word(alphabet, (w**k * u).letters[: len(u)])
+                v = Word._of(alphabet, (w**k * u).letters[: len(u)])
                 if not power_shift_check(w, u, v, k):
                     return False, {"w": str(w), "u": str(u), "v": str(v), "k": k}
     return True, None
@@ -1044,7 +1045,10 @@ def _cmd_trivialize_cocycle(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each handler is looked up
+    in this module when it runs, so a rebound ``_cmd_*`` is honoured."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--alphabet", type=int, default=2, help="number of generators")
     shared.add_argument("--max-len", type=int, default=6, help="word length bound for sweeps")
@@ -1072,7 +1076,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SERIES_JSON",
         help="instead of verifying, dump the left compression of this series as CSV",
     )
-    operators_parser.set_defaults(handler=_cmd_verify_operators)
+    operators_parser.set_defaults(handler=lambda args: _cmd_verify_operators(args))
     sub.add_parser("report-all", parents=[shared]).set_defaults(
         handler=lambda args: _cmd_verify(args, list(SUITES))
     )
@@ -1080,18 +1084,17 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve-derivation")
     solve.add_argument("--in", dest="infile", required=True, help="derivation JSON input")
     solve.add_argument("--out", help="write the recovered series JSON to this path")
-    solve.set_defaults(handler=_cmd_solve_derivation)
+    solve.set_defaults(handler=lambda args: _cmd_solve_derivation(args))
 
     trivialize = sub.add_parser("trivialize-cocycle")
     trivialize.add_argument("--in", dest="infile", required=True, help="cochain JSON input")
     trivialize.add_argument("--out", help="write the trivializing cochain JSON to this path")
-    trivialize.set_defaults(handler=_cmd_trivialize_cocycle)
+    trivialize.set_defaults(handler=lambda args: _cmd_trivialize_cocycle(args))
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     return args.handler(args)
 
 

@@ -4,13 +4,14 @@ Cochains are finitely supported coefficient tables on tuples of words,
 representing multilinear functionals on the span of the basis shifts with
 values in the scalars.  They share the coefficient-table core of
 ``series``: the arity and the tuple keys are checked once, at the public
-constructor, and the coboundary and the homotopy build their results
-through the core's one sum-and-prune step.  The coboundary runs that step
-over keys spelled as tuples of letter tuples, which hash and compare
-natively, and builds ``Word`` objects only for the keys that survive it.
-The JSON reader of the core parses each distinct word text once per
-input.  Both module actions multiply
-by the coefficient at the unit word, so the bimodule is symmetric and the
+constructor, and the homotopy builds its result through the core's
+sum-and-prune step.  The coboundary runs the same sum and the same prune
+test as one numpy kernel: each term of an input key spells the key's
+letter string and differs only in its cut positions, so it is coded as
+an int64 of the string's id and its cuts, and ``Word`` objects are built
+only for the keys that survive.  The JSON reader of the core parses each
+distinct word text once per input.  Both module actions multiply by the
+coefficient at the unit word, so the bimodule is symmetric and the
 degree-zero coboundary vanishes.  The coboundary of a table is again a
 finitely supported table, and every cocycle of arity at least two is
 trivialized by an explicit homotopy that cuts the first word after its
@@ -25,9 +26,9 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .series import (
+    PRUNE_EPS,
     CoefficientTable,
     Series,
-    _sum_and_prune,
     adjoint_shift,
     first_letter_part,
 )
@@ -47,7 +48,7 @@ class NonCocycleError(ValueError):
 def cut(w: Word) -> tuple[Word, Word]:
     """Split off the first letter: ``w == first * rest``, with first the unit
     only for the unit word."""
-    return Word(w.alphabet, w.letters[:1]), Word(w.alphabet, w.letters[1:])
+    return Word._of(w.alphabet, w.letters[:1]), Word._of(w.alphabet, w.letters[1:])
 
 
 def module_left(gamma: complex, phi: Series) -> complex:
@@ -80,7 +81,7 @@ class Cochain(CoefficientTable):
         if len(key) != self.arity:
             raise ValueError(f"key {key} does not have arity {self.arity}")
         for w in key:
-            if not isinstance(w, Word) or w.alphabet != self.alphabet:
+            if not isinstance(w, Word) or w.alphabet is not self.alphabet:
                 raise ValueError(f"key word {w!r} is not a word over {self.alphabet}")
         return key
 
@@ -136,6 +137,72 @@ class Cochain(CoefficientTable):
         return cls._from_json_terms(shape, data)
 
 
+#: Largest int64; a cut code that could pass it is re-ranked first.
+_CODE_MAX = int(np.iinfo(np.int64).max)
+
+
+def _append_digit(codes: np.ndarray, digits: np.ndarray, radix: int) -> np.ndarray:
+    """``codes * radix + digits`` for digits below ``radix``.  Codes that
+    could overflow int64 are first replaced by their dense ranks, which keep
+    equal codes equal and distinct codes distinct."""
+    if int(codes.max()) > (_CODE_MAX - (radix - 1)) // radix:
+        codes = np.unique(codes, return_inverse=True)[1]
+    return codes * radix + digits
+
+
+def _summed_cut_terms(
+    string_ids: np.ndarray, bounds: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The coboundary's sum and prune over cut-position codes.
+
+    Input key k spells the letter string with id ``string_ids[k]``, cut at
+    ``bounds[k] = (0, |w1|, |w1 w2|, ..., |S|)``.  Its terms form a block
+    of ``|S| + n + 2``: the leading unit, then for each slot i the cuts
+    p = ``bounds[k, i] .. bounds[k, i + 1]`` at offset ``1 + i + p``, then
+    the trailing unit.  The two units have the keys of slot 0 cut at 0 and
+    of slot n-1 cut at |S|.  A term's output key is its string and the
+    input bounds with p inserted, coded in mixed radix ``max|S| + 1``.
+    ``np.bincount`` sums each key's terms in generation order, as the table
+    core would.
+
+    Returns the input key, slot and cut of each surviving output key's
+    first term, in order of first occurrence, and the real and imaginary
+    parts of its sum.
+    """
+    n = bounds.shape[1] - 1
+    lengths = bounds[:, n]
+    sizes = lengths + n + 2
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(owner.size) - starts[owner]
+    slot = np.zeros_like(local)
+    for i in range(1, n):
+        slot += local >= (1 + i + bounds[:, i])[owner]
+    cut_at = np.clip(local - 1 - slot, 0, lengths[owner])
+    del local
+
+    sign = np.where(slot % 2 == 0, -1.0, 1.0)
+    sign[starts] = 1.0
+    sign[starts + sizes - 1] = 1.0 if (n + 1) % 2 == 0 else -1.0
+    codes = string_ids[owner]
+    radix = int(lengths.max()) + 1
+    for j in range(n):
+        before = bounds[owner, j + 1]
+        after = bounds[owner, j]
+        digits = np.where(j < slot, before, np.where(j == slot, cut_at, after))
+        codes = _append_digit(codes, digits, radix)
+    del before, after, digits
+
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    del codes
+    re = np.bincount(inverse, weights=sign * coeffs.real[owner])
+    im = np.bincount(inverse, weights=sign * coeffs.imag[owner])
+    kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
+    kept = kept[np.argsort(first[kept])]
+    at = first[kept]
+    return owner[at], slot[at], cut_at[at], re[kept], im[kept]
+
+
 def coboundary(phi: Cochain) -> Cochain:
     """The coboundary of an n-cochain as an (n+1)-cochain table.
 
@@ -146,33 +213,43 @@ def coboundary(phi: Cochain) -> Cochain:
     of its two-factor splittings, so no truncation is involved.  Degree
     zero maps to the zero one-cochain: the scalar bimodule is symmetric.
 
-    The terms are summed and pruned under keys spelled as tuples of letter
-    tuples, in the order the formula generates them; only the surviving
-    keys become word tuples, one ``Word`` per distinct letter tuple.
+    Every term from an input key spells the same letter string S as that
+    key; only its n cut positions differ.  So each distinct S gets an int
+    id, each term the code of its id and cuts, and one array kernel sums
+    the terms by code in the order the formula generates them, then prunes
+    with the table core's test.  ``Word`` objects are built only for the
+    keys that survive, one per distinct letter tuple.
     """
     n = phi.arity
     alphabet = phi.alphabet
-    if n == 0:
-        return Cochain(1, alphabet)
-    last_sign = 1.0 if (n + 1) % 2 == 0 else -1.0
+    out = Cochain(n + 1, alphabet)
+    if n == 0 or not phi.table:
+        return out
+    strings: dict[tuple[int, ...], int] = {}
+    spelled = []
+    string_ids = []
+    bounds = []
+    for key in phi.table:
+        letters: tuple[int, ...] = ()
+        row = [0]
+        for w in key:
+            letters += w.letters
+            row.append(len(letters))
+        spelled.append(letters)
+        string_ids.append(strings.setdefault(letters, len(strings)))
+        bounds.append(row)
+    coeffs = np.fromiter(phi.table.values(), complex, len(bounds))
+    summed = _summed_cut_terms(np.array(string_ids), np.array(bounds), coeffs)
 
-    def terms():
-        for key, c in phi.table.items():
-            spelled = tuple(w.letters for w in key)
-            yield ((), *spelled), c
-            for i, s in enumerate(spelled):
-                sign_c = (-1.0 if i % 2 == 0 else 1.0) * c
-                before, after = spelled[:i], spelled[i + 1 :]
-                for cut_at in range(len(s) + 1):
-                    yield (*before, s[:cut_at], s[cut_at:], *after), sign_c
-            yield (*spelled, ()), last_sign * c
-
-    word = functools.cache(functools.partial(Word, alphabet))
-    summed = _sum_and_prune(terms())
-    return Cochain._from_valid(
-        (n + 1, alphabet),
-        ((tuple(map(word, spelled)), c) for spelled, c in summed.items()),
-    )
+    word = functools.cache(functools.partial(Word._of, alphabet))
+    table = {}
+    for k, i, p, re, im in zip(*(column.tolist() for column in summed)):
+        row = bounds[k]
+        cuts = (*row[: i + 1], p, *row[i + 1 :])
+        s = spelled[k]
+        table[tuple(word(s[a:b]) for a, b in zip(cuts, cuts[1:]))] = complex(re, im)
+    out.table = table
+    return out
 
 
 def is_cocycle(phi: Cochain) -> bool:

@@ -74,7 +74,7 @@ class GeneratorDerivation:
             value = values.get(a)
             if value is None:
                 value = Series.zero(alphabet)
-            elif value.alphabet != alphabet:
+            elif value.alphabet is not alphabet:
                 raise ValueError("generator value over a different alphabet")
             table[a] = value
         self.alphabet = alphabet
@@ -108,7 +108,7 @@ class GeneratorDerivation:
         return Series._from_valid(
             (alphabet,),
             (
-                (Word(alphabet, letters[:i] + u.letters + letters[i + 1 :]), c)
+                (Word._of(alphabet, letters[:i] + u.letters + letters[i + 1 :]), c)
                 for i, a in enumerate(letters)
                 for u, c in self.values[a].iter_terms()
             ),
@@ -122,7 +122,7 @@ class GeneratorDerivation:
         letters = w.letters
         dw = self.of_word(w)
         return dw._like(
-            (Word(alphabet, letters * (k - 1 - m) + u.letters + letters * m), c)
+            (Word._of(alphabet, letters * (k - 1 - m) + u.letters + letters * m), c)
             for m in range(k)
             for u, c in dw.iter_terms()
         )
@@ -153,7 +153,7 @@ class GeneratorDerivation:
         values: dict[int, Series] = {}
         for key, sub in data.get("values", {}).items():
             series = Series.from_json_dict(sub)
-            if series.alphabet != alphabet:
+            if series.alphabet is not alphabet:
                 raise ValueError("generator value over a different alphabet")
             values[int(key)] = series
         return cls(alphabet, values)
@@ -270,11 +270,11 @@ def _check_pair_structure(value: Series, beta: int, alpha: int) -> None:
         if len(letters) >= 2 and letters[0] == beta and all(
             l == alpha for l in letters[1:]
         ):
-            partner = Word(alphabet, letters[1:] + (beta,))
+            partner = Word._of(alphabet, letters[1:] + (beta,))
         elif len(letters) >= 2 and letters[-1] == beta and all(
             l == alpha for l in letters[:-1]
         ):
-            partner = Word(alphabet, (beta,) + letters[:-1])
+            partner = Word._of(alphabet, (beta,) + letters[:-1])
         else:
             raise InconsistentDerivationError(
                 "pair_structure",

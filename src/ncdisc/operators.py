@@ -82,7 +82,7 @@ class TruncationBasis:
         return _count_shorter(self.alphabet.size, np.arange(self.cutoff + 2, dtype=np.int64))
 
     def rank(self, word: Word) -> int:
-        if word.alphabet != self.alphabet or len(word) > self.cutoff:
+        if word.alphabet is not self.alphabet or len(word) > self.cutoff:
             raise ValueError(f"word {word} outside the truncation basis")
         m = self.alphabet.size
         value = sum(letter * m**k for k, letter in enumerate(reversed(word.letters)))
@@ -104,7 +104,7 @@ class TruncationBasis:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TruncationBasis)
-            and self.alphabet == other.alphabet
+            and self.alphabet is other.alphabet
             and self.cutoff == other.cutoff
         )
 
@@ -234,7 +234,7 @@ class TruncatedOperator:
 
 def _convolution_matrix(phi: Series, basis: TruncationBasis, on_left: bool) -> TruncatedOperator:
     """Entry ``phi(w)`` at ``(w*u, u)``, or at ``(u*w, u)`` if not on_left, wherever both fit."""
-    if phi.alphabet != basis.alphabet:
+    if phi.alphabet is not basis.alphabet:
         raise ValueError("series and basis over different alphabets")
     terms = [(basis.rank(w), c) for w, c in phi.iter_terms() if len(w) <= basis.cutoff]
     ranks = np.array([r for r, _ in terms], dtype=np.int64)

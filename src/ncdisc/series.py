@@ -181,7 +181,7 @@ class Series(CoefficientTable):
         return parse(text)
 
     def _check_key(self, word: Word) -> Word:
-        if not isinstance(word, Word) or word.alphabet != self.alphabet:
+        if not isinstance(word, Word) or word.alphabet is not self.alphabet:
             raise ValueError(f"coefficient at {word!r}, not a word over {self.alphabet}")
         return word
 

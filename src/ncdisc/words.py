@@ -7,44 +7,70 @@ commutation and primitive roots, the transport relation ``u*w == w*v``
 used to conjugate convolution symbols, and deterministic enumeration.
 
 Words are immutable, hashable value objects; the text form is ``e`` for
-the unit and concatenated letters like ``z0z1z0`` otherwise.
+the unit and concatenated letters like ``z0z1z0`` otherwise, each index
+in canonical decimal.  There is one ``Alphabet`` per size, so alphabets
+compare by identity.  The public ``Word`` constructor checks each letter;
+products, powers and slices of valid words skip that through ``Word._of``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
-_WORD_GRAMMAR = re.compile(r"(?:z\d+)+")
-_LETTER = re.compile(r"z(\d+)")
+#: A letter is ``z`` and a generator index in canonical decimal: no sign,
+#: no leading zero, ASCII digits only, so ``str(parse(t)) == t``.
+_WORD_GRAMMAR = re.compile(r"(?:z(?:0|[1-9][0-9]*))+")
+_LETTER = re.compile(r"z([0-9]+)")
 
 
-@dataclass(frozen=True)
+def _index(value: object, what: str) -> int:
+    """``value`` as a plain int; a float or other non-integer is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Alphabet:
     """A finite generator set; the generators are the indices ``0..size-1``.
 
-    The well-order on the generators is the numeric index order.
+    The well-order on the generators is the numeric index order.  There is
+    one instance per size, so alphabets compare by identity.
     """
 
     size: int
+    _interned: ClassVar[dict[int, "Alphabet"]] = {}
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __new__(cls, size: int) -> "Alphabet":
+        size = _index(size, "alphabet size")
+        interned = cls._interned.get(size)
+        if interned is not None:
+            return interned
+        if size < 1:
             raise ValueError("alphabet must have at least one generator")
+        alphabet = super().__new__(cls)
+        object.__setattr__(alphabet, "size", size)
+        return cls._interned.setdefault(size, alphabet)
+
+    def __reduce__(self) -> tuple:
+        return (Alphabet, (self.size,))
 
     def letters(self) -> range:
         return range(self.size)
 
     def unit(self) -> "Word":
-        return Word(self, ())
+        return Word._of(self, ())
 
     def generator(self, index: int) -> "Word":
         return Word(self, (index,))
 
     def word(self, letters: Iterable[int]) -> "Word":
-        return Word(self, tuple(letters))
+        return Word(self, letters)
 
     def parse(self, text: str) -> "Word":
         """Inverse of ``str(word)``: ``e`` or a run of ``z<i>`` letters."""
@@ -65,14 +91,24 @@ class Word:
     __slots__ = ("alphabet", "letters", "_hash")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = ()):
-        letters = tuple(letters)
         size = alphabet.size
+        letters = tuple(_index(letter, "letter") for letter in letters)
         for letter in letters:
             if not 0 <= letter < size:
                 raise ValueError(f"letter {letter} outside alphabet of size {size}")
         self.alphabet = alphabet
         self.letters = letters
         self._hash = hash((size, letters))
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "Word":
+        """Trusted constructor for letters already known to be valid: a
+        product, power or slice of words over ``alphabet``."""
+        word = object.__new__(cls)
+        word.alphabet = alphabet
+        word.letters = letters
+        word._hash = hash((alphabet.size, letters))
+        return word
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -84,13 +120,13 @@ class Word:
         return (len(self.letters), self.letters)
 
     def _require_same_alphabet(self, other: "Word") -> None:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet:
             raise ValueError("words over different alphabets")
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Word)
-            and self.alphabet == other.alphabet
+            and self.alphabet is other.alphabet
             and self.letters == other.letters
         )
 
@@ -113,12 +149,12 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         self._require_same_alphabet(other)
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._of(self.alphabet, self.letters + other.letters)
 
     def __pow__(self, exponent: int) -> "Word":
         if exponent < 0:
             raise ValueError("no inverses in a free semigroup")
-        return Word(self.alphabet, self.letters * exponent)
+        return Word._of(self.alphabet, self.letters * exponent)
 
     def strip_prefix(self, u: "Word") -> Optional["Word"]:
         """The word v with ``self == u * v``, or None if u is not a prefix."""
@@ -126,7 +162,7 @@ class Word:
         n = len(u.letters)
         if self.letters[:n] != u.letters:
             return None
-        return Word(self.alphabet, self.letters[n:])
+        return Word._of(self.alphabet, self.letters[n:])
 
     def strip_suffix(self, u: "Word") -> Optional["Word"]:
         """The word v with ``self == v * u``, or None if u is not a suffix."""
@@ -136,7 +172,7 @@ class Word:
             return self
         if n > len(self.letters) or self.letters[-n:] != u.letters:
             return None
-        return Word(self.alphabet, self.letters[:-n])
+        return Word._of(self.alphabet, self.letters[:-n])
 
     def commutes_with(self, other: "Word") -> bool:
         self._require_same_alphabet(other)
@@ -152,7 +188,7 @@ class Word:
             raise ValueError("the unit has no primitive root")
         for d in range(1, n + 1):
             if n % d == 0 and self.letters[:d] * (n // d) == self.letters:
-                return Word(self.alphabet, self.letters[:d]), n // d
+                return Word._of(self.alphabet, self.letters[:d]), n // d
         raise AssertionError("unreachable: every word is its own root")
 
     def __str__(self) -> str:
@@ -214,5 +250,5 @@ def enumerate_words(alphabet: Alphabet, max_len: int) -> list[Word]:
     out: list[Word] = []
     for n in range(max_len + 1):
         for letters in itertools.product(alphabet.letters(), repeat=n):
-            out.append(Word(alphabet, letters))
+            out.append(Word._of(alphabet, letters))
     return out

@@ -518,3 +518,58 @@ def test_unwritable_trivialize_cocycle_out_is_exit_2(tmp_path, capsys):
     code = main(["trivialize-cocycle", "--in", str(infile), "--out", str(out_path)])
     captured = _assert_unwritable(capsys, code)
     assert captured.out == ""
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_repeated_calls_do_not_share_options(tmp_path, capsys):
+    cocycle = coboundary(Cochain(2, A2, {(A2.generator(0), A2.word([1, 0])): 1.5}))
+    infile = tmp_path / "cocycle.json"
+    infile.write_text(json.dumps(cocycle.to_json_dict()))
+    out_path = tmp_path / "psi.json"
+    code, with_out = run(capsys, "trivialize-cocycle", "--in", str(infile), "--out", str(out_path))
+    assert code == 0
+    written = out_path.read_text()
+    out_path.unlink()
+    code, without_out = run(capsys, "trivialize-cocycle", "--in", str(infile))
+    assert code == 0
+    assert not out_path.exists()
+    payload = json.loads(without_out)
+    assert payload["report"] == json.loads(with_out)
+    assert payload["cochain"] == json.loads(written)
+
+
+def test_a_rebound_handler_is_called_after_the_parser_is_built(tmp_path, monkeypatch, capsys):
+    cocycle = coboundary(Cochain(2, A2, {(A2.generator(0), A2.word([1, 0])): 1.5}))
+    infile = tmp_path / "cocycle.json"
+    infile.write_text(json.dumps(cocycle.to_json_dict()))
+    assert run(capsys, "trivialize-cocycle", "--in", str(infile))[0] == 0
+    seen = []
+
+    def handler(args):
+        seen.append(args.infile)
+        return 7
+
+    monkeypatch.setattr(cli, "_cmd_trivialize_cocycle", handler)
+    assert main(["trivialize-cocycle", "--in", str(infile)]) == 7
+    assert seen == [str(infile)]
+
+
+@pytest.mark.parametrize("text", ["z01", "z00", "z0z01"])
+def test_solve_derivation_refuses_a_non_canonical_word(tmp_path, capsys, text):
+    data = {
+        "alphabet": 2,
+        "values": {"0": {"alphabet": 2, "terms": [{"word": text, "re": 1.0, "im": 0.0}]}},
+    }
+    infile = tmp_path / "derivation.json"
+    infile.write_text(json.dumps(data))
+    code = main(["solve-derivation", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad derivation input:")
+    assert "Traceback" not in captured.err

@@ -19,7 +19,7 @@ from ncdisc.cohomology import (
     one_cocycle_constraints,
     one_cocycle_dimension,
 )
-from ncdisc.series import PRUNE_EPS, Series
+from ncdisc.series import PRUNE_EPS, Series, _sum_and_prune
 from ncdisc.words import Alphabet, enumerate_words
 
 A2 = Alphabet(2)
@@ -243,6 +243,102 @@ def test_coboundary_matches_pointwise_formula_on_the_whole_window(phi):
         if not abs(value) <= PRUNE_EPS:
             expected[ws] = value
     assert boundary.table == expected
+
+
+
+def _letter_tuple_coboundary(phi):
+    """Reference: the formula's terms in generation order under letter-tuple
+    keys, summed and pruned by the table core."""
+    n = phi.arity
+    if n == 0:
+        return {}
+    last_sign = 1.0 if (n + 1) % 2 == 0 else -1.0
+
+    def terms():
+        for key, c in phi.table.items():
+            spelled = tuple(w.letters for w in key)
+            yield ((), *spelled), c
+            for i, s in enumerate(spelled):
+                sign_c = (-1.0 if i % 2 == 0 else 1.0) * c
+                before, after = spelled[:i], spelled[i + 1 :]
+                for cut_at in range(len(s) + 1):
+                    yield (*before, s[:cut_at], s[cut_at:], *after), sign_c
+            yield (*spelled, ()), last_sign * c
+
+    summed = _sum_and_prune(terms())
+    return {tuple(map(phi.alphabet.word, key)): c for key, c in summed.items()}
+
+
+def _bits(table_items):
+    """Terms with each coefficient as the exact bits of its two parts."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in table_items]
+
+
+def _badly_scaled(rng):
+    return complex(
+        rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8),
+        rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8),
+    )
+
+
+def _seeded_cochain(rng, alphabet, arity):
+    """Random keys, the all-unit key, a unit in every slot, and (from
+    arity 1) a coboundary moved by dust, so that terms cancel exactly and
+    leave dust on both sides of PRUNE_EPS."""
+    e = alphabet.unit()
+    table = {}
+    keys = [tuple(random_word(rng, alphabet, 3) for _ in range(arity)) for _ in range(8)]
+    keys.append((e,) * arity)
+    for slot in range(arity):
+        key = [random_word(rng, alphabet, 2) for _ in range(arity)]
+        key[slot] = e
+        keys.append(tuple(key))
+    for key in keys:
+        table[key] = table.get(key, 0j) + _badly_scaled(rng)
+    if arity >= 1:
+        lower = _seeded_cochain(rng, alphabet, arity - 1) if arity > 1 else Cochain(
+            0, alphabet, {(): _badly_scaled(rng)}
+        )
+        for key, c in coboundary(lower).table.items():
+            table[key] = table.get(key, 0j) + c + rng.choice([0, 0, 1, -1]) * 1e-14
+    return Cochain(arity, alphabet, table)
+
+
+def test_coboundary_kernel_matches_letter_tuple_reference_bit_for_bit():
+    rng = random.Random(23)
+    for m in (1, 2, 3):
+        alphabet = Alphabet(m)
+        for arity in range(6):
+            assert coboundary(Cochain(arity, alphabet)).table == {}
+            for _ in range(4):
+                phi = _seeded_cochain(rng, alphabet, arity)
+                boundary = coboundary(phi)
+                assert boundary.arity == arity + 1
+                expected = _letter_tuple_coboundary(phi)
+                assert _bits(boundary.table.items()) == _bits(expected.items())
+
+
+def test_coboundary_kernel_stays_exact_past_int64_codes():
+    # arity 12 and |S| = 63: the mixed-radix code of a string and its cuts,
+    # radix 64, would need 6 bits per cut beyond the string id, 72 in all;
+    # codes that wrapped modulo 2**64 would merge the two strings' terms
+    alphabet = Alphabet(3)
+    lengths = [4, 0, 7, 5, 6, 3, 0, 9, 8, 6, 10, 5]
+    assert sum(lengths) == 63
+    rng = random.Random(29)
+    table = {}
+    for letter in (0, 1):
+        table[tuple(alphabet.word([letter] * n) for n in lengths)] = _badly_scaled(rng)
+    for _ in range(6):
+        key = tuple(random_word(rng, alphabet, 6) for _ in range(12))
+        table[key] = _badly_scaled(rng)
+    phi = Cochain(12, alphabet, table)
+    strings = {sum((w.letters for w in key), ()) for key in phi.table}
+    radix = max(map(len, strings)) + 1
+    assert len(strings) * radix**12 > 2**63
+    boundary = coboundary(phi)
+    expected = _letter_tuple_coboundary(phi)
+    assert _bits(boundary.table.items()) == _bits(expected.items())
 
 
 # -- cocycles -------------------------------------------------------------------------

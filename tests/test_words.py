@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -261,3 +265,49 @@ def test_parse_multidigit_letters():
 @given(words_strategy(A3, 6))
 def test_parse_str_roundtrip(w):
     assert A3.parse(str(w)) == w
+
+
+@pytest.mark.parametrize("text", ["z01", "z00", "z1z01", "z+1", "z١", "z0٠"])
+def test_parse_refuses_non_canonical_spellings(text):
+    with pytest.raises(ValueError):
+        Alphabet(12).parse(text)
+
+
+# -- interned alphabets and checked letters ------------------------------------
+
+
+def test_alphabets_are_interned():
+    assert Alphabet(2) is A2
+    assert Alphabet(np.int64(3)) is A3
+    assert Alphabet(True) is Alphabet(1)
+    assert Alphabet(2) != Alphabet(3)
+    assert pickle.loads(pickle.dumps(A2)) is A2
+    assert copy.deepcopy(A3) is A3
+    assert pickle.loads(pickle.dumps(w2(0, 1))) == w2(0, 1)
+    assert repr(A2) == "Alphabet(size=2)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        A2.size = 5
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.0, "2", None])
+def test_alphabet_size_must_be_a_positive_integer(size):
+    with pytest.raises(ValueError):
+        Alphabet(size)
+
+
+@pytest.mark.parametrize("letters", [[1.5], [1.0], [0, "1"], [None]])
+def test_word_refuses_non_integer_letters(letters):
+    with pytest.raises(ValueError):
+        Word(A2, letters)
+    with pytest.raises(ValueError):
+        A2.word(letters)
+
+
+def test_word_coerces_integer_like_letters():
+    w = Word(A2, [True, np.int64(0), np.uint8(1)])
+    assert w.letters == (1, 0, 1)
+    assert all(type(letter) is int for letter in w.letters)
+    assert str(w) == "z1z0z1"
+    assert w == w2(1, 0, 1)
+    assert hash(w) == hash(w2(1, 0, 1))
+
