@@ -5,6 +5,12 @@ Subcommands: ``verify-words``, ``verify-operators``, ``solve-derivation``,
 (JSON, optionally CSV), deterministic for a fixed configuration up to the
 timing fields, and every failing check carries a replayable payload.
 
+A check's suite parameters live where it is registered: ``_register(name,
+params)`` stores the check in ``CHECKS`` and ``params``, a function of the
+``RunConfig``, in ``PARAMS``.  The suite is the prefix of the name, and
+a suite runs its checks in registration order.  The two solvers share
+``_run_solver``, which owns reading ``--in``, the exit codes and the output.
+
 Exit codes: 0 all checks passed, 1 verification failure, 2 bad input or
 configuration.
 """
@@ -18,8 +24,8 @@ import math
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, TextIO
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -139,12 +145,18 @@ class Report:
 
 
 CheckFn = Callable[[dict], tuple[bool, Optional[dict]]]
+ParamsFn = Callable[[RunConfig], dict]
 CHECKS: dict[str, CheckFn] = {}
+#: Each check's suite parameters, drawn from the run configuration.
+PARAMS: dict[str, ParamsFn] = {}
 
 
-def _register(name: str):
+def _register(name: str, params: ParamsFn):
+    """Register a check with its suite parameters."""
+
     def decorate(fn: CheckFn) -> CheckFn:
         CHECKS[name] = fn
+        PARAMS[name] = params
         return fn
 
     return decorate
@@ -189,7 +201,7 @@ def _random_dense_operator(basis: TruncationBasis, seed: int) -> TruncatedOperat
 # --------------------------------------------------------------------------
 
 
-@_register("words.concat_laws")
+@_register("words.concat_laws", lambda c: {"m": c.alphabet, "len": min(c.max_len, 2)})
 def _check_concat_laws(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     words = enumerate_words(alphabet, params["len"])
@@ -206,7 +218,10 @@ def _check_concat_laws(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("words.cancellation")
+@_register(
+    "words.cancellation",
+    lambda c: {"m": c.alphabet, "len": min(c.max_len, 5 if c.alphabet <= 2 else 3)},
+)
 def _check_cancellation(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     words = enumerate_words(alphabet, params["len"])
@@ -221,7 +236,10 @@ def _check_cancellation(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("words.order_invariance")
+@_register(
+    "words.order_invariance",
+    lambda c: {"m": c.alphabet, "max_len": c.max_len, "seed": c.seed, "trials": DEFAULT_TRIALS},
+)
 def _check_order_invariance(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
@@ -236,7 +254,12 @@ def _check_order_invariance(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("words.division_roundtrip")
+@_register(
+    "words.division_roundtrip",
+    lambda c: {
+        "m": c.alphabet, "max_len": c.max_len, "seed": c.seed + 1, "trials": DEFAULT_TRIALS
+    },
+)
 def _check_division_roundtrip(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
@@ -253,7 +276,12 @@ def _check_division_roundtrip(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("words.min_staged_vs_scan")
+@_register(
+    "words.min_staged_vs_scan",
+    lambda c: {
+        "m": c.alphabet, "max_len": c.max_len, "seed": c.seed + 2, "sets": 100, "set_size": 100
+    },
+)
 def _check_min_staged(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
@@ -269,7 +297,7 @@ def _check_min_staged(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("words.power_shift_sweep")
+@_register("words.power_shift_sweep", lambda c: {"m": c.alphabet, "w_max": 3, "u_max": 4})
 def _check_power_shift_sweep(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     bases = [w for w in enumerate_words(alphabet, params["w_max"]) if not w.is_unit()]
@@ -287,7 +315,10 @@ def _check_power_shift_sweep(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("words.primitive_root_commutation")
+@_register(
+    "words.primitive_root_commutation",
+    lambda c: {"m": c.alphabet, "max_len": min(c.max_len, 6 if c.alphabet <= 2 else 4)},
+)
 def _check_primitive_root(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     words = [w for w in enumerate_words(alphabet, params["max_len"]) if not w.is_unit()]
@@ -299,7 +330,12 @@ def _check_primitive_root(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("words.transport_roundtrip")
+@_register(
+    "words.transport_roundtrip",
+    lambda c: {
+        "m": c.alphabet, "max_len": c.max_len, "seed": c.seed + 3, "trials": DEFAULT_TRIALS // 10
+    },
+)
 def _check_transport(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
@@ -323,7 +359,7 @@ def _check_transport(params: dict) -> tuple[bool, Optional[dict]]:
 # --------------------------------------------------------------------------
 
 
-@_register("operators.isometry_relations")
+@_register("operators.isometry_relations", lambda c: {"m": c.alphabet, "cutoff": c.cutoff})
 def _check_isometry(params: dict) -> tuple[bool, Optional[dict]]:
     basis = TruncationBasis(Alphabet(params["m"]), params["cutoff"])
     deviations = isometry_relations(basis)
@@ -332,7 +368,10 @@ def _check_isometry(params: dict) -> tuple[bool, Optional[dict]]:
     return False, {"deviations": deviations}
 
 
-@_register("operators.commutant")
+@_register(
+    "operators.commutant",
+    lambda c: {"m": c.alphabet, "cutoff": c.cutoff, "pair_max": min(3, c.cutoff)},
+)
 def _check_commutant(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     basis = TruncationBasis(alphabet, params["cutoff"])
@@ -346,7 +385,16 @@ def _check_commutant(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("operators.band_projections")
+@_register(
+    "operators.band_projections",
+    lambda c: {
+        "m": c.alphabet,
+        "cutoff": min(c.cutoff, DENSE_CUTOFF),
+        "seed": c.seed,
+        "trials": 3,
+        "tol": c.tol,
+    },
+)
 def _check_band_projections(params: dict) -> tuple[bool, Optional[dict]]:
     basis = TruncationBasis(Alphabet(params["m"]), params["cutoff"])
     cutoff = params["cutoff"]
@@ -372,7 +420,10 @@ def _check_band_projections(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("operators.compression_product")
+@_register(
+    "operators.compression_product",
+    lambda c: {"m": c.alphabet, "cutoff": c.cutoff, "deg": 2, "seed": c.seed + 1, "trials": 50},
+)
 def _check_compression_product(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     basis = TruncationBasis(alphabet, params["cutoff"])
@@ -392,7 +443,16 @@ def _check_compression_product(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("operators.cesaro_contraction")
+@_register(
+    "operators.cesaro_contraction",
+    lambda c: {
+        "m": c.alphabet,
+        "cutoff": min(c.cutoff, DENSE_CUTOFF),
+        "seed": c.seed + 2,
+        "trials": 20,
+        "tol": c.tol,
+    },
+)
 def _check_cesaro_contraction(params: dict) -> tuple[bool, Optional[dict]]:
     basis = TruncationBasis(Alphabet(params["m"]), params["cutoff"])
     for trial in range(params["trials"]):
@@ -405,7 +465,10 @@ def _check_cesaro_contraction(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("operators.cesaro_vector_bound")
+@_register(
+    "operators.cesaro_vector_bound",
+    lambda c: {"m": c.alphabet, "cutoff": c.cutoff, "seed": c.seed + 3, "trials": 50},
+)
 def _check_cesaro_vector(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     basis = TruncationBasis(alphabet, params["cutoff"])
@@ -424,7 +487,18 @@ def _check_cesaro_vector(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("operators.conjugation")
+@_register(
+    "operators.conjugation",
+    # a word of length w_max on each side of a degree-deg series fits the cutoff
+    lambda c: {
+        "m": c.alphabet,
+        "cutoff": c.cutoff,
+        "w_max": max(c.cutoff - 3, 2) // 2,
+        "deg": min(3, c.cutoff - 2),
+        "seed": c.seed + 4,
+        "trials": 25,
+    },
+)
 def _check_conjugation(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     basis = TruncationBasis(alphabet, params["cutoff"])
@@ -437,7 +511,12 @@ def _check_conjugation(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("operators.filter_norm_bound")
+@_register(
+    "operators.filter_norm_bound",
+    lambda c: {
+        "m": c.alphabet, "cutoff": min(c.cutoff, 4), "seed": c.seed + 5, "trials": 25, "tol": c.tol
+    },
+)
 def _check_filter_norm(params: dict) -> tuple[bool, Optional[dict]]:
     alphabet = Alphabet(params["m"])
     basis = TruncationBasis(alphabet, params["cutoff"])
@@ -454,7 +533,11 @@ def _check_filter_norm(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("operators.mobius_witness")
+@_register(
+    "operators.mobius_witness",
+    # the truncated ratio reaches 1.8 only past cutoff ~80 (limit 1.9)
+    lambda c: {"c": 0.9, "cutoff": 120, "lo": 1.8, "tol": c.tol},
+)
 def _check_mobius_witness(params: dict) -> tuple[bool, Optional[dict]]:
     ratio = mobius_witness_ratio(params["c"], params["cutoff"], params["tol"])
     if params["lo"] <= ratio <= 2.0 + 1e-6:
@@ -467,7 +550,10 @@ def _check_mobius_witness(params: dict) -> tuple[bool, Optional[dict]]:
 # --------------------------------------------------------------------------
 
 
-@_register("derivations.inner_roundtrip")
+@_register(
+    "derivations.inner_roundtrip",
+    lambda c: {"sizes": [2, 3], "deg": 3, "seed": c.seed, "trials": 25},
+)
 def _check_inner_roundtrip(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     for trial in range(params["trials"]):
@@ -487,7 +573,9 @@ def _check_inner_roundtrip(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("derivations.screens")
+@_register(
+    "derivations.screens", lambda c: {"m": c.alphabet, "deg": 3, "seed": c.seed + 1, "trials": 10}
+)
 def _check_screens(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
@@ -513,7 +601,10 @@ def _check_screens(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("derivations.stabilization")
+@_register(
+    "derivations.stabilization",
+    lambda c: {"m": c.alphabet, "deg": 3, "seed": c.seed + 2, "trials": 10},
+)
 def _check_stabilization(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
@@ -535,7 +626,10 @@ def _check_stabilization(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("derivations.normal_approx")
+@_register(
+    "derivations.normal_approx",
+    lambda c: {"m": c.alphabet, "deg": 4, "seed": c.seed + 3, "trials": 50},
+)
 def _check_normal_approx(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
@@ -574,7 +668,10 @@ def _random_cochain(
     return Cochain._from_valid((arity, alphabet), keyed)
 
 
-@_register("cohomology.coboundary_squared")
+@_register(
+    "cohomology.coboundary_squared",
+    lambda c: {"m": c.alphabet, "max_len": 2, "seed": c.seed, "trials": 10},
+)
 def _check_coboundary_squared(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
@@ -586,7 +683,10 @@ def _check_coboundary_squared(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("cohomology.homotopy_roundtrip")
+@_register(
+    "cohomology.homotopy_roundtrip",
+    lambda c: {"m": c.alphabet, "max_len": 3, "seed": c.seed + 1, "trials": 10},
+)
 def _check_homotopy_roundtrip(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
@@ -621,7 +721,7 @@ def _check_homotopy_roundtrip(params: dict) -> tuple[bool, Optional[dict]]:
     return True, None
 
 
-@_register("cohomology.h1_dimension")
+@_register("cohomology.h1_dimension", lambda c: {"max_m": 3, "max_len": 3, "seed": c.seed + 2})
 def _check_h1_dimension(params: dict) -> tuple[bool, Optional[dict]]:
     rng = random.Random(params["seed"])
     for m in range(1, params["max_m"] + 1):
@@ -662,9 +762,12 @@ def _call_check(
         return False, {"exception": f"{type(err).__name__}: {err}"}
 
 
-def _run_checks(suite: str, specs: list[tuple[str, dict]], config: RunConfig) -> Report:
+def _run_suite(suite: str, config: RunConfig) -> Report:
     results = []
-    for name, params in specs:
+    for name, params_of in PARAMS.items():
+        if not name.startswith(suite + "."):
+            continue
+        params = params_of(config)
         start = time.perf_counter()
         passed, counterexample = _call_check(CHECKS[name], params)
         elapsed = time.perf_counter() - start
@@ -677,130 +780,7 @@ def _run_checks(suite: str, specs: list[tuple[str, dict]], config: RunConfig) ->
     )
 
 
-def suite_words(config: RunConfig) -> Report:
-    m, seed = config.alphabet, config.seed
-    exhaustive_len = min(config.max_len, 5 if m <= 2 else 3)
-    specs = [
-        ("words.concat_laws", {"m": m, "len": min(config.max_len, 2)}),
-        ("words.cancellation", {"m": m, "len": exhaustive_len}),
-        (
-            "words.order_invariance",
-            {"m": m, "max_len": config.max_len, "seed": seed, "trials": DEFAULT_TRIALS},
-        ),
-        (
-            "words.division_roundtrip",
-            {"m": m, "max_len": config.max_len, "seed": seed + 1, "trials": DEFAULT_TRIALS},
-        ),
-        (
-            "words.min_staged_vs_scan",
-            {
-                "m": m,
-                "max_len": config.max_len,
-                "seed": seed + 2,
-                "sets": 100,
-                "set_size": 100,
-            },
-        ),
-        ("words.power_shift_sweep", {"m": m, "w_max": 3, "u_max": 4}),
-        (
-            "words.primitive_root_commutation",
-            {"m": m, "max_len": min(config.max_len, 6 if m <= 2 else 4)},
-        ),
-        (
-            "words.transport_roundtrip",
-            {"m": m, "max_len": config.max_len, "seed": seed + 3, "trials": DEFAULT_TRIALS // 10},
-        ),
-    ]
-    return _run_checks("words", specs, config)
-
-
-def suite_operators(config: RunConfig) -> Report:
-    m, cutoff, seed, tol = config.alphabet, config.cutoff, config.seed, config.tol
-    conj_deg = min(3, cutoff - 2)
-    conj_w = (cutoff - conj_deg) // 2
-    dense_cutoff = min(cutoff, DENSE_CUTOFF)
-    specs = [
-        ("operators.isometry_relations", {"m": m, "cutoff": cutoff}),
-        ("operators.commutant", {"m": m, "cutoff": cutoff, "pair_max": min(3, cutoff)}),
-        (
-            "operators.band_projections",
-            {"m": m, "cutoff": dense_cutoff, "seed": seed, "trials": 3, "tol": tol},
-        ),
-        (
-            "operators.compression_product",
-            {"m": m, "cutoff": cutoff, "deg": 2, "seed": seed + 1, "trials": 50},
-        ),
-        (
-            "operators.cesaro_contraction",
-            {"m": m, "cutoff": dense_cutoff, "seed": seed + 2, "trials": 20, "tol": tol},
-        ),
-        (
-            "operators.cesaro_vector_bound",
-            {"m": m, "cutoff": cutoff, "seed": seed + 3, "trials": 50},
-        ),
-        (
-            "operators.conjugation",
-            {
-                "m": m,
-                "cutoff": cutoff,
-                "w_max": conj_w,
-                "deg": conj_deg,
-                "seed": seed + 4,
-                "trials": 25,
-            },
-        ),
-        (
-            "operators.filter_norm_bound",
-            {"m": m, "cutoff": min(cutoff, 4), "seed": seed + 5, "trials": 25, "tol": tol},
-        ),
-        # the truncated ratio reaches 1.8 only past cutoff ~80 (limit 1.9)
-        ("operators.mobius_witness", {"c": 0.9, "cutoff": 120, "lo": 1.8, "tol": tol}),
-    ]
-    return _run_checks("operators", specs, config)
-
-
-def suite_derivations(config: RunConfig) -> Report:
-    seed = config.seed
-    specs = [
-        (
-            "derivations.inner_roundtrip",
-            {"sizes": [2, 3], "deg": 3, "seed": seed, "trials": 25},
-        ),
-        ("derivations.screens", {"m": config.alphabet, "deg": 3, "seed": seed + 1, "trials": 10}),
-        (
-            "derivations.stabilization",
-            {"m": config.alphabet, "deg": 3, "seed": seed + 2, "trials": 10},
-        ),
-        (
-            "derivations.normal_approx",
-            {"m": config.alphabet, "deg": 4, "seed": seed + 3, "trials": 50},
-        ),
-    ]
-    return _run_checks("derivations", specs, config)
-
-
-def suite_cohomology(config: RunConfig) -> Report:
-    seed = config.seed
-    specs = [
-        (
-            "cohomology.coboundary_squared",
-            {"m": config.alphabet, "max_len": 2, "seed": seed, "trials": 10},
-        ),
-        (
-            "cohomology.homotopy_roundtrip",
-            {"m": config.alphabet, "max_len": 3, "seed": seed + 1, "trials": 10},
-        ),
-        ("cohomology.h1_dimension", {"max_m": 3, "max_len": 3, "seed": seed + 2}),
-    ]
-    return _run_checks("cohomology", specs, config)
-
-
-SUITES = {
-    "cohomology": suite_cohomology,
-    "derivations": suite_derivations,
-    "operators": suite_operators,
-    "words": suite_words,
-}
+SUITES = ("cohomology", "derivations", "operators", "words")
 
 
 # --------------------------------------------------------------------------
@@ -809,14 +789,7 @@ SUITES = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        alphabet=args.alphabet,
-        max_len=args.max_len,
-        cutoff=args.cutoff,
-        seed=args.seed,
-        tol=args.tol,
-        out=args.out,
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     config.validate()
     return config
 
@@ -898,7 +871,7 @@ def _check_dense_size(config: RunConfig) -> None:
         )
 
 
-def _cmd_verify(args: argparse.Namespace, suites: list[str]) -> int:
+def _cmd_verify(args: argparse.Namespace, suites: Sequence[str]) -> int:
     if getattr(args, "replay", None):
         return _cmd_replay(args.replay)
     try:
@@ -911,7 +884,7 @@ def _cmd_verify(args: argparse.Namespace, suites: list[str]) -> int:
     except ValueError as err:
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2
-    reports = [SUITES[name](config) for name in sorted(suites)]
+    reports = [_run_suite(name, config) for name in sorted(suites)]
     if len(reports) == 1:
         merged = reports[0].to_json_dict()
     else:
@@ -964,97 +937,99 @@ def _dump_json(data: dict, handle: TextIO) -> None:
     handle.write("\n")
 
 
-def _cmd_solve_derivation(args: argparse.Namespace) -> int:
+def _run_solver(
+    args: argparse.Namespace,
+    suite: str,
+    what: str,
+    read: Callable[[dict], object],
+    solve: Callable[[object], tuple[dict, Optional[tuple[str, dict]]]],
+) -> int:
+    """The solver protocol around ``read`` and ``solve``.
+
+    Input that ``read`` refuses is exit 2 with ``bad <what> input:``.
+    ``solve`` returns its report fields and the result as ``(key, data)``,
+    or no result when the input is refused, which prints the error report
+    alone and exits 1.  The result goes to ``--out``, or to stdout as
+    ``{key: data, "report": report}``.
+    """
     try:
-        derivation = GeneratorDerivation.from_json_dict(_load_json(args.infile))
+        problem = read(_load_json(args.infile))
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as err:
-        print(f"bad derivation input: {err}", file=sys.stderr)
+        print(f"bad {what} input: {err}", file=sys.stderr)
         return 2
+    summary, result = solve(problem)
+    report = {"schema": SCHEMA_VERSION, "suite": suite, **summary}
+    if result is None:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return 1
+    key, data = result
+    if args.out:
+        if not _write_out(args.out, lambda handle: _dump_json(data, handle)):
+            return 2
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print(json.dumps({key: data, "report": report}, indent=2, sort_keys=True))
+    return 0 if report["passed"] else 1
+
+
+def _solve_derivation(derivation: GeneratorDerivation) -> tuple[dict, Optional[tuple]]:
     try:
         symbol = solve_inner_symbol(derivation)
     except InconsistentDerivationError as err:
-        report = {
-            "schema": SCHEMA_VERSION,
-            "suite": "solve-derivation",
-            "passed": False,
-            "error": {
-                "check": err.check,
-                "message": str(err),
-                "word": None if err.word is None else str(err.word),
-            },
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 1
+        word = None if err.word is None else str(err.word)
+        error = {"check": err.check, "message": str(err), "word": word}
+        return {"passed": False, "error": error}, None
     alphabet = derivation.alphabet
     verification = {}
     for a in alphabet.letters():
         produced = inner_derivation(symbol, Series.basis(alphabet.generator(a)))
         verification[f"z{a}"] = max_coeff_diff(produced, derivation.value(a))
-    report = {
-        "schema": SCHEMA_VERSION,
-        "suite": "solve-derivation",
-        "passed": True,
-        "max_generator_deviation": verification,
-    }
-    series_dict = symbol.to_json_dict()
-    if args.out:
-        if not _write_out(args.out, lambda handle: _dump_json(series_dict, handle)):
-            return 2
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(json.dumps({"series": series_dict, "report": report}, indent=2, sort_keys=True))
-    return 0
+    report = {"passed": True, "max_generator_deviation": verification}
+    return report, ("series", symbol.to_json_dict())
 
 
-def _cmd_trivialize_cocycle(args: argparse.Namespace) -> int:
-    try:
-        cochain = Cochain.from_json_dict(_load_json(args.infile))
-        if cochain.arity < 2:
-            raise ValueError("homotopy needs arity at least 2")
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as err:
-        print(f"bad cochain input: {err}", file=sys.stderr)
-        return 2
+def _read_cocycle(data: dict) -> Cochain:
+    cochain = Cochain.from_json_dict(data)
+    if cochain.arity < 2:
+        raise ValueError("homotopy needs arity at least 2")
+    return cochain
+
+
+def _trivialize(cochain: Cochain) -> tuple[dict, Optional[tuple]]:
     try:
         psi = homotopy(cochain)
     except NonCocycleError as err:
-        report = {
-            "schema": SCHEMA_VERSION,
-            "suite": "trivialize-cocycle",
-            "passed": False,
-            "error": {
-                "message": "input is not a cocycle",
-                "witness": [str(w) for w in err.witness],
-            },
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 1
+        error = {"message": "input is not a cocycle", "witness": [str(w) for w in err.witness]}
+        return {"passed": False, "error": error}, None
     residual = coboundary(psi) - cochain
-    report = {
-        "schema": SCHEMA_VERSION,
-        "suite": "trivialize-cocycle",
-        "passed": residual.is_zero(),
-        "residual_terms": len(residual.table),
-    }
-    psi_dict = psi.to_json_dict()
-    if args.out:
-        if not _write_out(args.out, lambda handle: _dump_json(psi_dict, handle)):
-            return 2
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(json.dumps({"cochain": psi_dict, "report": report}, indent=2, sort_keys=True))
-    return 0 if report["passed"] else 1
+    report = {"passed": residual.is_zero(), "residual_terms": len(residual.table)}
+    return report, ("cochain", psi.to_json_dict())
+
+
+def _cmd_solve_derivation(args: argparse.Namespace) -> int:
+    read = GeneratorDerivation.from_json_dict
+    return _run_solver(args, "solve-derivation", "derivation", read, _solve_derivation)
+
+
+def _cmd_trivialize_cocycle(args: argparse.Namespace) -> int:
+    return _run_solver(args, "trivialize-cocycle", "cochain", _read_cocycle, _trivialize)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  Each handler is looked up
     in this module when it runs, so a rebound ``_cmd_*`` is honoured."""
+    defaults = RunConfig()
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--alphabet", type=int, default=2, help="number of generators")
-    shared.add_argument("--max-len", type=int, default=6, help="word length bound for sweeps")
-    shared.add_argument("--cutoff", type=int, default=5, help="matrix truncation degree")
-    shared.add_argument("--seed", type=int, default=42, help="seed for randomized checks")
-    shared.add_argument("--tol", type=float, default=1e-9, help="norm estimation tolerance")
+    for flag, help_text in (
+        ("--alphabet", "number of generators"),
+        ("--max-len", "word length bound for sweeps"),
+        ("--cutoff", "matrix truncation degree"),
+        ("--seed", "seed for randomized checks"),
+        ("--tol", "norm estimation tolerance"),
+    ):
+        default = getattr(defaults, flag[2:].replace("-", "_"))
+        shared.add_argument(flag, type=type(default), default=default, help=help_text)
     shared.add_argument("--out", help="write the report or result to this path")
     shared.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
@@ -1078,7 +1053,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     operators_parser.set_defaults(handler=lambda args: _cmd_verify_operators(args))
     sub.add_parser("report-all", parents=[shared]).set_defaults(
-        handler=lambda args: _cmd_verify(args, list(SUITES))
+        handler=lambda args: _cmd_verify(args, SUITES)
     )
 
     solve = sub.add_parser("solve-derivation")

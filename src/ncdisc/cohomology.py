@@ -32,7 +32,7 @@ from .series import (
     adjoint_shift,
     first_letter_part,
 )
-from .words import Alphabet, Word, enumerate_words
+from .words import Alphabet, Word, _index, enumerate_words
 
 WordTuple = tuple[Word, ...]
 
@@ -71,6 +71,7 @@ class Cochain(CoefficientTable):
         alphabet: Alphabet,
         table: Optional[Mapping[WordTuple, complex]] = None,
     ):
+        arity = _index(arity, "arity")
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         self.arity = arity
@@ -98,7 +99,9 @@ class Cochain(CoefficientTable):
         return [str(w) for w in key]
 
     @staticmethod
-    def _parse_key(parse: Callable[[str], Word], texts: Sequence[str]) -> WordTuple:
+    def _parse_key(parse: Callable[[str], Word], texts: list[str]) -> WordTuple:
+        if not isinstance(texts, list):
+            raise ValueError(f"cochain key {texts!r} is not a list of words")
         return tuple(map(parse, texts))
 
     @classmethod
@@ -133,8 +136,7 @@ class Cochain(CoefficientTable):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Cochain":
-        shape = (int(data["arity"]), Alphabet(int(data["alphabet"])))
-        return cls._from_json_terms(shape, data)
+        return cls._from_json_terms((data["arity"], Alphabet(data["alphabet"])), data)
 
 
 #: Largest int64; a cut code that could pass it is re-ranked first.

@@ -149,7 +149,7 @@ class GeneratorDerivation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GeneratorDerivation":
-        alphabet = Alphabet(int(data["alphabet"]))
+        alphabet = Alphabet(data["alphabet"])
         values: dict[int, Series] = {}
         for key, sub in data.get("values", {}).items():
             series = Series.from_json_dict(sub)

@@ -201,7 +201,7 @@ class Series(CoefficientTable):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Series":
-        return cls._from_json_terms((Alphabet(int(data["alphabet"])),), data)
+        return cls._from_json_terms((Alphabet(data["alphabet"]),), data)
 
     # -- inspection ------------------------------------------------------
 

@@ -9,9 +9,7 @@ import math
 import random
 import time
 
-import numpy as np
-
-from ncdisc.cli import _random_series
+from ncdisc.cli import _random_dense_operator, _random_series
 from ncdisc.cohomology import (
     Cochain,
     coboundary,
@@ -28,7 +26,6 @@ from ncdisc.derivations import (
     solve_inner_symbol,
 )
 from ncdisc.operators import (
-    TruncatedOperator,
     TruncationBasis,
     cesaro_op,
     left_matrix,
@@ -52,14 +49,6 @@ E2 = A2.unit()
 
 def _line(criterion, label, ok):
     print(f"ACCEPTANCE {criterion} {label}: {'PASS' if ok else 'FAIL'}")
-
-
-def _random_operator(basis, seed):
-    gen = np.random.default_rng(seed)
-    n = basis.dimension
-    return TruncatedOperator.from_dense(
-        basis, gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    )
 
 
 def test_criterion_1_power_shift_exhaustive():
@@ -118,7 +107,7 @@ def test_criterion_3_cesaro_contraction_and_convergence():
     basis = TruncationBasis(A2, 4)
     contraction_ok = True
     for trial in range(100):
-        op = _random_operator(basis, 1000 + trial)
+        op = _random_dense_operator(basis, 1000 + trial)
         k = 1 + trial % 6
         if norm_estimate(cesaro_op(op, k)) > norm_estimate(op) + 1e-6:
             contraction_ok = False

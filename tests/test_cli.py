@@ -573,3 +573,190 @@ def test_solve_derivation_refuses_a_non_canonical_word(tmp_path, capsys, text):
     assert code == 2
     assert captured.err.startswith("bad derivation input:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, what, data",
+    [
+        ("solve-derivation", "derivation", {"alphabet": 2.9, "values": {}}),
+        ("solve-derivation", "derivation", {"alphabet": "2", "values": {}}),
+        (
+            "solve-derivation",
+            "derivation",
+            {"alphabet": 2, "values": {"0": {"alphabet": 2.0, "terms": []}}},
+        ),
+        ("trivialize-cocycle", "cochain", {"arity": 2, "alphabet": 2.9, "terms": []}),
+        ("trivialize-cocycle", "cochain", {"arity": 2.7, "alphabet": 2, "terms": []}),
+        ("trivialize-cocycle", "cochain", {"arity": "2", "alphabet": 2, "terms": []}),
+        # a string is not a list of word texts, even when each letter parses
+        (
+            "trivialize-cocycle",
+            "cochain",
+            {"arity": 2, "alphabet": 2, "terms": [{"words": "ee", "re": 1.0, "im": 0.0}]},
+        ),
+    ],
+)
+def test_solvers_refuse_non_integer_sizes_and_string_keys(tmp_path, capsys, command, what, data):
+    infile = tmp_path / "input.json"
+    infile.write_text(json.dumps(data))
+    code = main([command, "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"bad {what} input:")
+    assert captured.out == ""
+
+
+# -- the suite parameter table --------------------------------------------------
+
+DEFAULT_PARAMS = [
+    (
+        "cohomology",
+        "cohomology.coboundary_squared",
+        {"m": 2, "max_len": 2, "seed": 42, "trials": 10},
+    ),
+    (
+        "cohomology",
+        "cohomology.homotopy_roundtrip",
+        {"m": 2, "max_len": 3, "seed": 43, "trials": 10},
+    ),
+    ("cohomology", "cohomology.h1_dimension", {"max_len": 3, "max_m": 3, "seed": 44}),
+    (
+        "derivations",
+        "derivations.inner_roundtrip",
+        {"deg": 3, "seed": 42, "sizes": [2, 3], "trials": 25},
+    ),
+    ("derivations", "derivations.screens", {"deg": 3, "m": 2, "seed": 43, "trials": 10}),
+    ("derivations", "derivations.stabilization", {"deg": 3, "m": 2, "seed": 44, "trials": 10}),
+    ("derivations", "derivations.normal_approx", {"deg": 4, "m": 2, "seed": 45, "trials": 50}),
+    ("operators", "operators.isometry_relations", {"cutoff": 5, "m": 2}),
+    ("operators", "operators.commutant", {"cutoff": 5, "m": 2, "pair_max": 3}),
+    (
+        "operators",
+        "operators.band_projections",
+        {"cutoff": 4, "m": 2, "seed": 42, "tol": 1e-09, "trials": 3},
+    ),
+    (
+        "operators",
+        "operators.compression_product",
+        {"cutoff": 5, "deg": 2, "m": 2, "seed": 43, "trials": 50},
+    ),
+    (
+        "operators",
+        "operators.cesaro_contraction",
+        {"cutoff": 4, "m": 2, "seed": 44, "tol": 1e-09, "trials": 20},
+    ),
+    ("operators", "operators.cesaro_vector_bound", {"cutoff": 5, "m": 2, "seed": 45, "trials": 50}),
+    (
+        "operators",
+        "operators.conjugation",
+        {"cutoff": 5, "deg": 3, "m": 2, "seed": 46, "trials": 25, "w_max": 1},
+    ),
+    (
+        "operators",
+        "operators.filter_norm_bound",
+        {"cutoff": 4, "m": 2, "seed": 47, "tol": 1e-09, "trials": 25},
+    ),
+    ("operators", "operators.mobius_witness", {"c": 0.9, "cutoff": 120, "lo": 1.8, "tol": 1e-09}),
+    ("words", "words.concat_laws", {"len": 2, "m": 2}),
+    ("words", "words.cancellation", {"len": 5, "m": 2}),
+    ("words", "words.order_invariance", {"m": 2, "max_len": 6, "seed": 42, "trials": 10000}),
+    ("words", "words.division_roundtrip", {"m": 2, "max_len": 6, "seed": 43, "trials": 10000}),
+    (
+        "words",
+        "words.min_staged_vs_scan",
+        {"m": 2, "max_len": 6, "seed": 44, "set_size": 100, "sets": 100},
+    ),
+    ("words", "words.power_shift_sweep", {"m": 2, "u_max": 4, "w_max": 3}),
+    ("words", "words.primitive_root_commutation", {"m": 2, "max_len": 6}),
+    ("words", "words.transport_roundtrip", {"m": 2, "max_len": 6, "seed": 45, "trials": 1000}),
+]
+
+# --alphabet 3 --cutoff 2 --max-len 2: the min() clamps bind, and the
+# conjugation check's series has degree 0
+CLAMPED_PARAMS = [
+    (
+        "cohomology",
+        "cohomology.coboundary_squared",
+        {"m": 3, "max_len": 2, "seed": 42, "trials": 10},
+    ),
+    (
+        "cohomology",
+        "cohomology.homotopy_roundtrip",
+        {"m": 3, "max_len": 3, "seed": 43, "trials": 10},
+    ),
+    ("cohomology", "cohomology.h1_dimension", {"max_len": 3, "max_m": 3, "seed": 44}),
+    (
+        "derivations",
+        "derivations.inner_roundtrip",
+        {"deg": 3, "seed": 42, "sizes": [2, 3], "trials": 25},
+    ),
+    ("derivations", "derivations.screens", {"deg": 3, "m": 3, "seed": 43, "trials": 10}),
+    ("derivations", "derivations.stabilization", {"deg": 3, "m": 3, "seed": 44, "trials": 10}),
+    ("derivations", "derivations.normal_approx", {"deg": 4, "m": 3, "seed": 45, "trials": 50}),
+    ("operators", "operators.isometry_relations", {"cutoff": 2, "m": 3}),
+    ("operators", "operators.commutant", {"cutoff": 2, "m": 3, "pair_max": 2}),
+    (
+        "operators",
+        "operators.band_projections",
+        {"cutoff": 2, "m": 3, "seed": 42, "tol": 1e-09, "trials": 3},
+    ),
+    (
+        "operators",
+        "operators.compression_product",
+        {"cutoff": 2, "deg": 2, "m": 3, "seed": 43, "trials": 50},
+    ),
+    (
+        "operators",
+        "operators.cesaro_contraction",
+        {"cutoff": 2, "m": 3, "seed": 44, "tol": 1e-09, "trials": 20},
+    ),
+    ("operators", "operators.cesaro_vector_bound", {"cutoff": 2, "m": 3, "seed": 45, "trials": 50}),
+    (
+        "operators",
+        "operators.conjugation",
+        {"cutoff": 2, "deg": 0, "m": 3, "seed": 46, "trials": 25, "w_max": 1},
+    ),
+    (
+        "operators",
+        "operators.filter_norm_bound",
+        {"cutoff": 2, "m": 3, "seed": 47, "tol": 1e-09, "trials": 25},
+    ),
+    ("operators", "operators.mobius_witness", {"c": 0.9, "cutoff": 120, "lo": 1.8, "tol": 1e-09}),
+    ("words", "words.concat_laws", {"len": 2, "m": 3}),
+    ("words", "words.cancellation", {"len": 2, "m": 3}),
+    ("words", "words.order_invariance", {"m": 3, "max_len": 2, "seed": 42, "trials": 10000}),
+    ("words", "words.division_roundtrip", {"m": 3, "max_len": 2, "seed": 43, "trials": 10000}),
+    (
+        "words",
+        "words.min_staged_vs_scan",
+        {"m": 3, "max_len": 2, "seed": 44, "set_size": 100, "sets": 100},
+    ),
+    ("words", "words.power_shift_sweep", {"m": 3, "u_max": 4, "w_max": 3}),
+    ("words", "words.primitive_root_commutation", {"m": 3, "max_len": 2}),
+    ("words", "words.transport_roundtrip", {"m": 3, "max_len": 2, "seed": 45, "trials": 1000}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ((), DEFAULT_PARAMS),
+        (("--alphabet", "3", "--cutoff", "2", "--max-len", "2"), CLAMPED_PARAMS),
+    ],
+)
+def test_report_all_runs_the_pinned_parameter_table(monkeypatch, capsys, argv, expected):
+    # the checks are stubbed out: only the parameters each one is given count
+    for name in cli.CHECKS:
+        monkeypatch.setitem(cli.CHECKS, name, lambda params: (True, None))
+    code, out = run(capsys, "report-all", *argv)
+    assert code == 0
+    ran = [
+        (report["suite"], check["name"], check["params"])
+        for report in json.loads(out)["reports"]
+        for check in report["checks"]
+    ]
+    assert ran == expected
+
+
+def test_every_check_has_suite_parameters():
+    assert list(cli.PARAMS) == list(cli.CHECKS)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncdisc.cli import _random_cochain, _random_word
 from ncdisc.cohomology import (
     Cochain,
     NonCocycleError,
@@ -32,22 +33,6 @@ def w2(*letters):
     return A2.word(letters)
 
 
-def random_word(rng, alphabet, max_len):
-    return alphabet.word(
-        rng.randrange(alphabet.size) for _ in range(rng.randint(0, max_len))
-    )
-
-
-def random_cochain(rng, alphabet, arity, max_len=2, terms=4):
-    if arity == 0:
-        return Cochain.scalar(alphabet, complex(rng.randint(-3, 3), rng.randint(-3, 3)))
-    table = {}
-    for _ in range(terms):
-        key = tuple(random_word(rng, alphabet, max_len) for _ in range(arity))
-        table[key] = table.get(key, 0j) + complex(rng.randint(-3, 3), rng.randint(-3, 3))
-    return Cochain(arity, alphabet, table)
-
-
 # -- module actions and cutting -----------------------------------------------
 
 
@@ -61,7 +46,7 @@ def test_module_actions_agree():
     rng = random.Random(1)
     for _ in range(20):
         gamma = complex(rng.randint(-3, 3), rng.randint(-3, 3))
-        table = {random_word(rng, A2, 2): rng.randint(-3, 3) for _ in range(3)}
+        table = {_random_word(rng, A2, 2): rng.randint(-3, 3) for _ in range(3)}
         phi = Series(A2, table)
         assert module_left(gamma, phi) == phi.coeff(E) * gamma
 
@@ -75,7 +60,7 @@ def test_cut_examples():
 def test_cut_reassembles():
     rng = random.Random(2)
     for _ in range(30):
-        w = random_word(rng, A2, 5)
+        w = _random_word(rng, A2, 5)
         first, rest = cut(w)
         assert first * rest == w
         assert (first == E) == (w == E)
@@ -102,10 +87,10 @@ def test_scalar_cochain():
 
 def test_evaluate_multilinear():
     rng = random.Random(3)
-    phi = random_cochain(rng, A2, 2)
+    phi = _random_cochain(rng, A2, 2, max_len=2, terms=4)
     def rand_series():
         return Series(
-            A2, {random_word(rng, A2, 2): rng.randint(-3, 3) for _ in range(3)}
+            A2, {_random_word(rng, A2, 2): rng.randint(-3, 3) for _ in range(3)}
         )
     for _ in range(20):
         a, b, c = rand_series(), rand_series(), rand_series()
@@ -143,10 +128,10 @@ def test_coboundary_formula_pointwise():
     # independent route: evaluate the alternating-sum formula directly
     rng = random.Random(7)
     for _ in range(20):
-        phi = random_cochain(rng, A2, 2)
+        phi = _random_cochain(rng, A2, 2, max_len=2, terms=4)
         boundary = coboundary(phi)
         probes = list(boundary.table) + [
-            tuple(random_word(rng, A2, 2) for _ in range(3)) for _ in range(5)
+            tuple(_random_word(rng, A2, 2) for _ in range(3)) for _ in range(5)
         ]
         for w1, v2, v3 in probes:
             expected = (
@@ -162,7 +147,7 @@ def test_coboundary_squares_to_zero():
     rng = random.Random(11)
     for arity in (0, 1, 2, 3):
         for _ in range(10):
-            phi = random_cochain(rng, A2, arity)
+            phi = _random_cochain(rng, A2, arity, max_len=2, terms=4)
             assert coboundary(coboundary(phi)).is_zero()
 
 
@@ -287,10 +272,10 @@ def _seeded_cochain(rng, alphabet, arity):
     leave dust on both sides of PRUNE_EPS."""
     e = alphabet.unit()
     table = {}
-    keys = [tuple(random_word(rng, alphabet, 3) for _ in range(arity)) for _ in range(8)]
+    keys = [tuple(_random_word(rng, alphabet, 3) for _ in range(arity)) for _ in range(8)]
     keys.append((e,) * arity)
     for slot in range(arity):
-        key = [random_word(rng, alphabet, 2) for _ in range(arity)]
+        key = [_random_word(rng, alphabet, 2) for _ in range(arity)]
         key[slot] = e
         keys.append(tuple(key))
     for key in keys:
@@ -330,7 +315,7 @@ def test_coboundary_kernel_stays_exact_past_int64_codes():
     for letter in (0, 1):
         table[tuple(alphabet.word([letter] * n) for n in lengths)] = _badly_scaled(rng)
     for _ in range(6):
-        key = tuple(random_word(rng, alphabet, 6) for _ in range(12))
+        key = tuple(_random_word(rng, alphabet, 6) for _ in range(12))
         table[key] = _badly_scaled(rng)
     phi = Cochain(12, alphabet, table)
     strings = {sum((w.letters for w in key), ()) for key in phi.table}
@@ -346,7 +331,7 @@ def test_coboundary_kernel_stays_exact_past_int64_codes():
 
 def test_is_cocycle_examples():
     rng = random.Random(13)
-    eta = random_cochain(rng, A2, 1)
+    eta = _random_cochain(rng, A2, 1, max_len=2, terms=4)
     assert is_cocycle(coboundary(eta))
     generator_supported = Cochain(1, A2, {(Z0,): 2.0, (Z1,): -1.0})
     assert is_cocycle(generator_supported)
@@ -391,7 +376,7 @@ def test_homotopy_trivializes_random_cocycles():
     rng = random.Random(17)
     for arity in (2, 3, 4):
         for _ in range(15):
-            eta = random_cochain(rng, A2, arity - 1, max_len=3)
+            eta = _random_cochain(rng, A2, arity - 1, max_len=3, terms=4)
             cocycle = coboundary(eta)
             psi = homotopy(cocycle)
             assert coboundary(psi) == cocycle
@@ -402,13 +387,13 @@ def test_homotopy_series_route_agrees_on_basis_tuples():
     rng = random.Random(19)
     for arity in (2, 3):
         for _ in range(10):
-            eta = random_cochain(rng, A2, arity - 1, max_len=3)
+            eta = _random_cochain(rng, A2, arity - 1, max_len=3, terms=4)
             cocycle = coboundary(eta)
             psi = homotopy(cocycle)
             probes = set(psi.table)
             for _ in range(5):
                 probes.add(
-                    tuple(random_word(rng, A2, 3) for _ in range(arity - 1))
+                    tuple(_random_word(rng, A2, 3) for _ in range(arity - 1))
                 )
             for key in probes:
                 direct = homotopy_on_series(
@@ -419,7 +404,7 @@ def test_homotopy_series_route_agrees_on_basis_tuples():
 
 def test_homotopy_series_route_unit_first_argument():
     rng = random.Random(23)
-    eta = random_cochain(rng, A2, 1, max_len=2)
+    eta = _random_cochain(rng, A2, 1, max_len=2, terms=4)
     cocycle = coboundary(eta)
     unit = Series.unit(A2)
     value = homotopy_on_series(cocycle, [unit])
@@ -431,13 +416,13 @@ def test_homotopy_series_route_norm_proxy_bound():
     rng = random.Random(29)
     for arity in (2, 3):
         for _ in range(20):
-            eta = random_cochain(rng, A2, arity - 1, max_len=2)
+            eta = _random_cochain(rng, A2, arity - 1, max_len=2, terms=4)
             cocycle = coboundary(eta)
             table_weight = sum(abs(c) for c in cocycle.table.values())
             args = [
                 Series(
                     A2,
-                    {random_word(rng, A2, 2): rng.randint(-3, 3) for _ in range(3)},
+                    {_random_word(rng, A2, 2): rng.randint(-3, 3) for _ in range(3)},
                 )
                 for _ in range(arity - 1)
             ]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ncdisc.cli import _random_series
 from ncdisc.derivations import (
     GeneratorDerivation,
     InconsistentDerivationError,
@@ -31,27 +32,6 @@ def w2(*letters):
 
 def xi(*letters):
     return Series.basis(A2.word(letters))
-
-
-def random_symbol(rng, alphabet, deg=3, terms=4):
-    """Integer-weight series with no unit term, so arithmetic stays exact."""
-    table = {}
-    for _ in range(rng.randint(1, terms)):
-        w = alphabet.word(
-            rng.randrange(alphabet.size) for _ in range(rng.randint(1, deg))
-        )
-        table[w] = table.get(w, 0j) + complex(rng.randint(-3, 3), rng.randint(-3, 3))
-    return Series(alphabet, table)
-
-
-def random_series(rng, alphabet, deg=3, terms=4):
-    table = {}
-    for _ in range(rng.randint(1, terms)):
-        w = alphabet.word(
-            rng.randrange(alphabet.size) for _ in range(rng.randint(0, deg))
-        )
-        table[w] = table.get(w, 0j) + complex(rng.randint(-3, 3), rng.randint(-3, 3))
-    return Series(alphabet, table)
 
 
 # -- commutator derivations -----------------------------------------------------
@@ -83,7 +63,7 @@ def test_of_word_base_cases():
 def test_of_word_matches_commutator():
     rng = random.Random(3)
     for _ in range(30):
-        symbol = random_symbol(rng, A2)
+        symbol = _random_series(rng, A2, 3, max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         w = A2.word(rng.randrange(2) for _ in range(rng.randint(0, 4)))
         assert derivation.of_word(w) == inner_derivation(symbol, Series.basis(w))
@@ -92,9 +72,8 @@ def test_of_word_matches_commutator():
 def test_leibniz_consistency():
     rng = random.Random(5)
     for _ in range(30):
-        derivation = GeneratorDerivation(
-            A2, {0: random_series(rng, A2), 1: random_series(rng, A2)}
-        )
+        values = {a: _random_series(rng, A2, 3, max_terms=4) for a in (0, 1)}
+        derivation = GeneratorDerivation(A2, values)
         u = A2.word(rng.randrange(2) for _ in range(rng.randint(0, 3)))
         v = A2.word(rng.randrange(2) for _ in range(rng.randint(0, 3)))
         expanded = derivation.of_word(u * v)
@@ -106,7 +85,7 @@ def test_leibniz_consistency():
 
 def test_of_word_power():
     rng = random.Random(7)
-    symbol = random_symbol(rng, A2)
+    symbol = _random_series(rng, A2, 3, max_terms=4, min_len=1)
     derivation = GeneratorDerivation.inner(symbol)
     w = w2(0, 1)
     assert derivation.of_word_power(w, 1) == derivation.of_word(w)
@@ -134,7 +113,7 @@ def test_screens_pass_for_inner_data():
     rng = random.Random(11)
     probes = [w for w in enumerate_words(A2, 4) if not w.is_unit()]
     for _ in range(10):
-        derivation = GeneratorDerivation.inner(random_symbol(rng, A2))
+        derivation = GeneratorDerivation.inner(_random_series(rng, A2, 3, max_terms=4, min_len=1))
         for w in probes:
             assert commuting_support_vanishes(derivation, w)
             assert short_support_vanishes(derivation, w)
@@ -159,7 +138,7 @@ def test_zero_derivation_passes_screens():
 def test_stabilized_sum_identity():
     rng = random.Random(13)
     for _ in range(25):
-        symbol = random_symbol(rng, A2)
+        symbol = _random_series(rng, A2, 3, max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         for w in (Z0, Z1, w2(0, 1)):
             total = stabilized_conjugate_sum(derivation, w)
@@ -176,7 +155,7 @@ def test_stabilized_sum_zero_value():
 def test_stabilization_index_bound():
     rng = random.Random(17)
     for _ in range(25):
-        symbol = random_symbol(rng, A2)
+        symbol = _random_series(rng, A2, 3, max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         for w in (Z0, Z1, w2(1, 0)):
             value = derivation.of_word(w)
@@ -217,7 +196,7 @@ def test_solve_local_zero_value():
 def test_solve_local_randomized():
     rng = random.Random(19)
     for _ in range(25):
-        symbol = random_symbol(rng, A2)
+        symbol = _random_series(rng, A2, 3, max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         for w in (Z0, Z1, w2(0, 1), w2(1, 1, 0)):
             local = solve_local_inner(derivation, w)
@@ -253,7 +232,7 @@ def test_solve_global_roundtrip():
     rng = random.Random(23)
     for alphabet in (A2, A3):
         for _ in range(25):
-            symbol = random_symbol(rng, alphabet)
+            symbol = _random_series(rng, alphabet, 3, max_terms=4, min_len=1)
             derivation = GeneratorDerivation.inner(symbol)
             recovered = solve_inner_symbol(derivation)
             assert recovered == symbol
@@ -270,7 +249,7 @@ def test_solve_global_matches_linear_system_oracle():
 
     rng = random.Random(43)
     for _ in range(10):
-        symbol = random_symbol(rng, A2, deg=3)
+        symbol = _random_series(rng, A2, 3, max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         value_deg = max(
             int(derivation.value(a).degree())
@@ -304,7 +283,7 @@ def test_solve_global_deeper_symbols():
     # longer transport chains: degree up to 5 forces more conjugate steps
     rng = random.Random(47)
     for _ in range(10):
-        symbol = random_symbol(rng, A3, deg=5, terms=6)
+        symbol = _random_series(rng, A3, 5, max_terms=6, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         assert solve_inner_symbol(derivation) == symbol
 
@@ -366,8 +345,8 @@ def test_solve_global_reports_family_violation():
 def test_normal_approx_exact_once_letters_cover():
     rng = random.Random(29)
     for _ in range(25):
-        symbol = random_symbol(rng, A3)
-        phi = random_series(rng, A3)
+        symbol = _random_series(rng, A3, 3, max_terms=4, min_len=1)
+        phi = _random_series(rng, A3, 3, max_terms=4)
         for k in (1, 2, 8, 64):
             assert normal_approx_check(symbol, phi, k, {0, 1, 2})
             assert normal_approx_check(symbol, phi, k, set(phi.letters_used()))
@@ -376,8 +355,8 @@ def test_normal_approx_exact_once_letters_cover():
 def test_normal_approx_partial_letters():
     rng = random.Random(31)
     for _ in range(25):
-        symbol = random_symbol(rng, A3)
-        phi = random_series(rng, A3)
+        symbol = _random_series(rng, A3, 3, max_terms=4, min_len=1)
+        phi = _random_series(rng, A3, 3, max_terms=4)
         assert normal_approx_check(symbol, phi, rng.randint(1, 32), {0})
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ncdisc.cli import _random_dense_operator, _random_series
 from ncdisc.operators import (
     MAX_DIMENSION,
     PowerIterationError,
@@ -49,22 +50,6 @@ def w2(*letters):
 
 def xi(*letters):
     return Series.basis(A2.word(letters))
-
-
-def random_series(rng, alphabet, max_len, terms=4):
-    table = {}
-    for _ in range(rng.randint(1, terms)):
-        w = alphabet.word(rng.randrange(alphabet.size) for _ in range(rng.randint(0, max_len)))
-        table[w] = table.get(w, 0j) + complex(rng.randint(-3, 3), rng.randint(-3, 3))
-    return Series(alphabet, table)
-
-
-def random_operator(basis, seed):
-    gen = np.random.default_rng(seed)
-    n = basis.dimension
-    return TruncatedOperator.from_dense(
-        basis, gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    )
 
 
 # -- basis -------------------------------------------------------------------
@@ -148,7 +133,7 @@ def test_compressions_match_loop_reference():
         for cutoff in range(5):
             basis = TruncationBasis(alphabet, cutoff)
             words = enumerate_words(alphabet, cutoff)
-            phi = random_series(rng, alphabet, cutoff + 1)
+            phi = _random_series(rng, alphabet, cutoff + 1, max_terms=4)
             left, right = {}, {}
             for u in words:
                 for w, c in phi.iter_terms():
@@ -162,8 +147,8 @@ def test_compressions_match_loop_reference():
 def test_operator_arithmetic_matches_dense():
     basis = TruncationBasis(Alphabet(3), 2)
     rng = random.Random(43)
-    a = left_matrix(random_series(rng, basis.alphabet, 2, terms=6), basis)
-    b = right_matrix(random_series(rng, basis.alphabet, 2, terms=6), basis)
+    a = left_matrix(_random_series(rng, basis.alphabet, 2, max_terms=6), basis)
+    b = right_matrix(_random_series(rng, basis.alphabet, 2, max_terms=6), basis)
     da, db = a.to_dense(), b.to_dense()
     assert np.allclose((a @ b).to_dense(), da @ db, rtol=0, atol=1e-12)
     assert np.array_equal((a + b).to_dense(), da + db)
@@ -179,8 +164,8 @@ def test_left_matrix_action_matches_convolution():
     basis = TruncationBasis(A2, 5)
     rng = random.Random(2)
     for _ in range(30):
-        phi = random_series(rng, A2, 2)
-        psi = random_series(rng, A2, 3)
+        phi = _random_series(rng, A2, 2, max_terms=4)
+        psi = _random_series(rng, A2, 3, max_terms=4)
         acted = left_matrix(phi, basis).apply(psi)
         assert max_coeff_diff(acted, convolve(phi, psi)) == 0
 
@@ -198,8 +183,8 @@ def test_compression_product_identity():
     basis = TruncationBasis(A2, 5)
     rng = random.Random(3)
     for _ in range(30):
-        phi = random_series(rng, A2, 2)
-        psi = random_series(rng, A2, 2)
+        phi = _random_series(rng, A2, 2, max_terms=4)
+        psi = _random_series(rng, A2, 2, max_terms=4)
         product = left_matrix(phi, basis) @ left_matrix(psi, basis)
         direct = left_matrix(convolve(phi, psi), basis)
         degrees = int(max(phi.degree(), 0) + max(psi.degree(), 0))
@@ -229,7 +214,7 @@ def test_degree_band_matches_series_filter():
     basis = TruncationBasis(A2, 4)
     rng = random.Random(5)
     for _ in range(20):
-        phi = random_series(rng, A2, 3)
+        phi = _random_series(rng, A2, 3, max_terms=4)
         op = left_matrix(phi, basis)
         for j in range(4):
             banded = degree_band(op, j)
@@ -239,7 +224,7 @@ def test_degree_band_matches_series_filter():
 
 def test_degree_band_matches_projection_sum():
     basis = TruncationBasis(A2, 3)
-    op = random_operator(basis, 11)
+    op = _random_dense_operator(basis, 11)
     for j in range(-3, 4):
         summed = TruncatedOperator.zero(basis)
         for k in range(max(0, j), basis.cutoff + 1):
@@ -250,7 +235,7 @@ def test_degree_band_matches_projection_sum():
 
 def test_bands_are_orthogonal_projections():
     basis = TruncationBasis(A2, 3)
-    op = random_operator(basis, 13)
+    op = _random_dense_operator(basis, 13)
     for j in range(-2, 3):
         banded = degree_band(op, j)
         assert degree_band(banded, j).entries == banded.entries
@@ -259,7 +244,7 @@ def test_bands_are_orthogonal_projections():
 
 def test_band_contractive():
     basis = TruncationBasis(A2, 3)
-    op = random_operator(basis, 17)
+    op = _random_dense_operator(basis, 17)
     reference = norm_estimate(op)
     for j in range(-3, 4):
         assert norm_estimate(degree_band(op, j)) <= reference + 1e-6
@@ -272,7 +257,7 @@ def test_cesaro_op_matches_series_cesaro():
     basis = TruncationBasis(A2, 4)
     rng = random.Random(19)
     for _ in range(20):
-        phi = random_series(rng, A2, 3)
+        phi = _random_series(rng, A2, 3, max_terms=4)
         for k in (1, 2, 3, 5):
             smoothed = cesaro_op(left_matrix(phi, basis), k)
             direct = left_matrix(cesaro(phi, k), basis)
@@ -291,7 +276,7 @@ def test_cesaro_op_fixes_identity():
 def test_cesaro_op_contractive_on_random_operators():
     basis = TruncationBasis(A2, 4)
     for trial in range(10):
-        op = random_operator(basis, 100 + trial)
+        op = _random_dense_operator(basis, 100 + trial)
         reference = norm_estimate(op)
         assert norm_estimate(cesaro_op(op, 1 + trial % 5)) <= reference + 1e-6
 
@@ -301,7 +286,7 @@ def test_cesaro_vector_convergence_surrogate():
     rng = random.Random(23)
     unit = Series.unit(A2)
     for _ in range(20):
-        phi = random_series(rng, A2, 4)
+        phi = _random_series(rng, A2, 4, max_terms=4)
         if phi.is_zero():
             continue
         op = left_matrix(phi, basis)
@@ -329,7 +314,7 @@ def test_norm_estimate_examples():
 def test_norm_estimate_matches_svd_oracle():
     basis = TruncationBasis(A2, 3)
     for trial in range(5):
-        op = random_operator(basis, 200 + trial)
+        op = _random_dense_operator(basis, 200 + trial)
         exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
         estimate = norm_estimate(op, tol=1e-12)
         assert estimate == pytest.approx(exact, rel=1e-6)
@@ -338,8 +323,11 @@ def test_norm_estimate_matches_svd_oracle():
 
 def test_norm_estimate_lanczos_matches_svd_oracle():
     rng = random.Random(300)
-    cases = [left_matrix(random_series(rng, A2, 3), TruncationBasis(A2, c)) for c in range(6, 10)]
-    cases.append(random_operator(TruncationBasis(A2, 3), 300))
+    cases = [
+        left_matrix(_random_series(rng, A2, 3, max_terms=4), TruncationBasis(A2, c))
+        for c in range(6, 10)
+    ]
+    cases.append(_random_dense_operator(TruncationBasis(A2, 3), 300))
     for op in cases:
         exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
         estimate = norm_estimate(op, tol=1e-11)
@@ -349,7 +337,7 @@ def test_norm_estimate_lanczos_matches_svd_oracle():
 
 def test_norm_estimate_step_budget():
     # power iteration at the same tolerance needs 1153 steps on this symbol
-    phi = random_series(random.Random(12), A2, 3)
+    phi = _random_series(random.Random(12), A2, 3, max_terms=4)
     op = left_matrix(phi, TruncationBasis(A2, 10))
     assert 0 < norm_estimate(op, 1e-9, max_iter=150) <= phi.l1_norm() + 1e-9
 
@@ -412,7 +400,7 @@ def test_norm_estimate_invariant_exits_match_svd_oracle():
 
 def test_norm_estimate_nonconvergence_reported():
     basis = TruncationBasis(A2, 2)
-    op = random_operator(basis, 7)
+    op = _random_dense_operator(basis, 7)
     with pytest.raises(PowerIterationError):
         norm_estimate(op, tol=1e-15, max_iter=2)
 
@@ -455,7 +443,7 @@ def test_conjugation_check_randomized():
     rng = random.Random(31)
     for _ in range(15):
         w = A2.word(rng.randrange(2) for _ in range(rng.randint(0, 2)))
-        phi = random_series(rng, A2, 3)
+        phi = _random_series(rng, A2, 3, max_terms=4)
         assert conjugation_check(w, phi, basis)
 
 
@@ -508,7 +496,7 @@ def test_filter_norm_upper_bound():
     basis = TruncationBasis(A2, 4)
     rng = random.Random(37)
     for _ in range(15):
-        phi = random_series(rng, A2, 4)
+        phi = _random_series(rng, A2, 4, max_terms=4)
         reference = norm_estimate(left_matrix(phi, basis))
         for a in range(2):
             filtered = norm_estimate(left_matrix(first_letter_part(phi, a), basis))

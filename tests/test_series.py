@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncdisc
-from ncdisc.cli import main
+from ncdisc.cli import _random_series, main
 from ncdisc.cohomology import Cochain, coboundary, homotopy
 from ncdisc.series import (
     PRUNE_EPS,
@@ -52,14 +52,6 @@ def series_strategy(alphabet, max_len=3):
     return st.dictionaries(
         words_strategy(alphabet, max_len), coeff, max_size=4
     ).map(lambda table: Series(alphabet, table))
-
-
-def random_series(rng, alphabet, max_len, terms=4):
-    table = {}
-    for _ in range(rng.randint(1, terms)):
-        w = alphabet.word(rng.randrange(alphabet.size) for _ in range(rng.randint(0, max_len)))
-        table[w] = table.get(w, 0j) + complex(rng.randint(-3, 3), rng.randint(-3, 3))
-    return Series(alphabet, table)
 
 
 # -- basics ----------------------------------------------------------------
@@ -114,8 +106,8 @@ def test_convolve_prefix_sum_definition():
     # independent route: sum over prefix splittings of each output word
     rng = random.Random(3)
     for _ in range(50):
-        phi = random_series(rng, A2, 3)
-        psi = random_series(rng, A2, 3)
+        phi = _random_series(rng, A2, 3, max_terms=4)
+        psi = _random_series(rng, A2, 3, max_terms=4)
         product = convolve(phi, psi)
         support = {u * v for u in phi.support() for v in psi.support()}
         for w in support | product.support():
@@ -151,7 +143,7 @@ def test_right_apply():
     assert convolve(xi(0, 1), DELTA_E) == xi(0, 1)
     rng = random.Random(5)
     for _ in range(25):
-        phi, psi, x = (random_series(rng, A2, 2) for _ in range(3))
+        phi, psi, x = (_random_series(rng, A2, 2, max_terms=4) for _ in range(3))
         twice = convolve(convolve(x, psi), phi)
         once = convolve(x, convolve(psi, phi))
         assert twice == once
@@ -169,7 +161,7 @@ def test_adjoint_shift_examples():
 def test_adjoint_shift_is_contraction():
     rng = random.Random(11)
     for _ in range(25):
-        phi = random_series(rng, A2, 3)
+        phi = _random_series(rng, A2, 3, max_terms=4)
         assert adjoint_shift(Z0, phi).l2_norm() <= phi.l2_norm() + 1e-12
 
 
@@ -184,7 +176,7 @@ def test_conjugate_matches_transport():
     rng = random.Random(13)
     for _ in range(50):
         w = A2.word(rng.randrange(2) for _ in range(rng.randint(0, 2)))
-        phi = random_series(rng, A2, 3)
+        phi = _random_series(rng, A2, 3, max_terms=4)
         moved = conjugate_by(w, phi)
         for u, c in phi.iter_terms():
             v = transport(w, u)
@@ -201,7 +193,7 @@ def test_degree_part_examples():
     assert degree_part(xi(0, 1), 2) == xi(0, 1)
     rng = random.Random(17)
     for _ in range(20):
-        psi = random_series(rng, A2, 4)
+        psi = _random_series(rng, A2, 4, max_terms=4)
         total = Series.zero(A2)
         for j in range(6):
             total = total + degree_part(psi, j)
@@ -227,7 +219,7 @@ def test_cesaro_weights():
 def test_cesaro_defect_bound():
     rng = random.Random(19)
     for _ in range(50):
-        phi = random_series(rng, A2, 4)
+        phi = _random_series(rng, A2, 4, max_terms=4)
         if phi.is_zero():
             continue
         for k in (2, 3, 8, 32):
@@ -247,8 +239,8 @@ def test_conditional_expectation_examples():
 def test_conditional_expectation_multiplicative():
     rng = random.Random(23)
     for _ in range(200):
-        phi = random_series(rng, A3, 3)
-        psi = random_series(rng, A3, 3)
+        phi = _random_series(rng, A3, 3, max_terms=4)
+        psi = _random_series(rng, A3, 3, max_terms=4)
         subset = [a for a in range(3) if rng.random() < 0.5]
         lhs = conditional_expectation(convolve(phi, psi), subset)
         rhs = convolve(
@@ -261,14 +253,14 @@ def test_conditional_expectation_multiplicative():
 def test_conditional_expectation_fixes_covered_series():
     rng = random.Random(29)
     for _ in range(50):
-        phi = random_series(rng, A3, 3)
+        phi = _random_series(rng, A3, 3, max_terms=4)
         assert conditional_expectation(phi, phi.letters_used()) == phi
 
 
 def test_restrictions_contract_and_idempotent():
     rng = random.Random(31)
     for _ in range(50):
-        phi = random_series(rng, A2, 4)
+        phi = _random_series(rng, A2, 4, max_terms=4)
         for part in (
             conditional_expectation(phi, [0]),
             first_letter_part(phi, 0),
@@ -291,7 +283,7 @@ def test_first_letter_part_examples():
 def test_first_letter_partition():
     rng = random.Random(37)
     for _ in range(50):
-        phi = random_series(rng, A2, 4)
+        phi = _random_series(rng, A2, 4, max_terms=4)
         total = phi.coeff(E) * DELTA_E
         for a in range(2):
             total = total + first_letter_part(phi, a)
