@@ -77,6 +77,7 @@ from .series import (
 from .words import (
     Alphabet,
     Word,
+    _index,
     enumerate_words,
     min_word,
     power_shift_check,
@@ -167,9 +168,47 @@ def _register(name: str, params: ParamsFn):
 # --------------------------------------------------------------------------
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from ``range(n)`` for ``n >= 1``.
+
+    The rule of CPython's ``Random._randbelow_with_getrandbits``: draw
+    ``n.bit_length()`` bits and redraw while the result is ``>= n``.  So
+    ``randrange(n)`` is ``_below(rng.getrandbits, n)`` and ``randint(a, b)``
+    is ``a + _below(rng.getrandbits, b - a + 1)``, call for call on the same
+    bit stream, without the argument checks that ``randrange`` repeats on
+    every draw.  Every integer the checks draw goes through here.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_word(rng: random.Random, alphabet: Alphabet, max_len: int, min_len: int = 0) -> Word:
-    n = rng.randint(min_len, max_len)
-    return alphabet.word(rng.randrange(alphabet.size) for _ in range(n))
+    """A word with a uniform length in ``min_len..max_len`` and uniform letters.
+
+    The draws are those of ``rng.randint(min_len, max_len)`` and then one
+    ``rng.randrange(alphabet.size)`` per letter (see ``_below``), so words
+    and the generator state after them are those of the stdlib calls.  The
+    bounds are checked once, before the first draw: a non-integer bound or
+    an empty range raises ``ValueError`` (``_below`` of 0 would redraw for
+    ever).  The letters are in range by construction, so the word is built
+    through the trusted ``Word._of``.
+    """
+    low = _index(min_len, "min_len")
+    span = _index(max_len, "max_len") - low + 1
+    if span < 1:
+        raise ValueError(f"empty length range {min_len}..{max_len}")
+    getrandbits = rng.getrandbits
+    size = alphabet.size
+    n = low + _below(getrandbits, span)
+    return Word._of(alphabet, tuple([_below(getrandbits, size) for _ in range(n)]))
+
+
+def _random_coefficient(getrandbits: Callable[[int], int]) -> complex:
+    """A Gaussian integer with both parts uniform in ``-3..3``."""
+    return complex(_below(getrandbits, 7) - 3, _below(getrandbits, 7) - 3)
 
 
 def _random_series(
@@ -179,12 +218,10 @@ def _random_series(
     max_terms: int = 5,
     min_len: int = 0,
 ) -> Series:
+    getrandbits = rng.getrandbits
     terms = [
-        (
-            _random_word(rng, alphabet, max_len, min_len),
-            complex(rng.randint(-3, 3), rng.randint(-3, 3)),
-        )
-        for _ in range(rng.randint(1, max_terms))
+        (_random_word(rng, alphabet, max_len, min_len), _random_coefficient(getrandbits))
+        for _ in range(1 + _below(getrandbits, max_terms))
     ]
     return Series._from_valid((alphabet,), terms)
 
@@ -348,7 +385,8 @@ def _check_transport(params: dict) -> tuple[bool, Optional[dict]]:
         # a commuting pair always transports to itself
         root = _random_word(rng, alphabet, 3)
         if not root.is_unit():
-            p, q = root ** rng.randint(1, 3), root ** rng.randint(1, 3)
+            p = root ** (1 + _below(rng.getrandbits, 3))
+            q = root ** (1 + _below(rng.getrandbits, 3))
             if transport(p, q) != q:
                 return False, {"w": str(p), "u": str(q)}
     return True, None
@@ -636,7 +674,7 @@ def _check_normal_approx(params: dict) -> tuple[bool, Optional[dict]]:
     for trial in range(params["trials"]):
         symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
         phi = _random_series(rng, alphabet, params["deg"])
-        k = rng.randint(1, 32)
+        k = 1 + _below(rng.getrandbits, 32)
         full = frozenset(alphabet.letters())
         subset = frozenset(
             a for a in alphabet.letters() if rng.random() < 0.5
@@ -657,11 +695,11 @@ def _random_cochain(
     rng: random.Random, alphabet: Alphabet, arity: int, max_len: int, terms: int
 ) -> Cochain:
     if arity == 0:
-        return Cochain.scalar(alphabet, complex(rng.randint(-3, 3), rng.randint(-3, 3)))
+        return Cochain.scalar(alphabet, _random_coefficient(rng.getrandbits))
     keyed = [
         (
             tuple(_random_word(rng, alphabet, max_len) for _ in range(arity)),
-            complex(rng.randint(-3, 3), rng.randint(-3, 3)),
+            _random_coefficient(rng.getrandbits),
         )
         for _ in range(terms)
     ]
@@ -733,7 +771,7 @@ def _check_h1_dimension(params: dict) -> tuple[bool, Optional[dict]]:
             if not is_cocycle(delta):
                 return False, {"m": m, "reason": "generator cochain not a cocycle"}
         for _ in range(5):
-            scalar = Cochain.scalar(alphabet, complex(rng.randint(-3, 3), rng.randint(-3, 3)))
+            scalar = Cochain.scalar(alphabet, _random_coefficient(rng.getrandbits))
             if not coboundary(scalar).is_zero():
                 return False, {"m": m, "reason": "degree-zero coboundary nonzero"}
     return True, None

@@ -18,6 +18,7 @@ pair words against powers of the first generator with opposite weights.
 
 from __future__ import annotations
 
+import re
 from typing import Mapping, Optional
 
 from .series import (
@@ -58,6 +59,11 @@ class InconsistentDerivationError(ValueError):
 def inner_derivation(t: Series, phi: Series) -> Series:
     """The commutator derivation with symbol t: ``phi * t - t * phi``."""
     return convolve(phi, t) - convolve(t, phi)
+
+
+#: A generator key is its index in canonical decimal, the rule of word
+#: letters: one spelling per generator, so no key can silently replace another.
+_GENERATOR_KEY = re.compile(r"0|[1-9][0-9]*")
 
 
 class GeneratorDerivation:
@@ -152,6 +158,8 @@ class GeneratorDerivation:
         alphabet = Alphabet(data["alphabet"])
         values: dict[int, Series] = {}
         for key, sub in data.get("values", {}).items():
+            if not isinstance(key, str) or not _GENERATOR_KEY.fullmatch(key):
+                raise ValueError(f"generator key {key!r} is not a canonical decimal index")
             series = Series.from_json_dict(sub)
             if series.alphabet is not alphabet:
                 raise ValueError("generator value over a different alphabet")

@@ -344,22 +344,27 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     # Lanczos vectors as rows; the storage doubles as needed, never past n
     lanczos = np.empty((min(n, 16), n), dtype=complex)
     lanczos[0] = 1.0 / math.sqrt(n)
+    # the current run's tridiagonal is tri[:k, :k], written in place and grown
+    # with the storage; a restart sets k to 0, and every band entry of the new
+    # run is written before it is read
+    tri = np.zeros((len(lanczos), len(lanczos)))
+    k = 0
     first_run: Optional[float] = None  # top Ritz value of the run before the restart
-    alphas: list[float] = []
-    betas: list[float] = []
     previous = None
     for step in range(1, max_iter + 1):
         basis_so_far = lanczos[:step]
         q = basis_so_far[-1]
         w = gram(q)
-        alphas.append(float(np.vdot(q, w).real))
-        w -= alphas[-1] * q
-        if betas:
-            w -= betas[-1] * basis_so_far[-2]
+        alpha = float(np.vdot(q, w).real)
+        tri[k, k] = alpha
+        w -= alpha * q
+        if k:
+            w -= tri[k, k - 1] * basis_so_far[-2]
+        k += 1
         # full reorthogonalization against every Lanczos vector so far
         w -= (basis_so_far @ w.conj()).conj() @ basis_so_far
         beta = float(np.linalg.norm(w))
-        tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        tridiagonal = tri[:k, :k]
         ritz = float(np.linalg.eigvalsh(tridiagonal)[-1])
         best = max(ritz, first_run or 0.0)
         # rounding in one Gram product is about sqrt(n) eps times its norm
@@ -372,11 +377,15 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
         if (invariant or settled) and not restart:
             return math.sqrt(best)
         if step == len(lanczos):
-            grown = np.empty((min(2 * step, n), n), dtype=complex)
+            size = min(2 * step, n)
+            grown = np.empty((size, n), dtype=complex)
             grown[:step] = lanczos
             lanczos = grown
+            grown_tri = np.zeros((size, size))
+            grown_tri[:step, :step] = tri
+            tri = grown_tri
         if restart:
-            first_run, alphas, betas, previous = best, [], [], None
+            first_run, k, previous = best, 0, None
             # fractional parts of j * golden ratio: deterministic, with no pattern to
             # line up with a structured eigenvector, and no numpy.random import
             w = (np.modf(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2))[0] - 0.5).astype(complex)
@@ -385,7 +394,7 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
             beta = float(np.linalg.norm(w))
         else:
             previous = ritz
-            betas.append(beta)
+            tri[k - 1, k] = tri[k, k - 1] = beta
         lanczos[step] = w / beta
     raise PowerIterationError(f"Lanczos did not stabilize to {tol} within {max_iter} steps")
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -760,3 +761,110 @@ def test_report_all_runs_the_pinned_parameter_table(monkeypatch, capsys, argv, e
 
 def test_every_check_has_suite_parameters():
     assert list(cli.PARAMS) == list(cli.CHECKS)
+
+
+# -- the seeded draws -----------------------------------------------------------
+
+
+def stdlib_word(rng, alphabet, max_len, min_len=0):
+    """The word draw spelled with the stdlib calls it must match."""
+    n = rng.randint(min_len, max_len)
+    return alphabet.word(rng.randrange(alphabet.size) for _ in range(n))
+
+
+def stdlib_series(rng, alphabet, max_len, max_terms=5, min_len=0):
+    terms = [
+        (
+            stdlib_word(rng, alphabet, max_len, min_len),
+            complex(rng.randint(-3, 3), rng.randint(-3, 3)),
+        )
+        for _ in range(rng.randint(1, max_terms))
+    ]
+    return Series._from_valid((alphabet,), terms)
+
+
+BOUNDS = [(0, 0), (3, 3), (1, 6), (0, 1), (0, 4), (2, 9)]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("seed", [0, 1, 42, 7919])
+def test_word_draws_match_the_stdlib_calls(m, seed):
+    alphabet = Alphabet(m)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for min_len, max_len in BOUNDS * 20:
+        word = cli._random_word(ours, alphabet, max_len, min_len)
+        expected = stdlib_word(theirs, alphabet, max_len, min_len)
+        assert word.alphabet is alphabet
+        assert word.letters == expected.letters
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("seed", [0, 1, 42, 7919])
+def test_series_draws_match_the_stdlib_calls(m, seed):
+    alphabet = Alphabet(m)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for min_len, max_len in BOUNDS * 5:
+        for max_terms in (1, 4, 5):
+            series = cli._random_series(ours, alphabet, max_len, max_terms, min_len)
+            assert series == stdlib_series(theirs, alphabet, max_len, max_terms, min_len)
+            assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize(
+    "min_len, max_len", [(0, -1), (4, 3), (0, 2.5), (0, 2.0), (0, "3"), (0.5, 3)]
+)
+def test_word_draw_refuses_bad_bounds_before_drawing(min_len, max_len):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        cli._random_word(rng, A2, max_len, min_len)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("max_len", [-1, 2.5, "3"])
+def test_replay_with_bad_word_length_bounds_is_exit_2(tmp_path, capsys, max_len):
+    payload = {
+        "check": "words.order_invariance",
+        "params": {"m": 2, "max_len": max_len, "seed": 1, "trials": 10},
+    }
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code = main(["verify-words", "--replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad replay payload:")
+    assert "Traceback" not in captured.err
+
+
+ZERO_SERIES = {"alphabet": 2, "terms": []}
+COMMUTATOR = {
+    "alphabet": 2,
+    "terms": [
+        {"word": "z0z1", "re": 1.0, "im": 0.0},
+        {"word": "z1z0", "re": -1.0, "im": 0.0},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # "00" used to name generator 0 too and silently replace its value
+        {"0": COMMUTATOR, "00": ZERO_SERIES, "1": ZERO_SERIES},
+        {"+0": COMMUTATOR, "1": ZERO_SERIES},
+        {" 0": COMMUTATOR},
+        {"0 ": COMMUTATOR},
+        {"01": COMMUTATOR},
+        {"-1": ZERO_SERIES},
+        {"": ZERO_SERIES},
+    ],
+)
+def test_solve_derivation_refuses_a_non_canonical_generator_key(tmp_path, capsys, values):
+    infile = tmp_path / "derivation.json"
+    infile.write_text(json.dumps({"alphabet": 2, "values": values}))
+    code = main(["solve-derivation", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad derivation input:")
+    assert captured.out == ""
