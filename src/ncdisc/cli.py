@@ -24,6 +24,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -472,11 +473,13 @@ def _check_compression_product(params: dict) -> tuple[bool, Optional[dict]]:
         product = left_matrix(phi, basis) @ left_matrix(psi, basis)
         direct = left_matrix(convolve(phi, psi), basis)
         degrees = int(max(phi.degree(), 0) + max(psi.degree(), 0))
-        if max_column_deviation(product, direct, basis.cutoff - degrees) > 1e-12:
+        # Gaussian-integer coefficients in [-3, 3]: every product and sum of
+        # them is a small Gaussian integer, exact in floats, so both sides agree exactly
+        if max_column_deviation(product, direct, basis.cutoff - degrees) != 0.0:
             return False, {"trial": trial, "phi": str(phi), "psi": str(psi)}
         if degrees <= basis.cutoff:
             acted = left_matrix(phi, basis).apply(psi)
-            if max_coeff_diff(acted, convolve(phi, psi)) > 1e-12:
+            if max_coeff_diff(acted, convolve(phi, psi)) != 0.0:
                 return False, {"trial": trial, "reason": "matrix action differs"}
     return True, None
 
@@ -750,7 +753,9 @@ def _check_homotopy_roundtrip(params: dict) -> tuple[bool, Optional[dict]]:
                 direct = homotopy_on_series(
                     cocycle, [Series.basis(w) for w in key]
                 )
-                if abs(direct - psi.coeff(key)) > 1e-12:
+                # the cochains hold Gaussian integers in [-3, 3] and both routes
+                # only add and move them, so they agree exactly
+                if direct != psi.coeff(key):
                     return False, {
                         "trial": trial,
                         "arity": arity,
@@ -875,12 +880,11 @@ def _emit_report(report_dict: dict, args: argparse.Namespace) -> bool:
 
 def _cmd_replay(path: str) -> int:
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
+        payload = _load_json(path)
         name = payload.get("check", payload.get("name"))
         params = payload.get("params", payload.get("payload"))
         fn = CHECKS[name]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         print(f"bad replay payload: {err}", file=sys.stderr)
         return 2
     refused = (ValueError, KeyError, TypeError)
@@ -937,9 +941,19 @@ def _cmd_verify(args: argparse.Namespace, suites: Sequence[str]) -> int:
     return 0 if merged["passed"] else 1
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: refuse a repeated key, which plain ``json`` keeps the last of."""
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, count in counts.items() if count > 1)
+        raise ValueError(f"repeated JSON object key {repeated!r}")
+    return table
+
+
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, object_pairs_hook=_unique_keys)
 
 
 def _cmd_dump_matrix(args: argparse.Namespace) -> int:

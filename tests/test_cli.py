@@ -1,8 +1,12 @@
 import copy
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,19 @@ def test_verify_words_passes(capsys):
     assert report["suite"] == "words"
     assert report["passed"] is True
     assert all(check["passed"] for check in report["checks"])
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "ncdisc", "verify-words", "--alphabet", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["passed"] is True
 
 
 def test_verify_operators_passes(capsys):
@@ -867,4 +884,50 @@ def test_solve_derivation_refuses_a_non_canonical_generator_key(tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("bad derivation input:")
+    assert captured.out == ""
+
+
+COMMUTATOR_TEXT = json.dumps(COMMUTATOR)
+ZERO_TEXT = json.dumps(ZERO_SERIES)
+
+
+@pytest.mark.parametrize(
+    "argv, text, refusal",
+    [
+        # plain json.load kept the later zero value and solved for the zero symbol
+        (
+            ["solve-derivation", "--in"],
+            f'{{"alphabet": 2, "values": {{"0": {COMMUTATOR_TEXT}, "0": {ZERO_TEXT}}}}}',
+            "bad derivation input:",
+        ),
+        # plain json.load dumped this as alphabet 3 with the entry z2,e,5.0,0.0
+        (
+            ["verify-operators", "--cutoff", "1", "--dump-matrix"],
+            '{"alphabet": 2, "alphabet": 3,'
+            ' "terms": [{"word": "z2", "re": 1.0, "im": 0.0, "re": 5.0}]}',
+            "bad series input:",
+        ),
+        (
+            ["trivialize-cocycle", "--in"],
+            '{"arity": 3, "alphabet": 2,'
+            ' "terms": [{"words": ["z0", "z1", "z0"], "re": 1.5, "im": 0.0, "im": 2.0}]}',
+            "bad cochain input:",
+        ),
+        (
+            ["verify-words", "--replay"],
+            '{"check": "words.power_shift_sweep",'
+            ' "params": {"m": 2, "w_max": 2, "u_max": 3, "m": 3}}',
+            "bad replay payload:",
+        ),
+    ],
+    ids=["solve-derivation", "dump-matrix", "trivialize-cocycle", "replay"],
+)
+def test_repeated_json_keys_are_bad_input(tmp_path, capsys, argv, text, refusal):
+    infile = tmp_path / "input.json"
+    infile.write_text(text)
+    code = main([*argv, str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(refusal)
+    assert "repeated" in captured.err
     assert captured.out == ""

@@ -405,6 +405,40 @@ def test_norm_estimate_nonconvergence_reported():
         norm_estimate(op, tol=1e-15, max_iter=2)
 
 
+@pytest.mark.parametrize("cutoff", [12, 13])
+def test_norm_estimate_memory_is_linear(cutoff):
+    # the three-term recurrence and its replays hold a handful of vectors; a
+    # stored Lanczos basis would hold one per step, 60-120 here
+    basis = TruncationBasis(A2, cutoff)
+    cases = [left_matrix(_random_series(random.Random(seed), A2, 3, max_terms=4), basis)
+             for seed in (300, 12)]
+    cases.append(left_matrix(xi(0, 1), basis))  # an invariant exit: the certificate replays
+    for op in cases:
+        budget = 16 * 16 * (op.basis.dimension + op.vals.size)
+        tracemalloc.start()
+        try:
+            norm_estimate(op, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+
+def test_norm_estimate_over_nested_cutoffs():
+    # the compressions are nested, so their norms cannot fall as the cutoff
+    # grows; this symbol's norms rise at every rung
+    phi = _random_series(random.Random(300), A2, 3, max_terms=4)
+    previous = 0.0
+    for cutoff in range(6, 14):
+        op = left_matrix(phi, TruncationBasis(A2, cutoff))
+        estimate = norm_estimate(op, 1e-9)
+        assert estimate >= previous
+        if op.basis.dimension <= 1023:
+            exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+            assert estimate == pytest.approx(exact, abs=1e-8)
+        previous = estimate
+
+
 # -- relation checks -------------------------------------------------------------
 
 
