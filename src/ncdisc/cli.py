@@ -39,6 +39,7 @@ from .cohomology import (
     homotopy_on_series,
     is_cocycle,
     one_cocycle_dimension,
+    trivialize,
 )
 from .derivations import (
     GeneratorDerivation,
@@ -1049,11 +1050,10 @@ def _read_cocycle(data: dict) -> Cochain:
 
 def _trivialize(cochain: Cochain) -> tuple[dict, Optional[tuple]]:
     try:
-        psi = homotopy(cochain)
+        psi, residual = trivialize(cochain)
     except NonCocycleError as err:
         error = {"message": "input is not a cocycle", "witness": [str(w) for w in err.witness]}
         return {"passed": False, "error": error}, None
-    residual = coboundary(psi) - cochain
     report = {"passed": residual.is_zero(), "residual_terms": len(residual.table)}
     return report, ("cochain", psi.to_json_dict())
 

@@ -4,24 +4,29 @@ Cochains are finitely supported coefficient tables on tuples of words,
 representing multilinear functionals on the span of the basis shifts with
 values in the scalars.  They share the coefficient-table core of
 ``series``: the arity and the tuple keys are checked once, at the public
-constructor, and the homotopy builds its result through the core's
-sum-and-prune step.  The coboundary runs the same sum and the same prune
-test as one numpy kernel: each term of an input key spells the key's
-letter string and differs only in its cut positions, so it is coded as
-an int64 of the string's id and its cuts, and ``Word`` objects are built
-only for the keys that survive.  The JSON reader of the core parses each
-distinct word text once per input.  Both module actions multiply by the
-coefficient at the unit word, so the bimodule is symmetric and the
-degree-zero coboundary vanishes.  The coboundary of a table is again a
-finitely supported table, and every cocycle of arity at least two is
-trivialized by an explicit homotopy that cuts the first word after its
-first letter.
+constructor.  The JSON reader of the core parses each distinct word text
+once per input.  Both module actions multiply by the coefficient at the
+unit word, so the bimodule is symmetric and the degree-zero coboundary
+vanishes.  The coboundary of a table is again a finitely supported table,
+and every cocycle of arity at least two is trivialized by an explicit
+homotopy that cuts the first word after its first letter.
+
+One encoding serves the cocycle check, the homotopy and its residual.  A
+key's words concatenate to a letter string; the key is that string,
+interned to an int id, and its cut positions.  The coboundary's terms,
+the homotopy's terms and the residual's terms all keep their key's string
+and move only its cuts, so each of the three is a numpy kernel on that
+encoding.  The coboundary and the residual sum their terms by a code of
+string id and cuts, in the order the formula generates them, and prune
+with the table core's test, exactly as the core's sum-and-prune step
+would; the homotopy's terms never share a key.  ``Word`` objects are
+built only for the keys that survive.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -143,6 +148,68 @@ class Cochain(CoefficientTable):
 _CODE_MAX = int(np.iinfo(np.int64).max)
 
 
+class _CutCodes(NamedTuple):
+    """A cochain table on cut codes, one row per term, in the table's order.
+
+    Row k spells the letter string ``spelled[ids[k]]``, cut at
+    ``bounds[k] = (0, |w1|, |w1 w2|, ..., |S|)``, with coefficient
+    ``re[k] + i im[k]``.  Two rows have the same word tuple exactly when
+    they have the same string id and the same bounds.  Bounds are int32,
+    which halves the coboundary's term matrix; codes are int64.
+    """
+
+    alphabet: Alphabet
+    spelled: list[tuple[int, ...]]
+    ids: np.ndarray
+    bounds: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+    def rows(self, at: np.ndarray, re: np.ndarray, im: np.ndarray) -> "_CutCodes":
+        """The rows ``at`` with the coefficients ``re + i im``."""
+        return self._replace(ids=self.ids[at], bounds=self.bounds[at], re=re, im=im)
+
+
+def _encode(phi: Cochain) -> _CutCodes:
+    """Each key's letter string, interned to an int id, and its cut positions."""
+    strings: dict[tuple[int, ...], int] = {}
+    ids = []
+    bounds = []
+    for key in phi.table:
+        letters: tuple[int, ...] = ()
+        row = [0]
+        for w in key:
+            letters += w.letters
+            row.append(len(letters))
+        ids.append(strings.setdefault(letters, len(strings)))
+        bounds += row
+    coeffs = np.fromiter(phi.table.values(), complex, len(ids))
+    return _CutCodes(
+        phi.alphabet,
+        list(strings),
+        np.array(ids, dtype=np.int64),
+        np.array(bounds, dtype=np.int32).reshape(len(ids), phi.arity + 1),
+        coeffs.real,
+        coeffs.imag,
+    )
+
+
+def _decode(codes: _CutCodes) -> Cochain:
+    """The cochain of distinct rows; ``Word`` objects are built here only,
+    one per distinct letter tuple."""
+    out = Cochain(codes.bounds.shape[1] - 1, codes.alphabet)
+    word = functools.cache(functools.partial(Word._of, codes.alphabet))
+    spelled = codes.spelled
+    table = {}
+    for k, row, re, im in zip(
+        codes.ids.tolist(), codes.bounds.tolist(), codes.re.tolist(), codes.im.tolist()
+    ):
+        s = spelled[k]
+        table[tuple(word(s[a:b]) for a, b in zip(row, row[1:]))] = complex(re, im)
+    out.table = table
+    return out
+
+
 def _append_digit(codes: np.ndarray, digits: np.ndarray, radix: int) -> np.ndarray:
     """``codes * radix + digits`` for digits below ``radix``.  Codes that
     could overflow int64 are first replaced by their dense ranks, which keep
@@ -152,57 +219,100 @@ def _append_digit(codes: np.ndarray, digits: np.ndarray, radix: int) -> np.ndarr
     return codes * radix + digits
 
 
-def _summed_cut_terms(
-    string_ids: np.ndarray, bounds: np.ndarray, coeffs: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The coboundary's sum and prune over cut-position codes.
+def _group(ids: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by word tuple: each row's string id and interior cuts,
+    coded in mixed radix ``max|S| + 1``.  Returns the first row of each
+    group, in code order, and each row's group.
 
-    Input key k spells the letter string with id ``string_ids[k]``, cut at
-    ``bounds[k] = (0, |w1|, |w1 w2|, ..., |S|)``.  Its terms form a block
-    of ``|S| + n + 2``: the leading unit, then for each slot i the cuts
-    p = ``bounds[k, i] .. bounds[k, i + 1]`` at offset ``1 + i + p``, then
-    the trailing unit.  The two units have the keys of slot 0 cut at 0 and
-    of slot n-1 cut at |S|.  A term's output key is its string and the
-    input bounds with p inserted, coded in mixed radix ``max|S| + 1``.
-    ``np.bincount`` sums each key's terms in generation order, as the table
-    core would.
-
-    Returns the input key, slot and cut of each surviving output key's
-    first term, in order of first occurrence, and the real and imaginary
-    parts of its sum.
+    Each code takes its row as one more digit, so one plain sort orders
+    equal codes by row and puts each group's first row at its head.
     """
+    radix = int(bounds[:, -1].max()) + 1
+    codes = ids
+    for digits in bounds.T[1:-1]:
+        codes = _append_digit(codes, digits, radix)
+    shift = (len(codes) - 1).bit_length()
+    coded = np.sort(_append_digit(codes, np.arange(len(codes)), 1 << shift))
+    rows = coded & ((1 << shift) - 1)
+    coded >>= shift
+    head = np.empty(len(coded), dtype=bool)
+    head[0] = True
+    np.not_equal(coded[1:], coded[:-1], out=head[1:])
+    inverse = np.empty_like(rows)
+    inverse[rows] = np.cumsum(head) - 1
+    return rows[head], inverse
+
+
+def _survivors(re: np.ndarray, im: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The groups the table core's prune keeps, sorted by ``order``."""
+    kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
+    return kept[np.argsort(order[kept])]
+
+
+def _summed(terms: _CutCodes) -> _CutCodes:
+    """The table core's sum and prune on codes: ``np.bincount`` sums each
+    key's terms in generation order, and the keys stay in order of first
+    occurrence."""
+    if not terms.ids.size:
+        return terms
+    first, inverse = _group(terms.ids, terms.bounds)
+    re = np.bincount(inverse, weights=terms.re)
+    im = np.bincount(inverse, weights=terms.im)
+    kept = _survivors(re, im, first)
+    return terms.rows(first[kept], re[kept], im[kept])
+
+
+def _coboundary_terms(phi: _CutCodes) -> _CutCodes:
+    """The coboundary formula's terms, in generation order, before summing.
+
+    Input row k gives a block of ``|S| + n + 2`` terms: the leading unit,
+    then for each slot i the cuts p = ``bounds[k, i] .. bounds[k, i + 1]``
+    at offset ``1 + i + p``, then the trailing unit.  The two units have the
+    keys of slot 0 cut at 0 and of slot n-1 cut at |S|.  A term spells its
+    row's string, with the row's bounds and p inserted after slot i.
+    """
+    bounds = phi.bounds
     n = bounds.shape[1] - 1
-    lengths = bounds[:, n]
-    sizes = lengths + n + 2
+    sizes = bounds[:, n] + (n + 2)
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    local = np.arange(owner.size) - starts[owner]
+    inner = bounds.take(owner, axis=0)
+    local = np.arange(owner.size) - starts.take(owner)
     slot = np.zeros_like(local)
     for i in range(1, n):
-        slot += local >= (1 + i + bounds[:, i])[owner]
-    cut_at = np.clip(local - 1 - slot, 0, lengths[owner])
+        slot += local > inner[:, i] + i
+    cut_at = np.minimum(np.maximum(local - 1 - slot, 0), inner[:, n])
     del local
 
-    sign = np.where(slot % 2 == 0, -1.0, 1.0)
+    sign = (slot & 1) * 2.0 - 1.0
     sign[starts] = 1.0
     sign[starts + sizes - 1] = 1.0 if (n + 1) % 2 == 0 else -1.0
-    codes = string_ids[owner]
-    radix = int(lengths.max()) + 1
-    for j in range(n):
-        before = bounds[owner, j + 1]
-        after = bounds[owner, j]
-        digits = np.where(j < slot, before, np.where(j == slot, cut_at, after))
-        codes = _append_digit(codes, digits, radix)
-    del before, after, digits
+    out = np.empty((owner.size, n + 2), dtype=bounds.dtype)
+    out[:, 0] = 0
+    out[:, n + 1] = inner[:, n]
+    for c in range(1, n + 1):
+        out[:, c] = np.where(
+            slot >= c, inner[:, c], np.where(slot == c - 1, cut_at, inner[:, c - 1])
+        )
+    return _CutCodes(
+        phi.alphabet,
+        phi.spelled,
+        phi.ids.take(owner),
+        out,
+        sign * phi.re.take(owner),
+        sign * phi.im.take(owner),
+    )
 
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    del codes
-    re = np.bincount(inverse, weights=sign * coeffs.real[owner])
-    im = np.bincount(inverse, weights=sign * coeffs.imag[owner])
-    kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
-    kept = kept[np.argsort(first[kept])]
-    at = first[kept]
-    return owner[at], slot[at], cut_at[at], re[kept], im[kept]
+
+def _violation(phi: _CutCodes) -> Optional[WordTuple]:
+    """Least tuple where the coboundary is nonzero, or None for a cocycle;
+    ``Word`` objects are built only for a non-cocycle's surviving keys."""
+    if phi.bounds.shape[1] == 1 or not phi.ids.size:
+        return None
+    boundary = _summed(_coboundary_terms(phi))
+    if not boundary.ids.size:
+        return None
+    return min(_decode(boundary).table, key=Cochain._sort_key)
 
 
 def coboundary(phi: Cochain) -> Cochain:
@@ -216,54 +326,57 @@ def coboundary(phi: Cochain) -> Cochain:
     zero maps to the zero one-cochain: the scalar bimodule is symmetric.
 
     Every term from an input key spells the same letter string S as that
-    key; only its n cut positions differ.  So each distinct S gets an int
-    id, each term the code of its id and cuts, and one array kernel sums
-    the terms by code in the order the formula generates them, then prunes
-    with the table core's test.  ``Word`` objects are built only for the
+    key; only its n cut positions differ.  So the table is encoded once on
+    cut codes, and one array kernel sums the terms by code in the order the
+    formula generates them, then prunes with the table core's test.  The
+    same encoding and kernel serve the cocycle check, the homotopy and its
+    residual (:func:`trivialize`).  ``Word`` objects are built only for the
     keys that survive, one per distinct letter tuple.
     """
-    n = phi.arity
-    alphabet = phi.alphabet
-    out = Cochain(n + 1, alphabet)
-    if n == 0 or not phi.table:
-        return out
-    strings: dict[tuple[int, ...], int] = {}
-    spelled = []
-    string_ids = []
-    bounds = []
-    for key in phi.table:
-        letters: tuple[int, ...] = ()
-        row = [0]
-        for w in key:
-            letters += w.letters
-            row.append(len(letters))
-        spelled.append(letters)
-        string_ids.append(strings.setdefault(letters, len(strings)))
-        bounds.append(row)
-    coeffs = np.fromiter(phi.table.values(), complex, len(bounds))
-    summed = _summed_cut_terms(np.array(string_ids), np.array(bounds), coeffs)
-
-    word = functools.cache(functools.partial(Word._of, alphabet))
-    table = {}
-    for k, i, p, re, im in zip(*(column.tolist() for column in summed)):
-        row = bounds[k]
-        cuts = (*row[: i + 1], p, *row[i + 1 :])
-        s = spelled[k]
-        table[tuple(word(s[a:b]) for a, b in zip(cuts, cuts[1:]))] = complex(re, im)
-    out.table = table
-    return out
+    if phi.arity == 0 or not phi.table:
+        return Cochain(phi.arity + 1, phi.alphabet)
+    return _decode(_summed(_coboundary_terms(_encode(phi))))
 
 
 def is_cocycle(phi: Cochain) -> bool:
-    return coboundary(phi).is_zero()
+    return _violation(_encode(phi)) is None
 
 
 def first_cocycle_violation(phi: Cochain) -> Optional[WordTuple]:
     """Least tuple where the coboundary is nonzero, or None for a cocycle."""
-    boundary = coboundary(phi)
-    if boundary.is_zero():
-        return None
-    return min(boundary.table, key=Cochain._sort_key)
+    return _violation(_encode(phi))
+
+
+def _homotopy_codes(phi: Cochain) -> tuple[_CutCodes, _CutCodes]:
+    """The codes of a cocycle and of its homotopy.
+
+    Both branches of the homotopy keep the key's letter string and drop its
+    first interior cut: a key with |s1| = 1 becomes ``(s1 s2, ...)`` with
+    weight -c, and a key with s1 = s2 = e drops one of its two leading zero
+    cuts and keeps weight c.  No two keys meet: the first branch keeps s1,
+    the second yields the only keys with a unit first word.  So the table
+    core's sum and prune would only add each coefficient to ``0j``, which
+    ``+ 0.0`` repeats (it turns -0.0 into 0.0), and keep it.
+    """
+    if phi.arity < 2:
+        raise ValueError("homotopy needs arity at least 2")
+    codes = _encode(phi)
+    witness = _violation(codes)
+    if witness is not None:
+        raise NonCocycleError(
+            f"not a cocycle: coboundary is nonzero at ({', '.join(str(w) for w in witness)})",
+            witness=witness,
+        )
+    single = codes.bounds[:, 1] == 1
+    at = np.flatnonzero(single | (codes.bounds[:, 2] == 0))
+    sign = np.where(single[at], -1.0, 1.0)
+    psi = codes._replace(
+        ids=codes.ids[at],
+        bounds=codes.bounds[at].take([0, *range(2, phi.arity + 1)], axis=1),
+        re=sign * codes.re[at] + 0.0,
+        im=sign * codes.im[at] + 0.0,
+    )
+    return codes, psi
 
 
 def homotopy(phi: Cochain) -> Cochain:
@@ -275,25 +388,52 @@ def homotopy(phi: Cochain) -> Cochain:
         psi(e,  ...) =  phi(e, e, ...).
 
     Non-cocycles are rejected with the least violating tuple as witness.
+    The cocycle check and psi run on one cut-code encoding of phi (see
+    :func:`coboundary`); ``Word`` objects are built only for psi's keys.
     """
-    if phi.arity < 2:
-        raise ValueError("homotopy needs arity at least 2")
-    witness = first_cocycle_violation(phi)
-    if witness is not None:
-        raise NonCocycleError(
-            f"not a cocycle: coboundary is nonzero at ({', '.join(str(w) for w in witness)})",
-            witness=witness,
-        )
-    e = phi.alphabet.unit()
+    return _decode(_homotopy_codes(phi)[1])
 
-    def terms():
-        for (s1, s2, *tail), c in phi.table.items():
-            if len(s1) == 1:
-                yield (s1 * s2, *tail), -c
-            elif s1 == e and s2 == e:
-                yield (e, *tail), c
 
-    return Cochain._from_valid((phi.arity - 1, phi.alphabet), terms())
+def trivialize(phi: Cochain) -> tuple[Cochain, Cochain]:
+    """The homotopy psi of a cocycle and its residual ``coboundary(psi) - phi``.
+
+    Equal to ``homotopy(phi)`` and ``coboundary(psi) - phi`` term for term
+    and bit for bit, from one encoding of phi.  The residual is one kernel
+    call over the coboundary terms of psi's codes and phi's own rows, which
+    share phi's string ids.  As in the table core's subtraction, the
+    coboundary is summed and pruned first, then phi is subtracted key by key
+    and the difference pruned; keys keep the subtraction's order.  For a
+    correct psi nothing survives, so no ``Word`` is built for the residual.
+    """
+    codes, psi = _homotopy_codes(phi)
+    return _decode(psi), _decode(_residual(psi, codes))
+
+
+def _residual(psi: _CutCodes, phi: _CutCodes) -> _CutCodes:
+    """``coboundary(psi) - phi`` on codes that share phi's string ids, with
+    the table core's sums, prunes and key order (see :func:`trivialize`)."""
+    boundary = _coboundary_terms(psi)
+    size = boundary.ids.size
+    ids = np.concatenate([boundary.ids, phi.ids])
+    if not ids.size:
+        return phi
+    bounds = np.concatenate([boundary.bounds, phi.bounds])
+    first, inverse = _group(ids, bounds)
+    re = np.bincount(inverse[:size], boundary.re, first.size)
+    im = np.bincount(inverse[:size], boundary.im, first.size)
+    dropped = np.hypot(re, im) <= PRUNE_EPS
+    re[dropped] = 0.0
+    im[dropped] = 0.0
+    # phi has distinct keys, so each group takes at most one of its rows
+    minus = inverse[size:]
+    re[minus] -= phi.re
+    im[minus] -= phi.im
+    # a key the coboundary lacks comes after its keys, in phi's order
+    order = first.copy()
+    late = dropped[minus]
+    order[minus[late]] = size + np.flatnonzero(late)
+    kept = _survivors(re, im, order)
+    return phi._replace(ids=ids, bounds=bounds).rows(first[kept], re[kept], im[kept])
 
 
 def homotopy_on_series(phi: Cochain, args: Sequence[Series]) -> complex:

@@ -473,12 +473,16 @@ def isometry_relations(basis: TruncationBasis) -> dict[str, float]:
     }
 
 
-def conjugation_check(w: Word, phi: Series, basis: TruncationBasis, tol: float = 1e-12) -> bool:
+def conjugation_check(w: Word, phi: Series, basis: TruncationBasis, tol: float = 0.0) -> bool:
     """Sandwiching the compression of phi between the shift by w and its adjoint
     matches the compression of the transported series.
 
     Requires ``deg(phi) + 2|w| <= cutoff``; compared on the columns of degree
-    at most ``cutoff - deg(phi) - 2|w|``.
+    at most ``cutoff - deg(phi) - 2|w|``.  The default tolerance is zero
+    because the identity is exact in floating point for any coefficients:
+    each entry of the sandwich is one entry ``L[wu, wv]`` times the shifts'
+    unit entries, and ``transport`` is injective, so ``conjugate_by`` never
+    adds two coefficients.
     """
     deg = 0 if phi.is_zero() else int(phi.degree())
     budget = deg + 2 * len(w)

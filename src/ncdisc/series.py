@@ -53,6 +53,22 @@ def _sum_and_prune(terms: Terms) -> dict:
     return {key: c for key, c in table.items() if not abs(c) <= PRUNE_EPS}
 
 
+#: The types ``json`` reads a JSON number as; ``bool`` is not one of them.
+_JSON_NUMBERS = (int, float)
+
+
+def _json_coefficient(term: Mapping) -> complex:
+    """The coefficient of a JSON term: ``re`` and an optional ``im``, each a
+    JSON number, never a string or a boolean."""
+    re, im = term["re"], term.get("im", 0.0)
+    if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
+        raise ValueError(f"coefficient parts {re!r}, {im!r} are not both JSON numbers")
+    try:
+        return complex(re, im)
+    except OverflowError as err:
+        raise ValueError(f"coefficient out of range: {err}") from None
+
+
 class CoefficientTable:
     """Immutable finitely supported map from keys to complex coefficients.
 
@@ -157,10 +173,7 @@ class CoefficientTable:
         out = cls(*shape)
         parse = functools.cache(out.alphabet.parse)
         terms = (
-            (
-                cls._parse_key(parse, term[cls._KEY_FIELD]),
-                complex(float(term["re"]), float(term.get("im", 0.0))),
-            )
+            (cls._parse_key(parse, term[cls._KEY_FIELD]), _json_coefficient(term))
             for term in data.get("terms", ())
         )
         out.table = _sum_and_prune(out._checked(terms))

@@ -228,6 +228,26 @@ def test_trivialize_cocycle_rejects_non_cocycle(tmp_path, capsys):
     assert report["error"]["witness"] == ["z0", "z1", "z1"]
 
 
+#: Solver inputs under tests/data/solvers with their command and exit code.
+#: Each ``<case>.out`` is the exact stdout, written by
+#: ``python -m ncdisc <command> --in tests/data/solvers/<case>.json``.
+GOLDEN_CASES = {
+    "cocycle": ("trivialize-cocycle", 0),
+    "non_cocycle": ("trivialize-cocycle", 1),
+    "derivation": ("solve-derivation", 0),
+    "screened_derivation": ("solve-derivation", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_solver_output_matches_its_golden_file(case, capsys):
+    command, expected = GOLDEN_CASES[case]
+    golden = Path(__file__).parent / "data" / "solvers"
+    code = main([command, "--in", str(golden / f"{case}.json")])
+    assert code == expected
+    assert capsys.readouterr().out == (golden / f"{case}.out").read_text()
+
+
 def test_trivialize_cocycle_rejects_low_arity(tmp_path, capsys):
     low = Cochain(1, A2, {(A2.generator(0),): 1.0})
     infile = tmp_path / "low.json"
@@ -352,6 +372,45 @@ def test_non_finite_coefficients_are_bad_input(tmp_path, capsys):
             assert code == 2, (argv, value)
             assert captured.err.startswith(f"bad {message} input:")
             assert captured.out == ""
+
+
+#: Coefficient parts that are not JSON numbers, and an integer past float range.
+NOT_FLOAT_NUMBERS = {
+    "string": '"re": "3"',
+    "boolean": '"re": true',
+    "string_im": '"re": 1, "im": "0"',
+    "boolean_im": '"re": 1, "im": false',
+    "huge_integer": '"re": 1' + "0" * 400,
+}
+
+
+@pytest.mark.parametrize("part", list(NOT_FLOAT_NUMBERS.values()), ids=list(NOT_FLOAT_NUMBERS))
+def test_coefficients_that_are_not_json_numbers_are_bad_input(tmp_path, capsys, part):
+    series = '{"alphabet": 2, "terms": [{"word": "z0z1", %s}]}' % part
+    inputs = (
+        ("solve-derivation", "derivation", '{"alphabet": 2, "values": {"0": %s}}' % series),
+        (
+            "trivialize-cocycle",
+            "cochain",
+            '{"arity": 2, "alphabet": 2, "terms": [{"words": ["z0", "z1"], %s}]}' % part,
+        ),
+    )
+    infile = tmp_path / "input.json"
+    for command, what, text in inputs:
+        infile.write_text(text)
+        code = main([command, "--in", str(infile)])
+        captured = capsys.readouterr()
+        assert code == 2, (command, part)
+        assert captured.err.startswith(f"bad {what} input:")
+        assert captured.out == ""
+
+
+def test_integer_coefficients_are_json_numbers(tmp_path, capsys):
+    infile = tmp_path / "input.json"
+    infile.write_text('{"arity": 2, "alphabet": 2, "terms": [{"words": ["z0", "z1"], "re": 3}]}')
+    code, out = run(capsys, "trivialize-cocycle", "--in", str(infile))
+    assert code == 0
+    assert json.loads(out)["cochain"]["terms"] == [{"words": ["z0z1"], "re": -3.0, "im": 0.0}]
 
 
 def full_scan_power_shift(params):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncdisc import cohomology
 from ncdisc.cli import _random_cochain, _random_word
 from ncdisc.cohomology import (
     Cochain,
@@ -19,6 +20,7 @@ from ncdisc.cohomology import (
     module_left,
     one_cocycle_constraints,
     one_cocycle_dimension,
+    trivialize,
 )
 from ncdisc.series import PRUNE_EPS, Series, _sum_and_prune
 from ncdisc.words import Alphabet, enumerate_words
@@ -381,6 +383,146 @@ def test_homotopy_trivializes_random_cocycles():
             psi = homotopy(cocycle)
             assert coboundary(psi) == cocycle
             assert (coboundary(psi) - cocycle).is_zero()
+
+
+def _word_level_homotopy(phi):
+    """Reference: the homotopy's terms built as ``Word`` products and summed
+    by the table core, after the same cocycle check."""
+    witness = first_cocycle_violation(phi)
+    if witness is not None:
+        raise NonCocycleError("not a cocycle", witness=witness)
+    e = phi.alphabet.unit()
+
+    def terms():
+        for (s1, s2, *tail), c in phi.table.items():
+            if len(s1) == 1:
+                yield (s1 * s2, *tail), -c
+            elif s1 == e and s2 == e:
+                yield (e, *tail), c
+
+    return Cochain._from_valid((phi.arity - 1, phi.alphabet), terms())
+
+
+def _seeded_cocycle(rng, alphabet, arity):
+    """The coboundary of a seeded cochain (unit words in slots, weights from
+    1e-8 to 1e8), moved by dust on both sides of PRUNE_EPS at keys the
+    homotopy reads: some stay cocycles, the rest are refused."""
+    table = dict(coboundary(_seeded_cochain(rng, alphabet, arity - 1)).table)
+    e = alphabet.unit()
+    for _ in range(3):
+        tail = tuple(_random_word(rng, alphabet, 2) for _ in range(arity - 2))
+        first = alphabet.generator(rng.randrange(alphabet.size))
+        for key in ((first, _random_word(rng, alphabet, 2), *tail), (e, e, *tail)):
+            table[key] = table.get(key, 0j) + rng.choice([0.6, 1.2]) * PRUNE_EPS
+    return Cochain(arity, alphabet, table)
+
+
+def test_homotopy_and_residual_match_the_word_level_reference_bit_for_bit():
+    rng = random.Random(31)
+    outcomes = []
+    for m in (1, 2, 3):
+        alphabet = Alphabet(m)
+        for arity in (2, 3, 4, 5):
+            for _ in range(4):
+                phi = _seeded_cocycle(rng, alphabet, arity)
+                try:
+                    expected = _word_level_homotopy(phi)
+                except NonCocycleError as err:
+                    for solver in (homotopy, trivialize):
+                        with pytest.raises(NonCocycleError) as info:
+                            solver(phi)
+                        assert info.value.witness == err.witness
+                    outcomes.append("refused")
+                    continue
+                psi = homotopy(phi)
+                assert psi.arity == arity - 1
+                assert _bits(psi.table.items()) == _bits(expected.table.items())
+                psi, residual = trivialize(phi)
+                assert _bits(psi.table.items()) == _bits(expected.table.items())
+                reference = coboundary(expected) - phi
+                assert residual.arity == arity
+                assert _bits(residual.table.items()) == _bits(reference.table.items())
+                outcomes.append("trivialized")
+    assert set(outcomes) == {"refused", "trivialized"}
+
+
+def test_residual_of_a_perturbed_homotopy_matches_the_reference():
+    # the residual kernel on psi's codes moved by a scale, by dust on both
+    # sides of PRUNE_EPS, by a dropped key, by a key shrunk to dust and by a
+    # key at new cuts
+    rng = random.Random(37)
+    recut = 0
+    for m in (1, 2, 3):
+        alphabet = Alphabet(m)
+        for arity in (2, 3, 4):
+            phi = coboundary(_random_cochain(rng, alphabet, arity - 1, max_len=3, terms=5))
+            codes, psi = cohomology._homotopy_codes(phi)
+            rows = len(psi.ids)
+            assert rows
+            k = rng.randrange(rows)
+            moved = psi._replace(re=psi.re.copy(), im=psi.im.copy())
+            moved.re[k] *= 1.5
+            moved.im[rng.randrange(rows)] += rng.choice([0.6, 1.2]) * PRUNE_EPS
+            kept = np.delete(np.arange(rows), k)
+            dropped = psi.rows(kept, psi.re[kept], psi.im[kept])
+            # the last row scaled and the first shrunk to dust: the first row's
+            # coboundary terms are pruned, and phi's keys they alone reached
+            # come back negated after the keys the coboundary keeps
+            shrunk = psi._replace(re=psi.re.copy(), im=psi.im.copy())
+            shrunk.re[-1] *= 1.5
+            shrunk.re[0] = 0.6 * PRUNE_EPS
+            shrunk.im[0] = 0.0
+            wrongs = [moved, dropped, shrunk]
+            # a key at new cuts: a string of psi cut all at its end or all at
+            # its start, where psi has no such key
+            taken = set(zip(psi.ids.tolist(), map(tuple, psi.bounds.tolist())))
+            fresh = [
+                (i, cuts)
+                for i in psi.ids.tolist()
+                for n in [len(psi.spelled[i])]
+                for cuts in ((0, *[n] * (arity - 1)), (*[0] * (arity - 1), n))
+                if (i, cuts) not in taken
+            ]
+            if fresh:
+                i, cuts = fresh[0]
+                recut += 1
+                wrongs.append(
+                    psi._replace(
+                        ids=np.append(psi.ids, i),
+                        bounds=np.vstack([psi.bounds, cuts]),
+                        re=np.append(psi.re, 2.0),
+                        im=np.append(psi.im, 0.0),
+                    )
+                )
+            for wrong in wrongs:
+                residual = cohomology._decode(cohomology._residual(wrong, codes))
+                reference = coboundary(cohomology._decode(wrong)) - phi
+                assert residual.table
+                assert len(residual.table) == len(reference.table)
+                assert _bits(residual.table.items()) == _bits(reference.table.items())
+    assert recut >= 4
+
+
+def test_residual_kernel_stays_exact_past_int64_codes():
+    # phi = coboundary(eta) has arity 12 and |S| = 63, so the residual codes
+    # of psi's coboundary and of phi, radix 64 with 11 interior cuts, need 66
+    # bits beyond the string id: codes that wrapped modulo 2**64 would merge
+    # the two one-letter strings' terms
+    alphabet = Alphabet(3)
+    lengths = [4, 0, 7, 5, 6, 3, 0, 9, 8, 6, 15]
+    assert sum(lengths) == 63 and 64**11 > 2**63
+    rng = random.Random(41)
+    table = {}
+    for letter, c in ((0, 2 - 1j), (1, -3.0)):
+        table[tuple(alphabet.word([letter] * n) for n in lengths)] = c
+    for _ in range(3):
+        table[tuple(_random_word(rng, alphabet, 5) for _ in range(11))] = _badly_scaled(rng)
+    phi = coboundary(Cochain(11, alphabet, table))
+    expected = _word_level_homotopy(phi)
+    psi, residual = trivialize(phi)
+    assert _bits(psi.table.items()) == _bits(expected.table.items())
+    reference = coboundary(expected) - phi
+    assert _bits(residual.table.items()) == _bits(reference.table.items())
 
 
 def test_homotopy_series_route_agrees_on_basis_tuples():

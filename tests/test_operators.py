@@ -1,3 +1,4 @@
+import collections
 import io
 import random
 import tracemalloc
@@ -384,9 +385,9 @@ def test_norm_estimate_restarts_past_a_lower_eigenspace():
 
 
 def test_norm_estimate_invariant_exits_match_svd_oracle():
-    # from the all-ones start, e + z1z0 compressions and the Mobius Toeplitz
-    # matrices end in an invariant Krylov space: the first are certified as
-    # they stand, the second restart
+    # from the all-ones start, the e + z1z0 compressions end by the settled
+    # test, and the Mobius Toeplitz matrix ends in an invariant Krylov space
+    # that the certificate refuses, so it restarts
     phi = Series(A2, {E: 3 + 2j, w2(1, 0): -3 + 2j})
     cases = [left_matrix(phi, TruncationBasis(A2, cutoff)) for cutoff in (6, 7, 8)]
     one = Alphabet(1)
@@ -396,6 +397,26 @@ def test_norm_estimate_invariant_exits_match_svd_oracle():
     for op in cases:
         exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
         assert norm_estimate(op, tol=1e-11) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("cutoff", [6, 7, 8])
+def test_norm_estimate_certified_invariant_exit_matches_svd_oracle(cutoff, monkeypatch):
+    # the shift by z0z1 ends in an invariant Krylov space that the
+    # Collatz-Wielandt certificate accepts, so it returns without a restart:
+    # in norm_estimate only the certificate calls eigh, and only the restart modf
+    calls = collections.Counter()
+    for module, name in ((np.linalg, "eigh"), (np, "modf")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    op = left_matrix(xi(0, 1), TruncationBasis(A2, cutoff))
+    estimate = norm_estimate(op, tol=1e-11)
+    monkeypatch.undo()
+    assert calls == {"eigh": 1}
+    exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+    assert estimate == pytest.approx(exact, rel=1e-10)
 
 
 def test_norm_estimate_nonconvergence_reported():
@@ -479,6 +500,9 @@ def test_conjugation_check_randomized():
         w = A2.word(rng.randrange(2) for _ in range(rng.randint(0, 2)))
         phi = _random_series(rng, A2, 3, max_terms=4)
         assert conjugation_check(w, phi, basis)
+        # exact at the default tolerance zero for non-integer weights too
+        scale = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-8, 8)
+        assert conjugation_check(w, phi.scaled(scale), basis)
 
 
 def test_conjugated_sandwich_matches_series_route_entrywise():
