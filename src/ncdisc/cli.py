@@ -33,6 +33,8 @@ import numpy as np
 from .cohomology import (
     Cochain,
     NonCocycleError,
+    _CutCodes,
+    _read_codes,
     coboundary,
     generator_cocycles,
     homotopy,
@@ -1041,16 +1043,16 @@ def _solve_derivation(derivation: GeneratorDerivation) -> tuple[dict, Optional[t
     return report, ("series", symbol.to_json_dict())
 
 
-def _read_cocycle(data: dict) -> Cochain:
-    cochain = Cochain.from_json_dict(data)
-    if cochain.arity < 2:
+def _read_cocycle(data: dict) -> _CutCodes:
+    codes = _read_codes(data)
+    if codes.arity < 2:
         raise ValueError("homotopy needs arity at least 2")
-    return cochain
+    return codes
 
 
-def _trivialize(cochain: Cochain) -> tuple[dict, Optional[tuple]]:
+def _trivialize(codes: _CutCodes) -> tuple[dict, Optional[tuple]]:
     try:
-        psi, residual = trivialize(cochain)
+        psi, residual = trivialize(codes)
     except NonCocycleError as err:
         error = {"message": "input is not a cocycle", "witness": [str(w) for w in err.witness]}
         return {"passed": False, "error": error}, None

@@ -4,8 +4,7 @@ Cochains are finitely supported coefficient tables on tuples of words,
 representing multilinear functionals on the span of the basis shifts with
 values in the scalars.  They share the coefficient-table core of
 ``series``: the arity and the tuple keys are checked once, at the public
-constructor.  The JSON reader of the core parses each distinct word text
-once per input.  Both module actions multiply by the coefficient at the
+constructor.  Both module actions multiply by the coefficient at the
 unit word, so the bimodule is symmetric and the degree-zero coboundary
 vanishes.  The coboundary of a table is again a finitely supported table,
 and every cocycle of arity at least two is trivialized by an explicit
@@ -21,23 +20,32 @@ string id and cuts, in the order the formula generates them, and prune
 with the table core's test, exactly as the core's sum-and-prune step
 would; the homotopy's terms never share a key.  ``Word`` objects are
 built only for the keys that survive.
+
+The JSON reader goes straight to that encoding.  A key's string is its
+texts joined, its cuts are the running letter counts, and repeated keys
+are summed and pruned by the coboundary's kernel.  Each distinct text
+meets the grammar of ``words`` once per input, and each distinct string
+its letter rule, so ``trivialize-cocycle`` builds no ``Word`` for its
+input.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .series import (
     PRUNE_EPS,
+    _JSON_NUMBERS,
     CoefficientTable,
     Series,
+    _json_int,
     adjoint_shift,
     first_letter_part,
 )
-from .words import Alphabet, Word, _index, enumerate_words
+from .words import Alphabet, Word, _index, _letter_count, _text_letters, enumerate_words
 
 WordTuple = tuple[Word, ...]
 
@@ -103,12 +111,6 @@ class Cochain(CoefficientTable):
     def _key_text(key: WordTuple) -> list[str]:
         return [str(w) for w in key]
 
-    @staticmethod
-    def _parse_key(parse: Callable[[str], Word], texts: list[str]) -> WordTuple:
-        if not isinstance(texts, list):
-            raise ValueError(f"cochain key {texts!r} is not a list of words")
-        return tuple(map(parse, texts))
-
     @classmethod
     def scalar(cls, alphabet: Alphabet, value: complex) -> "Cochain":
         return cls(0, alphabet, {(): value})
@@ -141,7 +143,8 @@ class Cochain(CoefficientTable):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Cochain":
-        return cls._from_json_terms((data["arity"], Alphabet(data["alphabet"])), data)
+        """The cochain of ``data["terms"]``, read by :func:`_read_codes`."""
+        return _decode(_read_codes(data))
 
 
 #: Largest int64; a cut code that could pass it is re-ranked first.
@@ -164,6 +167,10 @@ class _CutCodes(NamedTuple):
     bounds: np.ndarray
     re: np.ndarray
     im: np.ndarray
+
+    @property
+    def arity(self) -> int:
+        return self.bounds.shape[1] - 1
 
     def rows(self, at: np.ndarray, re: np.ndarray, im: np.ndarray) -> "_CutCodes":
         """The rows ``at`` with the coefficients ``re + i im``."""
@@ -194,10 +201,78 @@ def _encode(phi: Cochain) -> _CutCodes:
     )
 
 
+def _read_codes(data: Mapping) -> _CutCodes:
+    """The cochain JSON ``data`` on cut codes, repeated keys summed and
+    pruned as the table core does, with no ``Word`` built.
+
+    The arity is a non-negative integer and the alphabet a size, neither
+    JSON ``true``.  Each key is a list of ``arity`` word texts; each
+    distinct text meets the grammar once, and each distinct letter string
+    the letter rule of ``words``, so every letter is bounded by the size.
+    Coefficient parts follow ``series._json_coefficient``.  A key's string
+    is its texts joined with the units left out, and its cuts are the
+    running letter counts.  A coefficient that is not finite after the sum
+    is refused: no sum with a NaN or an infinity in it is finite, and
+    finite terms can overflow together.
+    """
+    arity = _json_int(data["arity"], "arity")
+    if arity < 0:
+        raise ValueError("arity must be nonnegative")
+    alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
+    lengths: dict[str, int] = {}
+    strings: dict[str, int] = {}
+    ids = []
+    bounds = []
+    res = []
+    ims = []
+    for term in data.get("terms", ()):
+        texts = term["words"]
+        if type(texts) is not list or len(texts) != arity:
+            raise ValueError(f"cochain key {texts!r} is not a list of {arity} words")
+        try:
+            spelled = "".join(texts)
+        except TypeError:
+            raise ValueError(f"cochain key {texts!r} holds a text that is not a string") from None
+        at = 0
+        bounds.append(at)
+        for text in texts:
+            length = lengths.get(text)
+            if length is None:
+                length = lengths[text] = _letter_count(text)
+            at += length
+            bounds.append(at)
+        ids.append(strings.setdefault(spelled.replace("e", ""), len(strings)))
+        re, im = term["re"], term.get("im", 0.0)
+        if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
+            raise ValueError(f"coefficient parts {re!r}, {im!r} are not both JSON numbers")
+        res.append(re)
+        ims.append(im)
+    try:
+        re, im = np.array(res, dtype=float), np.array(ims, dtype=float)
+    except OverflowError as err:
+        raise ValueError(f"coefficient out of range: {err}") from None
+    codes = _summed(
+        _CutCodes(
+            alphabet,
+            [_text_letters(s or "e", alphabet.size) for s in strings],
+            np.array(ids, dtype=np.int64),
+            np.array(bounds, dtype=np.int32).reshape(len(ids), arity + 1),
+            re,
+            im,
+        )
+    )
+    bad = np.flatnonzero(~(np.isfinite(codes.re) & np.isfinite(codes.im)))
+    if bad.size:
+        at = bad[:1]
+        ((key, c),) = _decode(codes.rows(at, codes.re[at], codes.im[at])).table.items()
+        raise ValueError(f"non-finite coefficient {c} at ({', '.join(map(str, key))})")
+    return codes
+
+
 def _decode(codes: _CutCodes) -> Cochain:
     """The cochain of distinct rows; ``Word`` objects are built here only,
     one per distinct letter tuple."""
-    out = Cochain(codes.bounds.shape[1] - 1, codes.alphabet)
+    out = Cochain(codes.arity, codes.alphabet)
     word = functools.cache(functools.partial(Word._of, codes.alphabet))
     spelled = codes.spelled
     table = {}
@@ -307,7 +382,7 @@ def _coboundary_terms(phi: _CutCodes) -> _CutCodes:
 def _violation(phi: _CutCodes) -> Optional[WordTuple]:
     """Least tuple where the coboundary is nonzero, or None for a cocycle;
     ``Word`` objects are built only for a non-cocycle's surviving keys."""
-    if phi.bounds.shape[1] == 1 or not phi.ids.size:
+    if phi.arity == 0 or not phi.ids.size:
         return None
     boundary = _summed(_coboundary_terms(phi))
     if not boundary.ids.size:
@@ -347,8 +422,9 @@ def first_cocycle_violation(phi: Cochain) -> Optional[WordTuple]:
     return _violation(_encode(phi))
 
 
-def _homotopy_codes(phi: Cochain) -> tuple[_CutCodes, _CutCodes]:
-    """The codes of a cocycle and of its homotopy.
+def _homotopy_codes(phi: Cochain | _CutCodes) -> tuple[_CutCodes, _CutCodes]:
+    """The codes of a cocycle, encoded first if it is given as a table, and
+    of its homotopy.
 
     Both branches of the homotopy keep the key's letter string and drop its
     first interior cut: a key with |s1| = 1 becomes ``(s1 s2, ...)`` with
@@ -358,9 +434,9 @@ def _homotopy_codes(phi: Cochain) -> tuple[_CutCodes, _CutCodes]:
     core's sum and prune would only add each coefficient to ``0j``, which
     ``+ 0.0`` repeats (it turns -0.0 into 0.0), and keep it.
     """
-    if phi.arity < 2:
+    codes = phi if isinstance(phi, _CutCodes) else _encode(phi)
+    if codes.arity < 2:
         raise ValueError("homotopy needs arity at least 2")
-    codes = _encode(phi)
     witness = _violation(codes)
     if witness is not None:
         raise NonCocycleError(
@@ -372,7 +448,7 @@ def _homotopy_codes(phi: Cochain) -> tuple[_CutCodes, _CutCodes]:
     sign = np.where(single[at], -1.0, 1.0)
     psi = codes._replace(
         ids=codes.ids[at],
-        bounds=codes.bounds[at].take([0, *range(2, phi.arity + 1)], axis=1),
+        bounds=codes.bounds[at].take([0, *range(2, codes.arity + 1)], axis=1),
         re=sign * codes.re[at] + 0.0,
         im=sign * codes.im[at] + 0.0,
     )
@@ -394,13 +470,14 @@ def homotopy(phi: Cochain) -> Cochain:
     return _decode(_homotopy_codes(phi)[1])
 
 
-def trivialize(phi: Cochain) -> tuple[Cochain, Cochain]:
+def trivialize(phi: Cochain | _CutCodes) -> tuple[Cochain, Cochain]:
     """The homotopy psi of a cocycle and its residual ``coboundary(psi) - phi``.
 
     Equal to ``homotopy(phi)`` and ``coboundary(psi) - phi`` term for term
-    and bit for bit, from one encoding of phi.  The residual is one kernel
-    call over the coboundary terms of psi's codes and phi's own rows, which
-    share phi's string ids.  As in the table core's subtraction, the
+    and bit for bit, from one encoding of phi; phi may also come encoded,
+    as the JSON reader :func:`_read_codes` gives it.  The residual is one
+    kernel call over the coboundary terms of psi's codes and phi's own
+    rows, which share phi's string ids.  As in the table core's subtraction, the
     coboundary is summed and pruned first, then phi is subtracted key by key
     and the difference pruned; keys keep the subtraction's order.  For a
     correct psi nothing survives, so no ``Word`` is built for the residual.

@@ -23,6 +23,7 @@ from typing import Mapping, Optional
 
 from .series import (
     Series,
+    _json_int,
     adjoint_shift,
     cesaro,
     conditional_expectation,
@@ -155,9 +156,12 @@ class GeneratorDerivation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GeneratorDerivation":
-        alphabet = Alphabet(data["alphabet"])
+        alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
+        table = data.get("values", {})
+        if not isinstance(table, dict):
+            raise ValueError(f"values {table!r} are not an object of generator keys")
         values: dict[int, Series] = {}
-        for key, sub in data.get("values", {}).items():
+        for key, sub in table.items():
             if not isinstance(key, str) or not _GENERATOR_KEY.fullmatch(key):
                 raise ValueError(f"generator key {key!r} is not a canonical decimal index")
             series = Series.from_json_dict(sub)

@@ -18,9 +18,12 @@ term codec.  Keys and coefficients are checked once, by the public
 constructor, which refuses a key over another alphabet and a NaN or
 infinite coefficient.  Results of operations are built from keys that are
 already valid through the internal ``_from_valid`` constructor, which runs
-only the canonical step.  The JSON reader parses each distinct word text
-once per input, through a parser memoised for that call; every text still
-meets ``Alphabet.parse``, so bad input is refused as before.
+only the canonical step.  The series reader parses each distinct word text
+once per input, through ``Alphabet.parse`` memoised for that call, and
+refuses a non-finite coefficient after summing repeated words, so terms in
+float range that overflow together are refused too.  Cochains are read
+straight onto the cut codes ``cohomology`` computes on, with the same
+rules for texts, coefficients and sizes; JSON ``true`` is not a size.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ import cmath
 import functools
 import math
 from itertools import chain
-from typing import Callable, Hashable, Iterable, ItemsView, Mapping, Optional
+from typing import Hashable, Iterable, ItemsView, Mapping, Optional
 
-from .words import Alphabet, Word, transport
+from .words import Alphabet, Word, _index, transport
 
 PRUNE_EPS = 1e-14
 
@@ -57,6 +60,13 @@ def _sum_and_prune(terms: Terms) -> dict:
 _JSON_NUMBERS = (int, float)
 
 
+def _json_int(value: object, what: str) -> int:
+    """A size read from JSON: an integer, never ``true`` or ``false``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return _index(value, what)
+
+
 def _json_coefficient(term: Mapping) -> complex:
     """The coefficient of a JSON term: ``re`` and an optional ``im``, each a
     JSON number, never a string or a boolean."""
@@ -73,9 +83,9 @@ class CoefficientTable:
     """Immutable finitely supported map from keys to complex coefficients.
 
     A subclass says how a key is checked (``_check_key``), ordered
-    (``_sort_key``) and written in JSON (``_KEY_FIELD``, ``_key_text`` and
-    its inverse ``_parse_key``).  ``_shape`` gives the public constructor's
-    leading arguments; tables of one shape can be added and compared.
+    (``_sort_key``) and written in JSON (``_KEY_FIELD`` and ``_key_text``).
+    ``_shape`` gives the public constructor's leading arguments; tables of
+    one shape can be added and compared.
     """
 
     __slots__ = ("alphabet", "table")
@@ -162,23 +172,6 @@ class CoefficientTable:
         ]
         return {"alphabet": self.alphabet.size, "terms": terms}
 
-    @classmethod
-    def _from_json_terms(cls, shape: tuple, data: Mapping):
-        """A table of the given shape from ``data["terms"]``, through the
-        boundary check; repeated keys are summed.
-
-        Each distinct word text is parsed once: ``_parse_key`` gets a parser
-        memoised for this call, so every text still meets ``Alphabet.parse``.
-        """
-        out = cls(*shape)
-        parse = functools.cache(out.alphabet.parse)
-        terms = (
-            (cls._parse_key(parse, term[cls._KEY_FIELD]), _json_coefficient(term))
-            for term in data.get("terms", ())
-        )
-        out.table = _sum_and_prune(out._checked(terms))
-        return out
-
 
 class Series(CoefficientTable):
     """Finitely supported map from words to complex coefficients."""
@@ -188,10 +181,6 @@ class Series(CoefficientTable):
     _KEY_FIELD = "word"
     _key_text = staticmethod(str)
     _sort_key = staticmethod(Word.sort_key)
-
-    @staticmethod
-    def _parse_key(parse: Callable[[str], Word], text: str) -> Word:
-        return parse(text)
 
     def _check_key(self, word: Word) -> Word:
         if not isinstance(word, Word) or word.alphabet is not self.alphabet:
@@ -214,7 +203,23 @@ class Series(CoefficientTable):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Series":
-        return cls._from_json_terms((Alphabet(data["alphabet"]),), data)
+        """The series of ``data["terms"]``; repeated words are summed.
+
+        Each distinct word text is parsed once, through ``Alphabet.parse``
+        memoised for this call, so every text still meets the letter rule.
+        Coefficients are checked after the sum: finite terms can overflow
+        together, and the prune keeps a NaN in sight.
+        """
+        out = cls(Alphabet(_json_int(data["alphabet"], "alphabet size")))
+        parse = functools.cache(out.alphabet.parse)
+        out.table = _sum_and_prune(
+            (parse(term["word"]), _json_coefficient(term))
+            for term in data.get("terms", ())
+        )
+        for word, c in out.table.items():
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c} at {word}")
+        return out
 
     # -- inspection ------------------------------------------------------
 

@@ -11,6 +11,10 @@ the unit and concatenated letters like ``z0z1z0`` otherwise, each index
 in canonical decimal.  There is one ``Alphabet`` per size, so alphabets
 compare by identity.  The public ``Word`` constructor checks each letter;
 products, powers and slices of valid words skip that through ``Word._of``.
+One rule reads text: ``_letter_count`` applies the grammar, whose indices
+are canonical non-negative ints, and ``_text_letters`` reads the letters
+and bounds each by the alphabet size; ``Alphabet.parse`` is that rule plus
+``Word._of``.  The cochain reader of ``cohomology`` uses the same rule.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import ClassVar, Iterable, Optional
 #: A letter is ``z`` and a generator index in canonical decimal: no sign,
 #: no leading zero, ASCII digits only, so ``str(parse(t)) == t``.
 _WORD_GRAMMAR = re.compile(r"(?:z(?:0|[1-9][0-9]*))+")
-_LETTER = re.compile(r"z([0-9]+)")
 
 
 def _index(value: object, what: str) -> int:
@@ -33,6 +36,26 @@ def _index(value: object, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def _letter_count(text: object) -> int:
+    """The number of letters of a word's text form: ``e``, or a run of
+    ``z<i>`` letters that meets ``_WORD_GRAMMAR``; anything else is refused."""
+    if text == "e":
+        return 0
+    if not isinstance(text, str) or not _WORD_GRAMMAR.fullmatch(text):
+        raise ValueError(f"not a word: {text!r}")
+    return text.count("z")
+
+
+def _text_letters(text: str, size: int) -> tuple[int, ...]:
+    """The letters of a word's text form, each below ``size``."""
+    if not _letter_count(text):
+        return ()
+    letters = tuple(map(int, text[1:].split("z")))
+    if max(letters) >= size:
+        raise ValueError(f"letter {max(letters)} outside alphabet of size {size}")
+    return letters
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -74,11 +97,7 @@ class Alphabet:
 
     def parse(self, text: str) -> "Word":
         """Inverse of ``str(word)``: ``e`` or a run of ``z<i>`` letters."""
-        if text == "e":
-            return self.unit()
-        if not _WORD_GRAMMAR.fullmatch(text):
-            raise ValueError(f"not a word: {text!r}")
-        return self.word(int(digits) for digits in _LETTER.findall(text))
+        return Word._of(self, _text_letters(text, self.size))
 
 
 class Word:

@@ -236,6 +236,9 @@ GOLDEN_CASES = {
     "non_cocycle": ("trivialize-cocycle", 1),
     "derivation": ("solve-derivation", 0),
     "screened_derivation": ("solve-derivation", 1),
+    # m = 11 (z10 next to z1 and z0), unit slots, a key split into two terms
+    # far apart, a key that cancels exactly and one that sums to dust
+    "repeated_keys": ("trivialize-cocycle", 0),
 }
 
 
@@ -989,4 +992,109 @@ def test_repeated_json_keys_are_bad_input(tmp_path, capsys, argv, text, refusal)
     assert code == 2
     assert captured.err.startswith(refusal)
     assert "repeated" in captured.err
+    assert captured.out == ""
+
+
+#: Two terms at one key, each in float range, whose sum is not.
+HUGE = {"re": 1e308}
+HUGE_IM = {"re": 0.0, "im": -1e308}
+#: (argv, bad-input refusal, JSON) with such a sum.
+OVERFLOWING_SUMS = [
+    (
+        ["solve-derivation", "--in"],
+        "bad derivation input:",
+        {
+            "alphabet": 2,
+            "values": {
+                "0": {
+                    "alphabet": 2,
+                    "terms": [
+                        {"word": "z0z1", **HUGE},
+                        {"word": "z1", "re": 1.0},
+                        {"word": "z0z1", **HUGE},
+                    ],
+                }
+            },
+        },
+    ),
+    (
+        ["trivialize-cocycle", "--in"],
+        "bad cochain input:",
+        {
+            "arity": 2,
+            "alphabet": 2,
+            "terms": [{"words": ["z0", "z1"], **HUGE}, {"words": ["z0", "z1"], **HUGE}],
+        },
+    ),
+    (
+        ["trivialize-cocycle", "--in"],
+        "bad cochain input:",
+        {
+            "arity": 2,
+            "alphabet": 2,
+            "terms": [{"words": ["e", "z1"], **HUGE_IM}, {"words": ["e", "z1"], **HUGE_IM}],
+        },
+    ),
+    (
+        ["verify-operators", "--cutoff", "2", "--dump-matrix"],
+        "bad series input:",
+        {"alphabet": 2, "terms": [{"word": "z0z1", **HUGE}, {"word": "z0z1", **HUGE}]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, refusal, data", OVERFLOWING_SUMS, ids=["derivation", "cochain", "cochain_im", "series"]
+)
+def test_a_sum_past_float_range_is_bad_input(tmp_path, capsys, argv, refusal, data):
+    infile = tmp_path / "input.json"
+    infile.write_text(json.dumps(data))
+    code = main([*argv, str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(refusal)
+    assert "non-finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("values", ["[]", '"z0"', "3", "null"])
+def test_derivation_values_that_are_not_an_object_are_bad_input(tmp_path, capsys, values):
+    infile = tmp_path / "derivation.json"
+    infile.write_text('{"alphabet": 2, "values": %s}' % values)
+    code = main(["solve-derivation", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad derivation input:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, refusal, text",
+    [
+        (["solve-derivation", "--in"], "bad derivation input:", '{"alphabet": true, "values": {}}'),
+        (
+            ["solve-derivation", "--in"],
+            "bad derivation input:",
+            '{"alphabet": 1, "values": {"0": {"alphabet": true, "terms": []}}}',
+        ),
+        (
+            ["trivialize-cocycle", "--in"],
+            "bad cochain input:",
+            '{"arity": 2, "alphabet": true, "terms": []}',
+        ),
+        (
+            ["verify-operators", "--cutoff", "2", "--dump-matrix"],
+            "bad series input:",
+            '{"alphabet": true, "terms": [{"word": "z0", "re": 1.0}]}',
+        ),
+    ],
+    ids=["derivation", "derivation_value", "cochain_alphabet", "series"],
+)
+def test_json_true_is_not_a_size(tmp_path, capsys, argv, refusal, text):
+    infile = tmp_path / "input.json"
+    infile.write_text(text)
+    code = main([*argv, str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(refusal)
     assert captured.out == ""

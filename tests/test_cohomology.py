@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdisc import cohomology
-from ncdisc.cli import _random_cochain, _random_word
+from ncdisc.cli import _random_cochain, _random_word, main
 from ncdisc.cohomology import (
     Cochain,
     NonCocycleError,
@@ -22,7 +23,7 @@ from ncdisc.cohomology import (
     one_cocycle_dimension,
     trivialize,
 )
-from ncdisc.series import PRUNE_EPS, Series, _sum_and_prune
+from ncdisc.series import PRUNE_EPS, Series, _json_coefficient, _sum_and_prune
 from ncdisc.words import Alphabet, enumerate_words
 
 A2 = Alphabet(2)
@@ -631,8 +632,123 @@ def test_json_roundtrip():
     assert data["terms"][0]["words"] == ["e", "e"]
 
 
+def test_json_true_is_not_an_arity_or_an_alphabet():
+    # through trivialize-cocycle, arity 1 is refused anyway
+    for data in (
+        {"arity": True, "alphabet": 2, "terms": [{"words": ["z0"], "re": 1.0}]},
+        {"arity": 1, "alphabet": True, "terms": [{"words": ["z0"], "re": 1.0}]},
+    ):
+        with pytest.raises(ValueError):
+            Cochain.from_json_dict(data)
+
+
 def test_json_scalar_cochain():
     scalar = Cochain.scalar(A2, 3.0)
     data = scalar.to_json_dict()
     assert data["arity"] == 0
     assert Cochain.from_json_dict(data) == scalar
+
+
+def _word_level_reader(data):
+    """Reference: the Word-level cochain reader -- each distinct text parsed
+    once through ``Alphabet.parse``, each key and coefficient checked, and
+    repeated keys summed and pruned by the table core."""
+    alphabet = Alphabet(data["alphabet"])
+    out = Cochain(data["arity"], alphabet)
+    parse = functools.cache(alphabet.parse)
+    terms = (
+        (tuple(map(parse, term["words"])), _json_coefficient(term))
+        for term in data.get("terms", ())
+    )
+    out.table = _sum_and_prune(out._checked(terms))
+    return out
+
+
+#: Coefficient parts: JSON integers, exact multiples of the dust unit, dust
+#: on both sides of PRUNE_EPS, signed zeros, and floats whose sums round, so
+#: that the order of summation shows in the bits.
+JSON_PARTS = st.one_of(
+    st.integers(-3, 3),
+    _part(st.integers(-2, 2)),
+    st.sampled_from([-0.6, 0.6, -1.2, 1.2]).map(lambda k: k * PRUNE_EPS),
+    st.sampled_from([-0.0, 0.0, 0.1, 0.2, -0.3]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def cochain_json(draw):
+    """Cochain JSON of arity 0-3 over m = 1, 2, 3 or 11, with unit slots and
+    keys drawn from a small pool, so that keys repeat; at m = 11 the letters
+    include z10 next to z1 and z0.  A term's ``im`` is sometimes left out."""
+    m = draw(st.sampled_from([1, 2, 3, 11]))
+    arity = draw(st.integers(0, 3))
+    letter = st.one_of(st.sampled_from(sorted({0, 1 % m, m - 1})), st.integers(0, m - 1))
+    word = st.lists(letter, max_size=3).map(lambda ls: Alphabet(m).word(ls))
+    pool = draw(st.lists(st.tuples(*[word] * arity), min_size=1, max_size=5))
+    terms = []
+    for key in draw(st.lists(st.sampled_from(pool), max_size=10)):
+        term = {"words": [str(w) for w in key], "re": draw(JSON_PARTS)}
+        if draw(st.booleans()):
+            term["im"] = draw(JSON_PARTS)
+        terms.append(term)
+    return json.loads(json.dumps({"arity": arity, "alphabet": m, "terms": terms}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cochain_json())
+def test_codes_reader_matches_the_word_level_reader_bit_for_bit(data):
+    expected = _word_level_reader(data)
+    phi = Cochain.from_json_dict(data)
+    assert (phi.arity, phi.alphabet) == (expected.arity, expected.alphabet)
+    # the same keys, in first-occurrence order, with the same bits
+    assert _bits(phi.table.items()) == _bits(expected.table.items())
+    # the codes solve as the table does
+    if phi.arity >= 2:
+        codes = cohomology._read_codes(data)
+        try:
+            psi, residual = trivialize(expected)
+        except NonCocycleError as err:
+            with pytest.raises(NonCocycleError) as info:
+                trivialize(codes)
+            assert info.value.witness == err.witness
+            return
+        got_psi, got_residual = trivialize(codes)
+        assert _bits(got_psi.table.items()) == _bits(psi.table.items())
+        assert _bits(got_residual.table.items()) == _bits(residual.table.items())
+
+
+#: One bad term for each class of input the cochain reader refuses, added to
+#: a valid arity-2 cochain over m = 2.
+BAD_COCHAIN_TERMS = {
+    "key_not_a_list": '{"words": "z0z1", "re": 1.0}',
+    "key_an_object": '{"words": {"0": "z0", "1": "z1"}, "re": 1.0}',
+    "key_too_short": '{"words": ["z0"], "re": 1.0}',
+    "key_too_long": '{"words": ["z0", "z1", "e"], "re": 1.0}',
+    "keys_too_short_and_too_long": '{"words": ["z0"], "re": 1.0}, {"words": ["z0", "z1", "e"]}',
+    "text_an_integer": '{"words": ["z0", 5], "re": 1.0}',
+    "text_a_list": '{"words": ["z0", ["z0"]], "re": 1.0}',
+    "text_null": '{"words": [null, "z1"], "re": 1.0}',
+    "text_empty": '{"words": ["z0", ""], "re": 1.0}',
+    "text_unit_then_letter": '{"words": ["ez0", "z1"], "re": 1.0}',
+    "text_leading_zero": '{"words": ["z01", "z1"], "re": 1.0}',
+    "text_outside_alphabet": '{"words": ["z0", "z2"], "re": 1.0}',
+    "coefficient_a_string": '{"words": ["z0", "z1"], "re": "1.0"}',
+    "coefficient_a_boolean": '{"words": ["z0", "z1"], "re": 1.0, "im": true}',
+    "coefficient_nan": '{"words": ["z0", "z1"], "re": NaN}',
+    "coefficient_past_float_range": '{"words": ["z0", "z1"], "re": 1%s}' % ("0" * 400),
+}
+
+
+@pytest.mark.parametrize("term", list(BAD_COCHAIN_TERMS.values()), ids=list(BAD_COCHAIN_TERMS))
+def test_trivialize_cocycle_refuses_each_bad_input_class(tmp_path, capsys, term):
+    infile = tmp_path / "cochain.json"
+    good = '{"words": ["e", "z1"], "re": 1.0}, ' * 3
+    infile.write_text('{"arity": 2, "alphabet": 2, "terms": [%s%s]}' % (good, term))
+    with pytest.raises(ValueError):
+        cohomology._read_codes(json.loads(infile.read_text()))
+    code = main(["trivialize-cocycle", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad cochain input:")
+    assert captured.out == ""
