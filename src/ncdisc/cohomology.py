@@ -42,6 +42,7 @@ from .series import (
     CoefficientTable,
     Series,
     _json_int,
+    _json_terms,
     adjoint_shift,
     first_letter_part,
 )
@@ -225,7 +226,7 @@ def _read_codes(data: Mapping) -> _CutCodes:
     bounds = []
     res = []
     ims = []
-    for term in data.get("terms", ()):
+    for term in _json_terms(data):
         texts = term["words"]
         if type(texts) is not list or len(texts) != arity:
             raise ValueError(f"cochain key {texts!r} is not a list of {arity} words")

@@ -7,28 +7,31 @@ whose commutator reproduces the derivation:
 
     D(phi) = phi * t - t * phi.
 
-The reconstruction sums conjugate-transport iterates of the generator
-values; on finitely supported consistent data the iterates vanish after
-finitely many steps, so every stage is exact.  Necessary conditions are
-surfaced as typed errors: a consistent value can have no weight on words
-commuting with its base word, no weight below the base word's length, and,
-once the first generator is trivialized, values at other generators must
-pair words against powers of the first generator with opposite weights.
+The solver sums conjugate-transport iterates of the value at the first
+generator, exact on finitely supported consistent data; it peels each other
+generator b from ``D(z_b) - [xi_{z_b}, t]`` for the t found so far, and
+computes each final commutator ``[xi_{z_a}, t]`` once, to screen t and to
+report its deviation.  Typed errors surface the necessary conditions: no
+weight on words commuting with the base word or below its length, and, once
+the first generator is trivialized, the other values pair words against its
+powers with opposite weights.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
+from itertools import chain
 from typing import Mapping, Optional
 
 from .series import (
     Series,
     _json_int,
+    _json_typed,
     adjoint_shift,
     cesaro,
     conditional_expectation,
     conjugate_by,
-    convolve,
     max_coeff_diff,
 )
 from .words import Alphabet, Word
@@ -58,8 +61,13 @@ class InconsistentDerivationError(ValueError):
 
 
 def inner_derivation(t: Series, phi: Series) -> Series:
-    """The commutator derivation with symbol t: ``phi * t - t * phi``."""
-    return convolve(phi, t) - convolve(t, phi)
+    """The commutator derivation with symbol t: ``phi * t - t * phi``, as one
+    canonical step over both products' terms; at ``xi_w``, t's words shifted
+    by w on the left less those shifted on the right."""
+    phi._require_same_shape(t)
+    left = ((u * v, a * b) for u, a in phi.table.items() for v, b in t.table.items())
+    right = ((v * u, -(b * a)) for v, b in t.table.items() for u, a in phi.table.items())
+    return phi._like(chain(left, right))
 
 
 #: A generator key is its index in canonical decimal, the rule of word
@@ -108,10 +116,12 @@ class GeneratorDerivation:
     def of_word(self, w: Word) -> Series:
         """Leibniz expansion: sum over positions of prefix * value * suffix.
 
-        The unit maps to zero.
+        The unit maps to zero, and a generator to its stored value.
         """
         alphabet = self.alphabet
         letters = w.letters
+        if len(letters) == 1:
+            return self.values[letters[0]]
         return Series._from_valid(
             (alphabet,),
             (
@@ -134,18 +144,6 @@ class GeneratorDerivation:
             for u, c in dw.iter_terms()
         )
 
-    def subtract_inner(self, t: Series) -> "GeneratorDerivation":
-        """The derivation minus the commutator derivation with symbol t."""
-        alphabet = self.alphabet
-        return GeneratorDerivation(
-            alphabet,
-            {
-                a: self.values[a]
-                - inner_derivation(t, Series.basis(alphabet.generator(a)))
-                for a in alphabet.letters()
-            },
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "alphabet": self.alphabet.size,
@@ -157,14 +155,12 @@ class GeneratorDerivation:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GeneratorDerivation":
         alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
-        table = data.get("values", {})
-        if not isinstance(table, dict):
-            raise ValueError(f"values {table!r} are not an object of generator keys")
+        table = _json_typed(data.get("values", {}), dict, "the values")
         values: dict[int, Series] = {}
         for key, sub in table.items():
             if not isinstance(key, str) or not _GENERATOR_KEY.fullmatch(key):
                 raise ValueError(f"generator key {key!r} is not a canonical decimal index")
-            series = Series.from_json_dict(sub)
+            series = Series.from_json_dict(_json_typed(sub, dict, f"the value of generator {key}"))
             if series.alphabet is not alphabet:
                 raise ValueError("generator value over a different alphabet")
             values[int(key)] = series
@@ -187,49 +183,44 @@ def short_support_vanishes(derivation: GeneratorDerivation, w: Word) -> bool:
     return all(len(u) >= len(w) for u, _ in derivation.of_word(w).iter_terms())
 
 
-def conjugate_vanishing_index(w: Word, phi: Series, cap: int) -> int:
-    """Smallest m with the m-fold conjugate transport of phi empty.
-
-    Raises when no iterate vanishes by the cap, which happens exactly when
-    phi has weight on a word commuting with w.
-    """
-    term = phi
-    for m in range(cap + 1):
-        if term.is_zero():
-            return m
-        term = conjugate_by(w, term)
+def _conjugate_iterates(w: Word, phi: Series, cap: int) -> list[Series]:
+    """The conjugate-transport iterates of phi along w before the first empty
+    one.  Raises when none of the first ``cap + 1`` is empty, which happens
+    exactly when phi has weight on a word commuting with w."""
+    iterates = []
+    for _ in range(cap + 1):
+        if phi.is_zero():
+            return iterates
+        iterates.append(phi)
+        phi = conjugate_by(w, phi)
     raise InconsistentDerivationError(
         "persistent_conjugates",
-        f"conjugate transport iterates along {w} did not vanish within {cap} steps",
+        f"conjugate transport iterates along {w} did not vanish within {cap} steps; "
+        f"the value has weight on words commuting with {w}",
         word=w,
     )
+
+
+def conjugate_vanishing_index(w: Word, phi: Series, cap: int) -> int:
+    """Smallest m with the m-fold conjugate transport of phi empty; raises
+    when no iterate vanishes by the cap."""
+    return len(_conjugate_iterates(w, phi, cap))
 
 
 def stabilized_conjugate_sum(derivation: GeneratorDerivation, w: Word) -> Series:
     """Sum of the conjugate-transport iterates of the value at w.
 
     The partial sums stabilize once an iterate vanishes; the stabilized sum
-    s satisfies ``D(w) = s - conjugate_by(w, s)`` exactly.  For consistent
-    data the iterates die within about ``deg / |w|`` steps; the cap is
-    ``deg + 3``.
+    s, taken in one canonical step over the iterates in order, satisfies
+    ``D(w) = s - conjugate_by(w, s)`` exactly.  For consistent data the
+    iterates die within about ``deg / |w|`` steps; the cap is ``deg + 3``.
     """
     if w.is_unit():
         raise ValueError("the unit has value zero; no sum to stabilize")
     phi = derivation.of_word(w)
     k_max = (0 if phi.is_zero() else int(phi.degree())) + 3
-    total = Series.zero(derivation.alphabet)
-    term = phi
-    for _ in range(k_max + 1):
-        if term.is_zero():
-            return total
-        total = total + term
-        term = conjugate_by(w, term)
-    raise InconsistentDerivationError(
-        "persistent_conjugates",
-        f"partial sums along {w} did not stabilize within {k_max} steps; "
-        "the value has weight on words commuting with the base word",
-        word=w,
-    )
+    iterates = _conjugate_iterates(w, phi, k_max)
+    return phi._like(chain.from_iterable(s.table.items() for s in iterates))
 
 
 def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:
@@ -243,21 +234,17 @@ def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:
     """
     if w.is_unit():
         raise ValueError("cannot solve at the unit")
-    alphabet = derivation.alphabet
     total = stabilized_conjugate_sum(derivation, w)
-    high = Series(
-        alphabet, {u: c for u, c in total.iter_terms() if len(u) >= len(w)}
-    )
-    for u, c in high.iter_terms():
-        if u.strip_prefix(w) is None:
+    for u, c in total.iter_terms():
+        if len(u) >= len(w) and u.strip_prefix(w) is None:
             raise InconsistentDerivationError(
                 "residual",
                 f"stabilized sum has weight {c} at {u}, not left-divisible by {w}",
                 word=u,
                 coefficient=c,
             )
-    t = adjoint_shift(w, high)
-    t = Series(alphabet, {u: c for u, c in t.iter_terms() if not u.is_unit()})
+    t = adjoint_shift(w, total)
+    t = t._like((u, c) for u, c in t.iter_terms() if not u.is_unit())
     expected = derivation.of_word(w)
     produced = inner_derivation(t, Series.basis(w))
     if max_coeff_diff(produced, expected) > CHECK_TOL:
@@ -278,15 +265,11 @@ def _check_pair_structure(value: Series, beta: int, alpha: int) -> None:
     """
     alphabet = value.alphabet
     for u, c in value.iter_terms():
-        letters = u.letters
-        if len(letters) >= 2 and letters[0] == beta and all(
-            l == alpha for l in letters[1:]
-        ):
-            partner = Word._of(alphabet, letters[1:] + (beta,))
-        elif len(letters) >= 2 and letters[-1] == beta and all(
-            l == alpha for l in letters[:-1]
-        ):
-            partner = Word._of(alphabet, (beta,) + letters[:-1])
+        power = (alpha,) * (len(u) - 1)
+        if power and u.letters == (beta,) + power:
+            partner = Word._of(alphabet, power + (beta,))
+        elif power and u.letters == power + (beta,):
+            partner = Word._of(alphabet, (beta,) + power)
         else:
             raise InconsistentDerivationError(
                 "pair_structure",
@@ -308,51 +291,51 @@ def solve_inner_symbol(derivation: GeneratorDerivation) -> Series:
     """Recover a series t with ``D(z_a) = [xi_{z_a}, t]`` for every generator.
 
     Pipeline: screen the generator values, solve locally at the first
-    generator and subtract the resulting commutator derivation, then peel
-    each remaining generator via the pair structure of its updated value.
-    The recovered series is unique up to its weight at the unit, which is
-    normalized to zero.
+    generator, then peel each other generator b via the pair structure of
+    ``D(z_b) - [xi_{z_b}, t]`` for the t recovered so far; last, compare each
+    ``[xi_{z_a}, t]`` with ``D(z_a)``.  The recovered series is unique up to
+    its weight at the unit, which is normalized to zero.
     """
+    return _solve_with_deviations(derivation)[0]
+
+
+def _solve_with_deviations(derivation: GeneratorDerivation) -> tuple[Series, list[float]]:
+    """``solve_inner_symbol`` and, per generator a, the deviation
+    ``max_coeff_diff([xi_{z_a}, t], D(z_a))`` its last screen computes."""
     alphabet = derivation.alphabet
     for a in alphabet.letters():
         gen = alphabet.generator(a)
-        offender = next(
-            (
-                (u, c)
-                for u, c in derivation.value(a).iter_terms()
-                if u.commutes_with(gen)
-            ),
-            None,
-        )
-        if offender is not None:
-            raise InconsistentDerivationError(
-                "commuting_support",
-                f"value at generator z{a} has weight {offender[1]} at {offender[0]}, "
-                f"which commutes with z{a}",
-                word=offender[0],
-                coefficient=offender[1],
-            )
+        for u, c in derivation.value(a).iter_terms():
+            if u.commutes_with(gen):
+                raise InconsistentDerivationError(
+                    "commuting_support",
+                    f"value at generator z{a} has weight {c} at {u}, which commutes with z{a}",
+                    word=u,
+                    coefficient=c,
+                )
 
+    generators = [Series.basis(alphabet.generator(a)) for a in alphabet.letters()]
     total = solve_local_inner(derivation, alphabet.generator(0))
-    current = derivation.subtract_inner(total)
     for b in range(1, alphabet.size):
-        value = current.value(b)
+        value = derivation.value(b) - inner_derivation(total, generators[b])
         _check_pair_structure(value, b, 0)
-        t_b = adjoint_shift(alphabet.generator(b), value)
-        total = total + t_b
-        current = current.subtract_inner(t_b)
+        total = total + adjoint_shift(alphabet.generator(b), value)
 
-    for a in alphabet.letters():
-        residue = current.value(a)
-        if residue.max_abs_coeff() > CHECK_TOL:
+    symbol = total._like((u, c) for u, c in total.iter_terms() if not u.is_unit())
+    # past float range the tolerance screens compare NaN, which passes them
+    if not all(map(cmath.isfinite, symbol.table.values())):
+        raise InconsistentDerivationError("non_finite", "recovered series leaves float range")
+    deviations = [
+        max_coeff_diff(inner_derivation(symbol, xi), derivation.value(a))
+        for a, xi in enumerate(generators)
+    ]
+    for a, deviation in enumerate(deviations):
+        if deviation > CHECK_TOL:
             raise InconsistentDerivationError(
                 "generator_residual",
-                f"recovered series leaves a residue of size "
-                f"{residue.max_abs_coeff():.3e} at generator z{a}",
+                f"recovered series leaves a residue of size {deviation:.3e} at generator z{a}",
             )
-    return Series(
-        alphabet, {u: c for u, c in total.iter_terms() if not u.is_unit()}
-    )
+    return symbol, deviations
 
 
 def normal_approx_check(

@@ -32,7 +32,7 @@ import cmath
 import functools
 import math
 from itertools import chain
-from typing import Hashable, Iterable, ItemsView, Mapping, Optional
+from typing import Hashable, Iterable, ItemsView, Iterator, Mapping, Optional
 
 from .words import Alphabet, Word, _index, transport
 
@@ -65,6 +65,23 @@ def _json_int(value: object, what: str) -> int:
     if isinstance(value, bool):
         raise ValueError(f"{what} {value!r} is not an integer")
     return _index(value, what)
+
+
+#: The JSON name of each container type a reader asks for.
+_JSON_KINDS = {dict: "object", list: "list", str: "string"}
+
+
+def _json_typed(value: object, kind: type, what: str):
+    """``value``, refused with a message naming ``what`` unless JSON gave it type ``kind``."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, not {value!r:.60}")
+    return value
+
+
+def _json_terms(data: Mapping) -> Iterator[dict]:
+    """The objects of ``data["terms"]``, a JSON list that may be absent."""
+    terms = _json_typed(data.get("terms", []), list, "terms")
+    return (_json_typed(term, dict, "a term") for term in terms)
 
 
 def _json_coefficient(term: Mapping) -> complex:
@@ -213,8 +230,8 @@ class Series(CoefficientTable):
         out = cls(Alphabet(_json_int(data["alphabet"], "alphabet size")))
         parse = functools.cache(out.alphabet.parse)
         out.table = _sum_and_prune(
-            (parse(term["word"]), _json_coefficient(term))
-            for term in data.get("terms", ())
+            (parse(_json_typed(term["word"], str, "a word text")), _json_coefficient(term))
+            for term in _json_terms(data)
         )
         for word, c in out.table.items():
             if not cmath.isfinite(c):

@@ -14,7 +14,7 @@ from ncdisc import cli
 from ncdisc.cli import RunConfig, main
 from ncdisc.cohomology import Cochain, coboundary
 from ncdisc.derivations import GeneratorDerivation, inner_derivation
-from ncdisc.series import Series
+from ncdisc.series import Series, max_coeff_diff
 from ncdisc.words import Alphabet, enumerate_words
 
 A2 = Alphabet(2)
@@ -236,6 +236,8 @@ GOLDEN_CASES = {
     "non_cocycle": ("trivialize-cocycle", 1),
     "derivation": ("solve-derivation", 0),
     "screened_derivation": ("solve-derivation", 1),
+    # m = 3: two generators peeled after the first, the symbol has powers of z0
+    "derivation_m3": ("solve-derivation", 0),
     # m = 11 (z10 next to z1 and z0), unit slots, a key split into two terms
     # far apart, a key that cancels exactly and one that sums to dust
     "repeated_keys": ("trivialize-cocycle", 0),
@@ -1098,3 +1100,206 @@ def test_json_true_is_not_a_size(tmp_path, capsys, argv, refusal, text):
     assert code == 2
     assert captured.err.startswith(refusal)
     assert captured.out == ""
+
+
+#: The three JSON readers: argv before the input path, and the refusal.
+READERS = {
+    "derivation": (["solve-derivation", "--in"], "bad derivation input:"),
+    "cochain": (["trivialize-cocycle", "--in"], "bad cochain input:"),
+    "series": (["verify-operators", "--cutoff", "2", "--dump-matrix"], "bad series input:"),
+}
+
+
+def _in_derivation(series_text):
+    return '{"alphabet": 2, "values": {"0": %s}}' % series_text
+
+
+#: (reader, JSON text, the message of its own) for each malformed structure.
+MALFORMED = {
+    "input_list_derivation": ("derivation", "[]", "the input must be a JSON object, not []"),
+    "input_string_cochain": ("cochain", '"z0"', "the input must be a JSON object, not 'z0'"),
+    "input_number_series": ("series", "5", "the input must be a JSON object, not 5"),
+    "values_entry_number": (
+        "derivation",
+        _in_derivation("5"),
+        "the value of generator 0 must be a JSON object, not 5",
+    ),
+    "values_entry_list": (
+        "derivation",
+        _in_derivation('["z0"]'),
+        "the value of generator 0 must be a JSON object, not ['z0']",
+    ),
+    # each of these gave "string indices must be integers, not 'str'"
+    "terms_object_derivation": (
+        "derivation",
+        _in_derivation('{"alphabet": 2, "terms": {"word": "z0", "re": 1.0}}'),
+        "terms must be a JSON list, not {'word': 'z0', 're': 1.0}",
+    ),
+    "terms_object_cochain": (
+        "cochain",
+        '{"arity": 2, "alphabet": 2, "terms": {"words": ["z0", "z1"], "re": 1.0}}',
+        "terms must be a JSON list, not {'words': ['z0', 'z1'], 're': 1.0}",
+    ),
+    "terms_string_series": (
+        "series",
+        '{"alphabet": 2, "terms": "z0"}',
+        "terms must be a JSON list, not 'z0'",
+    ),
+    # each of these gave "'int' object is not subscriptable"
+    "term_number_derivation": (
+        "derivation",
+        _in_derivation('{"alphabet": 2, "terms": [5]}'),
+        "a term must be a JSON object, not 5",
+    ),
+    "term_number_cochain": (
+        "cochain",
+        '{"arity": 2, "alphabet": 2, "terms": [5]}',
+        "a term must be a JSON object, not 5",
+    ),
+    "term_list_series": (
+        "series",
+        '{"alphabet": 2, "terms": [["z0", 1.0]]}',
+        "a term must be a JSON object, not ['z0', 1.0]",
+    ),
+    # each of these gave "unhashable type: 'list'"
+    "word_list_derivation": (
+        "derivation",
+        _in_derivation('{"alphabet": 2, "terms": [{"word": ["z0"], "re": 1.0}]}'),
+        "a word text must be a JSON string, not ['z0']",
+    ),
+    "word_list_series": (
+        "series",
+        '{"alphabet": 2, "terms": [{"word": ["z0"], "re": 1.0}]}',
+        "a word text must be a JSON string, not ['z0']",
+    ),
+    "word_number_series": (
+        "series",
+        '{"alphabet": 2, "terms": [{"word": 0, "re": 1.0}]}',
+        "a word text must be a JSON string, not 0",
+    ),
+    "word_list_cochain": (
+        "cochain",
+        '{"arity": 2, "alphabet": 2, "terms": [{"words": [["z0"], "z1"], "re": 1.0}]}',
+        "holds a text that is not a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_structure_is_bad_input_with_a_message_of_its_own(tmp_path, capsys, case):
+    reader, text, message = MALFORMED[case]
+    argv, refusal = READERS[reader]
+    infile = tmp_path / "input.json"
+    infile.write_text(text)
+    code = main([*argv, str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(refusal)
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_replay_payload_that_is_not_an_object_is_bad_input(tmp_path, capsys):
+    infile = tmp_path / "payload.json"
+    infile.write_text('["words.concat_laws", {}]')
+    code = main(["verify-words", "--replay", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad replay payload: the input must be a JSON object")
+
+
+def _series_json(m, terms):
+    return {"alphabet": m, "terms": [{"word": w, "re": c.real, "im": c.imag} for w, c in terms]}
+
+
+def test_solve_derivation_reports_the_generator_residual(tmp_path, capsys):
+    # z1 and z2 peel t = 2 z0 from the value at z2, whose commutator with z1
+    # is 2 z1z0 - 2 z0z1, not the zero value given at z1
+    data = {
+        "alphabet": 3,
+        "values": {
+            "0": _series_json(3, []),
+            "1": _series_json(3, []),
+            "2": _series_json(3, [("z2z0", 2.0), ("z0z2", -2.0)]),
+        },
+    }
+    infile = tmp_path / "derivation.json"
+    infile.write_text(json.dumps(data))
+    code, out = run(capsys, "solve-derivation", "--in", str(infile))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {
+        "check": "generator_residual",
+        "message": "recovered series leaves a residue of size 2.000e+00 at generator z1",
+        "word": None,
+    }
+
+
+def test_solve_derivation_reports_the_deviation_of_each_final_commutator(tmp_path, capsys):
+    # weights across eight decades: the stabilized sum rounds, so some
+    # recovered symbols miss their commutators by a few units in the last place
+    alphabet = Alphabet(3)
+    infile = tmp_path / "derivation.json"
+    deviations = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        symbol = Series(
+            alphabet,
+            {
+                alphabet.word(rng.randrange(3) for _ in range(rng.randint(1, 4))): complex(
+                    rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 2),
+                    rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 2),
+                )
+                for _ in range(12)
+            },
+        )
+        infile.write_text(json.dumps(GeneratorDerivation.inner(symbol).to_json_dict()))
+        code, out = run(capsys, "solve-derivation", "--in", str(infile))
+        assert code == 0
+        result = json.loads(out)
+        derivation = GeneratorDerivation.from_json_dict(json.loads(infile.read_text()))
+        recovered = Series.from_json_dict(result["series"])
+        expected = {
+            f"z{a}": max_coeff_diff(
+                inner_derivation(recovered, Series.basis(alphabet.generator(a))),
+                derivation.value(a),
+            )
+            for a in alphabet.letters()
+        }
+        assert result["report"]["max_generator_deviation"] == expected
+        deviations.extend(expected.values())
+    assert any(deviation > 0.0 for deviation in deviations)
+
+
+#: Derivations whose solve leaves float range, with the screen that reports it.
+OVERFLOWING_SOLVES = {
+    # the parent raised a traceback building the stabilized sum at z0
+    "stabilized_sum": (
+        {"0": _series_json(2, [("z0z1", 1e308), ("z1z0", 1e308)])},
+        {
+            "check": "residual",
+            "message": "stabilized sum has weight (inf+0j) at z1z0, not left-divisible by z0",
+            "word": "z1z0",
+        },
+    ),
+    # z1 peels 1e308 z0; z2's value less its commutator then holds -inf at
+    # z2z0 and inf at z0z2, which the pair screen cannot tell from a pair
+    "peeled_symbol": (
+        {
+            "1": _series_json(3, [("z1z0", 1e308), ("z0z1", -1e308)]),
+            "2": _series_json(3, [("z2z0", -1e308), ("z0z2", 1e308)]),
+        },
+        {"check": "non_finite", "message": "recovered series leaves float range", "word": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING_SOLVES))
+def test_solve_derivation_past_float_range_is_a_failed_solve(tmp_path, capsys, case):
+    values, error = OVERFLOWING_SOLVES[case]
+    m = max(value["alphabet"] for value in values.values())
+    infile = tmp_path / "derivation.json"
+    infile.write_text(json.dumps({"alphabet": m, "values": values}))
+    code, out = run(capsys, "solve-derivation", "--in", str(infile))
+    assert code == 1
+    assert json.loads(out)["error"] == error

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncdisc.cli import _random_series
 from ncdisc.derivations import (
@@ -16,7 +17,7 @@ from ncdisc.derivations import (
     solve_local_inner,
     stabilized_conjugate_sum,
 )
-from ncdisc.series import Series, conjugate_by, convolve
+from ncdisc.series import PRUNE_EPS, Series, conjugate_by, convolve
 from ncdisc.words import Alphabet, enumerate_words
 
 A2 = Alphabet(2)
@@ -41,6 +42,77 @@ def test_inner_derivation_examples():
     assert inner_derivation(Series.unit(A2), xi(1, 0)).is_zero()
     assert inner_derivation(xi(0), xi(1)) == xi(1, 0) - xi(0, 1)
     assert inner_derivation(xi(0), xi(0)).is_zero()
+
+
+def _commutator_reference(t, phi):
+    """Reference: the two products, each summed and pruned, then subtracted."""
+    return convolve(phi, t) - convolve(t, phi)
+
+
+def _bits(series):
+    """Terms with each coefficient as the exact bits of its two parts."""
+    return {w: (c.real.hex(), c.imag.hex()) for w, c in series.iter_terms()}
+
+
+@st.composite
+def _words(draw, alphabet, max_len=3):
+    return alphabet.word(draw(st.lists(st.integers(0, alphabet.size - 1), max_size=max_len)))
+
+
+@st.composite
+def _series(draw, alphabet, coefficient, max_terms=6):
+    terms = draw(st.dictionaries(_words(alphabet), coefficient, max_size=max_terms))
+    return Series(alphabet, terms)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: Gaussian integers and dyadics k / 2^j: every product and sum below is exact.
+EXACT_PART = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.builds(lambda k, j: k / 2**j, st.integers(-64, 64), st.integers(0, 6)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_inner_derivation_at_a_basis_word_matches_the_reference_bit_for_bit(data):
+    # xi_w has one term of weight 1, so no product of the reference falls
+    # to PRUNE_EPS before the subtraction: the one step sees the same sums
+    alphabet = Alphabet(data.draw(st.integers(1, 3)))
+    t = data.draw(_series(alphabet, st.builds(complex, FINITE, FINITE)))
+    phi = Series.basis(data.draw(_words(alphabet)))
+    assert _bits(inner_derivation(t, phi)) == _bits(_commutator_reference(t, phi))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_inner_derivation_matches_the_reference_on_exact_coefficients(data):
+    # one or two letters and short words, so that several terms of each
+    # product land on one key and terms of the two products cancel
+    alphabet = Alphabet(data.draw(st.integers(1, 2)))
+    coefficient = st.builds(complex, EXACT_PART, EXACT_PART)
+    t = data.draw(_series(alphabet, coefficient))
+    phi = data.draw(_series(alphabet, coefficient))
+    assert inner_derivation(t, phi) == _commutator_reference(t, phi)
+
+
+def test_inner_derivation_sums_keys_that_several_terms_hit():
+    # z0 * z1z0 = z0z1 * z0, z0 * z0z0 = z0z0 * z0, and e * u = u * e
+    t = xi(1, 0) - 2 * xi(0, 1) + 0.5 * xi(0, 0)
+    phi = xi(0) + 3 * xi()
+    expected = xi(0, 1, 0) - 2 * xi(0, 0, 1) + 0.5 * xi(0, 0, 0)
+    expected = expected - (xi(1, 0, 0) - 2 * xi(0, 1, 0) + 0.5 * xi(0, 0, 0))
+    assert inner_derivation(t, phi) == expected == _commutator_reference(t, phi)
+
+
+def test_inner_derivation_prunes_only_the_sum():
+    # a scaled one-term phi whose products sit at PRUNE_EPS: the reference
+    # prunes each product before subtracting, the one step prunes the sum
+    t = Series(A2, {w2(1, 0): 1e-11, w2(0, 1): -1e-11})
+    phi = Series(A2, {Z0: 1e-3})
+    assert abs(1e-3 * 1e-11) <= PRUNE_EPS
+    assert _commutator_reference(t, phi).is_zero()
+    assert inner_derivation(t, phi).coeff(w2(0, 1, 0)) == 2 * (1e-3 * 1e-11)
 
 
 def test_generator_derivation_construction():
