@@ -95,10 +95,11 @@ DEFAULT_TRIALS = 10_000
 #: Smallest cutoff the operator suite's specs fit: the conjugation check
 #: sandwiches by a shift of length one on each side.
 MIN_OPERATOR_CUTOFF = 2
-#: Cutoff of the operator checks that draw dense random operators.
-DENSE_CUTOFF = 4
-#: Most entries (16 bytes each) of one dense random operator: dimension 2048.
-MAX_DENSE_ENTRIES = 1 << 22
+#: Cutoff of the operator checks that estimate many norms of random operators.
+NORM_CUTOFF = 4
+#: Most words of the basis at ``min(cutoff, NORM_CUTOFF)`` an operator suite
+#: may hold; the commutant check's sweep of about 4m^3 pairs is bounded by it too.
+MAX_NORM_WORDS = 2048
 
 
 @dataclass
@@ -232,11 +233,27 @@ def _random_series(
     return Series._from_valid((alphabet,), terms)
 
 
-def _random_dense_operator(basis: TruncationBasis, seed: int) -> TruncatedOperator:
-    gen = np.random.default_rng(seed)
-    n = basis.dimension
-    matrix = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    return TruncatedOperator.from_dense(basis, matrix)
+def _random_operator(basis: TruncationBasis, seed: int) -> TruncatedOperator:
+    """A random operator with one nonzero entry in each column per row length.
+
+    For each column in rank order and each row length 0..cutoff, a row drawn
+    uniformly from that length's rank block gets a nonzero
+    ``_random_coefficient`` (a zero is redrawn).  So every band of every
+    column is filled, with ``dimension * (cutoff + 1)`` entries.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    offsets = basis.offsets().tolist()
+    blocks = [(start, end - start) for start, end in zip(offsets, offsets[1:])]
+    rows, vals = [], []
+    for _ in range(basis.dimension):
+        for start, size in blocks:
+            rows.append(start + _below(getrandbits, size))
+            value = _random_coefficient(getrandbits)
+            while not value:
+                value = _random_coefficient(getrandbits)
+            vals.append(value)
+    cols = np.repeat(np.arange(basis.dimension), len(blocks))
+    return TruncatedOperator._from_coo(basis, rows, cols, vals)
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +450,7 @@ def _check_commutant(params: dict) -> tuple[bool, Optional[dict]]:
     "operators.band_projections",
     lambda c: {
         "m": c.alphabet,
-        "cutoff": min(c.cutoff, DENSE_CUTOFF),
+        "cutoff": min(c.cutoff, NORM_CUTOFF),
         "seed": c.seed,
         "trials": 3,
         "tol": c.tol,
@@ -443,7 +460,7 @@ def _check_band_projections(params: dict) -> tuple[bool, Optional[dict]]:
     basis = TruncationBasis(Alphabet(params["m"]), params["cutoff"])
     cutoff = params["cutoff"]
     for trial in range(params["trials"]):
-        op = _random_dense_operator(basis, params["seed"] + trial)
+        op = _random_operator(basis, params["seed"] + trial)
         reference = norm_estimate(op, params["tol"])
         for j in range(-cutoff, cutoff + 1):
             banded = degree_band(op, j)
@@ -493,7 +510,7 @@ def _check_compression_product(params: dict) -> tuple[bool, Optional[dict]]:
     "operators.cesaro_contraction",
     lambda c: {
         "m": c.alphabet,
-        "cutoff": min(c.cutoff, DENSE_CUTOFF),
+        "cutoff": min(c.cutoff, NORM_CUTOFF),
         "seed": c.seed + 2,
         "trials": 20,
         "tol": c.tol,
@@ -502,7 +519,7 @@ def _check_compression_product(params: dict) -> tuple[bool, Optional[dict]]:
 def _check_cesaro_contraction(params: dict) -> tuple[bool, Optional[dict]]:
     basis = TruncationBasis(Alphabet(params["m"]), params["cutoff"])
     for trial in range(params["trials"]):
-        op = _random_dense_operator(basis, params["seed"] + trial)
+        op = _random_operator(basis, params["seed"] + trial)
         k = 1 + trial % 5
         smoothed = norm_estimate(cesaro_op(op, k), params["tol"])
         reference = norm_estimate(op, params["tol"])
@@ -560,7 +577,11 @@ def _check_conjugation(params: dict) -> tuple[bool, Optional[dict]]:
 @_register(
     "operators.filter_norm_bound",
     lambda c: {
-        "m": c.alphabet, "cutoff": min(c.cutoff, 4), "seed": c.seed + 5, "trials": 25, "tol": c.tol
+        "m": c.alphabet,
+        "cutoff": min(c.cutoff, NORM_CUTOFF),
+        "seed": c.seed + 5,
+        "trials": 25,
+        "tol": c.tol,
     },
 )
 def _check_filter_norm(params: dict) -> tuple[bool, Optional[dict]]:
@@ -908,13 +929,16 @@ def _cmd_replay(path: str) -> int:
     return 0 if passed else 1
 
 
-def _check_dense_size(config: RunConfig) -> None:
-    """Refuse, before allocation, dense random operators past MAX_DENSE_ENTRIES."""
-    dimension = basis_dimension(config.alphabet, min(config.cutoff, DENSE_CUTOFF))
-    if dimension * dimension > MAX_DENSE_ENTRIES:
+def _check_operator_config(config: RunConfig) -> None:
+    """Refuse, before any basis is built, an operator suite that does not fit."""
+    if config.cutoff < MIN_OPERATOR_CUTOFF:
+        raise ValueError(f"the operator suite needs cutoff at least {MIN_OPERATOR_CUTOFF}")
+    basis_dimension(config.alphabet, config.cutoff)
+    words = basis_dimension(config.alphabet, min(config.cutoff, NORM_CUTOFF))
+    if words > MAX_NORM_WORDS:
         raise ValueError(
-            f"dense random operators of dimension {dimension} exceed "
-            f"{MAX_DENSE_ENTRIES} entries"
+            f"the norm checks' basis at cutoff {min(config.cutoff, NORM_CUTOFF)} holds "
+            f"{words} words, over {MAX_NORM_WORDS}"
         )
 
 
@@ -924,10 +948,7 @@ def _cmd_verify(args: argparse.Namespace, suites: Sequence[str]) -> int:
     try:
         config = _config_from_args(args)
         if "operators" in suites:
-            if config.cutoff < MIN_OPERATOR_CUTOFF:
-                raise ValueError(f"the operator suite needs cutoff at least {MIN_OPERATOR_CUTOFF}")
-            basis_dimension(config.alphabet, config.cutoff)
-            _check_dense_size(config)
+            _check_operator_config(config)
     except ValueError as err:
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2

@@ -36,6 +36,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .operators import TruncationBasis
 from .series import (
     PRUNE_EPS,
     _JSON_NUMBERS,
@@ -319,12 +320,6 @@ def _group(ids: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return rows[head], inverse
 
 
-def _survivors(re: np.ndarray, im: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The groups the table core's prune keeps, sorted by ``order``."""
-    kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
-    return kept[np.argsort(order[kept])]
-
-
 def _summed(terms: _CutCodes) -> _CutCodes:
     """The table core's sum and prune on codes: ``np.bincount`` sums each
     key's terms in generation order, and the keys stay in order of first
@@ -334,7 +329,8 @@ def _summed(terms: _CutCodes) -> _CutCodes:
     first, inverse = _group(terms.ids, terms.bounds)
     re = np.bincount(inverse, weights=terms.re)
     im = np.bincount(inverse, weights=terms.im)
-    kept = _survivors(re, im, first)
+    kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
+    kept = kept[np.argsort(first[kept])]
     return terms.rows(first[kept], re[kept], im[kept])
 
 
@@ -476,12 +472,12 @@ def trivialize(phi: Cochain | _CutCodes) -> tuple[Cochain, Cochain]:
 
     Equal to ``homotopy(phi)`` and ``coboundary(psi) - phi`` term for term
     and bit for bit, from one encoding of phi; phi may also come encoded,
-    as the JSON reader :func:`_read_codes` gives it.  The residual is one
-    kernel call over the coboundary terms of psi's codes and phi's own
-    rows, which share phi's string ids.  As in the table core's subtraction, the
-    coboundary is summed and pruned first, then phi is subtracted key by key
-    and the difference pruned; keys keep the subtraction's order.  For a
-    correct psi nothing survives, so no ``Word`` is built for the residual.
+    as the JSON reader :func:`_read_codes` gives it.  As in the table core's
+    subtraction, the coboundary of psi's codes is summed and pruned first;
+    then phi's rows, which share phi's string ids, follow it with their
+    coefficients negated, and one more sum and prune gives the difference
+    in the subtraction's key order.  For a correct psi nothing survives, so
+    no ``Word`` is built for the residual.
     """
     codes, psi = _homotopy_codes(phi)
     return _decode(psi), _decode(_residual(psi, codes))
@@ -490,28 +486,15 @@ def trivialize(phi: Cochain | _CutCodes) -> tuple[Cochain, Cochain]:
 def _residual(psi: _CutCodes, phi: _CutCodes) -> _CutCodes:
     """``coboundary(psi) - phi`` on codes that share phi's string ids, with
     the table core's sums, prunes and key order (see :func:`trivialize`)."""
-    boundary = _coboundary_terms(psi)
-    size = boundary.ids.size
-    ids = np.concatenate([boundary.ids, phi.ids])
-    if not ids.size:
-        return phi
-    bounds = np.concatenate([boundary.bounds, phi.bounds])
-    first, inverse = _group(ids, bounds)
-    re = np.bincount(inverse[:size], boundary.re, first.size)
-    im = np.bincount(inverse[:size], boundary.im, first.size)
-    dropped = np.hypot(re, im) <= PRUNE_EPS
-    re[dropped] = 0.0
-    im[dropped] = 0.0
-    # phi has distinct keys, so each group takes at most one of its rows
-    minus = inverse[size:]
-    re[minus] -= phi.re
-    im[minus] -= phi.im
-    # a key the coboundary lacks comes after its keys, in phi's order
-    order = first.copy()
-    late = dropped[minus]
-    order[minus[late]] = size + np.flatnonzero(late)
-    kept = _survivors(re, im, order)
-    return phi._replace(ids=ids, bounds=bounds).rows(first[kept], re[kept], im[kept])
+    boundary = _summed(_coboundary_terms(psi))
+    return _summed(
+        boundary._replace(
+            ids=np.concatenate([boundary.ids, phi.ids]),
+            bounds=np.concatenate([boundary.bounds, phi.bounds]),
+            re=np.concatenate([boundary.re, -phi.re]),
+            im=np.concatenate([boundary.im, -phi.im]),
+        )
+    )
 
 
 def homotopy_on_series(phi: Cochain, args: Sequence[Series]) -> complex:
@@ -558,28 +541,16 @@ def one_cocycle_constraints(
     is the cocycle condition at a pair (u, v) with every term inside the
     support window.  Returns the constraint matrix and the variable order.
     """
-    words = enumerate_words(alphabet, max_len)
-    index = {w: i for i, w in enumerate(words)}
-    e = alphabet.unit()
-    pairs: set[tuple[Word, Word]] = set()
-    for w in words:
-        pairs.add((e, w))
-        pairs.add((w, e))
-    for u in words:
-        for v in words:
-            if len(u) + len(v) <= max_len:
-                pairs.add((u, v))
-    rows = []
-    for u, v in sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
-        row = np.zeros(len(words))
-        if u == e:
-            row[index[v]] += 1.0
-        if len(u) + len(v) <= max_len:
-            row[index[u * v]] -= 1.0
-        if v == e:
-            row[index[u]] += 1.0
-        rows.append(row)
-    return np.array(rows), words
+    basis = TruncationBasis(alphabet, max_len)
+    lengths = basis.lengths
+    # the pairs (u, v) of ranks with |u| + |v| <= max_len, in row-major order
+    u, v = np.nonzero(lengths[:, None] + lengths <= max_len)
+    rows = np.arange(u.size)
+    matrix = np.zeros((u.size, basis.dimension))
+    matrix[rows, basis.concat(u, v)] -= 1.0
+    matrix[rows[u == 0], v[u == 0]] += 1.0
+    matrix[rows[v == 0], u[v == 0]] += 1.0
+    return matrix, enumerate_words(alphabet, max_len)
 
 
 def one_cocycle_dimension(alphabet: Alphabet, max_len: int) -> int:

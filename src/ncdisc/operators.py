@@ -400,7 +400,7 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
             tri = grown
         if restart:
             # fractional parts of j * golden ratio: deterministic, with no pattern to
-            # line up with a structured eigenvector, and no numpy.random import
+            # line up with a structured eigenvector, and no random module to load
             w = (np.modf(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2))[0] - 0.5).astype(complex)
             for _ in range(2):  # twice is enough against cancellation
                 for earlier in replay(k):
@@ -473,13 +473,13 @@ def isometry_relations(basis: TruncationBasis) -> dict[str, float]:
     }
 
 
-def conjugation_check(w: Word, phi: Series, basis: TruncationBasis, tol: float = 0.0) -> bool:
+def conjugation_check(w: Word, phi: Series, basis: TruncationBasis) -> bool:
     """Sandwiching the compression of phi between the shift by w and its adjoint
     matches the compression of the transported series.
 
     Requires ``deg(phi) + 2|w| <= cutoff``; compared on the columns of degree
-    at most ``cutoff - deg(phi) - 2|w|``.  The default tolerance is zero
-    because the identity is exact in floating point for any coefficients:
+    at most ``cutoff - deg(phi) - 2|w|``.  The comparison is exact because
+    the identity is exact in floating point for any coefficients:
     each entry of the sandwich is one entry ``L[wu, wv]`` times the shifts'
     unit entries, and ``transport`` is injective, so ``conjugate_by`` never
     adds two coefficients.
@@ -491,7 +491,7 @@ def conjugation_check(w: Word, phi: Series, basis: TruncationBasis, tol: float =
     shift = left_matrix(Series.basis(w), basis)
     sandwiched = shift.adjoint() @ left_matrix(phi, basis) @ shift
     transported = left_matrix(conjugate_by(w, phi), basis)
-    return max_column_deviation(sandwiched, transported, basis.cutoff - budget) <= tol
+    return max_column_deviation(sandwiched, transported, basis.cutoff - budget) == 0.0
 
 
 def mobius_coefficients(c: float, count: int) -> list[complex]:

@@ -9,7 +9,9 @@ import math
 import random
 import time
 
-from ncdisc.cli import _random_dense_operator, _random_series
+import numpy as np
+
+from ncdisc.cli import _random_series
 from ncdisc.cohomology import (
     Cochain,
     coboundary,
@@ -26,6 +28,7 @@ from ncdisc.derivations import (
     solve_inner_symbol,
 )
 from ncdisc.operators import (
+    TruncatedOperator,
     TruncationBasis,
     cesaro_op,
     left_matrix,
@@ -45,6 +48,14 @@ from ncdisc.words import Alphabet, enumerate_words, power_shift_check
 
 A2 = Alphabet(2)
 E2 = A2.unit()
+
+
+def _dense_gaussian(basis, seed):
+    """A dense complex Gaussian operator on the basis, drawn from ``default_rng(seed)``."""
+    gen = np.random.default_rng(seed)
+    n = basis.dimension
+    matrix = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    return TruncatedOperator.from_dense(basis, matrix)
 
 
 def _line(criterion, label, ok):
@@ -107,7 +118,7 @@ def test_criterion_3_cesaro_contraction_and_convergence():
     basis = TruncationBasis(A2, 4)
     contraction_ok = True
     for trial in range(100):
-        op = _random_dense_operator(basis, 1000 + trial)
+        op = _dense_gaussian(basis, 1000 + trial)
         k = 1 + trial % 6
         if norm_estimate(cesaro_op(op, k)) > norm_estimate(op) + 1e-6:
             contraction_ok = False

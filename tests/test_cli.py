@@ -6,14 +6,17 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncdisc import cli
 from ncdisc.cli import RunConfig, main
 from ncdisc.cohomology import Cochain, coboundary
 from ncdisc.derivations import GeneratorDerivation, inner_derivation
+from ncdisc.operators import TruncationBasis
 from ncdisc.series import Series, max_coeff_diff
 from ncdisc.words import Alphabet, enumerate_words
 
@@ -508,13 +511,66 @@ def test_oversized_dense_operators_are_refused_before_allocation(capsys):
         assert peak < 2**20
 
 
-def test_dense_operator_size_is_predicted_at_the_dense_cutoff():
-    # dimension at cutoff 4: 1555 words (2.4M entries) at m=6, 2801 (7.8M) at m=7
-    cli._check_dense_size(RunConfig(alphabet=6, cutoff=9))
-    with pytest.raises(ValueError, match="dense random operators"):
-        cli._check_dense_size(RunConfig(alphabet=7, cutoff=4))
-    # below the dense cutoff the operators shrink with the cutoff: 400 words
-    cli._check_dense_size(RunConfig(alphabet=7, cutoff=3))
+def test_operator_suite_size_is_predicted_at_the_norm_cutoff():
+    # the basis at min(cutoff, 4) may hold 2048 words: 1555, 1885 and 1981
+    # words are accepted, 2801, 2380 and 2071 refused
+    for m, cutoff in ((6, 4), (12, 3), (44, 2)):
+        cli._check_operator_config(RunConfig(alphabet=m, cutoff=cutoff))
+    for m, cutoff in ((7, 4), (13, 3), (45, 2)):
+        with pytest.raises(ValueError, match="over 2048"):
+            cli._check_operator_config(RunConfig(alphabet=m, cutoff=cutoff))
+    # past the norm cutoff the basis is counted at it (1555 words), below it
+    # the basis shrinks with the cutoff (400 words)
+    cli._check_operator_config(RunConfig(alphabet=6, cutoff=8))
+    cli._check_operator_config(RunConfig(alphabet=7, cutoff=3))
+
+
+def test_checks_load_no_numpy_random():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    program = (
+        "import contextlib, io, sys\n"
+        "from ncdisc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['report-all', '--alphabet', '3'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_random_operator_fills_each_column_once_per_row_length(m):
+    basis = TruncationBasis(Alphabet(m), 4)
+    op = cli._random_operator(basis, 5)
+    again = cli._random_operator(basis, 5)
+    for field in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(op, field), getattr(again, field))
+    assert not np.array_equal(op.vals, cli._random_operator(basis, 6).vals)
+    # one entry per (column, row length), so every band of every column is filled
+    filled = Counter(zip(op.cols.tolist(), basis.lengths[op.rows].tolist()))
+    assert set(filled.values()) == {1}
+    assert set(filled) == {(col, n) for col in range(basis.dimension) for n in range(5)}
+    assert set(op.band_lengths().tolist()) == set(range(-4, 5))
+    assert all(
+        c and c.real == int(c.real) and c.imag == int(c.imag) and max(abs(c.real), abs(c.imag)) <= 3
+        for c in op.vals.tolist()
+    )
+
+
+def test_report_all_matches_its_golden_file(capsys):
+    # the report of ``report-all --alphabet 2 --seed 1`` with elapsed_s zeroed
+    code, out = run(capsys, "report-all", "--alphabet", "2", "--seed", "1")
+    assert code == 0
+    report = scrub_timings(json.loads(out))
+    golden = Path(__file__).parent / "data" / "report_all.json"
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
 def test_replaying_a_crashing_check_reports_the_failed_check(tmp_path, monkeypatch, capsys):

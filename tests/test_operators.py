@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncdisc.cli import _random_dense_operator, _random_series
+from ncdisc.cli import _random_series
 from ncdisc.operators import (
     MAX_DIMENSION,
     PowerIterationError,
@@ -43,6 +43,14 @@ A2 = Alphabet(2)
 E = A2.unit()
 Z0 = A2.generator(0)
 Z1 = A2.generator(1)
+
+
+def _dense_gaussian(basis, seed):
+    """A dense complex Gaussian operator on the basis, drawn from ``default_rng(seed)``."""
+    gen = np.random.default_rng(seed)
+    n = basis.dimension
+    matrix = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    return TruncatedOperator.from_dense(basis, matrix)
 
 
 def w2(*letters):
@@ -225,7 +233,7 @@ def test_degree_band_matches_series_filter():
 
 def test_degree_band_matches_projection_sum():
     basis = TruncationBasis(A2, 3)
-    op = _random_dense_operator(basis, 11)
+    op = _dense_gaussian(basis, 11)
     for j in range(-3, 4):
         summed = TruncatedOperator.zero(basis)
         for k in range(max(0, j), basis.cutoff + 1):
@@ -236,7 +244,7 @@ def test_degree_band_matches_projection_sum():
 
 def test_bands_are_orthogonal_projections():
     basis = TruncationBasis(A2, 3)
-    op = _random_dense_operator(basis, 13)
+    op = _dense_gaussian(basis, 13)
     for j in range(-2, 3):
         banded = degree_band(op, j)
         assert degree_band(banded, j).entries == banded.entries
@@ -245,7 +253,7 @@ def test_bands_are_orthogonal_projections():
 
 def test_band_contractive():
     basis = TruncationBasis(A2, 3)
-    op = _random_dense_operator(basis, 17)
+    op = _dense_gaussian(basis, 17)
     reference = norm_estimate(op)
     for j in range(-3, 4):
         assert norm_estimate(degree_band(op, j)) <= reference + 1e-6
@@ -277,7 +285,7 @@ def test_cesaro_op_fixes_identity():
 def test_cesaro_op_contractive_on_random_operators():
     basis = TruncationBasis(A2, 4)
     for trial in range(10):
-        op = _random_dense_operator(basis, 100 + trial)
+        op = _dense_gaussian(basis, 100 + trial)
         reference = norm_estimate(op)
         assert norm_estimate(cesaro_op(op, 1 + trial % 5)) <= reference + 1e-6
 
@@ -315,7 +323,7 @@ def test_norm_estimate_examples():
 def test_norm_estimate_matches_svd_oracle():
     basis = TruncationBasis(A2, 3)
     for trial in range(5):
-        op = _random_dense_operator(basis, 200 + trial)
+        op = _dense_gaussian(basis, 200 + trial)
         exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
         estimate = norm_estimate(op, tol=1e-12)
         assert estimate == pytest.approx(exact, rel=1e-6)
@@ -328,7 +336,7 @@ def test_norm_estimate_lanczos_matches_svd_oracle():
         left_matrix(_random_series(rng, A2, 3, max_terms=4), TruncationBasis(A2, c))
         for c in range(6, 10)
     ]
-    cases.append(_random_dense_operator(TruncationBasis(A2, 3), 300))
+    cases.append(_dense_gaussian(TruncationBasis(A2, 3), 300))
     for op in cases:
         exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
         estimate = norm_estimate(op, tol=1e-11)
@@ -421,7 +429,7 @@ def test_norm_estimate_certified_invariant_exit_matches_svd_oracle(cutoff, monke
 
 def test_norm_estimate_nonconvergence_reported():
     basis = TruncationBasis(A2, 2)
-    op = _random_dense_operator(basis, 7)
+    op = _dense_gaussian(basis, 7)
     with pytest.raises(PowerIterationError):
         norm_estimate(op, tol=1e-15, max_iter=2)
 
