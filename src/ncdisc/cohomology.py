@@ -39,10 +39,10 @@ import numpy as np
 from .operators import TruncationBasis
 from .series import (
     PRUNE_EPS,
-    _JSON_NUMBERS,
     CoefficientTable,
     Series,
     _json_int,
+    _json_parts,
     _json_terms,
     adjoint_shift,
     first_letter_part,
@@ -116,11 +116,6 @@ class Cochain(CoefficientTable):
     @classmethod
     def scalar(cls, alphabet: Alphabet, value: complex) -> "Cochain":
         return cls(0, alphabet, {(): value})
-
-    def scalar_value(self) -> complex:
-        if self.arity != 0:
-            raise ValueError("not an arity-zero cochain")
-        return self.table.get((), 0j)
 
     def evaluate(self, *args: Series) -> complex:
         """Multilinear extension: weight each table entry by the argument
@@ -211,7 +206,7 @@ def _read_codes(data: Mapping) -> _CutCodes:
     JSON ``true``.  Each key is a list of ``arity`` word texts; each
     distinct text meets the grammar once, and each distinct letter string
     the letter rule of ``words``, so every letter is bounded by the size.
-    Coefficient parts follow ``series._json_coefficient``.  A key's string
+    Coefficient parts follow ``series._json_parts``.  A key's string
     is its texts joined with the units left out, and its cuts are the
     running letter counts.  A coefficient that is not finite after the sum
     is refused: no sum with a NaN or an infinity in it is finite, and
@@ -244,9 +239,7 @@ def _read_codes(data: Mapping) -> _CutCodes:
             at += length
             bounds.append(at)
         ids.append(strings.setdefault(spelled.replace("e", ""), len(strings)))
-        re, im = term["re"], term.get("im", 0.0)
-        if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
-            raise ValueError(f"coefficient parts {re!r}, {im!r} are not both JSON numbers")
+        re, im = _json_parts(term)
         res.append(re)
         ims.append(im)
     try:

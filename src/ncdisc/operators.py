@@ -121,17 +121,12 @@ class TruncatedOperator:
 
     __slots__ = ("basis", "rows", "cols", "vals")
 
-    def __init__(self, basis: TruncationBasis, entries: Optional[Entries] = None):
-        entries = entries or {}
-        positions = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
-        if np.any((positions < 0) | (positions >= basis.dimension)):
-            raise ValueError("entry position outside the basis")
-        self._store(basis, positions[:, 0], positions[:, 1], [complex(v) for v in entries.values()])
-
-    def _store(self, basis: TruncationBasis, rows, cols, vals) -> None:
-        """Keep the canonical form: sorted, repeated positions summed, exact zeros dropped."""
+    @classmethod
+    def _from_coo(cls, basis: TruncationBasis, rows, cols, vals) -> "TruncatedOperator":
+        """The operator of coordinate lists in its canonical form: sorted,
+        repeated positions summed, exact zeros dropped."""
         n = basis.dimension
-        keys = np.asarray(rows, dtype=np.int64) * n + cols
+        keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=complex)
         if np.any(keys[1:] <= keys[:-1]):
             order = np.argsort(keys, kind="stable")
@@ -139,18 +134,14 @@ class TruncatedOperator:
             starts = np.flatnonzero(np.diff(keys, prepend=-1))
             keys, vals = keys[starts], np.add.reduceat(vals, starts)
         keep = vals != 0
-        self.basis, self.vals = basis, vals[keep]
-        self.rows, self.cols = np.divmod(keys[keep], n)
-
-    @classmethod
-    def _from_coo(cls, basis: TruncationBasis, rows, cols, vals) -> "TruncatedOperator":
         op = cls.__new__(cls)
-        op._store(basis, rows, cols, vals)
+        op.basis, op.vals = basis, vals[keep]
+        op.rows, op.cols = np.divmod(keys[keep], n)
         return op
 
     @classmethod
     def zero(cls, basis: TruncationBasis) -> "TruncatedOperator":
-        return cls(basis)
+        return cls._from_coo(basis, [], [], [])
 
     @classmethod
     def identity(cls, basis: TruncationBasis) -> "TruncatedOperator":

@@ -84,14 +84,19 @@ def _json_terms(data: Mapping) -> Iterator[dict]:
     return (_json_typed(term, dict, "a term") for term in terms)
 
 
-def _json_coefficient(term: Mapping) -> complex:
-    """The coefficient of a JSON term: ``re`` and an optional ``im``, each a
-    JSON number, never a string or a boolean."""
+def _json_parts(term: Mapping) -> tuple[float, float]:
+    """The coefficient parts of a JSON term: ``re`` and an optional ``im``,
+    each a JSON number, never a string or a boolean."""
     re, im = term["re"], term.get("im", 0.0)
     if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
         raise ValueError(f"coefficient parts {re!r}, {im!r} are not both JSON numbers")
+    return re, im
+
+
+def _json_coefficient(term: Mapping) -> complex:
+    """The coefficient of a JSON term, its parts checked by ``_json_parts``."""
     try:
-        return complex(re, im)
+        return complex(*_json_parts(term))
     except OverflowError as err:
         raise ValueError(f"coefficient out of range: {err}") from None
 
@@ -258,14 +263,8 @@ class Series(CoefficientTable):
     def l1_norm(self) -> float:
         return sum(abs(c) for c in self.table.values())
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.table.values()), default=0.0)
-
     def letters_used(self) -> frozenset[int]:
         return frozenset(letter for w in self.table for letter in w.letters)
-
-    def allclose(self, other: "Series", tol: float = 1e-12) -> bool:
-        return max_coeff_diff(self, other) <= tol
 
     def __repr__(self) -> str:
         if not self.table:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from ncdisc.cli import _random_series
+from ncdisc.checks import _random_series
 from ncdisc.cohomology import (
     Cochain,
     coboundary,

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncdisc import cli
-from ncdisc.cli import RunConfig, main
+from ncdisc import checks, cli
+from ncdisc.checks import RunConfig
+from ncdisc.cli import main
 from ncdisc.cohomology import Cochain, coboundary
 from ncdisc.derivations import GeneratorDerivation, inner_derivation
 from ncdisc.operators import TruncationBasis
@@ -41,6 +42,11 @@ def scrub_timings(report):
         elif isinstance(node, list):
             stack.extend(node)
     return report
+
+
+def plant(monkeypatch, name, run):
+    """Register ``run`` in place of the check ``name``, with its suite parameters."""
+    monkeypatch.setitem(checks.CHECKS, name, checks.CHECKS[name]._replace(run=run))
 
 
 def test_verify_words_passes(capsys):
@@ -431,9 +437,9 @@ def full_scan_power_shift(params):
             k_min = math.ceil(len(u) / len(w)) + 1
             for k in (k_min, k_min + 1):
                 for v in candidates:
-                    if len(v) == len(u) and not cli.power_shift_check(w, u, v, k):
-                        return False, {"w": str(w), "u": str(u), "v": str(v), "k": k}
-    return True, None
+                    if len(v) == len(u) and not checks.power_shift_check(w, u, v, k):
+                        return {"w": str(w), "u": str(u), "v": str(v), "k": k}
+    return None
 
 
 SWEEP_PARAMS = (
@@ -445,8 +451,9 @@ SWEEP_PARAMS = (
 
 @pytest.mark.parametrize("params", SWEEP_PARAMS)
 def test_power_shift_sweep_matches_full_scan(params):
-    sweep = cli.CHECKS["words.power_shift_sweep"]
-    assert sweep(params) == full_scan_power_shift(params) == (True, None)
+    sweep = checks.CHECKS["words.power_shift_sweep"].run
+    assert sweep(params) is None
+    assert full_scan_power_shift(params) is None
 
 
 @pytest.mark.parametrize(
@@ -463,33 +470,33 @@ def test_power_shift_sweep_reports_the_full_scan_counterexample(monkeypatch, par
     k0 = failing[3]
     # the planted failure meets the hypothesis, so it is no vacuous instance
     assert v0 * w0**k0 == w0**k0 * u0
-    real = cli.power_shift_check
+    real = checks.power_shift_check
 
     def planted(w, u, v, k):
         return (w, u, v, k) != (w0, u0, v0, k0) and real(w, u, v, k)
 
-    monkeypatch.setattr(cli, "power_shift_check", planted)
-    expected = (False, {"w": failing[0], "u": failing[1], "v": failing[2], "k": k0})
+    monkeypatch.setattr(checks, "power_shift_check", planted)
+    expected = {"w": failing[0], "u": failing[1], "v": failing[2], "k": k0}
     assert full_scan_power_shift(params) == expected
-    assert cli.CHECKS["words.power_shift_sweep"](params) == expected
+    assert checks.CHECKS["words.power_shift_sweep"].run(params) == expected
 
 
 def test_crashing_check_is_a_failed_check(monkeypatch, capsys):
     def crash(params):
         raise ZeroDivisionError("planted")
 
-    monkeypatch.setitem(cli.CHECKS, "words.concat_laws", crash)
+    plant(monkeypatch, "words.concat_laws", crash)
     code = main(["verify-words", "--max-len", "2"])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
-    checks = {check["name"]: check for check in json.loads(captured.out)["checks"]}
-    crashed = checks.pop("words.concat_laws")
+    results = {check["name"]: check for check in json.loads(captured.out)["checks"]}
+    crashed = results.pop("words.concat_laws")
     assert crashed["passed"] is False
     assert crashed["counterexample"] == {"exception": "ZeroDivisionError: planted"}
     # the params stay, so the failure replays
     assert crashed["params"] == {"m": 2, "len": 2}
-    assert all(check["passed"] for check in checks.values())
+    assert all(check["passed"] for check in results.values())
 
 
 def test_oversized_dense_operators_are_refused_before_allocation(capsys):
@@ -515,14 +522,14 @@ def test_operator_suite_size_is_predicted_at_the_norm_cutoff():
     # the basis at min(cutoff, 4) may hold 2048 words: 1555, 1885 and 1981
     # words are accepted, 2801, 2380 and 2071 refused
     for m, cutoff in ((6, 4), (12, 3), (44, 2)):
-        cli._check_operator_config(RunConfig(alphabet=m, cutoff=cutoff))
+        checks._check_operator_config(RunConfig(alphabet=m, cutoff=cutoff))
     for m, cutoff in ((7, 4), (13, 3), (45, 2)):
         with pytest.raises(ValueError, match="over 2048"):
-            cli._check_operator_config(RunConfig(alphabet=m, cutoff=cutoff))
+            checks._check_operator_config(RunConfig(alphabet=m, cutoff=cutoff))
     # past the norm cutoff the basis is counted at it (1555 words), below it
     # the basis shrinks with the cutoff (400 words)
-    cli._check_operator_config(RunConfig(alphabet=6, cutoff=8))
-    cli._check_operator_config(RunConfig(alphabet=7, cutoff=3))
+    checks._check_operator_config(RunConfig(alphabet=6, cutoff=8))
+    checks._check_operator_config(RunConfig(alphabet=7, cutoff=3))
 
 
 def test_checks_load_no_numpy_random():
@@ -545,14 +552,33 @@ def test_checks_load_no_numpy_random():
     assert result.stdout.split() == ["0", "False"]
 
 
+def test_checks_load_neither_the_cli_nor_argparse():
+    # the dependency runs one way: the command line imports the checks
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    program = (
+        "import sys\n"
+        "import ncdisc.checks\n"
+        "print('ncdisc.cli' in sys.modules, 'argparse' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_random_operator_fills_each_column_once_per_row_length(m):
     basis = TruncationBasis(Alphabet(m), 4)
-    op = cli._random_operator(basis, 5)
-    again = cli._random_operator(basis, 5)
+    op = checks._random_operator(basis, 5)
+    again = checks._random_operator(basis, 5)
     for field in ("rows", "cols", "vals"):
         assert np.array_equal(getattr(op, field), getattr(again, field))
-    assert not np.array_equal(op.vals, cli._random_operator(basis, 6).vals)
+    assert not np.array_equal(op.vals, checks._random_operator(basis, 6).vals)
     # one entry per (column, row length), so every band of every column is filled
     filled = Counter(zip(op.cols.tolist(), basis.lengths[op.rows].tolist()))
     assert set(filled.values()) == {1}
@@ -573,14 +599,28 @@ def test_report_all_matches_its_golden_file(capsys):
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
 
 
+@pytest.mark.parametrize("name", list(checks.CHECKS))
+def test_every_check_replays_from_the_golden_report(tmp_path, capsys, name):
+    golden = json.loads((Path(__file__).parent / "data" / "report_all.json").read_text())
+    (entry,) = [
+        check for report in golden["reports"] for check in report["checks"] if check["name"] == name
+    ]
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"check": name, "params": entry["params"]}))
+    code, out = run(capsys, "report-all", "--replay", str(path))
+    assert code == 0
+    assert '"passed": true' in out and '"counterexample": null' in out
+    assert json.loads(out) == {"check": name, "passed": True, "counterexample": None}
+
+
 def test_replaying_a_crashing_check_reports_the_failed_check(tmp_path, monkeypatch, capsys):
     def crash(params):
         raise ZeroDivisionError("planted")
 
-    monkeypatch.setitem(cli.CHECKS, "words.concat_laws", crash)
+    plant(monkeypatch, "words.concat_laws", crash)
     assert main(["verify-words", "--max-len", "2"]) == 1
-    checks = {check["name"]: check for check in json.loads(capsys.readouterr().out)["checks"]}
-    crashed = checks["words.concat_laws"]
+    results = {check["name"]: check for check in json.loads(capsys.readouterr().out)["checks"]}
+    crashed = results["words.concat_laws"]
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"check": crashed["name"], "params": crashed["params"]}))
 
@@ -600,7 +640,7 @@ def test_replaying_a_non_converging_check_reports_the_failed_check(tmp_path, mon
     def stall(params):
         raise cli.PowerIterationError("no convergence in 3 steps")
 
-    monkeypatch.setitem(cli.CHECKS, "operators.commutant", stall)
+    plant(monkeypatch, "operators.commutant", stall)
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"check": "operators.commutant", "params": {}}))
     code = main(["verify-operators", "--replay", str(path)])
@@ -884,8 +924,8 @@ CLAMPED_PARAMS = [
 )
 def test_report_all_runs_the_pinned_parameter_table(monkeypatch, capsys, argv, expected):
     # the checks are stubbed out: only the parameters each one is given count
-    for name in cli.CHECKS:
-        monkeypatch.setitem(cli.CHECKS, name, lambda params: (True, None))
+    for name in checks.CHECKS:
+        plant(monkeypatch, name, lambda params: None)
     code, out = run(capsys, "report-all", *argv)
     assert code == 0
     ran = [
@@ -894,10 +934,6 @@ def test_report_all_runs_the_pinned_parameter_table(monkeypatch, capsys, argv, e
         for check in report["checks"]
     ]
     assert ran == expected
-
-
-def test_every_check_has_suite_parameters():
-    assert list(cli.PARAMS) == list(cli.CHECKS)
 
 
 # -- the seeded draws -----------------------------------------------------------
@@ -929,7 +965,7 @@ def test_word_draws_match_the_stdlib_calls(m, seed):
     alphabet = Alphabet(m)
     ours, theirs = random.Random(seed), random.Random(seed)
     for min_len, max_len in BOUNDS * 20:
-        word = cli._random_word(ours, alphabet, max_len, min_len)
+        word = checks._random_word(ours, alphabet, max_len, min_len)
         expected = stdlib_word(theirs, alphabet, max_len, min_len)
         assert word.alphabet is alphabet
         assert word.letters == expected.letters
@@ -943,7 +979,7 @@ def test_series_draws_match_the_stdlib_calls(m, seed):
     ours, theirs = random.Random(seed), random.Random(seed)
     for min_len, max_len in BOUNDS * 5:
         for max_terms in (1, 4, 5):
-            series = cli._random_series(ours, alphabet, max_len, max_terms, min_len)
+            series = checks._random_series(ours, alphabet, max_len, max_terms, min_len)
             assert series == stdlib_series(theirs, alphabet, max_len, max_terms, min_len)
             assert ours.getstate() == theirs.getstate()
 
@@ -955,7 +991,7 @@ def test_word_draw_refuses_bad_bounds_before_drawing(min_len, max_len):
     rng = random.Random(1)
     state = rng.getstate()
     with pytest.raises(ValueError):
-        cli._random_word(rng, A2, max_len, min_len)
+        checks._random_word(rng, A2, max_len, min_len)
     assert rng.getstate() == state
 
 

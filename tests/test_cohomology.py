@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdisc import cohomology
-from ncdisc.cli import _random_cochain, _random_word, main
+from ncdisc.checks import _random_cochain, _random_word
+from ncdisc.cli import main
 from ncdisc.cohomology import (
     Cochain,
     NonCocycleError,
@@ -84,7 +85,7 @@ def test_cochain_validation():
 def test_scalar_cochain():
     scalar = Cochain.scalar(A2, 2 + 1j)
     assert scalar.arity == 0
-    assert scalar.scalar_value() == 2 + 1j
+    assert scalar.coeff(()) == 2 + 1j
     assert scalar.evaluate() == 2 + 1j
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncdisc.cli import _random_series
+from ncdisc.checks import _random_series
 from ncdisc.operators import (
     MAX_DIMENSION,
     PowerIterationError,
@@ -307,13 +307,18 @@ def test_cesaro_vector_convergence_surrogate():
 # -- norm estimation -------------------------------------------------------------
 
 
+def _rank_one(basis):
+    """3 times the matrix unit from ``z1`` to ``z0z1``."""
+    matrix = np.zeros((basis.dimension, basis.dimension))
+    matrix[basis.rank(w2(0, 1)), basis.rank(Z1)] = 3.0
+    return TruncatedOperator.from_dense(basis, matrix)
+
+
 def test_norm_estimate_examples():
     basis = TruncationBasis(A2, 3)
     assert norm_estimate(TruncatedOperator.identity(basis)) == pytest.approx(1.0, abs=1e-9)
     assert norm_estimate(left_matrix(xi(0, 1), basis)) == pytest.approx(1.0, abs=1e-9)
-    rank_one = TruncatedOperator(
-        basis, {(basis.rank(w2(0, 1)), basis.rank(Z1)): 3.0}
-    )
+    rank_one = _rank_one(basis)
     assert norm_estimate(rank_one) == pytest.approx(3.0, abs=1e-8)
     assert norm_estimate(TruncatedOperator.zero(basis)) == 0.0
     with pytest.raises(ValueError):
@@ -356,12 +361,10 @@ def test_norm_estimate_invariant_subspace_is_exact():
     basis = TruncationBasis(A2, 3)
     identity = TruncatedOperator.identity(basis)
     assert norm_estimate(identity, tol=1e-15, max_iter=1) == pytest.approx(1.0, abs=1e-14)
-    rank_one = TruncatedOperator(
-        basis, {(basis.rank(w2(0, 1)), basis.rank(Z1)): 3.0}
-    )
+    rank_one = _rank_one(basis)
     assert norm_estimate(rank_one, tol=1e-15, max_iter=2) == pytest.approx(3.0, abs=1e-14)
     # a cap far above the dimension sizes no storage
-    scalar = TruncatedOperator(TruncationBasis(Alphabet(1), 0), {(0, 0): 3 - 4j})
+    scalar = TruncatedOperator.from_dense(TruncationBasis(Alphabet(1), 0), [[3 - 4j]])
     tracemalloc.start()
     try:
         value = norm_estimate(scalar, tol=1e-15, max_iter=10**9)
@@ -375,7 +378,9 @@ def test_norm_estimate_invariant_subspace_is_exact():
 def test_norm_estimate_restarts_past_a_kernel_start():
     # the all-ones start vector is in the kernel: the first run sees only 0
     basis = TruncationBasis(A2, 2)
-    op = TruncatedOperator(basis, {(0, 0): 1.0, (0, 1): -1.0})
+    matrix = np.zeros((basis.dimension, basis.dimension))
+    matrix[0, 0], matrix[0, 1] = 1.0, -1.0
+    op = TruncatedOperator.from_dense(basis, matrix)
     exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
     assert exact == pytest.approx(np.sqrt(2), rel=1e-15)
     assert norm_estimate(op, tol=1e-12) == pytest.approx(exact, rel=1e-12)

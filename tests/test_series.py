@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncdisc
-from ncdisc.cli import _random_series, main
+from ncdisc.checks import _random_series
+from ncdisc.cli import main
 from ncdisc.cohomology import Cochain, coboundary, homotopy
 from ncdisc.series import (
     PRUNE_EPS,
@@ -298,7 +299,6 @@ def test_norm_examples():
     assert (3 * xi(0) + 4 * xi(1)).l2_norm() == pytest.approx(5)
     assert Series.zero(A2).l2_norm() == 0
     assert (3 * xi(0) + 4 * xi(1)).l1_norm() == pytest.approx(7)
-    assert (3 * xi(0) + 4j * xi(1)).max_abs_coeff() == pytest.approx(4)
 
 
 def test_max_coeff_diff():
