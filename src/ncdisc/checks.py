@@ -62,7 +62,7 @@ DEFAULT_TRIALS = 10_000
 MIN_OPERATOR_CUTOFF = 2
 #: Cutoff of the operator checks that estimate many norms of random operators.
 NORM_CUTOFF = 4
-#: Most words of the basis at ``min(cutoff, NORM_CUTOFF)`` an operator suite
+#: Most words of the basis at ``RunConfig.norm_cutoff`` an operator suite
 #: may hold; the commutant check's sweep of about 4m^3 pairs is bounded by it too.
 MAX_NORM_WORDS = 2048
 
@@ -76,7 +76,11 @@ class RunConfig:
     cutoff: int = 5
     seed: int = 42
     tol: float = 1e-9
-    out: Optional[str] = None
+
+    @property
+    def norm_cutoff(self) -> int:
+        """Cutoff of the norm checks: the suite's, capped at ``NORM_CUTOFF``."""
+        return min(self.cutoff, NORM_CUTOFF)
 
     def validate(self) -> None:
         if self.alphabet < 1:
@@ -96,10 +100,10 @@ def _check_operator_config(config: RunConfig) -> None:
     if config.cutoff < MIN_OPERATOR_CUTOFF:
         raise ValueError(f"the operator suite needs cutoff at least {MIN_OPERATOR_CUTOFF}")
     basis_dimension(config.alphabet, config.cutoff)
-    words = basis_dimension(config.alphabet, min(config.cutoff, NORM_CUTOFF))
+    words = basis_dimension(config.alphabet, config.norm_cutoff)
     if words > MAX_NORM_WORDS:
         raise ValueError(
-            f"the norm checks' basis at cutoff {min(config.cutoff, NORM_CUTOFF)} holds "
+            f"the norm checks' basis at cutoff {config.norm_cutoff} holds "
             f"{words} words, over {MAX_NORM_WORDS}"
         )
 
@@ -420,7 +424,7 @@ def _check_commutant(params: dict) -> Optional[dict]:
     "operators.band_projections",
     lambda c: {
         "m": c.alphabet,
-        "cutoff": min(c.cutoff, NORM_CUTOFF),
+        "cutoff": c.norm_cutoff,
         "seed": c.seed,
         "trials": 3,
         "tol": c.tol,
@@ -480,7 +484,7 @@ def _check_compression_product(params: dict) -> Optional[dict]:
     "operators.cesaro_contraction",
     lambda c: {
         "m": c.alphabet,
-        "cutoff": min(c.cutoff, NORM_CUTOFF),
+        "cutoff": c.norm_cutoff,
         "seed": c.seed + 2,
         "trials": 20,
         "tol": c.tol,
@@ -548,7 +552,7 @@ def _check_conjugation(params: dict) -> Optional[dict]:
     "operators.filter_norm_bound",
     lambda c: {
         "m": c.alphabet,
-        "cutoff": min(c.cutoff, NORM_CUTOFF),
+        "cutoff": c.norm_cutoff,
         "seed": c.seed + 5,
         "trials": 25,
         "tol": c.tol,

@@ -23,7 +23,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Collection, Optional, TextIO
+from typing import Callable, Collection, Iterator, Optional, TextIO
 
 from .checks import CHECKS, CheckFn, RunConfig, _check_operator_config
 from .cohomology import NonCocycleError, _CutCodes, _read_codes, trivialize
@@ -32,6 +32,9 @@ from .operators import PowerIterationError, TruncationBasis, left_matrix, write_
 from .series import Series, _json_typed
 
 SCHEMA_VERSION = 1
+
+#: Errors of unreadable or malformed input, JSON syntax errors included: exit 2.
+_BAD_INPUT = (OSError, ValueError, KeyError, TypeError)
 
 
 @dataclass
@@ -113,16 +116,24 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _suite_checks(report_dict: dict) -> Iterator[tuple[str, dict]]:
+    """The (suite, check entry) pairs of a report, or of each report of a merged one."""
+    for rep in report_dict.get("reports", [report_dict]):
+        for check in rep.get("checks", ()):
+            yield rep["suite"], check
+
+
+def _json_text(data: dict) -> str:
+    """The JSON form of every report and result: indented, keys sorted, newline-ended."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def _report_text(report_dict: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
+        return _json_text(report_dict)
     lines = ["suite,check,passed,elapsed_s"]
-    reports = report_dict.get("reports", [report_dict])
-    for rep in reports:
-        for check in rep.get("checks", ()):
-            lines.append(
-                f"{rep['suite']},{check['name']},{check['passed']},{check['elapsed_s']}"
-            )
+    for suite, check in _suite_checks(report_dict):
+        lines.append(f"{suite},{check['name']},{check['passed']},{check['elapsed_s']}")
     return "\n".join(lines) + "\n"
 
 
@@ -144,39 +155,26 @@ def _emit_report(report_dict: dict, args: argparse.Namespace) -> bool:
     if args.out:
         if not _write_out(args.out, lambda handle: handle.write(text)):
             return False
-        reports = report_dict.get("reports", [report_dict])
-        for rep in reports:
-            for check in rep.get("checks", ()):
-                status = "pass" if check["passed"] else "FAIL"
-                print(f"{status}  {rep['suite']}: {check['name']}")
+        for suite, check in _suite_checks(report_dict):
+            status = "pass" if check["passed"] else "FAIL"
+            print(f"{status}  {suite}: {check['name']}")
     else:
         print(text, end="")
     return True
 
 
 def _cmd_replay(path: str) -> int:
+    """Re-run one check from ``{"check": <name>, "params": {...}}`` or from a
+    report's check entry, which says ``name``; params it refuses are a bad payload."""
     try:
         payload = _load_json(path)
         name = payload.get("check", payload.get("name"))
-        params = payload.get("params", payload.get("payload"))
-        fn = CHECKS[name].run
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"bad replay payload: {err}", file=sys.stderr)
-        return 2
-    refused = (ValueError, KeyError, TypeError)
-    try:
-        counterexample = _call_check(fn, params, refused)
-    except refused as err:
+        counterexample = _call_check(CHECKS[name].run, payload.get("params"), _BAD_INPUT)
+    except _BAD_INPUT as err:
         print(f"bad replay payload: {err}", file=sys.stderr)
         return 2
     passed = counterexample is None
-    print(
-        json.dumps(
-            {"check": name, "passed": passed, "counterexample": counterexample},
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(_json_text({"check": name, "passed": passed, "counterexample": counterexample}), end="")
     return 0 if passed else 1
 
 
@@ -224,7 +222,7 @@ def _cmd_dump_matrix(args: argparse.Namespace) -> int:
     """Write the left compression of a series as a word-labelled CSV."""
     try:
         series = Series.from_json_dict(_load_json(args.dump_matrix))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as err:
+    except _BAD_INPUT as err:
         print(f"bad series input: {err}", file=sys.stderr)
         return 2
     try:
@@ -248,11 +246,6 @@ def _cmd_verify_operators(args: argparse.Namespace) -> int:
     return _cmd_verify(args, ["operators"])
 
 
-def _dump_json(data: dict, handle: TextIO) -> None:
-    json.dump(data, handle, indent=2, sort_keys=True)
-    handle.write("\n")
-
-
 def _run_solver(
     args: argparse.Namespace,
     suite: str,
@@ -270,21 +263,21 @@ def _run_solver(
     """
     try:
         problem = read(_load_json(args.infile))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as err:
+    except _BAD_INPUT as err:
         print(f"bad {what} input: {err}", file=sys.stderr)
         return 2
     summary, result = solve(problem)
     report = {"schema": SCHEMA_VERSION, "suite": suite, **summary}
     if result is None:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report), end="")
         return 1
     key, data = result
     if args.out:
-        if not _write_out(args.out, lambda handle: _dump_json(data, handle)):
+        if not _write_out(args.out, lambda handle: handle.write(_json_text(data))):
             return 2
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report), end="")
     else:
-        print(json.dumps({key: data, "report": report}, indent=2, sort_keys=True))
+        print(_json_text({key: data, "report": report}), end="")
     return 0 if report["passed"] else 1
 
 

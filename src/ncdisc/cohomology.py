@@ -369,12 +369,16 @@ def _coboundary_terms(phi: _CutCodes) -> _CutCodes:
     )
 
 
+def _coboundary_codes(phi: _CutCodes) -> _CutCodes:
+    """The coboundary on codes: its terms summed and pruned, once the term
+    kernel's temporaries are freed.  A scalar's two unit terms cancel exactly."""
+    return _summed(_coboundary_terms(phi))
+
+
 def _violation(phi: _CutCodes) -> Optional[WordTuple]:
     """Least tuple where the coboundary is nonzero, or None for a cocycle;
     ``Word`` objects are built only for a non-cocycle's surviving keys."""
-    if phi.arity == 0 or not phi.ids.size:
-        return None
-    boundary = _summed(_coboundary_terms(phi))
+    boundary = _coboundary_codes(phi)
     if not boundary.ids.size:
         return None
     return min(_decode(boundary).table, key=Cochain._sort_key)
@@ -398,13 +402,11 @@ def coboundary(phi: Cochain) -> Cochain:
     residual (:func:`trivialize`).  ``Word`` objects are built only for the
     keys that survive, one per distinct letter tuple.
     """
-    if phi.arity == 0 or not phi.table:
-        return Cochain(phi.arity + 1, phi.alphabet)
-    return _decode(_summed(_coboundary_terms(_encode(phi))))
+    return _decode(_coboundary_codes(_encode(phi)))
 
 
 def is_cocycle(phi: Cochain) -> bool:
-    return _violation(_encode(phi)) is None
+    return first_cocycle_violation(phi) is None
 
 
 def first_cocycle_violation(phi: Cochain) -> Optional[WordTuple]:
@@ -479,7 +481,7 @@ def trivialize(phi: Cochain | _CutCodes) -> tuple[Cochain, Cochain]:
 def _residual(psi: _CutCodes, phi: _CutCodes) -> _CutCodes:
     """``coboundary(psi) - phi`` on codes that share phi's string ids, with
     the table core's sums, prunes and key order (see :func:`trivialize`)."""
-    boundary = _summed(_coboundary_terms(psi))
+    boundary = _coboundary_codes(psi)
     return _summed(
         boundary._replace(
             ids=np.concatenate([boundary.ids, phi.ids]),

@@ -110,9 +110,6 @@ class GeneratorDerivation:
     def value(self, letter: int) -> Series:
         return self.values[letter]
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values.values())
-
     def of_word(self, w: Word) -> Series:
         """Leibniz expansion: sum over positions of prefix * value * suffix.
 
@@ -294,7 +291,7 @@ def solve_inner_symbol(derivation: GeneratorDerivation) -> Series:
     generator, then peel each other generator b via the pair structure of
     ``D(z_b) - [xi_{z_b}, t]`` for the t recovered so far; last, compare each
     ``[xi_{z_a}, t]`` with ``D(z_a)``.  The recovered series is unique up to
-    its weight at the unit, which is normalized to zero.
+    its weight at the unit, which :func:`solve_local_inner` normalizes to zero.
     """
     return _solve_with_deviations(derivation)[0]
 
@@ -315,13 +312,12 @@ def _solve_with_deviations(derivation: GeneratorDerivation) -> tuple[Series, lis
                 )
 
     generators = [Series.basis(alphabet.generator(a)) for a in alphabet.letters()]
-    total = solve_local_inner(derivation, alphabet.generator(0))
+    symbol = solve_local_inner(derivation, alphabet.generator(0))
     for b in range(1, alphabet.size):
-        value = derivation.value(b) - inner_derivation(total, generators[b])
+        value = derivation.value(b) - inner_derivation(symbol, generators[b])
         _check_pair_structure(value, b, 0)
-        total = total + adjoint_shift(alphabet.generator(b), value)
-
-    symbol = total._like((u, c) for u, c in total.iter_terms() if not u.is_unit())
+        # the pair screen leaves z_b z0^k and z0^k z_b (k >= 1), which the shift makes z0^k
+        symbol = symbol + adjoint_shift(alphabet.generator(b), value)
     # past float range the tolerance screens compare NaN, which passes them
     if not all(map(cmath.isfinite, symbol.table.values())):
         raise InconsistentDerivationError("non_finite", "recovered series leaves float range")
@@ -343,7 +339,6 @@ def normal_approx_check(
     phi: Series,
     k: int,
     letters: frozenset[int] | set[int],
-    tol: float = 1e-12,
 ) -> bool:
     """Approximation pipeline for the commutator derivation with symbol t.
 
@@ -367,5 +362,5 @@ def normal_approx_check(
     if not phi.is_zero():
         error = (inner_derivation(t, smoothed) - inner_derivation(t, phi)).l2_norm()
         bound = 2.0 * t.l1_norm() * (phi.degree() / k) * phi.l2_norm()
-        ok = ok and error <= bound + tol
+        ok = ok and error <= bound + CHECK_TOL
     return ok

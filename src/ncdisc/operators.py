@@ -6,7 +6,7 @@ Compression does not commute with products, so operator identities are
 asserted only on compatible-degree columns: those whose degree leaves
 room for every factor to act without leaving the truncated space.
 Basis positions are graded-lex ranks computed by formula; matrices are
-canonical coordinate arrays of ranks, which every operation here uses directly.
+canonical coordinate arrays of ranks, used directly, and ``_product`` is their action.
 """
 
 from __future__ import annotations
@@ -60,6 +60,14 @@ def basis_dimension(m: int, cutoff: int) -> int:
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(start, start + count)`` over the pairs."""
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x`` for entries ``vals`` at ``(rows, cols)``; rows sum in entry order from 0.0."""
+    terms = vals * x[cols]
+    out = np.zeros(len(x), dtype=terms.dtype)
+    np.add.at(out, rows, terms)
+    return out
 
 
 class TruncationBasis:
@@ -215,8 +223,7 @@ class TruncatedOperator:
         vector = np.zeros(basis.dimension, dtype=complex)
         for w, c in phi.iter_terms():
             vector[basis.rank(w)] = c
-        out = np.zeros(basis.dimension, dtype=complex)
-        np.add.at(out, self.rows, self.vals * vector[self.cols])
+        out = _product(self.rows, self.cols, self.vals, vector)
         return Series(basis.alphabet, {basis.word(i): out[i] for i in np.flatnonzero(out)})
 
     def to_dense(self) -> np.ndarray:
@@ -314,11 +321,7 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     eps = np.finfo(float).eps
 
     def gram(x: np.ndarray) -> np.ndarray:
-        mid = np.zeros(n, dtype=complex)
-        np.add.at(mid, rows, vals * x[cols])
-        out = np.zeros(n, dtype=complex)
-        np.add.at(out, cols, conj_vals * mid[rows])
-        return out
+        return _product(cols, rows, conj_vals, _product(rows, cols, vals, x))
 
     def advance(w: np.ndarray, q: np.ndarray, before: Optional[np.ndarray], j: int) -> np.ndarray:
         """Three-term step of row j: ``w - alpha_j q - beta_j before`` in place, read from tri."""
@@ -355,8 +358,7 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
         p = np.abs(ritz_vector)
         for _ in range(steps):
             p = p / p.max() + eps
-            mid = np.bincount(rows, magnitudes * p[cols], n)
-            b_p = np.bincount(cols, magnitudes * mid[rows], n)
+            b_p = _product(cols, rows, magnitudes, _product(rows, cols, magnitudes, p))
             if (b_p / p).max() <= top * (1 + max(tol, math.sqrt(n) * eps)):
                 return False
             p = b_p

@@ -34,7 +34,7 @@ import math
 from itertools import chain
 from typing import Hashable, Iterable, ItemsView, Iterator, Mapping, Optional
 
-from .words import Alphabet, Word, _index, transport
+from .words import Alphabet, Word, _check_letter, _index, transport
 
 PRUNE_EPS = 1e-14
 
@@ -332,10 +332,8 @@ def conditional_expectation(phi: Series, letters: Iterable[int]) -> Series:
     index set covers every letter in the support.
     """
     allowed = frozenset(letters)
-    size = phi.alphabet.size
     for letter in allowed:
-        if not 0 <= letter < size:
-            raise ValueError(f"letter {letter} outside alphabet of size {size}")
+        _check_letter(letter, phi.alphabet.size)
     return phi._like(
         (w, c)
         for w, c in phi.table.items()
@@ -345,8 +343,7 @@ def conditional_expectation(phi: Series, letters: Iterable[int]) -> Series:
 
 def first_letter_part(phi: Series, letter: int) -> Series:
     """Restriction of phi to words whose first letter is the given generator."""
-    if not 0 <= letter < phi.alphabet.size:
-        raise ValueError(f"letter {letter} outside alphabet of size {phi.alphabet.size}")
+    _check_letter(letter, phi.alphabet.size)
     return phi._like(
         (w, c) for w, c in phi.table.items() if w.letters and w.letters[0] == letter
     )

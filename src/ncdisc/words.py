@@ -9,12 +9,13 @@ used to conjugate convolution symbols, and deterministic enumeration.
 Words are immutable, hashable value objects; the text form is ``e`` for
 the unit and concatenated letters like ``z0z1z0`` otherwise, each index
 in canonical decimal.  There is one ``Alphabet`` per size, so alphabets
-compare by identity.  The public ``Word`` constructor checks each letter;
-products, powers and slices of valid words skip that through ``Word._of``.
-One rule reads text: ``_letter_count`` applies the grammar, whose indices
-are canonical non-negative ints, and ``_text_letters`` reads the letters
-and bounds each by the alphabet size; ``Alphabet.parse`` is that rule plus
-``Word._of``.  The cochain reader of ``cohomology`` uses the same rule.
+compare by identity.  ``_check_letter`` is the one letter bound: the public
+``Word`` constructor, the text reader and ``series`` call it, and products,
+powers and slices of valid words skip it through ``Word._of``.  One rule
+reads text: ``_letter_count`` applies the grammar, whose indices are
+canonical non-negative ints, and ``_text_letters`` reads the letters and
+bounds them; ``Alphabet.parse`` is that rule plus ``Word._of``.  The
+cochain reader of ``cohomology`` uses the same rule.
 """
 
 from __future__ import annotations
@@ -48,13 +49,18 @@ def _letter_count(text: object) -> int:
     return text.count("z")
 
 
+def _check_letter(letter: int, size: int) -> None:
+    """Refuse a letter that is not a generator index below ``size``."""
+    if not 0 <= letter < size:
+        raise ValueError(f"letter {letter} outside alphabet of size {size}")
+
+
 def _text_letters(text: str, size: int) -> tuple[int, ...]:
     """The letters of a word's text form, each below ``size``."""
     if not _letter_count(text):
         return ()
     letters = tuple(map(int, text[1:].split("z")))
-    if max(letters) >= size:
-        raise ValueError(f"letter {max(letters)} outside alphabet of size {size}")
+    _check_letter(max(letters), size)
     return letters
 
 
@@ -113,8 +119,7 @@ class Word:
         size = alphabet.size
         letters = tuple(_index(letter, "letter") for letter in letters)
         for letter in letters:
-            if not 0 <= letter < size:
-                raise ValueError(f"letter {letter} outside alphabet of size {size}")
+            _check_letter(letter, size)
         self.alphabet = alphabet
         self.letters = letters
         self._hash = hash((size, letters))

@@ -499,8 +499,9 @@ def test_crashing_check_is_a_failed_check(monkeypatch, capsys):
     assert all(check["passed"] for check in results.values())
 
 
-def test_oversized_dense_operators_are_refused_before_allocation(capsys):
-    # 2,625,641 words pass the basis budget; a dense operator on them is ~110 TB
+def test_operator_suite_over_the_norm_word_budget_is_refused_before_allocation(capsys):
+    # 2,625,641 words pass the basis budget, but the norm checks' basis at
+    # cutoff 4 is over 2048 words: the suite is refused before any basis is built
     for argv in (
         ("verify-operators", "--alphabet", "40", "--cutoff", "4"),
         ("report-all", "--alphabet", "40", "--cutoff", "4"),
@@ -597,6 +598,17 @@ def test_report_all_matches_its_golden_file(capsys):
     report = scrub_timings(json.loads(out))
     golden = Path(__file__).parent / "data" / "report_all.json"
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
+def test_report_bytes_do_not_depend_on_the_output_path(tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    written = []
+    for path in (tmp_path / "a.json", tmp_path / "sub" / "b.json"):
+        code, _ = run(capsys, "report-all", "--out", str(path))
+        assert code == 0
+        report = scrub_timings(json.loads(path.read_text()))
+        written.append(json.dumps(report, indent=2, sort_keys=True))
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("name", list(checks.CHECKS))

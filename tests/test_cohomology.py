@@ -298,9 +298,15 @@ def test_coboundary_kernel_matches_letter_tuple_reference_bit_for_bit():
     for m in (1, 2, 3):
         alphabet = Alphabet(m)
         for arity in range(6):
-            assert coboundary(Cochain(arity, alphabet)).table == {}
-            for _ in range(4):
-                phi = _seeded_cochain(rng, alphabet, arity)
+            # the empty table, and a nonzero scalar: cocycles with no shortcut
+            # in the kernel, whose coboundary is the zero table
+            fixed = [Cochain(arity, alphabet)]
+            if arity == 0:
+                fixed.append(Cochain.scalar(alphabet, 3 - 4j))
+            for phi in fixed:
+                assert coboundary(phi).table == {}
+                assert is_cocycle(phi) and first_cocycle_violation(phi) is None
+            for phi in fixed + [_seeded_cochain(rng, alphabet, arity) for _ in range(4)]:
                 boundary = coboundary(phi)
                 assert boundary.arity == arity + 1
                 expected = _letter_tuple_coboundary(phi)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdisc.checks import _random_series
+from ncdisc.checks import _random_series, _random_word
 from ncdisc.derivations import (
     GeneratorDerivation,
     InconsistentDerivationError,
@@ -385,6 +385,34 @@ def test_solve_global_symbol_on_first_generator_powers():
     assert derivation.value(0).is_zero()
     assert derivation.value(1) == (xi(1, 0) - xi(0, 1)) + 2 * (xi(1, 0, 0) - xi(0, 0, 1))
     assert solve_inner_symbol(derivation) == symbol
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_solve_global_drops_the_unit_weight_bit_for_bit(m):
+    # symbols with a unit weight and powers of z0, the terms the peels add;
+    # dyadic weights keep every sum exact, so the recovered symbol is the
+    # input without its unit term, bit for bit.  At m = 1 every symbol is
+    # central, so the derivation and the recovered symbol are zero.
+    rng = random.Random(61 + m)
+    alphabet = Alphabet(m)
+
+    def weight():
+        return complex(*(rng.randint(-9, 9) * 2.0 ** rng.randint(-20, 20) for _ in range(2)))
+
+    for _ in range(20):
+        table = {alphabet.unit(): weight()}
+        for k in range(1, 4):
+            table[alphabet.word([0] * k)] = weight()
+        for _ in range(4 if m > 1 else 0):
+            table[_random_word(rng, alphabet, 4, 1)] = weight()
+        symbol = Series(alphabet, table)
+        recovered = solve_inner_symbol(GeneratorDerivation.inner(symbol))
+        expected = {} if m == 1 else {w: c for w, c in symbol.iter_terms() if not w.is_unit()}
+        assert _hex(recovered.table) == _hex(expected)
+
+
+def _hex(table):
+    return {w: (c.real.hex(), c.imag.hex()) for w, c in table.items()}
 
 
 def test_solve_global_screens_unit_weight():

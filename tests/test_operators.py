@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncdisc.checks import _random_series
+from ncdisc.checks import _random_operator, _random_series
 from ncdisc.operators import (
     MAX_DIMENSION,
     PowerIterationError,
     TruncatedOperator,
     TruncationBasis,
+    _product,
     cesaro_op,
     commutant_check,
     conjugation_check,
@@ -333,6 +334,42 @@ def test_norm_estimate_matches_svd_oracle():
         estimate = norm_estimate(op, tol=1e-12)
         assert estimate == pytest.approx(exact, rel=1e-6)
         assert estimate <= exact + 1e-9
+
+
+def _bincount_product(rows, cols, vals, x):
+    """Reference for ``A x``: ``np.bincount`` sums each row's terms in entry
+    order from 0.0, the real and imaginary parts apart."""
+    terms = vals * x[cols]
+    if not np.iscomplexobj(terms):
+        return np.bincount(rows, terms, len(x))
+    out = np.empty(len(x), dtype=complex)
+    out.real = np.bincount(rows, terms.real, len(x))
+    out.imag = np.bincount(rows, terms.imag, len(x))
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_product_matches_a_bincount_reference_bit_for_bit():
+    # the Gram product A^H (A x) and the Collatz-Wielandt power step
+    # |A|^T (|A| p) of norm_estimate, on operators whose rows repeat
+    rng = np.random.default_rng(5)
+    basis = TruncationBasis(Alphabet(2), 5)
+    ops = [_random_operator(basis, seed) for seed in (1, 2, 3)]
+    ops.append(left_matrix(_random_series(random.Random(4), basis.alphabet, 3), basis))
+    for op in ops:
+        assert np.any(op.rows[1:] == op.rows[:-1])
+        x = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+        p = rng.random(basis.dimension)
+        conj, magnitudes = op.vals.conjugate(), np.abs(op.vals)
+        gram = _product(op.cols, op.rows, conj, _product(op.rows, op.cols, op.vals, x))
+        mid = _bincount_product(op.rows, op.cols, op.vals, x)
+        assert _same_bits(gram, _bincount_product(op.cols, op.rows, conj, mid))
+        step = _product(op.cols, op.rows, magnitudes, _product(op.rows, op.cols, magnitudes, p))
+        mid = _bincount_product(op.rows, op.cols, magnitudes, p)
+        assert _same_bits(step, _bincount_product(op.cols, op.rows, magnitudes, mid))
 
 
 def test_norm_estimate_lanczos_matches_svd_oracle():

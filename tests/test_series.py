@@ -22,7 +22,7 @@ from ncdisc.series import (
     first_letter_part,
     max_coeff_diff,
 )
-from ncdisc.words import Alphabet, transport
+from ncdisc.words import Alphabet, Word, transport
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -235,6 +235,23 @@ def test_conditional_expectation_examples():
     assert conditional_expectation(DELTA_E, []) == DELTA_E  # unit has no letters
     with pytest.raises(ValueError):
         conditional_expectation(xi(0), [2])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda alphabet, m: Word(alphabet, (0, m)),
+        lambda alphabet, m: alphabet.parse(f"z0z{m}"),
+        lambda alphabet, m: conditional_expectation(Series.unit(alphabet), [0, m]),
+        lambda alphabet, m: first_letter_part(Series.unit(alphabet), m),
+    ],
+    ids=["Word", "Alphabet.parse", "conditional_expectation", "first_letter_part"],
+)
+def test_letter_m_is_refused_with_one_message(refuse, m):
+    alphabet = Alphabet(m)
+    with pytest.raises(ValueError, match=f"^letter {m} outside alphabet of size {m}$"):
+        refuse(alphabet, m)
 
 
 def test_conditional_expectation_multiplicative():
