@@ -146,7 +146,8 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     ``randrange(n)`` is ``_below(rng.getrandbits, n)`` and ``randint(a, b)``
     is ``a + _below(rng.getrandbits, b - a + 1)``, call for call on the same
     bit stream, without the argument checks that ``randrange`` repeats on
-    every draw.  Every integer the checks draw goes through here.
+    every draw.  Every integer the checks draw follows this rule; only
+    ``_random_words`` writes it out again, inline, for speed.
     """
     k = n.bit_length()
     r = getrandbits(k)
@@ -155,16 +156,21 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _random_word(rng: random.Random, alphabet: Alphabet, max_len: int, min_len: int = 0) -> Word:
-    """A word with a uniform length in ``min_len..max_len`` and uniform letters.
+def _random_words(
+    rng: random.Random, alphabet: Alphabet, max_len: int, count: int, min_len: int = 0
+) -> list[Word]:
+    """``count`` words, each with a uniform length in ``min_len..max_len``
+    and uniform letters.
 
-    The draws are those of ``rng.randint(min_len, max_len)`` and then one
-    ``rng.randrange(alphabet.size)`` per letter (see ``_below``), so words
-    and the generator state after them are those of the stdlib calls.  The
-    bounds are checked once, before the first draw: a non-integer bound or
-    an empty range raises ``ValueError`` (``_below`` of 0 would redraw for
-    ever).  The letters are in range by construction, so the word is built
-    through the trusted ``Word._of``.
+    Each word draws ``rng.randint(min_len, max_len)`` and then one
+    ``rng.randrange(alphabet.size)`` per letter, so the words and the
+    generator state after them are those of the stdlib calls.  The loop runs
+    ``_below``'s rule inline for the length and every letter, which saves a
+    Python call per integer.  The bounds are checked once, before any draw,
+    also when ``count`` is 0: a non-integer bound or an empty range raises
+    ``ValueError`` (the rule would redraw for ever on an empty range).  The
+    letters are in range by construction, so each word is built through the
+    trusted ``Word._of``.
     """
     low = _index(min_len, "min_len")
     span = _index(max_len, "max_len") - low + 1
@@ -172,8 +178,26 @@ def _random_word(rng: random.Random, alphabet: Alphabet, max_len: int, min_len: 
         raise ValueError(f"empty length range {min_len}..{max_len}")
     getrandbits = rng.getrandbits
     size = alphabet.size
-    n = low + _below(getrandbits, span)
-    return Word._of(alphabet, tuple([_below(getrandbits, size) for _ in range(n)]))
+    span_bits, size_bits = span.bit_length(), size.bit_length()
+    of = Word._of
+    words = []
+    for _ in range(count):
+        n = getrandbits(span_bits)
+        while n >= span:
+            n = getrandbits(span_bits)
+        letters = []
+        for _ in range(low + n):
+            r = getrandbits(size_bits)
+            while r >= size:
+                r = getrandbits(size_bits)
+            letters.append(r)
+        words.append(of(alphabet, tuple(letters)))
+    return words
+
+
+def _random_word(rng: random.Random, alphabet: Alphabet, max_len: int, min_len: int = 0) -> Word:
+    """One word of ``_random_words``."""
+    return _random_words(rng, alphabet, max_len, 1, min_len)[0]
 
 
 def _random_coefficient(getrandbits: Callable[[int], int]) -> complex:
@@ -222,7 +246,7 @@ def _random_cochain(
         return Cochain.scalar(alphabet, _random_coefficient(rng.getrandbits))
     keyed = [
         (
-            tuple(_random_word(rng, alphabet, max_len) for _ in range(arity)),
+            tuple(_random_words(rng, alphabet, max_len, arity)),
             _random_coefficient(rng.getrandbits),
         )
         for _ in range(terms)
@@ -278,9 +302,7 @@ def _check_order_invariance(params: dict) -> Optional[dict]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
     for _ in range(params["trials"]):
-        u = _random_word(rng, alphabet, params["max_len"])
-        v = _random_word(rng, alphabet, params["max_len"])
-        w = _random_word(rng, alphabet, params["max_len"])
+        u, v, w = _random_words(rng, alphabet, params["max_len"], 3)
         if sum([u < v, u == v, u > v]) != 1:
             return {"u": str(u), "v": str(v)}
         if u < v and not (w * u < w * v and u * w < v * w):
@@ -298,12 +320,10 @@ def _check_division_roundtrip(params: dict) -> Optional[dict]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
     for _ in range(params["trials"]):
-        u = _random_word(rng, alphabet, params["max_len"])
-        v = _random_word(rng, alphabet, params["max_len"])
+        u, v, x = _random_words(rng, alphabet, params["max_len"], 3)
         w = u * v
         if w.strip_prefix(u) != v or w.strip_suffix(v) != u:
             return {"u": str(u), "v": str(v)}
-        x = _random_word(rng, alphabet, params["max_len"])
         rest = w.strip_prefix(x)
         if rest is not None and x * rest != w:
             return {"w": str(w), "x": str(x)}
@@ -320,10 +340,7 @@ def _check_min_staged(params: dict) -> Optional[dict]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
     for _ in range(params["sets"]):
-        sample = {
-            _random_word(rng, alphabet, params["max_len"])
-            for _ in range(params["set_size"])
-        }
+        sample = set(_random_words(rng, alphabet, params["max_len"], params["set_size"]))
         staged = min_word(sample)
         scanned = min(sample)
         if staged != scanned:
@@ -343,7 +360,7 @@ def _check_power_shift_sweep(params: dict) -> Optional[dict]:
                 # both sides of v w^k = w^k u have length |u| + k|w|, so the
                 # hypothesis forces v to be the |u|-prefix of w^k u; every
                 # other v of length |u| passes vacuously
-                v = Word._of(alphabet, (w**k * u).letters[: len(u)])
+                v = Word._of(alphabet, (w.letters * k + u.letters)[: len(u)])
                 if not power_shift_check(w, u, v, k):
                     return {"w": str(w), "u": str(u), "v": str(v), "k": k}
     return None
@@ -374,8 +391,7 @@ def _check_transport(params: dict) -> Optional[dict]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
     for _ in range(params["trials"]):
-        w = _random_word(rng, alphabet, params["max_len"])
-        u = _random_word(rng, alphabet, params["max_len"])
+        w, u = _random_words(rng, alphabet, params["max_len"], 2)
         v = transport(w, u)
         if v is not None and u * w != w * v:
             return {"w": str(w), "u": str(u)}
@@ -728,12 +744,7 @@ def _check_homotopy_roundtrip(params: dict) -> Optional[dict]:
             # series route agrees with the table on and off the support
             probes = set(psi.table)
             for _ in range(3):
-                probes.add(
-                    tuple(
-                        _random_word(rng, alphabet, params["max_len"])
-                        for _ in range(arity - 1)
-                    )
-                )
+                probes.add(tuple(_random_words(rng, alphabet, params["max_len"], arity - 1)))
             for key in probes:
                 direct = homotopy_on_series(
                     cocycle, [Series.basis(w) for w in key]

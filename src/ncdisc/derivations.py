@@ -34,7 +34,7 @@ from .series import (
     conjugate_by,
     max_coeff_diff,
 )
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _check_letter
 
 #: Coefficient deviations below this are treated as zero in solver checks.
 CHECK_TOL = 1e-12
@@ -82,8 +82,7 @@ class GeneratorDerivation:
 
     def __init__(self, alphabet: Alphabet, values: Mapping[int, Series]):
         for key in values:
-            if not 0 <= key < alphabet.size:
-                raise ValueError(f"no generator with index {key}")
+            _check_letter(key, alphabet.size)
         table: dict[int, Series] = {}
         for a in alphabet.letters():
             value = values.get(a)

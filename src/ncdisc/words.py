@@ -10,8 +10,9 @@ Words are immutable, hashable value objects; the text form is ``e`` for
 the unit and concatenated letters like ``z0z1z0`` otherwise, each index
 in canonical decimal.  There is one ``Alphabet`` per size, so alphabets
 compare by identity.  ``_check_letter`` is the one letter bound: the public
-``Word`` constructor, the text reader and ``series`` call it, and products,
-powers and slices of valid words skip it through ``Word._of``.  One rule
+``Word`` constructor, the text reader, ``series`` and the generator keys of
+``derivations`` call it, and products, powers and slices of valid words skip
+it through ``Word._of``.  One rule
 reads text: ``_letter_count`` applies the grammar, whose indices are
 canonical non-negative ints, and ``_text_letters`` reads the letters and
 bounds them; ``Alphabet.parse`` is that rule plus ``Word._of``.  The

@@ -17,7 +17,7 @@ from ncdisc.checks import RunConfig
 from ncdisc.cli import main
 from ncdisc.cohomology import Cochain, coboundary
 from ncdisc.derivations import GeneratorDerivation, inner_derivation
-from ncdisc.operators import TruncationBasis
+from ncdisc.operators import TruncatedOperator, TruncationBasis
 from ncdisc.series import Series, max_coeff_diff
 from ncdisc.words import Alphabet, enumerate_words
 
@@ -591,6 +591,33 @@ def test_random_operator_fills_each_column_once_per_row_length(m):
     )
 
 
+def stdlib_operator(basis, seed):
+    """The random operator spelled with the stdlib calls it must match."""
+    rng = random.Random(seed)
+    offsets = basis.offsets().tolist()
+    rows, vals = [], []
+    for _ in range(basis.dimension):
+        for start, end in zip(offsets, offsets[1:]):
+            rows.append(start + rng.randrange(end - start))
+            value = complex(rng.randint(-3, 3), rng.randint(-3, 3))
+            while not value:
+                value = complex(rng.randint(-3, 3), rng.randint(-3, 3))
+            vals.append(value)
+    cols = np.repeat(np.arange(basis.dimension), len(offsets) - 1)
+    return TruncatedOperator._from_coo(basis, rows, cols, vals)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 7919])
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_random_operator_matches_the_stdlib_calls(m, cutoff, seed):
+    basis = TruncationBasis(Alphabet(m), cutoff)
+    op = checks._random_operator(basis, seed)
+    expected = stdlib_operator(basis, seed)
+    assert np.array_equal(op.rows, expected.rows)
+    assert np.array_equal(op.vals, expected.vals)
+
+
 def test_report_all_matches_its_golden_file(capsys):
     # the report of ``report-all --alphabet 2 --seed 1`` with elapsed_s zeroed
     code, out = run(capsys, "report-all", "--alphabet", "2", "--seed", "1")
@@ -984,6 +1011,20 @@ def test_word_draws_match_the_stdlib_calls(m, seed):
         assert ours.getstate() == theirs.getstate()
 
 
+@pytest.mark.parametrize("count", [0, 1, 3, 100])
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("seed", [0, 1, 42, 7919])
+def test_word_batches_match_the_stdlib_calls(m, seed, count):
+    alphabet = Alphabet(m)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for min_len, max_len in BOUNDS * 20:
+        words = checks._random_words(ours, alphabet, max_len, count, min_len)
+        expected = [stdlib_word(theirs, alphabet, max_len, min_len) for _ in range(count)]
+        assert all(word.alphabet is alphabet for word in words)
+        assert [word.letters for word in words] == [word.letters for word in expected]
+        assert ours.getstate() == theirs.getstate()
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 @pytest.mark.parametrize("seed", [0, 1, 42, 7919])
 def test_series_draws_match_the_stdlib_calls(m, seed):
@@ -996,14 +1037,26 @@ def test_series_draws_match_the_stdlib_calls(m, seed):
             assert ours.getstate() == theirs.getstate()
 
 
-@pytest.mark.parametrize(
-    "min_len, max_len", [(0, -1), (4, 3), (0, 2.5), (0, 2.0), (0, "3"), (0.5, 3)]
-)
+BAD_BOUNDS = [(0, -1), (4, 3), (0, 2.5), (0, 2.0), (0, "3"), (0.5, 3)]
+
+
+@pytest.mark.parametrize("min_len, max_len", BAD_BOUNDS)
 def test_word_draw_refuses_bad_bounds_before_drawing(min_len, max_len):
     rng = random.Random(1)
     state = rng.getstate()
     with pytest.raises(ValueError):
         checks._random_word(rng, A2, max_len, min_len)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("min_len, max_len", BAD_BOUNDS)
+def test_word_batch_refuses_bad_bounds_before_drawing(min_len, max_len, count):
+    # also at count 0, which draws nothing: an empty range would redraw for ever
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        checks._random_words(rng, A2, max_len, count, min_len)
     assert rng.getstate() == state
 
 
@@ -1052,6 +1105,17 @@ def test_solve_derivation_refuses_a_non_canonical_generator_key(tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("bad derivation input:")
+    assert captured.out == ""
+
+
+def test_solve_derivation_refuses_a_generator_outside_the_alphabet(tmp_path, capsys):
+    # the generator keys are bounded by the one letter rule, with its message
+    infile = tmp_path / "derivation.json"
+    infile.write_text(json.dumps({"alphabet": 2, "values": {"5": ZERO_SERIES}}))
+    code = main(["solve-derivation", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "bad derivation input: letter 5 outside alphabet of size 2\n"
     assert captured.out == ""
 
 
