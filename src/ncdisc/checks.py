@@ -41,6 +41,7 @@ from .derivations import (
 from .operators import (
     TruncatedOperator,
     TruncationBasis,
+    _count_shorter,
     basis_dimension,
     cesaro_op,
     commutant_check,
@@ -65,6 +66,10 @@ NORM_CUTOFF = 4
 #: Most words of the basis at ``RunConfig.norm_cutoff`` an operator suite
 #: may hold; the commutant check's sweep of about 4m^3 pairs is bounded by it too.
 MAX_NORM_WORDS = 2048
+#: Most instances the words suite's four sweeps over every word up to a length
+#: may test together: at the defaults m = 8 gives 28.1 million (about a minute),
+#: m = 9 gives 68 million.
+MAX_WORD_INSTANCES = 30_000_000
 
 
 @dataclass
@@ -105,6 +110,36 @@ def _check_operator_config(config: RunConfig) -> None:
         raise ValueError(
             f"the norm checks' basis at cutoff {config.norm_cutoff} holds "
             f"{words} words, over {MAX_NORM_WORDS}"
+        )
+
+
+def _word_sweep_instances(config: RunConfig) -> dict[str, int]:
+    """Instances each words check that sweeps every word up to a length tests
+    at ``config``, in closed form from the check's own params."""
+
+    def words(name: str, length: str) -> int:
+        params = CHECKS[f"words.{name}"].params(config)
+        return _count_shorter(params["m"], params[length] + 1)
+
+    return {
+        "concat_laws": words("concat_laws", "len") ** 3,
+        "cancellation": words("cancellation", "len") ** 2,
+        "power_shift_sweep": 2
+        * (words("power_shift_sweep", "w_max") - 1)
+        * words("power_shift_sweep", "u_max"),
+        "primitive_root_commutation": (words("primitive_root_commutation", "max_len") - 1) ** 2,
+    }
+
+
+def _check_words_config(config: RunConfig) -> None:
+    """Refuse, before any word is built, a words suite whose sweeps do not fit."""
+    counts = _word_sweep_instances(config)
+    total = sum(counts.values())
+    if total > MAX_WORD_INSTANCES:
+        listed = ", ".join(f"{name} {count}" for name, count in counts.items())
+        raise ValueError(
+            f"the words suite's sweeps test {total} instances ({listed}), "
+            f"over {MAX_WORD_INSTANCES}"
         )
 
 

@@ -28,16 +28,22 @@ from .series import (
     Series,
     _json_int,
     _json_typed,
-    adjoint_shift,
+    _shifted,
+    _transported,
     cesaro,
     conditional_expectation,
-    conjugate_by,
     max_coeff_diff,
 )
 from .words import Alphabet, Word, _check_letter
 
 #: Coefficient deviations below this are treated as zero in solver checks.
 CHECK_TOL = 1e-12
+
+#: Most generators a derivation read from JSON may have.  A derivation holds
+#: a value per generator and the solver peels and screens each one, so its
+#: cost grows with the alphabet whatever the input's size: about 30 us and
+#: 0.5 kB per generator, 0.13 s at this budget for the zero derivation.
+MAX_GENERATORS = 4096
 
 
 class InconsistentDerivationError(ValueError):
@@ -150,7 +156,12 @@ class GeneratorDerivation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GeneratorDerivation":
-        alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
+        """The derivation of ``data``; an alphabet over ``MAX_GENERATORS`` is
+        refused before any generator's value is read or built."""
+        size = _json_int(data["alphabet"], "alphabet size")
+        if size > MAX_GENERATORS:
+            raise ValueError(f"alphabet size {size} is over {MAX_GENERATORS} generators")
+        alphabet = Alphabet(size)
         table = _json_typed(data.get("values", {}), dict, "the values")
         values: dict[int, Series] = {}
         for key, sub in table.items():
@@ -179,16 +190,21 @@ def short_support_vanishes(derivation: GeneratorDerivation, w: Word) -> bool:
     return all(len(u) >= len(w) for u, _ in derivation.of_word(w).iter_terms())
 
 
-def _conjugate_iterates(w: Word, phi: Series, cap: int) -> list[Series]:
-    """The conjugate-transport iterates of phi along w before the first empty
-    one.  Raises when none of the first ``cap + 1`` is empty, which happens
-    exactly when phi has weight on a word commuting with w."""
+def _conjugate_iterates(w: Word, phi: Series, cap: int) -> list[list[tuple[Word, complex]]]:
+    """The terms of the conjugate-transport iterates of phi along w before the
+    first empty one.  Raises when none of the first ``cap + 1`` is empty, which
+    happens exactly when phi has weight on a word commuting with w.
+
+    Transport is injective and keeps phi's canonical coefficients, so each
+    iterate is the term list of ``conjugate_by`` with no canonical step.
+    """
     iterates = []
+    terms = list(phi.iter_terms())
     for _ in range(cap + 1):
-        if phi.is_zero():
+        if not terms:
             return iterates
-        iterates.append(phi)
-        phi = conjugate_by(w, phi)
+        iterates.append(terms)
+        terms = list(_transported(w, terms))
     raise InconsistentDerivationError(
         "persistent_conjugates",
         f"conjugate transport iterates along {w} did not vanish within {cap} steps; "
@@ -215,32 +231,35 @@ def stabilized_conjugate_sum(derivation: GeneratorDerivation, w: Word) -> Series
         raise ValueError("the unit has value zero; no sum to stabilize")
     phi = derivation.of_word(w)
     k_max = (0 if phi.is_zero() else int(phi.degree())) + 3
-    iterates = _conjugate_iterates(w, phi, k_max)
-    return phi._like(chain.from_iterable(s.table.items() for s in iterates))
+    return phi._like(chain.from_iterable(_conjugate_iterates(w, phi, k_max)))
 
 
 def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:
     """A series t with ``D(w) = xi_w * t - t * xi_w``, for consistent data.
 
-    Built from the stabilized conjugate sum: terms below the length of w
-    are dropped (they vanish for consistent data), the remaining terms must
-    all be left-divisible by w, and stripping that prefix yields t.  The
-    commutator identity is re-verified before returning; the weight of t at
-    the unit is normalized to zero.
+    Built from the stabilized conjugate sum in one pass: terms below the
+    length of w are dropped (they vanish for consistent data), the remaining
+    terms must all be left-divisible by w, and stripping that prefix yields t.
+    The commutator identity is re-verified before returning; the weight of t
+    at the unit is normalized to zero.
     """
     if w.is_unit():
         raise ValueError("cannot solve at the unit")
     total = stabilized_conjugate_sum(derivation, w)
+    terms = []
     for u, c in total.iter_terms():
-        if len(u) >= len(w) and u.strip_prefix(w) is None:
-            raise InconsistentDerivationError(
-                "residual",
-                f"stabilized sum has weight {c} at {u}, not left-divisible by {w}",
-                word=u,
-                coefficient=c,
-            )
-    t = adjoint_shift(w, total)
-    t = t._like((u, c) for u, c in t.iter_terms() if not u.is_unit())
+        rest = u.strip_prefix(w)
+        if rest is None:
+            if len(u) >= len(w):
+                raise InconsistentDerivationError(
+                    "residual",
+                    f"stabilized sum has weight {c} at {u}, not left-divisible by {w}",
+                    word=u,
+                    coefficient=c,
+                )
+        elif rest.letters:
+            terms.append((rest, c))
+    t = total._like(terms)
     expected = derivation.of_word(w)
     produced = inner_derivation(t, Series.basis(w))
     if max_coeff_diff(produced, expected) > CHECK_TOL:
@@ -315,8 +334,10 @@ def _solve_with_deviations(derivation: GeneratorDerivation) -> tuple[Series, lis
     for b in range(1, alphabet.size):
         value = derivation.value(b) - inner_derivation(symbol, generators[b])
         _check_pair_structure(value, b, 0)
-        # the pair screen leaves z_b z0^k and z0^k z_b (k >= 1), which the shift makes z0^k
-        symbol = symbol + adjoint_shift(alphabet.generator(b), value)
+        # the pair screen leaves z_b z0^k and z0^k z_b (k >= 1), which the shift
+        # makes z0^k; one canonical step adds them, as ``symbol + adjoint_shift`` would
+        shifted = _shifted(alphabet.generator(b), value.iter_terms())
+        symbol = symbol._like(chain(symbol.iter_terms(), shifted))
     # past float range the tolerance screens compare NaN, which passes them
     if not all(map(cmath.isfinite, symbol.table.values())):
         raise InconsistentDerivationError("non_finite", "recovered series leaves float range")

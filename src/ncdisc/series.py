@@ -18,10 +18,14 @@ term codec.  Keys and coefficients are checked once, by the public
 constructor, which refuses a key over another alphabet and a NaN or
 infinite coefficient.  Results of operations are built from keys that are
 already valid through the internal ``_from_valid`` constructor, which runs
-only the canonical step.  The series reader parses each distinct word text
-once per input, through ``Alphabet.parse`` memoised for that call, and
-refuses a non-finite coefficient after summing repeated words, so terms in
-float range that overflow together are refused too.  Cochains are read
+only the canonical step.  The series reader reads a value in stages, each
+over all its terms -- the term objects, the word texts in one grammar match
+(``words._texts_letters``), the coefficient parts, one canonical step -- and
+refuses a non-finite coefficient after the sum, so terms in float range that
+overflow together are refused too.  ``conjugate_by`` and ``adjoint_shift``
+are one canonical step over the term streams ``_transported`` and
+``_shifted``, which the solver of ``derivations`` walks without a series
+per step.  Cochains are read
 straight onto the cut codes ``cohomology`` computes on, with the same
 rules for texts, coefficients and sizes; JSON ``true`` is not a size.
 """
@@ -29,12 +33,11 @@ rules for texts, coefficients and sizes; JSON ``true`` is not a size.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from itertools import chain
+from itertools import chain, starmap
 from typing import Hashable, Iterable, ItemsView, Iterator, Mapping, Optional
 
-from .words import Alphabet, Word, _check_letter, _index, transport
+from .words import Alphabet, Word, _check_letter, _index, _texts_letters, transport
 
 PRUNE_EPS = 1e-14
 
@@ -53,7 +56,10 @@ def _sum_and_prune(terms: Terms) -> dict:
     table: dict = {}
     for key, value in terms:
         table[key] = table.get(key, 0j) + value
-    return {key: c for key, c in table.items() if not abs(c) <= PRUNE_EPS}
+    # dropped in place, so that only the pruned keys are hashed again
+    for key in [key for key, c in table.items() if abs(c) <= PRUNE_EPS]:
+        del table[key]
+    return table
 
 
 #: The types ``json`` reads a JSON number as; ``bool`` is not one of them.
@@ -93,12 +99,19 @@ def _json_parts(term: Mapping) -> tuple[float, float]:
     return re, im
 
 
-def _json_coefficient(term: Mapping) -> complex:
-    """The coefficient of a JSON term, its parts checked by ``_json_parts``."""
+def _json_coefficients(terms: list[Mapping]) -> list[complex]:
+    """The coefficients of JSON terms: every term's parts checked by
+    ``_json_parts`` first, then each pair made complex."""
+    parts = [_json_parts(term) for term in terms]
     try:
-        return complex(*_json_parts(term))
+        return list(starmap(complex, parts))
     except OverflowError as err:
         raise ValueError(f"coefficient out of range: {err}") from None
+
+
+def _json_coefficient(term: Mapping) -> complex:
+    """The coefficient of one JSON term: ``_json_coefficients``' one-term case."""
+    return _json_coefficients([term])[0]
 
 
 class CoefficientTable:
@@ -227,17 +240,21 @@ class Series(CoefficientTable):
     def from_json_dict(cls, data: Mapping) -> "Series":
         """The series of ``data["terms"]``; repeated words are summed.
 
-        Each distinct word text is parsed once, through ``Alphabet.parse``
-        memoised for this call, so every text still meets the letter rule.
-        Coefficients are checked after the sum: finite terms can overflow
-        together, and the prune keeps a NaN in sight.
+        Read in stages, each over every term: the term objects; the word
+        texts, each a JSON string, matched at once by ``_texts_letters`` and
+        built through ``Word._of``; the coefficient parts by
+        ``_json_coefficients``; then one canonical step.  An input with a
+        fault in one term gets that fault's message; with faults in several,
+        the first fault of the earliest stage.  Coefficients are checked
+        after the sum: finite terms can overflow together, and the prune
+        keeps a NaN in sight.
         """
-        out = cls(Alphabet(_json_int(data["alphabet"], "alphabet size")))
-        parse = functools.cache(out.alphabet.parse)
-        out.table = _sum_and_prune(
-            (parse(_json_typed(term["word"], str, "a word text")), _json_coefficient(term))
-            for term in _json_terms(data)
-        )
+        alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
+        terms = list(_json_terms(data))
+        texts = [_json_typed(term["word"], str, "a word text") for term in terms]
+        words = [Word._of(alphabet, letters) for letters in _texts_letters(texts, alphabet.size)]
+        out = cls(alphabet)
+        out.table = _sum_and_prune(zip(words, _json_coefficients(terms)))
         for word, c in out.table.items():
             if not cmath.isfinite(c):
                 raise ValueError(f"non-finite coefficient {c} at {word}")
@@ -286,17 +303,26 @@ def convolve(phi: Series, psi: Series) -> Series:
     )
 
 
+def _shifted(u: Word, terms: Terms) -> Iterator[tuple[Word, complex]]:
+    """The terms of ``adjoint_shift(u, ...)``: those left-divisible by u, the
+    prefix stripped.  Stripping is injective, so distinct words stay distinct."""
+    return ((rest, c) for w, c in terms if (rest := w.strip_prefix(u)) is not None)
+
+
 def adjoint_shift(u: Word, phi: Series) -> Series:
     """Apply the adjoint of the isometry ``xi_w -> xi_{uw}`` to phi.
 
     Keeps the terms left-divisible by u and strips the prefix; everything
     else is annihilated.
     """
-    return phi._like(
-        (rest, c)
-        for w, c in phi.table.items()
-        if (rest := w.strip_prefix(u)) is not None
-    )
+    return phi._like(_shifted(u, phi.table.items()))
+
+
+def _transported(w: Word, terms: Terms) -> Iterator[tuple[Word, complex]]:
+    """The terms of ``conjugate_by(w, ...)``: each word u moved to the unique v
+    with ``u*w == w*v``, or dropped.  Transport is injective, so distinct
+    words stay distinct."""
+    return ((v, c) for u, c in terms if (v := transport(w, u)) is not None)
 
 
 def conjugate_by(w: Word, phi: Series) -> Series:
@@ -306,9 +332,7 @@ def conjugate_by(w: Word, phi: Series) -> Series:
     when no such v exists; this is the series-level form of sandwiching the
     convolution operator between the shift by w and its adjoint.
     """
-    return phi._like(
-        (v, c) for u, c in phi.table.items() if (v := transport(w, u)) is not None
-    )
+    return phi._like(_transported(w, phi.table.items()))
 
 
 def degree_part(phi: Series, j: int) -> Series:
@@ -352,5 +376,5 @@ def first_letter_part(phi: Series, letter: int) -> Series:
 def max_coeff_diff(phi: Series, psi: Series) -> float:
     """Largest coefficientwise deviation between two series."""
     phi._require_same_shape(psi)
-    words = set(phi.table) | set(psi.table)
-    return max((abs(phi.coeff(w) - psi.coeff(w)) for w in words), default=0.0)
+    a, b = phi.table, psi.table
+    return max((abs(a.get(w, 0j) - b.get(w, 0j)) for w in set(a) | set(b)), default=0.0)

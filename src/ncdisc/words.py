@@ -14,9 +14,11 @@ compare by identity.  ``_check_letter`` is the one letter bound: the public
 ``derivations`` call it, and products, powers and slices of valid words skip
 it through ``Word._of``.  One rule
 reads text: ``_letter_count`` applies the grammar, whose indices are
-canonical non-negative ints, and ``_text_letters`` reads the letters and
-bounds them; ``Alphabet.parse`` is that rule plus ``Word._of``.  The
-cochain reader of ``cohomology`` uses the same rule.
+canonical non-negative ints, and ``_texts_letters`` reads the letters of a
+list of texts with one match of that grammar and one bound on the largest
+letter; ``_text_letters`` is its one-text case, and ``Alphabet.parse`` is
+that case plus ``Word._of``.  The series reader reads each value's texts in
+one call, and the cochain reader of ``cohomology`` uses the one-text case.
 """
 
 from __future__ import annotations
@@ -56,13 +58,40 @@ def _check_letter(letter: int, size: int) -> None:
         raise ValueError(f"letter {letter} outside alphabet of size {size}")
 
 
-def _text_letters(text: str, size: int) -> tuple[int, ...]:
-    """The letters of a word's text form, each below ``size``."""
-    if not _letter_count(text):
-        return ()
-    letters = tuple(map(int, text[1:].split("z")))
-    _check_letter(max(letters), size)
+#: Joins the texts ``_texts_letters`` matches at once; no word text holds it.
+_SEPARATOR = ","
+_TEXT = f"(?:e|{_WORD_GRAMMAR.pattern})"
+_TEXTS_GRAMMAR = re.compile(f"{_TEXT}(?:{_SEPARATOR}{_TEXT})*")
+
+
+def _texts_letters(texts: list[str], size: int) -> list[tuple[int, ...]]:
+    """The letters of each word text in ``texts``, every letter below ``size``.
+
+    One ``fullmatch`` of the grammar over the texts joined by ``_SEPARATOR``,
+    which then holds exactly ``len(texts) - 1`` separators, so a text that
+    holds one is refused too; then one split per text other than ``e`` and one
+    bound on the largest letter.  When the match fails, the first text outside
+    the grammar raises its own message.
+    """
+    if not texts:
+        return []
+    try:
+        joined = _SEPARATOR.join(texts)
+    except TypeError:
+        joined = ""  # a text that is not a string: no match, so the loop names it
+    if joined.count(_SEPARATOR) != len(texts) - 1 or not _TEXTS_GRAMMAR.fullmatch(joined):
+        for text in texts:
+            _letter_count(text)
+        raise AssertionError("unreachable: every text met the grammar")
+    letters = [() if text == "e" else tuple(map(int, text[1:].split("z"))) for text in texts]
+    _check_letter(max(itertools.chain.from_iterable(letters), default=0), size)
     return letters
+
+
+def _text_letters(text: str, size: int) -> tuple[int, ...]:
+    """The letters of a word's text form, each below ``size``: the one-text
+    case of ``_texts_letters``."""
+    return _texts_letters([text], size)[0]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -219,7 +248,7 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return "e"
-        return "".join(f"z{letter}" for letter in self.letters)
+        return "z" + "z".join(map(str, self.letters))
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"

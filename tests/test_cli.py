@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -16,7 +17,7 @@ from ncdisc import checks, cli
 from ncdisc.checks import RunConfig
 from ncdisc.cli import main
 from ncdisc.cohomology import Cochain, coboundary
-from ncdisc.derivations import GeneratorDerivation, inner_derivation
+from ncdisc.derivations import MAX_GENERATORS, GeneratorDerivation, inner_derivation
 from ncdisc.operators import TruncatedOperator, TruncationBasis
 from ncdisc.series import Series, max_coeff_diff
 from ncdisc.words import Alphabet, enumerate_words
@@ -250,6 +251,13 @@ GOLDEN_CASES = {
     # m = 11 (z10 next to z1 and z0), unit slots, a key split into two terms
     # far apart, a key that cancels exactly and one that sums to dust
     "repeated_keys": ("trivialize-cocycle", 0),
+    # float data, where the order of a sum shows in the bits: the inner
+    # derivation of a seeded symbol t with 8-12 terms on words of length 1-4,
+    # each part uniform(-1, 1) * 10**k for k in -6..6, m = 2 and 3
+    **{
+        f"float_m{m}_s{seed}": ("solve-derivation", 0)
+        for m, seed in ((2, 1), (2, 2), (2, 6), (3, 7), (3, 8), (3, 9))
+    },
 }
 
 
@@ -497,6 +505,33 @@ def test_crashing_check_is_a_failed_check(monkeypatch, capsys):
     # the params stay, so the failure replays
     assert crashed["params"] == {"m": 2, "len": 2}
     assert all(check["passed"] for check in results.values())
+
+
+def test_words_suite_over_the_instance_budget_is_refused_at_once(capsys):
+    # the norm checks' basis at cutoff 3 holds 1,885 words, so only the words
+    # suite's sweeps (604 million instances) refuse this configuration
+    for argv in (
+        ("verify-words", "--alphabet", "12"),
+        ("report-all", "--alphabet", "12", "--cutoff", "3"),
+    ):
+        start = time.process_time()
+        code = main(list(argv))
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("bad configuration: the words suite's sweeps test")
+        assert "primitive_root_commutation 511664400" in captured.err
+        assert elapsed < 1.0
+    checks._check_operator_config(RunConfig(alphabet=12, cutoff=3))
+
+
+def test_words_suite_budget_accepts_eight_generators_at_the_defaults():
+    instances = checks._word_sweep_instances(RunConfig(alphabet=8))
+    assert sum(instances.values()) <= checks.MAX_WORD_INSTANCES
+    with pytest.raises(ValueError, match="words suite"):
+        checks._check_words_config(RunConfig(alphabet=9))
+    for max_len in (0, 1, 6, 100):
+        checks._check_words_config(RunConfig(alphabet=8, max_len=max_len))
 
 
 def test_operator_suite_over_the_norm_word_budget_is_refused_before_allocation(capsys):
@@ -1365,6 +1400,66 @@ def test_malformed_structure_is_bad_input_with_a_message_of_its_own(tmp_path, ca
     assert captured.err.startswith(refusal)
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["z0,z1", "z0,"])
+@pytest.mark.parametrize("reader", ["derivation", "series"])
+def test_a_text_that_holds_the_bulk_separator_is_not_a_word(tmp_path, capsys, reader, text):
+    # the texts of a value are matched joined by ","; "z0,z1" must not pass as two words
+    series = {"alphabet": 2, "terms": [{"word": "z1", "re": 1.0}, {"word": text, "re": 1.0}]}
+    data = {"alphabet": 2, "values": {"0": series}} if reader == "derivation" else series
+    argv, refusal = READERS[reader]
+    infile = tmp_path / "input.json"
+    infile.write_text(json.dumps(data))
+    code = main([*argv, str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"{refusal} not a word: {text!r}\n"
+    assert captured.out == ""
+
+
+def test_faults_in_several_terms_report_the_earliest_stage(tmp_path, capsys):
+    # a bad text in term 0 and a term that is no object in term 2: the term
+    # objects are read before any text, so term 2's fault is the one named
+    infile = tmp_path / "input.json"
+    infile.write_text(_in_derivation(
+        '{"alphabet": 2, "terms": [{"word": "z0q", "re": 1.0}, {"word": "z1", "re": 1.0}, 5]}'
+    ))
+    code = main(["solve-derivation", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "bad derivation input: a term must be a JSON object, not 5\n"
+    # the texts are read before any coefficient part
+    infile.write_text(_in_derivation(
+        '{"alphabet": 2, "terms": [{"word": "z0", "re": "1"}, {"word": "z0q", "re": 1.0}]}'
+    ))
+    assert main(["solve-derivation", "--in", str(infile)]) == 2
+    assert capsys.readouterr().err == "bad derivation input: not a word: 'z0q'\n"
+
+
+def test_derivation_over_the_generator_budget_is_refused_before_allocation(tmp_path, capsys):
+    # one small term, but a value per generator to build, peel and screen
+    size = MAX_GENERATORS + 1
+    series = {"alphabet": size, "terms": [{"word": "z1", "re": 1.0}]}
+    infile = tmp_path / "input.json"
+    infile.write_text(json.dumps({"alphabet": size, "values": {"0": series}}))
+    tracemalloc.start()
+    try:
+        code = main(["solve-derivation", "--in", str(infile)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        f"bad derivation input: alphabet size {size} is over {MAX_GENERATORS} generators\n"
+    )
+    assert peak < 2**20
+    # the budget itself is accepted
+    series["alphabet"] = MAX_GENERATORS
+    infile.write_text(json.dumps({"alphabet": MAX_GENERATORS, "values": {"0": series}}))
+    assert main(["solve-derivation", "--in", str(infile)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["check"] == "residual"
 
 
 def test_replay_payload_that_is_not_an_object_is_bad_input(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
 import random
+from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +217,39 @@ def test_stabilized_sum_identity():
         for w in (Z0, Z1, w2(0, 1)):
             total = stabilized_conjugate_sum(derivation, w)
             assert derivation.of_word(w) == total - conjugate_by(w, total)
+
+
+def _reference_stabilized_sum(derivation, w):
+    """The conjugate_by iterates of D(w) up to the first empty one, summed in
+    one canonical step in iterate order."""
+    phi = derivation.of_word(w)
+    iterates = []
+    for _ in range(100):
+        if phi.is_zero():
+            return phi._like(chain.from_iterable(s.iter_terms() for s in iterates))
+        iterates.append(phi)
+        phi = conjugate_by(w, phi)
+    raise AssertionError("iterates did not vanish")
+
+
+def _bits(series):
+    return [(str(w), c.real.hex(), c.imag.hex()) for w, c in series.iter_terms()]
+
+
+#: The float-weight solver goldens of tests/data/solvers (see test_cli.GOLDEN_CASES).
+FLOAT_GOLDENS = [
+    f"float_m{m}_s{seed}" for m, seed in ((2, 1), (2, 2), (2, 6), (3, 7), (3, 8), (3, 9))
+]
+
+
+@pytest.mark.parametrize("case", FLOAT_GOLDENS)
+def test_stabilized_sum_keeps_the_bits_of_the_iterate_sum_on_float_data(case):
+    path = Path(__file__).parent / "data" / "solvers" / f"{case}.json"
+    derivation = GeneratorDerivation.from_json_dict(json.loads(path.read_text()))
+    alphabet = derivation.alphabet
+    for w in enumerate_words(alphabet, 2)[1:]:
+        expected = _reference_stabilized_sum(derivation, w)
+        assert _bits(stabilized_conjugate_sum(derivation, w)) == _bits(expected)
 
 
 def test_stabilized_sum_zero_value():

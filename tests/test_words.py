@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ncdisc.words import (
     Alphabet,
     Word,
+    _texts_letters,
     enumerate_words,
     min_word,
     power_shift_check,
@@ -271,6 +273,47 @@ def test_parse_str_roundtrip(w):
 def test_parse_refuses_non_canonical_spellings(text):
     with pytest.raises(ValueError):
         Alphabet(12).parse(text)
+
+
+def _reference_letters(text, size):
+    """One text read on its own: the grammar, then a split and a bound per letter."""
+    if text == "e":
+        return ()
+    assert re.fullmatch(r"(?:z(?:0|[1-9][0-9]*))+", text)
+    letters = tuple(int(part) for part in text.split("z")[1:])
+    assert all(letter < size for letter in letters)
+    return letters
+
+
+#: (alphabet size, texts) with letters >= 10 once the alphabet has them
+TEXT_LISTS = st.integers(1, 13).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(words_strategy(Alphabet(m)).map(str)))
+)
+
+
+@settings(max_examples=200)
+@given(TEXT_LISTS)
+def test_bulk_text_rule_reads_each_text_as_the_one_text_rule(case):
+    size, texts = case
+    assert _texts_letters(texts, size) == [_reference_letters(text, size) for text in texts]
+
+
+@pytest.mark.parametrize("bad", ["z0,z1", "z0,", ",z0", ",", "e,e"])
+def test_bulk_text_rule_refuses_a_text_that_holds_the_separator(bad):
+    # joined, "z0,z1" would split into two valid texts
+    for texts in ([bad], ["z1", bad], [bad, "e"]):
+        with pytest.raises(ValueError, match=re.escape(f"not a word: {bad!r}")):
+            _texts_letters(texts, 2)
+
+
+def test_bulk_text_rule_names_the_first_bad_text():
+    with pytest.raises(ValueError, match="not a word: 'z0x'"):
+        _texts_letters(["z1", "z0x", "q", 5], 2)
+    with pytest.raises(ValueError, match="not a word: 5"):
+        _texts_letters(["z1", 5, "q"], 2)
+    with pytest.raises(ValueError, match="letter 7 outside alphabet of size 3"):
+        _texts_letters(["z1", "z7z0", "e"], 3)
+    assert _texts_letters([], 2) == []
 
 
 # -- interned alphabets and checked letters ------------------------------------
