@@ -8,7 +8,8 @@ timing fields, and every failing check carries a replayable payload.
 The checks and their suite parameters live in ``checks``; this module runs
 them, turns a crash into a failed check, and writes the reports.  The two
 solvers share ``_run_solver``, which owns reading ``--in``, the exit codes
-and the output.
+and the output.  One writer, ``_json_text``, gives the JSON of every
+report and result.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 bad input or
 configuration.
@@ -23,10 +24,11 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Callable, Collection, Iterator, Optional, TextIO
 
 from .checks import CHECKS, CheckFn, RunConfig, _check_operator_config, _check_words_config
-from .cohomology import NonCocycleError, _CutCodes, _read_codes, trivialize
+from .cohomology import NonCocycleError, _CutCodes, _json_dict, _read_codes, _trivialize_codes
 from .derivations import GeneratorDerivation, InconsistentDerivationError, _solve_with_deviations
 from .operators import PowerIterationError, TruncationBasis, left_matrix, write_csv
 from .series import Series, _json_typed
@@ -123,9 +125,66 @@ def _suite_checks(report_dict: dict) -> Iterator[tuple[str, dict]]:
             yield rep["suite"], check
 
 
-def _json_text(data: dict) -> str:
-    """The JSON form of every report and result: indented, keys sorted, newline-ended."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+#: ``json``'s spellings of the float values that have no JSON literal.
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value: object, newline: str = "") -> str:
+    """The JSON form of every report and result: exactly what
+    ``json.dumps(value, indent=2, sort_keys=True) + "\\n"`` writes, with the
+    same exceptions.
+
+    ``json`` indents only in its pure-Python encoder; this one recursive
+    function does that encoder's work with less overhead.  It dispatches
+    with ``isinstance`` in ``json.encoder``'s order, so a ``float`` subclass
+    such as ``numpy.float64`` is written as a float, strings go through
+    ``json``'s C escaper, and NaN and the infinities keep ``json``'s
+    spellings.  ``newline`` is a newline plus the indentation of the line
+    the value starts on; the whole text, written without it, ends with a
+    newline.  A value nested past the recursion limit, a cycle among them,
+    is handed to ``json.dumps``, which writes it or raises its own error.
+    """
+    if not newline:
+        try:
+            return _json_text(value, "\n") + "\n"
+        except RecursionError:
+            return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    if isinstance(value, str):
+        return _encode_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_SPECIALS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{_encode_string(key if isinstance(key, str) else _json_key(key))}: "
+            f"{_json_text(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key: object) -> str:
+    """``json``'s text of an object key that is not a string."""
+    if isinstance(key, (int, float)) or key is None:
+        return _json_text(key, "\n")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _report_text(report_dict: dict, fmt: str) -> str:
@@ -216,7 +275,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as handle:
+    """The JSON object in the file ``path``, read as UTF-8 as JSON is."""
+    with open(path, encoding="utf-8") as handle:
         return _json_typed(json.load(handle, object_pairs_hook=_unique_keys), dict, "the input")
 
 
@@ -304,12 +364,13 @@ def _read_cocycle(data: dict) -> _CutCodes:
 
 def _trivialize(codes: _CutCodes) -> tuple[dict, Optional[tuple]]:
     try:
-        psi, residual = trivialize(codes)
+        psi, residual = _trivialize_codes(codes)
     except NonCocycleError as err:
         error = {"message": "input is not a cocycle", "witness": [str(w) for w in err.witness]}
         return {"passed": False, "error": error}, None
-    report = {"passed": residual.is_zero(), "residual_terms": len(residual.table)}
-    return report, ("cochain", psi.to_json_dict())
+    residual_terms = len(residual.ids)
+    report = {"passed": residual_terms == 0, "residual_terms": residual_terms}
+    return report, ("cochain", _json_dict(psi))
 
 
 def _cmd_solve_derivation(args: argparse.Namespace) -> int:

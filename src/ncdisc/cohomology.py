@@ -21,17 +21,20 @@ with the table core's test, exactly as the core's sum-and-prune step
 would; the homotopy's terms never share a key.  ``Word`` objects are
 built only for the keys that survive.
 
-The JSON reader goes straight to that encoding.  A key's string is its
-texts joined, its cuts are the running letter counts, and repeated keys
-are summed and pruned by the coboundary's kernel.  Each distinct text
-meets the grammar of ``words`` once per input, and each distinct string
-its letter rule, so ``trivialize-cocycle`` builds no ``Word`` for its
-input.
+The JSON reader and writer go straight to and from that encoding.  A
+key's string is its texts joined, its cuts are the running letter counts,
+and repeated keys are summed and pruned by the coboundary's kernel.  The
+distinct texts meet the grammar of ``words`` in one match per input, and
+each distinct string is split into letters once.  The writer slices each
+slot's text from its string's text.  So ``trivialize-cocycle`` builds no
+``Word`` for its input or its output.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -42,12 +45,20 @@ from .series import (
     CoefficientTable,
     Series,
     _json_int,
-    _json_parts,
+    _json_part_lists,
     _json_terms,
     adjoint_shift,
     first_letter_part,
 )
-from .words import Alphabet, Word, _index, _letter_count, _text_letters, enumerate_words
+from .words import (
+    Alphabet,
+    Word,
+    _check_letter,
+    _index,
+    _match_texts,
+    _split_letters,
+    enumerate_words,
+)
 
 WordTuple = tuple[Word, ...]
 
@@ -78,8 +89,6 @@ class Cochain(CoefficientTable):
 
     __slots__ = ("arity",)
 
-    _KEY_FIELD = "words"
-
     def __init__(
         self,
         arity: int,
@@ -109,10 +118,6 @@ class Cochain(CoefficientTable):
         """Tuple-lexicographic in the word order."""
         return tuple(w.sort_key() for w in key)
 
-    @staticmethod
-    def _key_text(key: WordTuple) -> list[str]:
-        return [str(w) for w in key]
-
     @classmethod
     def scalar(cls, alphabet: Alphabet, value: complex) -> "Cochain":
         return cls(0, alphabet, {(): value})
@@ -136,7 +141,8 @@ class Cochain(CoefficientTable):
         return f"Cochain(arity={self.arity}, terms={len(self.table)})"
 
     def to_json_dict(self) -> dict:
-        return {"arity": self.arity, **super().to_json_dict()}
+        """The JSON form, written from the table's cut codes by :func:`_json_dict`."""
+        return _json_dict(_encode(self))
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Cochain":
@@ -151,7 +157,8 @@ _CODE_MAX = int(np.iinfo(np.int64).max)
 class _CutCodes(NamedTuple):
     """A cochain table on cut codes, one row per term, in the table's order.
 
-    Row k spells the letter string ``spelled[ids[k]]``, cut at
+    Row k spells the letter string ``spelled[ids[k]]``, whose text is
+    ``texts[ids[k]]`` (``""`` for the unit), cut at
     ``bounds[k] = (0, |w1|, |w1 w2|, ..., |S|)``, with coefficient
     ``re[k] + i im[k]``.  Two rows have the same word tuple exactly when
     they have the same string id and the same bounds.  Bounds are int32,
@@ -160,6 +167,7 @@ class _CutCodes(NamedTuple):
 
     alphabet: Alphabet
     spelled: list[tuple[int, ...]]
+    texts: list[str]
     ids: np.ndarray
     bounds: np.ndarray
     re: np.ndarray
@@ -191,6 +199,7 @@ def _encode(phi: Cochain) -> _CutCodes:
     return _CutCodes(
         phi.alphabet,
         list(strings),
+        [str(Word._of(phi.alphabet, s)) if s else "" for s in strings],
         np.array(ids, dtype=np.int64),
         np.array(bounds, dtype=np.int32).reshape(len(ids), phi.arity + 1),
         coeffs.real,
@@ -203,55 +212,59 @@ def _read_codes(data: Mapping) -> _CutCodes:
     pruned as the table core does, with no ``Word`` built.
 
     The arity is a non-negative integer and the alphabet a size, neither
-    JSON ``true``.  Each key is a list of ``arity`` word texts; each
-    distinct text meets the grammar once, and each distinct letter string
-    the letter rule of ``words``, so every letter is bounded by the size.
-    Coefficient parts follow ``series._json_parts``.  A key's string
-    is its texts joined with the units left out, and its cuts are the
-    running letter counts.  A coefficient that is not finite after the sum
-    is refused: no sum with a NaN or an infinity in it is finite, and
-    finite terms can overflow together.
+    JSON ``true``.  Then the terms are read in stages, each over every term:
+    the term objects; the keys, each a list of ``arity`` strings; the
+    distinct texts, in one grammar match (``words._match_texts``), with
+    their letters counted; the coefficient parts, as
+    ``series._json_part_lists`` reads them; each distinct key string, its
+    texts joined with the units left out, split into letters once
+    (``words._split_letters``) and bounded by the size.  A key's cuts are
+    the running letter counts of its texts.  An input with a fault in one
+    term gets that fault's message; with faults in several, the first fault
+    of the earliest stage.  A coefficient that is not finite after the sum
+    is refused: no sum with a NaN or an infinity in it is finite, and finite
+    terms can overflow together.
     """
     arity = _json_int(data["arity"], "arity")
     if arity < 0:
         raise ValueError("arity must be nonnegative")
     alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
-    lengths: dict[str, int] = {}
-    strings: dict[str, int] = {}
-    ids = []
-    bounds = []
-    res = []
-    ims = []
-    for term in _json_terms(data):
-        texts = term["words"]
-        if type(texts) is not list or len(texts) != arity:
-            raise ValueError(f"cochain key {texts!r} is not a list of {arity} words")
-        try:
-            spelled = "".join(texts)
-        except TypeError:
-            raise ValueError(f"cochain key {texts!r} holds a text that is not a string") from None
-        at = 0
-        bounds.append(at)
-        for text in texts:
-            length = lengths.get(text)
-            if length is None:
-                length = lengths[text] = _letter_count(text)
-            at += length
-            bounds.append(at)
-        ids.append(strings.setdefault(spelled.replace("e", ""), len(strings)))
-        re, im = _json_parts(term)
-        res.append(re)
-        ims.append(im)
+    terms = _json_terms(data)
+    keys = list(map(itemgetter("words"), terms))
+    if not (set(map(type, keys)).issubset((list,)) and set(map(len, keys)).issubset((arity,))):
+        key = next(key for key in keys if type(key) is not list or len(key) != arity)
+        raise ValueError(f"cochain key {key!r} is not a list of {arity} words")
+    texts = list(chain.from_iterable(keys))
+    if not set(map(type, texts)).issubset((str,)):
+        key = next(key for key in keys if not set(map(type, key)).issubset((str,)))
+        raise ValueError(f"cochain key {key!r} holds a text that is not a string")
+    distinct = list(dict.fromkeys(texts))
+    _match_texts(distinct)
+    letter_counts = {text: text.count("z") for text in distinct}
+    re, im = _json_part_lists(terms)
     try:
-        re, im = np.array(res, dtype=float), np.array(ims, dtype=float)
+        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
     except OverflowError as err:
         raise ValueError(f"coefficient out of range: {err}") from None
+    # the key strings, joined and their units dropped in one pass each
+    strings = ",".join(map("".join, keys)).replace("e", "").split(",") if keys else []
+    string_ids = {text: k for k, text in enumerate(dict.fromkeys(strings))}
+    string_texts = list(string_ids)
+    spelled = _split_letters(string_texts)
+    size = alphabet.size
+    if max(map(max, filter(None, spelled)), default=0) >= size:
+        # the first string with a letter past the size names its largest one
+        _check_letter(next(top for s in spelled if (top := max(s, default=0)) >= size), size)
+    lengths = np.zeros((len(keys), arity + 1), dtype=np.int32)
+    counts = np.fromiter(map(letter_counts.__getitem__, texts), np.int32, len(texts))
+    lengths[:, 1:] = counts.reshape(len(keys), arity)
     codes = _summed(
         _CutCodes(
             alphabet,
-            [_text_letters(s or "e", alphabet.size) for s in strings],
-            np.array(ids, dtype=np.int64),
-            np.array(bounds, dtype=np.int32).reshape(len(ids), arity + 1),
+            spelled,
+            string_texts,
+            np.fromiter(map(string_ids.__getitem__, strings), np.int64, len(strings)),
+            np.cumsum(lengths, axis=1, dtype=np.int32),
             re,
             im,
         )
@@ -278,6 +291,39 @@ def _decode(codes: _CutCodes) -> Cochain:
         table[tuple(word(s[a:b]) for a, b in zip(row, row[1:]))] = complex(re, im)
     out.table = table
     return out
+
+
+def _json_dict(codes: _CutCodes) -> dict:
+    """The cochain JSON of distinct rows, term for term what the table
+    writes, with no ``Word`` built.
+
+    The terms are sorted by the ``(len, letters)`` tuples of
+    ``Cochain.items()``.  Each slot's text is sliced from its string's text
+    at the letter offsets.  The rows' texts are joined, each followed by a
+    ``z``, so a row's ``z``s in the joined text mark where each of its
+    letters starts and, last, where its text ends: a cut at letter j is
+    the row's j-th ``z``, counted from 0.
+    """
+    spelled, texts = codes.spelled, codes.texts
+    ids = codes.ids.tolist()
+    blob = "".join([texts[k] + "z" for k in ids])
+    marks = np.flatnonzero(np.frombuffer(blob.encode("ascii"), np.uint8) == ord("z"))
+    counts = codes.bounds[:, -1] + 1
+    firsts = np.cumsum(counts) - counts
+    rows = []
+    for k, row, at, re, im in zip(
+        ids,
+        codes.bounds.tolist(),
+        marks[firsts[:, None] + codes.bounds].tolist(),
+        codes.re.tolist(),
+        codes.im.tolist(),
+    ):
+        s = spelled[k]
+        key = tuple([(b - a, s[a:b]) for a, b in zip(row, row[1:])])
+        rows.append((key, [blob[a:b] or "e" for a, b in zip(at, at[1:])], re, im))
+    rows.sort(key=itemgetter(0))
+    terms = [{"words": words, "re": re, "im": im} for _, words, re, im in rows]
+    return {"arity": codes.arity, "alphabet": codes.alphabet.size, "terms": terms}
 
 
 def _append_digit(codes: np.ndarray, digits: np.ndarray, radix: int) -> np.ndarray:
@@ -359,13 +405,11 @@ def _coboundary_terms(phi: _CutCodes) -> _CutCodes:
         out[:, c] = np.where(
             slot >= c, inner[:, c], np.where(slot == c - 1, cut_at, inner[:, c - 1])
         )
-    return _CutCodes(
-        phi.alphabet,
-        phi.spelled,
-        phi.ids.take(owner),
-        out,
-        sign * phi.re.take(owner),
-        sign * phi.im.take(owner),
+    return phi._replace(
+        ids=phi.ids.take(owner),
+        bounds=out,
+        re=sign * phi.re.take(owner),
+        im=sign * phi.im.take(owner),
     )
 
 
@@ -474,8 +518,14 @@ def trivialize(phi: Cochain | _CutCodes) -> tuple[Cochain, Cochain]:
     in the subtraction's key order.  For a correct psi nothing survives, so
     no ``Word`` is built for the residual.
     """
+    psi, residual = _trivialize_codes(phi)
+    return _decode(psi), _decode(residual)
+
+
+def _trivialize_codes(phi: Cochain | _CutCodes) -> tuple[_CutCodes, _CutCodes]:
+    """The codes of :func:`trivialize`'s psi and residual, decoded by neither."""
     codes, psi = _homotopy_codes(phi)
-    return _decode(psi), _decode(_residual(psi, codes))
+    return psi, _residual(psi, codes)
 
 
 def _residual(psi: _CutCodes, phi: _CutCodes) -> _CutCodes:

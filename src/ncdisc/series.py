@@ -13,28 +13,28 @@ which on basis elements is concatenation: ``xi_u * xi_v = xi_{uv}``.
 ``cohomology.Cochain``: a dict from keys (words, or tuples of words) to
 complex coefficients, with one canonical step -- sum repeated keys, then
 drop coefficients of magnitude at most ``PRUNE_EPS``, so that cancellation
-leaves no dust -- plus the linear structure, equality and the re/im JSON
-term codec.  Keys and coefficients are checked once, by the public
-constructor, which refuses a key over another alphabet and a NaN or
-infinite coefficient.  Results of operations are built from keys that are
-already valid through the internal ``_from_valid`` constructor, which runs
-only the canonical step.  The series reader reads a value in stages, each
+leaves no dust -- plus the linear structure, equality and the checks of
+the re/im parts of a JSON term.  Keys and coefficients are checked once,
+by the public constructor, which refuses a key over another alphabet and
+a NaN or infinite coefficient.  Results of operations are built from keys
+that are already valid through the internal ``_from_valid`` constructor,
+which runs only the canonical step.  The series reader reads a value in stages, each
 over all its terms -- the term objects, the word texts in one grammar match
 (``words._texts_letters``), the coefficient parts, one canonical step -- and
 refuses a non-finite coefficient after the sum, so terms in float range that
 overflow together are refused too.  ``conjugate_by`` and ``adjoint_shift``
 are one canonical step over the term streams ``_transported`` and
 ``_shifted``, which the solver of ``derivations`` walks without a series
-per step.  Cochains are read
-straight onto the cut codes ``cohomology`` computes on, with the same
-rules for texts, coefficients and sizes; JSON ``true`` is not a size.
+per step.  Cochains are read straight onto the cut codes ``cohomology``
+computes on, and written from them, with the same rules for texts,
+coefficients and sizes; JSON ``true`` is not a size.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, starmap
+from itertools import chain
 from typing import Hashable, Iterable, ItemsView, Iterator, Mapping, Optional
 
 from .words import Alphabet, Word, _check_letter, _index, _texts_letters, transport
@@ -84,10 +84,14 @@ def _json_typed(value: object, kind: type, what: str):
     return value
 
 
-def _json_terms(data: Mapping) -> Iterator[dict]:
-    """The objects of ``data["terms"]``, a JSON list that may be absent."""
+def _json_terms(data: Mapping) -> list[dict]:
+    """The objects of ``data["terms"]``, a JSON list that may be absent; the
+    first term that is not an object is refused."""
     terms = _json_typed(data.get("terms", []), list, "terms")
-    return (_json_typed(term, dict, "a term") for term in terms)
+    if not set(map(type, terms)).issubset((dict,)):
+        for term in terms:
+            _json_typed(term, dict, "a term")
+    return terms
 
 
 def _json_parts(term: Mapping) -> tuple[float, float]:
@@ -99,26 +103,36 @@ def _json_parts(term: Mapping) -> tuple[float, float]:
     return re, im
 
 
+def _json_part_lists(terms: list[Mapping]) -> tuple[list, list]:
+    """The ``re`` parts and the ``im`` parts of JSON terms, checked as
+    ``_json_parts`` checks one term, but in whole-list passes; on a fault,
+    the first faulty term raises its own message."""
+    try:
+        parts = [term["re"] for term in terms], [term.get("im", 0.0) for term in terms]
+        if set(map(type, chain(*parts))).issubset(_JSON_NUMBERS):
+            return parts
+    except KeyError:
+        pass
+    for term in terms:
+        _json_parts(term)
+    raise AssertionError("unreachable: every term has two JSON number parts")
+
+
 def _json_coefficients(terms: list[Mapping]) -> list[complex]:
     """The coefficients of JSON terms: every term's parts checked by
-    ``_json_parts`` first, then each pair made complex."""
-    parts = [_json_parts(term) for term in terms]
+    ``_json_part_lists`` first, then each pair made complex."""
+    re, im = _json_part_lists(terms)
     try:
-        return list(starmap(complex, parts))
+        return list(map(complex, re, im))
     except OverflowError as err:
         raise ValueError(f"coefficient out of range: {err}") from None
-
-
-def _json_coefficient(term: Mapping) -> complex:
-    """The coefficient of one JSON term: ``_json_coefficients``' one-term case."""
-    return _json_coefficients([term])[0]
 
 
 class CoefficientTable:
     """Immutable finitely supported map from keys to complex coefficients.
 
-    A subclass says how a key is checked (``_check_key``), ordered
-    (``_sort_key``) and written in JSON (``_KEY_FIELD`` and ``_key_text``).
+    A subclass says how a key is checked (``_check_key``) and ordered
+    (``_sort_key``), and how the table is written in JSON (``to_json_dict``).
     ``_shape`` gives the public constructor's leading arguments; tables of
     one shape can be added and compared.
     """
@@ -198,23 +212,12 @@ class CoefficientTable:
 
     __mul__ = __rmul__ = scaled
 
-    # -- interchange format ----------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        terms = [
-            {self._KEY_FIELD: self._key_text(key), "re": c.real, "im": c.imag}
-            for key, c in self.items()
-        ]
-        return {"alphabet": self.alphabet.size, "terms": terms}
-
 
 class Series(CoefficientTable):
     """Finitely supported map from words to complex coefficients."""
 
     __slots__ = ()
 
-    _KEY_FIELD = "word"
-    _key_text = staticmethod(str)
     _sort_key = staticmethod(Word.sort_key)
 
     def _check_key(self, word: Word) -> Word:
@@ -259,6 +262,10 @@ class Series(CoefficientTable):
             if not cmath.isfinite(c):
                 raise ValueError(f"non-finite coefficient {c} at {word}")
         return out
+
+    def to_json_dict(self) -> dict:
+        terms = [{"word": str(w), "re": c.real, "im": c.imag} for w, c in self.items()]
+        return {"alphabet": self.alphabet.size, "terms": terms}
 
     # -- inspection ------------------------------------------------------
 

@@ -18,7 +18,9 @@ canonical non-negative ints, and ``_texts_letters`` reads the letters of a
 list of texts with one match of that grammar and one bound on the largest
 letter; ``_text_letters`` is its one-text case, and ``Alphabet.parse`` is
 that case plus ``Word._of``.  The series reader reads each value's texts in
-one call, and the cochain reader of ``cohomology`` uses the one-text case.
+one call.  The cochain reader of ``cohomology`` runs the stages apart: it
+matches its distinct texts with ``_match_texts``, then splits each distinct
+key string, a key's texts joined, with ``_split_letters``.
 """
 
 from __future__ import annotations
@@ -64,17 +66,16 @@ _TEXT = f"(?:e|{_WORD_GRAMMAR.pattern})"
 _TEXTS_GRAMMAR = re.compile(f"{_TEXT}(?:{_SEPARATOR}{_TEXT})*")
 
 
-def _texts_letters(texts: list[str], size: int) -> list[tuple[int, ...]]:
-    """The letters of each word text in ``texts``, every letter below ``size``.
+def _match_texts(texts: list[str]) -> None:
+    """Refuse ``texts`` unless every one is a word text.
 
     One ``fullmatch`` of the grammar over the texts joined by ``_SEPARATOR``,
     which then holds exactly ``len(texts) - 1`` separators, so a text that
-    holds one is refused too; then one split per text other than ``e`` and one
-    bound on the largest letter.  When the match fails, the first text outside
+    holds one is refused too.  When the match fails, the first text outside
     the grammar raises its own message.
     """
     if not texts:
-        return []
+        return
     try:
         joined = _SEPARATOR.join(texts)
     except TypeError:
@@ -83,7 +84,20 @@ def _texts_letters(texts: list[str], size: int) -> list[tuple[int, ...]]:
         for text in texts:
             _letter_count(text)
         raise AssertionError("unreachable: every text met the grammar")
-    letters = [() if text == "e" else tuple(map(int, text[1:].split("z"))) for text in texts]
+
+
+def _split_letters(texts: list[str]) -> list[tuple[int, ...]]:
+    """The letters of texts that met the grammar, or of their concatenations
+    with the units left out: one split per text that has letters."""
+    return [tuple(map(int, rest.split("z"))) if (rest := text[1:]) else () for text in texts]
+
+
+def _texts_letters(texts: list[str], size: int) -> list[tuple[int, ...]]:
+    """The letters of each word text in ``texts``, every letter below ``size``:
+    one ``_match_texts``, one ``_split_letters`` and one bound on the largest
+    letter."""
+    _match_texts(texts)
+    letters = _split_letters(texts)
     _check_letter(max(itertools.chain.from_iterable(letters), default=0), size)
     return letters
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncdisc import checks, cli
 from ncdisc.checks import RunConfig
@@ -257,6 +258,15 @@ GOLDEN_CASES = {
     **{
         f"float_m{m}_s{seed}": ("solve-derivation", 0)
         for m, seed in ((2, 1), (2, 2), (2, 6), (3, 7), (3, 8), (3, 9))
+    },
+    # float cocycles, where sums round: the coboundary of a seeded cochain
+    # of arity 1 (24 terms, words of length 0-5) or 2 (30 terms, length 0-2,
+    # letters 0, 1, 10 at m = 11), unit slots included, each part
+    # uniform(-1, 1) * 10**k for k in -6..6; every third cochain term is
+    # real, and half of the cocycle's zero imaginary parts are written -0.0
+    **{
+        f"float_cocycle_m{m}_s{seed}": ("trivialize-cocycle", 0)
+        for m, seed in ((2, 1), (2, 4), (3, 3), (3, 6), (11, 5), (11, 10))
     },
 }
 
@@ -1403,11 +1413,15 @@ def test_malformed_structure_is_bad_input_with_a_message_of_its_own(tmp_path, ca
 
 
 @pytest.mark.parametrize("text", ["z0,z1", "z0,"])
-@pytest.mark.parametrize("reader", ["derivation", "series"])
+@pytest.mark.parametrize("reader", ["derivation", "series", "cochain"])
 def test_a_text_that_holds_the_bulk_separator_is_not_a_word(tmp_path, capsys, reader, text):
-    # the texts of a value are matched joined by ","; "z0,z1" must not pass as two words
+    # the texts of a value, or a cochain's distinct texts, are matched joined
+    # by ","; "z0,z1" must not pass as two words
     series = {"alphabet": 2, "terms": [{"word": "z1", "re": 1.0}, {"word": text, "re": 1.0}]}
     data = {"alphabet": 2, "values": {"0": series}} if reader == "derivation" else series
+    if reader == "cochain":
+        terms = [{"words": ["z1", "e"], "re": 1.0}, {"words": ["z0", text], "re": 1.0}]
+        data = {"arity": 2, "alphabet": 2, "terms": terms}
     argv, refusal = READERS[reader]
     infile = tmp_path / "input.json"
     infile.write_text(json.dumps(data))
@@ -1435,6 +1449,136 @@ def test_faults_in_several_terms_report_the_earliest_stage(tmp_path, capsys):
     ))
     assert main(["solve-derivation", "--in", str(infile)]) == 2
     assert capsys.readouterr().err == "bad derivation input: not a word: 'z0q'\n"
+
+
+#: Two faults in one cochain input, the later term's in an earlier stage,
+#: and the refusal that names it.
+COCHAIN_FAULT_PAIRS = {
+    # term objects come before keys
+    "term_before_key": ('{"words": ["z0"], "re": 1.0}, 5', "a term must be a JSON object, not 5"),
+    # key shapes come before texts
+    "key_before_text": (
+        '{"words": ["z0q", "e"], "re": 1.0}, {"words": "z0", "re": 1.0}',
+        "cochain key 'z0' is not a list of 2 words",
+    ),
+    # texts come before coefficient parts
+    "text_before_part": (
+        '{"words": ["z0", "e"], "re": "1"}, {"words": ["z0q", "e"], "re": 1.0}',
+        "not a word: 'z0q'",
+    ),
+    # coefficient parts come before the letter bound
+    "part_before_letter": (
+        '{"words": ["z5", "e"], "re": 1.0}, {"words": ["z0", "e"], "re": true}',
+        "coefficient parts True, 0.0 are not both JSON numbers",
+    ),
+    # within a stage, the earlier term's fault
+    "first_letter_bound": (
+        '{"words": ["z3", "e"], "re": 1.0}, {"words": ["z9", "e"], "re": 1.0}',
+        "letter 3 outside alphabet of size 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COCHAIN_FAULT_PAIRS))
+def test_cochain_faults_in_several_terms_report_the_earliest_stage(tmp_path, capsys, case):
+    terms, message = COCHAIN_FAULT_PAIRS[case]
+    infile = tmp_path / "input.json"
+    infile.write_text('{"arity": 2, "alphabet": 2, "terms": [%s]}' % terms)
+    assert main(["trivialize-cocycle", "--in", str(infile)]) == 2
+    assert capsys.readouterr().err == f"bad cochain input: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ('{"words": ["z0", "z1"], "re": -1.0, "note": "caf\u00e9"}', None),
+        # stderr is ASCII under this locale, so the refusal escapes the letter
+        ('{"words": ["z\u00e9", "e"], "re": 1.0}', "bad cochain input: not a word: 'z\\xe9'\n"),
+    ],
+)
+def test_json_input_is_read_as_utf8_under_an_ascii_locale(tmp_path, term, message):
+    # JSON is UTF-8 whatever the locale says; the C locale, with its coercion
+    # and the UTF-8 mode both off, would decode the file as ASCII
+    infile = tmp_path / "cochain.json"
+    infile.write_bytes(('{"arity": 2, "alphabet": 2, "terms": [%s]}' % term).encode("utf-8"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONUTF8", None)
+    result = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "ncdisc", "trivialize-cocycle", "--in", str(infile)],
+        capture_output=True,
+        text=True,
+        encoding="ascii",
+        env=env,
+    )
+    if message is None:
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["cochain"]["terms"] == [
+            {"im": 0.0, "re": 1.0, "words": ["z0z1"]}
+        ]
+    else:
+        assert result.returncode == 2
+        assert result.stderr == message
+
+
+#: JSON leaves: the literals, ints past 64 bits, signed zeros, floats whose
+#: repr switches to an exponent, the non-finite floats and numpy.float64, and
+#: strings with quotes, backslashes, control and non-ASCII characters.
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**100), 0, -1]),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9", "\U0001f600", ""]),
+)
+
+#: Nested lists, tuples and objects with string keys, empty ones included.
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+@example({})
+@example([[]])
+@example({"a": [{}, []], "b": {}})
+@example({"b": 1, "a": [0.1, -0.0, True, None, np.float64(-0.0)]})
+@example({2: "a", 2.5: "b", True: None})
+@example({None: 1})
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, b"z0", np.int64(3), object(), {(1,): 1}, {1: "a", "b": 2}],
+)
+def test_json_text_refuses_what_json_refuses(value):
+    for nested in (value, [value], {"a": {"b": [1.0, value]}}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(nested, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(nested)
+        assert str(got.value) == str(expected.value)
+
+
+def test_json_text_hands_a_cycle_to_json():
+    cycle = {"a": []}
+    cycle["a"].append(cycle)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        cli._json_text(cycle)
 
 
 def test_derivation_over_the_generator_budget_is_refused_before_allocation(tmp_path, capsys):

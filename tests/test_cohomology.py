@@ -24,7 +24,7 @@ from ncdisc.cohomology import (
     one_cocycle_dimension,
     trivialize,
 )
-from ncdisc.series import PRUNE_EPS, Series, _json_coefficient, _sum_and_prune
+from ncdisc.series import PRUNE_EPS, Series, _json_coefficients, _sum_and_prune
 from ncdisc.words import Alphabet, enumerate_words
 
 A2 = Alphabet(2)
@@ -664,7 +664,7 @@ def _word_level_reader(data):
     out = Cochain(data["arity"], alphabet)
     parse = functools.cache(alphabet.parse)
     terms = (
-        (tuple(map(parse, term["words"])), _json_coefficient(term))
+        (tuple(map(parse, term["words"])), _json_coefficients([term])[0])
         for term in data.get("terms", ())
     )
     out.table = _sum_and_prune(out._checked(terms))
@@ -723,6 +723,31 @@ def test_codes_reader_matches_the_word_level_reader_bit_for_bit(data):
         got_psi, got_residual = trivialize(codes)
         assert _bits(got_psi.table.items()) == _bits(psi.table.items())
         assert _bits(got_residual.table.items()) == _bits(residual.table.items())
+
+
+def _word_level_json(phi):
+    """Reference: the cochain JSON as the table wrote it, word by word, in
+    ``items()`` order."""
+    terms = [
+        {"words": [str(w) for w in key], "re": c.real, "im": c.imag} for key, c in phi.items()
+    ]
+    return {"arity": phi.arity, "alphabet": phi.alphabet.size, "terms": terms}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cochain_json())
+def test_cochain_json_written_from_codes_matches_the_word_level_writer(data):
+    # json.dumps of a float round-trips its bits and keeps the sign of a zero
+    expected = _word_level_reader(data)
+    codes = cohomology._read_codes(data)
+    assert json.dumps(cohomology._json_dict(codes)) == json.dumps(_word_level_json(expected))
+    assert json.dumps(expected.to_json_dict()) == json.dumps(_word_level_json(expected))
+    # psi of a cocycle, written from its codes
+    cocycle = coboundary(expected)
+    if cocycle.arity >= 2:
+        psi, _ = cohomology._trivialize_codes(cocycle)
+        written = cohomology._json_dict(psi)
+        assert json.dumps(written) == json.dumps(_word_level_json(homotopy(cocycle)))
 
 
 #: One bad term for each class of input the cochain reader refuses, added to
