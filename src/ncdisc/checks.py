@@ -204,8 +204,8 @@ def _random_words(
     Python call per integer.  The bounds are checked once, before any draw,
     also when ``count`` is 0: a non-integer bound or an empty range raises
     ``ValueError`` (the rule would redraw for ever on an empty range).  The
-    letters are in range by construction, so each word is built through the
-    trusted ``Word._of``.
+    letters are in range by construction, so each word is built by
+    ``Word._of``'s recipe, inline.
     """
     low = _index(min_len, "min_len")
     span = _index(max_len, "max_len") - low + 1
@@ -214,7 +214,7 @@ def _random_words(
     getrandbits = rng.getrandbits
     size = alphabet.size
     span_bits, size_bits = span.bit_length(), size.bit_length()
-    of = Word._of
+    new = object.__new__
     words = []
     for _ in range(count):
         n = getrandbits(span_bits)
@@ -226,7 +226,11 @@ def _random_words(
             while r >= size:
                 r = getrandbits(size_bits)
             letters.append(r)
-        words.append(of(alphabet, tuple(letters)))
+        word = new(Word)
+        word.alphabet = alphabet
+        word.letters = tuple(letters)
+        word._hash = None
+        words.append(word)
     return words
 
 

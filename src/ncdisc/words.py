@@ -12,7 +12,7 @@ in canonical decimal.  There is one ``Alphabet`` per size, so alphabets
 compare by identity.  ``_check_letter`` is the one letter bound: the public
 ``Word`` constructor, the text reader, ``series`` and the generator keys of
 ``derivations`` call it, and products, powers and slices of valid words skip
-it through ``Word._of``.  One rule
+it through ``Word._of`` or its recipe inline.  One rule
 reads text: ``_letter_count`` applies the grammar, whose indices are
 canonical non-negative ints, and ``_texts_letters`` reads the letters of a
 list of texts with one match of that grammar and one bound on the largest
@@ -29,7 +29,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Optional
+from typing import ClassVar, Iterable, NoReturn, Optional
 
 #: A letter is ``z`` and a generator index in canonical decimal: no sign,
 #: no leading zero, ASCII digits only, so ``str(parse(t)) == t``.
@@ -150,11 +150,21 @@ class Alphabet:
         return Word._of(self, _text_letters(text, self.size))
 
 
+def _mixed_alphabets() -> NoReturn:
+    """Refuse an operation on words over two alphabets: the one message."""
+    raise ValueError("words over different alphabets")
+
+
 class Word:
     """An immutable word of generator indices; the empty word is the unit.
 
     Ordering is by length first, then letterwise by generator index.  This
     is a total well-order compatible with multiplication on both sides.
+
+    The hash is taken on first use and kept in ``_hash`` (``None`` until
+    then).  The comparisons, products and strips test the alphabets inline
+    and refuse a mismatch through ``_mixed_alphabets``; an operator given
+    an operand that is not a word returns ``NotImplemented``.
     """
 
     __slots__ = ("alphabet", "letters", "_hash")
@@ -166,16 +176,21 @@ class Word:
             _check_letter(letter, size)
         self.alphabet = alphabet
         self.letters = letters
-        self._hash = hash((size, letters))
+        self._hash = None
 
     @classmethod
     def _of(cls, alphabet: Alphabet, letters: tuple[int, ...]) -> "Word":
         """Trusted constructor for letters already known to be valid: a
-        product, power or slice of words over ``alphabet``."""
+        product, power or slice of words over ``alphabet``.
+
+        The recipe is ``object.__new__`` and the three slot writes, the hash
+        left ``None``; ``__mul__``, ``strip_prefix`` and the word loop of
+        ``checks._random_words`` run it inline to save a call per word.
+        """
         word = object.__new__(cls)
         word.alphabet = alphabet
         word.letters = letters
-        word._hash = hash((alphabet.size, letters))
+        word._hash = None
         return word
 
     def __len__(self) -> int:
@@ -187,10 +202,6 @@ class Word:
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.letters), self.letters)
 
-    def _require_same_alphabet(self, other: "Word") -> None:
-        if self.alphabet is not other.alphabet:
-            raise ValueError("words over different alphabets")
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Word)
@@ -199,25 +210,51 @@ class Word:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.alphabet.size, self.letters))
+        return h
 
     def __lt__(self, other: "Word") -> bool:
-        self._require_same_alphabet(other)
-        return self.sort_key() < other.sort_key()
+        try:
+            alphabet, theirs = other.alphabet, other.letters
+        except AttributeError:
+            return NotImplemented
+        if self.alphabet is not alphabet:
+            _mixed_alphabets()
+        mine = self.letters
+        return (len(mine), mine) < (len(theirs), theirs)
 
     def __le__(self, other: "Word") -> bool:
-        self._require_same_alphabet(other)
-        return self.sort_key() <= other.sort_key()
+        try:
+            alphabet, theirs = other.alphabet, other.letters
+        except AttributeError:
+            return NotImplemented
+        if self.alphabet is not alphabet:
+            _mixed_alphabets()
+        mine = self.letters
+        return (len(mine), mine) <= (len(theirs), theirs)
 
     def __gt__(self, other: "Word") -> bool:
-        return not self <= other
+        le = self.__le__(other)
+        return le if le is NotImplemented else not le
 
     def __ge__(self, other: "Word") -> bool:
-        return not self < other
+        lt = self.__lt__(other)
+        return lt if lt is NotImplemented else not lt
 
     def __mul__(self, other: "Word") -> "Word":
-        self._require_same_alphabet(other)
-        return Word._of(self.alphabet, self.letters + other.letters)
+        try:
+            alphabet, theirs = other.alphabet, other.letters
+        except AttributeError:
+            return NotImplemented
+        if self.alphabet is not alphabet:
+            _mixed_alphabets()
+        word = object.__new__(Word)
+        word.alphabet = alphabet
+        word.letters = self.letters + theirs
+        word._hash = None
+        return word
 
     def __pow__(self, exponent: int) -> "Word":
         if exponent < 0:
@@ -226,25 +263,36 @@ class Word:
 
     def strip_prefix(self, u: "Word") -> Optional["Word"]:
         """The word v with ``self == u * v``, or None if u is not a prefix."""
-        self._require_same_alphabet(u)
-        n = len(u.letters)
-        if self.letters[:n] != u.letters:
+        alphabet = self.alphabet
+        if alphabet is not u.alphabet:
+            _mixed_alphabets()
+        letters, prefix = self.letters, u.letters
+        n = len(prefix)
+        if letters[:n] != prefix:
             return None
-        return Word._of(self.alphabet, self.letters[n:])
+        word = object.__new__(Word)
+        word.alphabet = alphabet
+        word.letters = letters[n:]
+        word._hash = None
+        return word
 
     def strip_suffix(self, u: "Word") -> Optional["Word"]:
         """The word v with ``self == v * u``, or None if u is not a suffix."""
-        self._require_same_alphabet(u)
-        n = len(u.letters)
+        if self.alphabet is not u.alphabet:
+            _mixed_alphabets()
+        letters, suffix = self.letters, u.letters
+        n = len(suffix)
         if n == 0:
             return self
-        if n > len(self.letters) or self.letters[-n:] != u.letters:
+        if n > len(letters) or letters[-n:] != suffix:
             return None
-        return Word._of(self.alphabet, self.letters[:-n])
+        return Word._of(self.alphabet, letters[:-n])
 
     def commutes_with(self, other: "Word") -> bool:
-        self._require_same_alphabet(other)
-        return self.letters + other.letters == other.letters + self.letters
+        if self.alphabet is not other.alphabet:
+            _mixed_alphabets()
+        mine, theirs = self.letters, other.letters
+        return mine + theirs == theirs + mine
 
     def primitive_root(self) -> tuple["Word", int]:
         """The shortest v and largest m with ``self == v**m``; unit rejected.
@@ -272,11 +320,15 @@ def min_word(words: Iterable[Word]) -> Word:
     """Least element of a nonempty collection under the graded-lex order.
 
     Staged filtering: keep the words of minimal length, then repeatedly
-    keep those with the least letter at the next position.
+    keep those with the least letter at the next position.  Words over two
+    alphabets are refused, as ``min`` refuses them.
     """
     survivors = list(words)
     if not survivors:
         raise ValueError("empty collection has no least word")
+    alphabet = survivors[0].alphabet
+    if any(w.alphabet is not alphabet for w in survivors):
+        _mixed_alphabets()
     n = min(len(w) for w in survivors)
     survivors = [w for w in survivors if len(w) == n]
     for position in range(n):

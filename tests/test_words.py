@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncdisc import checks
 from ncdisc.words import (
     Alphabet,
     Word,
@@ -354,3 +355,109 @@ def test_word_coerces_integer_like_letters():
     assert w == w2(1, 0, 1)
     assert hash(w) == hash(w2(1, 0, 1))
 
+
+
+# -- operands: other alphabets and other types -----------------------------
+
+MIXED = "^words over different alphabets$"
+W3 = A3.generator(0)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a < b,
+        lambda a, b: a <= b,
+        lambda a, b: a > b,
+        lambda a, b: a >= b,
+        lambda a, b: a * b,
+        lambda a, b: a.strip_prefix(b),
+        lambda a, b: a.strip_suffix(b),
+        lambda a, b: a.commutes_with(b),
+        lambda a, b: transport(a, b),
+        lambda a, b: power_shift_check(a, b, b, 2),
+        lambda a, b: min_word([a, b]),
+    ],
+    ids=[
+        "lt", "le", "gt", "ge", "mul", "strip_prefix", "strip_suffix",
+        "commutes_with", "transport", "power_shift_check", "min_word",
+    ],
+)
+def test_mixed_alphabets_raise_one_message(op):
+    with pytest.raises(ValueError, match=MIXED):
+        op(w2(0, 1), W3)
+    with pytest.raises(ValueError, match=MIXED):
+        op(W3, w2(0, 1))
+
+
+def test_min_word_refuses_mixed_alphabets():
+    with pytest.raises(ValueError, match=MIXED):
+        min_word([Alphabet(2).unit(), Alphabet(3).unit()])
+    with pytest.raises(ValueError, match=MIXED):
+        min([Alphabet(2).unit(), Alphabet(3).unit()])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda w: w < 3,
+        lambda w: w <= 3,
+        lambda w: w > 3,
+        lambda w: w >= 3,
+        lambda w: 3 < w,
+        lambda w: w * 3,
+        lambda w: 3 * w,
+        lambda w: sorted([w, 3]),
+    ],
+    ids=["lt", "le", "gt", "ge", "reflected_lt", "mul", "rmul", "sorted"],
+)
+def test_non_word_operand_is_a_type_error(op):
+    with pytest.raises(TypeError, match="not supported|unsupported operand"):
+        op(w2(0, 1))
+
+
+def test_word_equals_no_other_type():
+    assert (w2(0, 1) == 3) is False
+    assert (w2(0, 1) != (0, 1)) is True
+
+
+# -- the hash, taken on first use ----------------------------------------------
+
+#: Each way a word is built; each call builds fresh words, not yet hashed.
+BUILDS = {
+    "Word": lambda: [Word(A3, (0, 2, 1)), Word(A2, ())],
+    "Alphabet.word": lambda: [A3.word([0, 2, 1])],
+    "parse": lambda: [A3.parse("z0z2z1"), A3.parse("e")],
+    "_of": lambda: [Word._of(A3, (0, 2, 1))],
+    "product": lambda: [A3.word([0]) * A3.word([2, 1]), A3.unit() * A3.unit()],
+    "power": lambda: [A3.word([0, 2]) ** 3, A3.generator(1) ** 0],
+    "strip_prefix": lambda: [A3.word([1, 0, 2]).strip_prefix(A3.generator(1))],
+    "strip_suffix": lambda: [A3.word([0, 2, 1]).strip_suffix(A3.generator(1))],
+    "enumerate_words": lambda: enumerate_words(A3, 3),
+    "_random_words": lambda: checks._random_words(random.Random(7), A3, 4, 50),
+}
+
+
+@pytest.mark.parametrize("how", sorted(BUILDS))
+def test_hash_is_the_value_of_the_letters_in_every_use(how):
+    for w, again, twin in zip(BUILDS[how](), BUILDS[how](), BUILDS[how]()):
+        expected = hash((w.alphabet.size, w.letters))
+        ref = Word(w.alphabet, w.letters)
+        for _ in ("before the first hash", "after it"):
+            assert {w: 1}[ref] == 1
+            assert {ref: 2}[again] == 2
+            assert twin in {ref} and ref in {twin}
+            assert hash(w) == hash(again) == hash(twin) == hash(ref) == expected
+
+
+@pytest.mark.parametrize("how", sorted(BUILDS))
+def test_pickle_and_copy_keep_equality_and_hash(how):
+    for unhashed, hashed in zip(BUILDS[how](), BUILDS[how]()):
+        expected = hash((hashed.alphabet.size, hashed.letters))
+        assert hash(hashed) == expected
+        for w in (unhashed, hashed):
+            clones = [pickle.loads(pickle.dumps(w)), copy.copy(w)]
+            for clone in clones:
+                assert clone == w and clone.alphabet is w.alphabet
+                assert hash(clone) == hash(w) == expected
+                assert {clone: 1}[w] == 1
