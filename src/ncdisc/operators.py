@@ -7,6 +7,8 @@ asserted only on compatible-degree columns: those whose degree leaves
 room for every factor to act without leaving the truncated space.
 Basis positions are graded-lex ranks computed by formula; matrices are
 canonical coordinate arrays of ranks, used directly, and ``_product`` is their action.
+Negation, scaling, band filters and Cesaro weights keep the positions and only
+drop zeros; sums, differences, products, adjoints and the builders sort.
 """
 
 from __future__ import annotations
@@ -70,33 +72,50 @@ def _product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray
     return out
 
 
+def _sort_and_sum(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries stably sorted by key, each repeated key's values summed in entry order."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    del order  # freed before the sums, which set the peak memory of every sorting constructor
+    heads = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    starts = np.flatnonzero(heads)
+    keys = keys[starts]  # likewise the sorted keys
+    return keys, np.add.reduceat(vals, starts)
+
+
 class TruncationBasis:
     """All words of length <= cutoff in graded-lex order, ranked by formula.
 
     The words shorter than n number (m^n - 1)/(m - 1), or n when m = 1, and
     within one length a word's rank is its base-m value; ``rank`` and
     ``word`` convert between the two, and ``lengths[i]`` is the length of
-    the word of rank i.
+    the word of rank i.  Its rank tables (the offsets, and the powers m^n
+    for n <= cutoff + 1) are built once, read-only.
     """
 
-    __slots__ = ("alphabet", "cutoff", "dimension", "lengths")
+    __slots__ = ("alphabet", "cutoff", "dimension", "lengths", "_offsets", "_powers")
 
     def __init__(self, alphabet: Alphabet, cutoff: int):
         self.dimension = basis_dimension(alphabet.size, cutoff)
         self.alphabet = alphabet
         self.cutoff = cutoff
-        levels = np.arange(cutoff + 1, dtype=np.int64)
-        self.lengths = np.repeat(levels, alphabet.size**levels)
+        levels = np.arange(cutoff + 2, dtype=np.int64)
+        self._powers = alphabet.size**levels
+        self._offsets = _count_shorter(alphabet.size, levels)
+        self._powers.flags.writeable = self._offsets.flags.writeable = False
+        self.lengths = np.repeat(levels[:-1], self._powers[:-1])
 
     def offsets(self) -> np.ndarray:
         """``offsets()[n]`` is the rank of the first word of length n, n <= cutoff + 1."""
-        return _count_shorter(self.alphabet.size, np.arange(self.cutoff + 2, dtype=np.int64))
+        return self._offsets
 
     def rank(self, word: Word) -> int:
         if word.alphabet is not self.alphabet or len(word) > self.cutoff:
             raise ValueError(f"word {word} outside the truncation basis")
-        m = self.alphabet.size
-        value = sum(letter * m**k for k, letter in enumerate(reversed(word.letters)))
+        m, value = self.alphabet.size, 0
+        for letter in word.letters:
+            value = value * m + letter
         return _count_shorter(m, len(word)) + value
 
     def word(self, rank: int) -> Word:
@@ -108,9 +127,9 @@ class TruncationBasis:
 
     def concat(self, left, right) -> np.ndarray:
         """Ranks of the products ``x*y`` for ranks x, y whose lengths sum to at most the cutoff."""
-        offsets, m = self.offsets(), self.alphabet.size
+        offsets = self._offsets
         nx, ny = self.lengths[left], self.lengths[right]
-        return offsets[nx + ny] + (left - offsets[nx]) * m**ny + right - offsets[ny]
+        return offsets[nx + ny] + (left - offsets[nx]) * self._powers[ny] + right - offsets[ny]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -132,19 +151,17 @@ class TruncatedOperator:
     @classmethod
     def _from_coo(cls, basis: TruncationBasis, rows, cols, vals) -> "TruncatedOperator":
         """The operator of coordinate lists in its canonical form: sorted,
-        repeated positions summed, exact zeros dropped."""
+        repeated positions summed, exact zeros dropped; masking copies, so it owns its arrays."""
         n = basis.dimension
-        keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        keys = rows * n + cols
         vals = np.asarray(vals, dtype=complex)
-        if np.any(keys[1:] <= keys[:-1]):
-            order = np.argsort(keys, kind="stable")
-            keys, vals = keys[order], vals[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            keys, vals = keys[starts], np.add.reduceat(vals, starts)
+        if (keys[1:] <= keys[:-1]).any():
+            keys, vals = _sort_and_sum(keys, vals)
+            rows, cols = np.divmod(keys, n)
         keep = vals != 0
         op = cls.__new__(cls)
-        op.basis, op.vals = basis, vals[keep]
-        op.rows, op.cols = np.divmod(keys[keep], n)
+        op.basis, op.rows, op.cols, op.vals = basis, rows[keep], cols[keep], vals[keep]
         return op
 
     @classmethod
@@ -175,8 +192,18 @@ class TruncatedOperator:
             raise ValueError("operators over different truncation bases")
 
     def _with_vals(self, vals: np.ndarray) -> "TruncatedOperator":
-        """The same positions holding ``vals``; the zeros among them drop out."""
-        return TruncatedOperator._from_coo(self.basis, self.rows, self.cols, vals)
+        """The same positions holding ``vals``, still sorted; the zeros among them drop out."""
+        keep = vals != 0
+        op = TruncatedOperator.__new__(TruncatedOperator)
+        op.basis, op.vals = self.basis, vals[keep]
+        op.rows, op.cols = self.rows[keep], self.cols[keep]
+        return op
+
+    def _merged(self, other: "TruncatedOperator", other_vals: np.ndarray):
+        """The entries of self, then other's positions holding ``other_vals``, unsorted."""
+        self._require_same_basis(other)
+        pairs = ((self.rows, other.rows), (self.cols, other.cols), (self.vals, other_vals))
+        return tuple(np.concatenate(pair) for pair in pairs)
 
     def band_lengths(self) -> np.ndarray:
         """Row length minus column length, per entry."""
@@ -184,19 +211,13 @@ class TruncatedOperator:
         return lengths[self.rows] - lengths[self.cols]
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        self._require_same_basis(other)
-        return TruncatedOperator._from_coo(
-            self.basis,
-            np.concatenate((self.rows, other.rows)),
-            np.concatenate((self.cols, other.cols)),
-            np.concatenate((self.vals, other.vals)),
-        )
+        return TruncatedOperator._from_coo(self.basis, *self._merged(other, other.vals))
 
     def __neg__(self) -> "TruncatedOperator":
         return self._with_vals(-self.vals)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return self + (-other)
+        return TruncatedOperator._from_coo(self.basis, *self._merged(other, -other.vals))
 
     def __mul__(self, scalar: complex) -> "TruncatedOperator":
         return self._with_vals(self.vals * complex(scalar))
@@ -410,12 +431,16 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
 def max_column_deviation(
     a: TruncatedOperator, b: TruncatedOperator, max_col_degree: Optional[int] = None
 ) -> float:
-    """Largest entrywise |a - b| over the columns of degree <= max_col_degree."""
-    diff = a - b
-    deviation = np.abs(diff.vals)
+    """Largest entrywise |a - b| over the columns of degree <= max_col_degree.
+
+    Only the kept columns' entries of ``a - b`` are summed, as ``a - b`` sums them.
+    """
+    rows, cols, vals = a._merged(b, -b.vals)
+    keys = rows * a.basis.dimension + cols
     if max_col_degree is not None:
-        deviation = deviation[a.basis.lengths[diff.cols] <= max_col_degree]
-    return float(deviation.max(initial=0.0))
+        kept = a.basis.lengths[cols] <= max_col_degree
+        keys, vals = keys[kept], vals[kept]
+    return float(np.abs(_sort_and_sum(keys, vals)[1]).max(initial=0.0))
 
 
 def commutant_check(u: Word, v: Word, basis: TruncationBasis) -> bool:

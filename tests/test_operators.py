@@ -124,6 +124,30 @@ def test_dimension_budget_refused_before_allocation():
     assert peak < 2**20
 
 
+def test_basis_tables_match_closed_form_and_enumeration():
+    for m in (1, 2, 3, 4):
+        alphabet = Alphabet(m)
+        for cutoff in range(6):
+            basis = TruncationBasis(alphabet, cutoff)
+            closed = [k if m == 1 else (m**k - 1) // (m - 1) for k in range(cutoff + 2)]
+            assert basis.offsets().tolist() == closed
+            with pytest.raises(ValueError):
+                basis.offsets()[0] = 1
+            words = enumerate_words(alphabet, cutoff)
+            assert [basis.rank(w) for w in words] == list(range(basis.dimension))
+            index = {w: i for i, w in enumerate(words)}
+            pairs = [
+                (x, y)
+                for x, u in enumerate(words)
+                for y, v in enumerate(words)
+                if len(u) + len(v) <= cutoff
+            ]
+            oracle = [index[words[x] * words[y]] for x, y in pairs]
+            left, right = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+            assert basis.concat(left, right).tolist() == oracle
+            assert [int(basis.concat(x, y)) for x, y in pairs] == oracle
+
+
 # -- compressions -------------------------------------------------------------
 
 
@@ -205,6 +229,87 @@ def test_apply_requires_support_in_basis():
     basis = TruncationBasis(A2, 1)
     with pytest.raises(ValueError):
         left_matrix(xi(0), basis).apply(xi(0, 1))
+
+
+# -- canonical form --------------------------------------------------------------
+
+
+def _assert_canonical(op, *sources):
+    """Strictly increasing positions, no exact zero, and no memory shared with the sources."""
+    keys = op.rows * op.basis.dimension + op.cols
+    assert (keys[1:] > keys[:-1]).all()
+    assert (op.vals != 0).all()
+    assert op.rows.dtype == op.cols.dtype == np.int64 and op.vals.dtype == complex
+    for mine in (op.rows, op.cols, op.vals):
+        for source in sources:
+            assert not np.shares_memory(mine, source)
+
+
+def _arrays(*ops):
+    return [array for op in ops for array in (op.rows, op.cols, op.vals)]
+
+
+@pytest.mark.parametrize("m, cutoff", [(1, 5), (2, 3), (3, 2)])
+def test_every_producer_returns_a_canonical_operator(m, cutoff):
+    basis = TruncationBasis(Alphabet(m), cutoff)
+    a, b = _random_operator(basis, 3), _random_operator(basis, 4)
+    for op in (a + b, a - b, a - a, -a, a * 2.5, 2.5 * a, a * 0, a @ b, a.adjoint()):
+        _assert_canonical(op, *_arrays(a, b))
+    assert (a - a).vals.size == (a * 0).vals.size == 0
+    for j in range(-cutoff, cutoff + 1):
+        _assert_canonical(degree_band(a, j), *_arrays(a))
+    for k in (1, 2, cutoff + 1):
+        _assert_canonical(cesaro_op(a, k), *_arrays(a))
+    for k in range(cutoff + 2):
+        _assert_canonical(q_projection(basis, k))
+    _assert_canonical(TruncatedOperator.identity(basis))
+    _assert_canonical(TruncatedOperator.zero(basis))
+    dense = a.to_dense()
+    _assert_canonical(TruncatedOperator.from_dense(basis, dense), dense, *_arrays(a))
+
+
+def test_from_coo_sums_cancels_and_copies():
+    basis = TruncationBasis(A2, 2)
+    rows = np.array([2, 0, 2, 1, 0, 5], dtype=np.int64)
+    cols = np.array([1, 0, 1, 1, 0, 6], dtype=np.int64)
+    vals = np.array([1.5, 2, -1.5, 3j, 1, 0], dtype=complex)
+    op = TruncatedOperator._from_coo(basis, rows, cols, vals)
+    _assert_canonical(op, rows, cols, vals)
+    assert op.entries == {(0, 0): 3, (1, 1): 3j}
+    # sorted input keeps its positions, in arrays the operator owns
+    for kept in ([1, 3, 5], [1, 3]):
+        inputs = rows[kept], cols[kept], vals[kept]
+        op = TruncatedOperator._from_coo(basis, *inputs)
+        _assert_canonical(op, *inputs)
+        assert op.entries == {(0, 0): 2, (1, 1): 3j}
+
+
+def _dense_deviation(a, b, limit):
+    """``max |da - db|`` over the columns of degree <= limit, from dense matrices."""
+    columns = a.basis.lengths <= (a.basis.cutoff if limit is None else limit)
+    return float(np.abs(a.to_dense() - b.to_dense())[:, columns].max(initial=0.0))
+
+
+@pytest.mark.parametrize("m, cutoff", [(1, 5), (2, 3), (3, 2)])
+def test_max_column_deviation_matches_dense_oracle(m, cutoff):
+    basis = TruncationBasis(Alphabet(m), cutoff)
+    zero = TruncatedOperator.zero(basis)
+    for seed in range(4):
+        a, b = _random_operator(basis, seed), _random_operator(basis, seed + 10)
+        # a plus b's top-degree columns: equal to a in every column below the top degree
+        partial = a + b._with_vals(np.where(basis.lengths[b.cols] == cutoff, b.vals, 0))
+        cases = ((a, b), (b, a), (a, a), (a, partial), (a, zero), (zero, a), (zero, zero))
+        for x, y in cases:
+            for limit in (None, -1, *range(cutoff + 1)):
+                assert max_column_deviation(x, y, limit) == _dense_deviation(x, y, limit)
+        assert max_column_deviation(a, b) > 0.0
+        assert max_column_deviation(a, a) == max_column_deviation(a, b, -1) == 0.0
+        assert max_column_deviation(a, partial, cutoff - 1) == 0.0 < max_column_deviation(a, partial)
+    others = (TruncationBasis(Alphabet(m + 1), cutoff), TruncationBasis(basis.alphabet, cutoff + 1))
+    for other in others:
+        for x, y in ((zero, TruncatedOperator.zero(other)), (TruncatedOperator.identity(other), zero)):
+            with pytest.raises(ValueError, match="operators over different truncation bases"):
+                max_column_deviation(x, y)
 
 
 # -- band structure -------------------------------------------------------------
