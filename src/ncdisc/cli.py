@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Callable, Collection, Iterator, Optional, TextIO
 
 from .checks import CHECKS, CheckFn, RunConfig, _check_operator_config, _check_words_config
-from .cohomology import NonCocycleError, _CutCodes, _json_dict, _read_codes, _trivialize_codes
+from .cohomology import Cochain, NonCocycleError, trivialize
 from .derivations import GeneratorDerivation, InconsistentDerivationError, _solve_with_deviations
 from .operators import PowerIterationError, TruncationBasis, left_matrix, write_csv
 from .series import Series, _json_typed
@@ -355,22 +355,22 @@ def _solve_derivation(derivation: GeneratorDerivation) -> tuple[dict, Optional[t
     return report, ("series", symbol.to_json_dict())
 
 
-def _read_cocycle(data: dict) -> _CutCodes:
-    codes = _read_codes(data)
-    if codes.arity < 2:
+def _read_cocycle(data: dict) -> Cochain:
+    phi = Cochain.from_json_dict(data)
+    if phi.arity < 2:
         raise ValueError("homotopy needs arity at least 2")
-    return codes
+    return phi
 
 
-def _trivialize(codes: _CutCodes) -> tuple[dict, Optional[tuple]]:
+def _trivialize(phi: Cochain) -> tuple[dict, Optional[tuple]]:
     try:
-        psi, residual = _trivialize_codes(codes)
+        psi, residual = trivialize(phi)
     except NonCocycleError as err:
         error = {"message": "input is not a cocycle", "witness": [str(w) for w in err.witness]}
         return {"passed": False, "error": error}, None
-    residual_terms = len(residual.ids)
+    residual_terms = len(residual)
     report = {"passed": residual_terms == 0, "residual_terms": residual_terms}
-    return report, ("cochain", _json_dict(psi))
+    return report, ("cochain", psi.to_json_dict())
 
 
 def _cmd_solve_derivation(args: argparse.Namespace) -> int:

@@ -2,32 +2,26 @@
 
 Cochains are finitely supported coefficient tables on tuples of words,
 representing multilinear functionals on the span of the basis shifts with
-values in the scalars.  They share the coefficient-table core of
-``series``: the arity and the tuple keys are checked once, at the public
-constructor.  Both module actions multiply by the coefficient at the
-unit word, so the bimodule is symmetric and the degree-zero coboundary
+values in the scalars.  Both module actions multiply by the coefficient at
+the unit word, so the bimodule is symmetric and the degree-zero coboundary
 vanishes.  The coboundary of a table is again a finitely supported table,
 and every cocycle of arity at least two is trivialized by an explicit
 homotopy that cuts the first word after its first letter.
 
-One encoding serves the cocycle check, the homotopy and its residual.  A
-key's words concatenate to a letter string; the key is that string,
-interned to an int id, and its cut positions.  The coboundary's terms,
-the homotopy's terms and the residual's terms all keep their key's string
-and move only its cuts, so each of the three is a numpy kernel on that
-encoding.  The coboundary and the residual sum their terms by a code of
-string id and cuts, in the order the formula generates them, and prune
-with the table core's test, exactly as the core's sum-and-prune step
-would; the homotopy's terms never share a key.  ``Word`` objects are
-built only for the keys that survive.
+A cochain stores one encoding, its cut codes: each key's words
+concatenate to a letter string, interned to an int id, and the key is
+that id and its cut positions.  The coboundary's and the homotopy's terms
+keep their key's string and move only its cuts, so :func:`coboundary`,
+:func:`first_cocycle_violation`, :func:`homotopy`, :func:`trivialize` and
+the sums of cochains are numpy kernels on the codes.  A sum groups its
+terms by string id and cuts in the order they come and prunes exactly as
+the dict core of ``series`` would.  The public constructor checks each
+key once.  Keys as tuples of ``Word`` are built on request only: by
+``table``, decoded on first access and kept, so by ``items``, ``coeff``,
+``evaluate`` and ``==``, and for the witness of a non-cocycle.
 
-The JSON reader and writer go straight to and from that encoding.  A
-key's string is its texts joined, its cuts are the running letter counts,
-and repeated keys are summed and pruned by the coboundary's kernel.  The
-distinct texts meet the grammar of ``words`` in one match per input, and
-each distinct string is split into letters once.  The writer slices each
-slot's text from its string's text.  So ``trivialize-cocycle`` builds no
-``Word`` for its input or its output.
+The JSON reader and writer go straight to and from the codes, so
+``trivialize-cocycle`` builds no ``Word`` for a cocycle or its homotopy.
 """
 
 from __future__ import annotations
@@ -35,30 +29,16 @@ from __future__ import annotations
 import functools
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .operators import TruncationBasis
-from .series import (
-    PRUNE_EPS,
-    CoefficientTable,
-    Series,
-    _json_int,
-    _json_part_lists,
-    _json_terms,
-    adjoint_shift,
-    first_letter_part,
-)
-from .words import (
-    Alphabet,
-    Word,
-    _check_letter,
-    _index,
-    _match_texts,
-    _split_letters,
-    enumerate_words,
-)
+from .series import PRUNE_EPS, Series, _checked, _json_int, _json_part_lists, _json_terms
+from .series import adjoint_shift, first_letter_part
+from .words import Alphabet, Word, _check_letter, _index, _match_texts, _split_letters
+from .words import enumerate_words
 
 WordTuple = tuple[Word, ...]
 
@@ -82,72 +62,6 @@ def module_left(gamma: complex, phi: Series) -> complex:
 
     The right action is the same product, so the bimodule is symmetric."""
     return complex(gamma) * phi.coeff(phi.alphabet.unit())
-
-
-class Cochain(CoefficientTable):
-    """Finitely supported table on n-tuples of words; arity zero is a scalar."""
-
-    __slots__ = ("arity",)
-
-    def __init__(
-        self,
-        arity: int,
-        alphabet: Alphabet,
-        table: Optional[Mapping[WordTuple, complex]] = None,
-    ):
-        arity = _index(arity, "arity")
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
-        self.arity = arity
-        super().__init__(alphabet, table)
-
-    def _check_key(self, key: WordTuple) -> WordTuple:
-        key = tuple(key)
-        if len(key) != self.arity:
-            raise ValueError(f"key {key} does not have arity {self.arity}")
-        for w in key:
-            if not isinstance(w, Word) or w.alphabet is not self.alphabet:
-                raise ValueError(f"key word {w!r} is not a word over {self.alphabet}")
-        return key
-
-    def _shape(self) -> tuple:
-        return (self.arity, self.alphabet)
-
-    @staticmethod
-    def _sort_key(key: WordTuple) -> tuple:
-        """Tuple-lexicographic in the word order."""
-        return tuple(w.sort_key() for w in key)
-
-    @classmethod
-    def scalar(cls, alphabet: Alphabet, value: complex) -> "Cochain":
-        return cls(0, alphabet, {(): value})
-
-    def evaluate(self, *args: Series) -> complex:
-        """Multilinear extension: weight each table entry by the argument
-        coefficients at its words."""
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        total = 0j
-        for key, c in self.table.items():
-            factor = c
-            for series, w in zip(args, key):
-                factor *= series.coeff(w)
-                if factor == 0:
-                    break
-            total += factor
-        return total
-
-    def __repr__(self) -> str:
-        return f"Cochain(arity={self.arity}, terms={len(self.table)})"
-
-    def to_json_dict(self) -> dict:
-        """The JSON form, written from the table's cut codes by :func:`_json_dict`."""
-        return _json_dict(_encode(self))
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Cochain":
-        """The cochain of ``data["terms"]``, read by :func:`_read_codes`."""
-        return _decode(_read_codes(data))
 
 
 #: Largest int64; a cut code that could pass it is re-ranked first.
@@ -182,148 +96,272 @@ class _CutCodes(NamedTuple):
         return self._replace(ids=self.ids[at], bounds=self.bounds[at], re=re, im=im)
 
 
-def _encode(phi: Cochain) -> _CutCodes:
-    """Each key's letter string, interned to an int id, and its cut positions."""
+def _check_key(arity: int, alphabet: Alphabet, key: WordTuple) -> WordTuple:
+    """A key of ``arity`` words over ``alphabet``, as a tuple."""
+    key = tuple(key)
+    if len(key) != arity:
+        raise ValueError(f"key {key} does not have arity {arity}")
+    for w in key:
+        if not isinstance(w, Word) or w.alphabet is not alphabet:
+            raise ValueError(f"key word {w!r} is not a word over {alphabet}")
+    return key
+
+
+def _encoded(arity: int, alphabet: Alphabet, terms: Iterable) -> _CutCodes:
+    """Terms ``(key, c)`` with valid keys on cut codes, repeated keys summed
+    and pruned: each key's letter string interned to an int id, and its cut
+    positions."""
     strings: dict[tuple[int, ...], int] = {}
-    ids = []
-    bounds = []
-    for key in phi.table:
+    ids, bounds, coeffs = [], [], []
+    for key, c in terms:
         letters: tuple[int, ...] = ()
-        row = [0]
+        bounds.append(0)
         for w in key:
             letters += w.letters
-            row.append(len(letters))
+            bounds.append(len(letters))
         ids.append(strings.setdefault(letters, len(strings)))
-        bounds += row
-    coeffs = np.fromiter(phi.table.values(), complex, len(ids))
-    return _CutCodes(
-        phi.alphabet,
-        list(strings),
-        [str(Word._of(phi.alphabet, s)) if s else "" for s in strings],
-        np.array(ids, dtype=np.int64),
-        np.array(bounds, dtype=np.int32).reshape(len(ids), phi.arity + 1),
-        coeffs.real,
-        coeffs.imag,
-    )
+        coeffs.append(c)
+    texts = ["z" + "z".join(map(str, s)) if s else "" for s in strings]
+    bounds = np.array(bounds, dtype=np.int32).reshape(len(ids), arity + 1)
+    coeffs = np.array(coeffs, dtype=complex)
+    ids = np.array(ids, dtype=np.int64)
+    return _summed(_CutCodes(alphabet, list(strings), texts, ids, bounds, coeffs.real, coeffs.imag))
 
 
-def _read_codes(data: Mapping) -> _CutCodes:
-    """The cochain JSON ``data`` on cut codes, repeated keys summed and
-    pruned as the table core does, with no ``Word`` built.
+class Cochain:
+    """Finitely supported table on n-tuples of words; arity zero is a scalar.
 
-    The arity is a non-negative integer and the alphabet a size, neither
-    JSON ``true``.  Then the terms are read in stages, each over every term:
-    the term objects; the keys, each a list of ``arity`` strings; the
-    distinct texts, in one grammar match (``words._match_texts``), with
-    their letters counted; the coefficient parts, as
-    ``series._json_part_lists`` reads them; each distinct key string, its
-    texts joined with the units left out, split into letters once
-    (``words._split_letters``) and bounded by the size.  A key's cuts are
-    the running letter counts of its texts.  An input with a fault in one
-    term gets that fault's message; with faults in several, the first fault
-    of the earliest stage.  A coefficient that is not finite after the sum
-    is refused: no sum with a NaN or an infinity in it is finite, and finite
-    terms can overflow together.
+    Its state is its cut codes, and ``table`` once decoded.
     """
-    arity = _json_int(data["arity"], "arity")
-    if arity < 0:
-        raise ValueError("arity must be nonnegative")
-    alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
-    terms = _json_terms(data)
-    keys = list(map(itemgetter("words"), terms))
-    if not (set(map(type, keys)).issubset((list,)) and set(map(len, keys)).issubset((arity,))):
-        key = next(key for key in keys if type(key) is not list or len(key) != arity)
-        raise ValueError(f"cochain key {key!r} is not a list of {arity} words")
-    texts = list(chain.from_iterable(keys))
-    if not set(map(type, texts)).issubset((str,)):
-        key = next(key for key in keys if not set(map(type, key)).issubset((str,)))
-        raise ValueError(f"cochain key {key!r} holds a text that is not a string")
-    distinct = list(dict.fromkeys(texts))
-    _match_texts(distinct)
-    letter_counts = {text: text.count("z") for text in distinct}
-    re, im = _json_part_lists(terms)
-    try:
-        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
-    except OverflowError as err:
-        raise ValueError(f"coefficient out of range: {err}") from None
-    # the key strings, joined and their units dropped in one pass each
-    strings = ",".join(map("".join, keys)).replace("e", "").split(",") if keys else []
-    string_ids = {text: k for k, text in enumerate(dict.fromkeys(strings))}
-    string_texts = list(string_ids)
-    spelled = _split_letters(string_texts)
-    size = alphabet.size
-    if max(map(max, filter(None, spelled)), default=0) >= size:
-        # the first string with a letter past the size names its largest one
-        _check_letter(next(top for s in spelled if (top := max(s, default=0)) >= size), size)
-    lengths = np.zeros((len(keys), arity + 1), dtype=np.int32)
-    counts = np.fromiter(map(letter_counts.__getitem__, texts), np.int32, len(texts))
-    lengths[:, 1:] = counts.reshape(len(keys), arity)
-    codes = _summed(
-        _CutCodes(
-            alphabet,
-            spelled,
-            string_texts,
-            np.fromiter(map(string_ids.__getitem__, strings), np.int64, len(strings)),
-            np.cumsum(lengths, axis=1, dtype=np.int32),
-            re,
-            im,
+
+    __slots__ = ("_codes", "_table")
+
+    def __init__(self, arity: int, alphabet: Alphabet, table: Optional[Mapping] = None):
+        arity = _index(arity, "arity")
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
+        check_key = functools.partial(_check_key, arity, alphabet)
+        terms = _checked(table.items(), check_key) if table else ()
+        self._codes = _encoded(arity, alphabet, terms)
+        self._table = None
+
+    @classmethod
+    def _from_codes(cls, codes: _CutCodes) -> "Cochain":
+        """Internal constructor: codes with distinct rows, summed and pruned."""
+        out = object.__new__(cls)
+        out._codes, out._table = codes, None
+        return out
+
+    @classmethod
+    def _from_valid(cls, shape: tuple[int, Alphabet], terms: Iterable) -> "Cochain":
+        """Internal constructor: ``(arity, alphabet)`` and terms whose keys
+        are valid for it; repeated keys are summed and pruned."""
+        return cls._from_codes(_encoded(*shape, terms))
+
+    @property
+    def arity(self) -> int:
+        return self._codes.arity
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self._codes.alphabet
+
+    def _shape(self) -> tuple[int, Alphabet]:
+        return (self.arity, self.alphabet)
+
+    @property
+    def table(self) -> Mapping[WordTuple, complex]:
+        """The read-only map from word tuples to coefficients in row order,
+        decoded on first access (one ``Word`` per letter tuple) and kept."""
+        if self._table is None:
+            codes = self._codes
+            word = functools.cache(functools.partial(Word._of, codes.alphabet))
+            spelled = codes.spelled
+            table = {}
+            rows = zip(*(a.tolist() for a in (codes.ids, codes.bounds, codes.re, codes.im)))
+            for k, row, re, im in rows:
+                s = spelled[k]
+                table[tuple(word(s[a:b]) for a, b in zip(row, row[1:]))] = complex(re, im)
+            self._table = MappingProxyType(table)
+        return self._table
+
+    @staticmethod
+    def _sort_key(key: WordTuple) -> tuple:
+        """Tuple-lexicographic in the word order."""
+        return tuple(w.sort_key() for w in key)
+
+    @classmethod
+    def scalar(cls, alphabet: Alphabet, value: complex) -> "Cochain":
+        return cls(0, alphabet, {(): value})
+
+    # -- inspection ------------------------------------------------------
+
+    def coeff(self, key: WordTuple) -> complex:
+        return self.table.get(key, 0j)
+
+    def items(self) -> list:
+        """Terms sorted by key, for deterministic output."""
+        return sorted(self.table.items(), key=lambda kv: self._sort_key(kv[0]))
+
+    def __len__(self) -> int:
+        return self._codes.ids.size
+
+    def is_zero(self) -> bool:
+        return not self._codes.ids.size
+
+    def __eq__(self, other: object) -> bool:
+        same_shape = type(other) is Cochain and self._shape() == other._shape()
+        return same_shape and self.table == other.table
+
+    def evaluate(self, *args: Series) -> complex:
+        """Multilinear extension: weight each table entry by the argument
+        coefficients at its words."""
+        if len(args) != self.arity:
+            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
+        total = 0j
+        for key, c in self.table.items():
+            factor = c
+            for series, w in zip(args, key):
+                factor *= series.coeff(w)
+                if factor == 0:
+                    break
+            total += factor
+        return total
+
+    def __repr__(self) -> str:
+        return f"Cochain(arity={self.arity}, terms={len(self)})"
+
+    # -- linear structure --------------------------------------------------
+
+    def _plus(self, other: "Cochain", sign: float) -> "Cochain":
+        """``self + sign * other``: self's rows, then other's on one table of
+        strings, summed in that order as the dict core sums their terms."""
+        if type(other) is not Cochain or self._shape() != other._shape():
+            raise ValueError("Cochain operands of different shape")
+        a, b = self._codes, other._codes
+        strings = dict(zip(a.spelled, range(len(a.spelled))))
+        texts = a.texts + [text for s, text in zip(b.spelled, b.texts) if s not in strings]
+        ids = np.array([strings.setdefault(s, len(strings)) for s in b.spelled], dtype=np.int64)
+        merged = a._replace(
+            spelled=list(strings),
+            texts=texts,
+            ids=np.concatenate([a.ids, ids[b.ids]]),
+            bounds=np.concatenate([a.bounds, b.bounds]),
+            re=np.concatenate([a.re, sign * b.re]),
+            im=np.concatenate([a.im, sign * b.im]),
         )
-    )
-    bad = np.flatnonzero(~(np.isfinite(codes.re) & np.isfinite(codes.im)))
-    if bad.size:
-        at = bad[:1]
-        ((key, c),) = _decode(codes.rows(at, codes.re[at], codes.im[at])).table.items()
-        raise ValueError(f"non-finite coefficient {c} at ({', '.join(map(str, key))})")
-    return codes
+        return Cochain._from_codes(_summed(merged))
 
+    def __add__(self, other: "Cochain") -> "Cochain":
+        return self._plus(other, 1.0)
 
-def _decode(codes: _CutCodes) -> Cochain:
-    """The cochain of distinct rows; ``Word`` objects are built here only,
-    one per distinct letter tuple."""
-    out = Cochain(codes.arity, codes.alphabet)
-    word = functools.cache(functools.partial(Word._of, codes.alphabet))
-    spelled = codes.spelled
-    table = {}
-    for k, row, re, im in zip(
-        codes.ids.tolist(), codes.bounds.tolist(), codes.re.tolist(), codes.im.tolist()
-    ):
-        s = spelled[k]
-        table[tuple(word(s[a:b]) for a, b in zip(row, row[1:]))] = complex(re, im)
-    out.table = table
-    return out
+    def __sub__(self, other: "Cochain") -> "Cochain":
+        return self._plus(other, -1.0)
 
+    def scaled(self, scalar: complex) -> "Cochain":
+        """Each coefficient times ``scalar``, with the parts of Python's
+        complex product, then summed and pruned."""
+        s = complex(scalar)
+        codes = self._codes
+        re = s.real * codes.re - s.imag * codes.im
+        im = s.real * codes.im + s.imag * codes.re
+        return Cochain._from_codes(_summed(codes._replace(re=re, im=im)))
 
-def _json_dict(codes: _CutCodes) -> dict:
-    """The cochain JSON of distinct rows, term for term what the table
-    writes, with no ``Word`` built.
+    __mul__ = __rmul__ = scaled
 
-    The terms are sorted by the ``(len, letters)`` tuples of
-    ``Cochain.items()``.  Each slot's text is sliced from its string's text
-    at the letter offsets.  The rows' texts are joined, each followed by a
-    ``z``, so a row's ``z``s in the joined text mark where each of its
-    letters starts and, last, where its text ends: a cut at letter j is
-    the row's j-th ``z``, counted from 0.
-    """
-    spelled, texts = codes.spelled, codes.texts
-    ids = codes.ids.tolist()
-    blob = "".join([texts[k] + "z" for k in ids])
-    marks = np.flatnonzero(np.frombuffer(blob.encode("ascii"), np.uint8) == ord("z"))
-    counts = codes.bounds[:, -1] + 1
-    firsts = np.cumsum(counts) - counts
-    rows = []
-    for k, row, at, re, im in zip(
-        ids,
-        codes.bounds.tolist(),
-        marks[firsts[:, None] + codes.bounds].tolist(),
-        codes.re.tolist(),
-        codes.im.tolist(),
-    ):
-        s = spelled[k]
-        key = tuple([(b - a, s[a:b]) for a, b in zip(row, row[1:])])
-        rows.append((key, [blob[a:b] or "e" for a, b in zip(at, at[1:])], re, im))
-    rows.sort(key=itemgetter(0))
-    terms = [{"words": words, "re": re, "im": im} for _, words, re, im in rows]
-    return {"arity": codes.arity, "alphabet": codes.alphabet.size, "terms": terms}
+    def __neg__(self) -> "Cochain":
+        return self.scaled(-1.0)
+
+    # -- interchange format --------------------------------------------------
+
+    def to_json_dict(self) -> dict:
+        """The cochain JSON, terms in ``items()`` order, with no ``Word`` built.
+
+        Each slot's text is sliced from its string's text.  The rows' texts
+        are joined, each followed by a ``z``, so a row's ``z``s mark where
+        each of its letters starts and, last, where its text ends: a cut at
+        letter j is the row's j-th ``z``, counted from 0.
+        """
+        codes = self._codes
+        spelled, texts = codes.spelled, codes.texts
+        ids = codes.ids.tolist()
+        blob = "".join([texts[k] + "z" for k in ids])
+        marks = np.flatnonzero(np.frombuffer(blob.encode("ascii"), np.uint8) == ord("z"))
+        counts = codes.bounds[:, -1] + 1
+        firsts = np.cumsum(counts) - counts
+        rows = []
+        for k, row, at, re, im in zip(
+            ids,
+            codes.bounds.tolist(),
+            marks[firsts[:, None] + codes.bounds].tolist(),
+            codes.re.tolist(),
+            codes.im.tolist(),
+        ):
+            s = spelled[k]
+            key = tuple([(b - a, s[a:b]) for a, b in zip(row, row[1:])])
+            rows.append((key, [blob[a:b] or "e" for a, b in zip(at, at[1:])], re, im))
+        rows.sort(key=itemgetter(0))
+        terms = [{"words": words, "re": re, "im": im} for _, words, re, im in rows]
+        return {"arity": codes.arity, "alphabet": codes.alphabet.size, "terms": terms}
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "Cochain":
+        """The cochain of ``data["terms"]``, repeated keys summed and pruned,
+        read onto cut codes with no ``Word`` built.
+
+        The arity and the alphabet are sizes, neither JSON ``true``.  The
+        terms are read in stages, each over every term: the term objects;
+        the keys, each a list of ``arity`` strings; the distinct texts, in
+        one grammar match, with their letters counted; the coefficient
+        parts; each distinct key string (its texts joined, units left out),
+        split into letters once and bounded by the size.  A key's cuts are
+        the running letter counts of its texts.  With faults in several
+        terms, the first fault of the earliest stage is refused.  So is a
+        coefficient that is not finite after the sum: finite terms can
+        overflow together.
+        """
+        arity = _json_int(data["arity"], "arity")
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
+        alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
+        terms = _json_terms(data)
+        keys = list(map(itemgetter("words"), terms))
+        if not (set(map(type, keys)).issubset((list,)) and set(map(len, keys)).issubset((arity,))):
+            key = next(key for key in keys if type(key) is not list or len(key) != arity)
+            raise ValueError(f"cochain key {key!r} is not a list of {arity} words")
+        texts = list(chain.from_iterable(keys))
+        if not set(map(type, texts)).issubset((str,)):
+            key = next(key for key in keys if not set(map(type, key)).issubset((str,)))
+            raise ValueError(f"cochain key {key!r} holds a text that is not a string")
+        distinct = list(dict.fromkeys(texts))
+        _match_texts(distinct)
+        letter_counts = {text: text.count("z") for text in distinct}
+        re, im = _json_part_lists(terms)
+        try:
+            re, im = np.array(re, dtype=float), np.array(im, dtype=float)
+        except OverflowError as err:
+            raise ValueError(f"coefficient out of range: {err}") from None
+        # the key strings, joined and their units dropped in one pass each
+        strings = ",".join(map("".join, keys)).replace("e", "").split(",") if keys else []
+        string_ids = {text: k for k, text in enumerate(dict.fromkeys(strings))}
+        string_texts = list(string_ids)
+        spelled = _split_letters(string_texts)
+        size = alphabet.size
+        if max(map(max, filter(None, spelled)), default=0) >= size:
+            # the first string with a letter past the size names its largest one
+            _check_letter(next(top for s in spelled if (top := max(s, default=0)) >= size), size)
+        lengths = np.zeros((len(keys), arity + 1), dtype=np.int32)
+        counts = np.fromiter(map(letter_counts.__getitem__, texts), np.int32, len(texts))
+        lengths[:, 1:] = counts.reshape(len(keys), arity)
+        ids = np.fromiter(map(string_ids.__getitem__, strings), np.int64, len(strings))
+        bounds = np.cumsum(lengths, axis=1, dtype=np.int32)
+        codes = _summed(_CutCodes(alphabet, spelled, string_texts, ids, bounds, re, im))
+        bad = np.flatnonzero(~(np.isfinite(codes.re) & np.isfinite(codes.im)))
+        if bad.size:
+            at = bad[:1]
+            ((key, c),) = cls._from_codes(codes.rows(at, codes.re[at], codes.im[at])).table.items()
+            raise ValueError(f"non-finite coefficient {c} at ({', '.join(map(str, key))})")
+        return cls._from_codes(codes)
 
 
 def _append_digit(codes: np.ndarray, digits: np.ndarray, radix: int) -> np.ndarray:
@@ -360,8 +398,8 @@ def _group(ids: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _summed(terms: _CutCodes) -> _CutCodes:
-    """The table core's sum and prune on codes: ``np.bincount`` sums each
-    key's terms in generation order, and the keys stay in order of first
+    """The dict core's sum and prune on codes: ``np.bincount`` sums each
+    key's terms in order from 0.0, and the keys stay in order of first
     occurrence."""
     if not terms.ids.size:
         return terms
@@ -413,21 +451,6 @@ def _coboundary_terms(phi: _CutCodes) -> _CutCodes:
     )
 
 
-def _coboundary_codes(phi: _CutCodes) -> _CutCodes:
-    """The coboundary on codes: its terms summed and pruned, once the term
-    kernel's temporaries are freed.  A scalar's two unit terms cancel exactly."""
-    return _summed(_coboundary_terms(phi))
-
-
-def _violation(phi: _CutCodes) -> Optional[WordTuple]:
-    """Least tuple where the coboundary is nonzero, or None for a cocycle;
-    ``Word`` objects are built only for a non-cocycle's surviving keys."""
-    boundary = _coboundary_codes(phi)
-    if not boundary.ids.size:
-        return None
-    return min(_decode(boundary).table, key=Cochain._sort_key)
-
-
 def coboundary(phi: Cochain) -> Cochain:
     """The coboundary of an n-cochain as an (n+1)-cochain table.
 
@@ -438,15 +461,11 @@ def coboundary(phi: Cochain) -> Cochain:
     of its two-factor splittings, so no truncation is involved.  Degree
     zero maps to the zero one-cochain: the scalar bimodule is symmetric.
 
-    Every term from an input key spells the same letter string S as that
-    key; only its n cut positions differ.  So the table is encoded once on
-    cut codes, and one array kernel sums the terms by code in the order the
-    formula generates them, then prunes with the table core's test.  The
-    same encoding and kernel serve the cocycle check, the homotopy and its
-    residual (:func:`trivialize`).  ``Word`` objects are built only for the
-    keys that survive, one per distinct letter tuple.
+    Every term from an input key spells that key's letter string; only
+    its cuts differ.  So the terms are generated and summed on phi's codes,
+    in the formula's order, and the result shares phi's strings.
     """
-    return _decode(_coboundary_codes(_encode(phi)))
+    return Cochain._from_codes(_summed(_coboundary_terms(phi._codes)))
 
 
 def is_cocycle(phi: Cochain) -> bool:
@@ -454,41 +473,10 @@ def is_cocycle(phi: Cochain) -> bool:
 
 
 def first_cocycle_violation(phi: Cochain) -> Optional[WordTuple]:
-    """Least tuple where the coboundary is nonzero, or None for a cocycle."""
-    return _violation(_encode(phi))
-
-
-def _homotopy_codes(phi: Cochain | _CutCodes) -> tuple[_CutCodes, _CutCodes]:
-    """The codes of a cocycle, encoded first if it is given as a table, and
-    of its homotopy.
-
-    Both branches of the homotopy keep the key's letter string and drop its
-    first interior cut: a key with |s1| = 1 becomes ``(s1 s2, ...)`` with
-    weight -c, and a key with s1 = s2 = e drops one of its two leading zero
-    cuts and keeps weight c.  No two keys meet: the first branch keeps s1,
-    the second yields the only keys with a unit first word.  So the table
-    core's sum and prune would only add each coefficient to ``0j``, which
-    ``+ 0.0`` repeats (it turns -0.0 into 0.0), and keep it.
-    """
-    codes = phi if isinstance(phi, _CutCodes) else _encode(phi)
-    if codes.arity < 2:
-        raise ValueError("homotopy needs arity at least 2")
-    witness = _violation(codes)
-    if witness is not None:
-        raise NonCocycleError(
-            f"not a cocycle: coboundary is nonzero at ({', '.join(str(w) for w in witness)})",
-            witness=witness,
-        )
-    single = codes.bounds[:, 1] == 1
-    at = np.flatnonzero(single | (codes.bounds[:, 2] == 0))
-    sign = np.where(single[at], -1.0, 1.0)
-    psi = codes._replace(
-        ids=codes.ids[at],
-        bounds=codes.bounds[at].take([0, *range(2, codes.arity + 1)], axis=1),
-        re=sign * codes.re[at] + 0.0,
-        im=sign * codes.im[at] + 0.0,
-    )
-    return codes, psi
+    """Least tuple where the coboundary is nonzero, or None for a cocycle;
+    ``Word`` objects are built only for a non-cocycle's coboundary."""
+    boundary = coboundary(phi)
+    return min(boundary.table, key=Cochain._sort_key) if len(boundary) else None
 
 
 def homotopy(phi: Cochain) -> Cochain:
@@ -500,46 +488,39 @@ def homotopy(phi: Cochain) -> Cochain:
         psi(e,  ...) =  phi(e, e, ...).
 
     Non-cocycles are rejected with the least violating tuple as witness.
-    The cocycle check and psi run on one cut-code encoding of phi (see
-    :func:`coboundary`); ``Word`` objects are built only for psi's keys.
+
+    Both branches keep the key's string and drop its first interior cut, so
+    psi shares phi's strings.  No two keys meet (the first branch keeps s1,
+    the second yields the only keys with a unit first word), so a sum would
+    only add each coefficient to 0.0, which ``+ 0.0`` repeats.
     """
-    return _decode(_homotopy_codes(phi)[1])
-
-
-def trivialize(phi: Cochain | _CutCodes) -> tuple[Cochain, Cochain]:
-    """The homotopy psi of a cocycle and its residual ``coboundary(psi) - phi``.
-
-    Equal to ``homotopy(phi)`` and ``coboundary(psi) - phi`` term for term
-    and bit for bit, from one encoding of phi; phi may also come encoded,
-    as the JSON reader :func:`_read_codes` gives it.  As in the table core's
-    subtraction, the coboundary of psi's codes is summed and pruned first;
-    then phi's rows, which share phi's string ids, follow it with their
-    coefficients negated, and one more sum and prune gives the difference
-    in the subtraction's key order.  For a correct psi nothing survives, so
-    no ``Word`` is built for the residual.
-    """
-    psi, residual = _trivialize_codes(phi)
-    return _decode(psi), _decode(residual)
-
-
-def _trivialize_codes(phi: Cochain | _CutCodes) -> tuple[_CutCodes, _CutCodes]:
-    """The codes of :func:`trivialize`'s psi and residual, decoded by neither."""
-    codes, psi = _homotopy_codes(phi)
-    return psi, _residual(psi, codes)
-
-
-def _residual(psi: _CutCodes, phi: _CutCodes) -> _CutCodes:
-    """``coboundary(psi) - phi`` on codes that share phi's string ids, with
-    the table core's sums, prunes and key order (see :func:`trivialize`)."""
-    boundary = _coboundary_codes(psi)
-    return _summed(
-        boundary._replace(
-            ids=np.concatenate([boundary.ids, phi.ids]),
-            bounds=np.concatenate([boundary.bounds, phi.bounds]),
-            re=np.concatenate([boundary.re, -phi.re]),
-            im=np.concatenate([boundary.im, -phi.im]),
+    if phi.arity < 2:
+        raise ValueError("homotopy needs arity at least 2")
+    witness = first_cocycle_violation(phi)
+    if witness is not None:
+        raise NonCocycleError(
+            f"not a cocycle: coboundary is nonzero at ({', '.join(str(w) for w in witness)})",
+            witness=witness,
+        )
+    codes = phi._codes
+    single = codes.bounds[:, 1] == 1
+    at = np.flatnonzero(single | (codes.bounds[:, 2] == 0))
+    sign = np.where(single[at], -1.0, 1.0)
+    return Cochain._from_codes(
+        codes._replace(
+            ids=codes.ids[at],
+            bounds=codes.bounds[at].take([0, *range(2, codes.arity + 1)], axis=1),
+            re=sign * codes.re[at] + 0.0,
+            im=sign * codes.im[at] + 0.0,
         )
     )
+
+
+def trivialize(phi: Cochain) -> tuple[Cochain, Cochain]:
+    """The homotopy psi of a cocycle and its residual ``coboundary(psi) - phi``,
+    all three on phi's strings; the residual of a correct psi is empty."""
+    psi = homotopy(phi)
+    return psi, coboundary(psi) - phi
 
 
 def homotopy_on_series(phi: Cochain, args: Sequence[Series]) -> complex:

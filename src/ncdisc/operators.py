@@ -72,10 +72,15 @@ def _product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray
     return out
 
 
-def _sort_and_sum(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries stably sorted by key, each repeated key's values summed in entry order."""
+def _sort_and_sum(coo: list) -> tuple[np.ndarray, np.ndarray]:
+    """The entries ``coo = [keys, vals]`` stably sorted by key, each repeated
+    key's values summed in entry order.  The list is emptied first, so an
+    input array that it alone held is freed once its sorted copy is made."""
+    keys, vals = coo
+    coo.clear()
     order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
+    keys = keys[order]
+    vals = vals[order]
     del order  # freed before the sums, which set the peak memory of every sorting constructor
     heads = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=heads[1:])
@@ -151,14 +156,24 @@ class TruncatedOperator:
     @classmethod
     def _from_coo(cls, basis: TruncationBasis, rows, cols, vals) -> "TruncatedOperator":
         """The operator of coordinate lists in its canonical form: sorted,
-        repeated positions summed, exact zeros dropped; masking copies, so it owns its arrays."""
-        n = basis.dimension
+        repeated positions summed, exact zeros dropped."""
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        keys = rows * n + cols
-        vals = np.asarray(vals, dtype=complex)
-        if (keys[1:] <= keys[:-1]).any():
-            keys, vals = _sort_and_sum(keys, vals)
-            rows, cols = np.divmod(keys, n)
+        coo = [rows * basis.dimension + cols, np.asarray(vals, dtype=complex)]
+        if not (coo[0][1:] <= coo[0][:-1]).any():
+            return cls._from_sorted(basis, rows, cols, coo[1])
+        del rows, cols, vals  # the sort's input is held by coo alone
+        return cls._from_keys(basis, coo)
+
+    @classmethod
+    def _from_keys(cls, basis: TruncationBasis, coo: list) -> "TruncatedOperator":
+        """The operator of ``coo = [keys, vals]``, which ``_sort_and_sum`` takes over."""
+        keys, vals = _sort_and_sum(coo)
+        return cls._from_sorted(basis, *np.divmod(keys, basis.dimension), vals)
+
+    @classmethod
+    def _from_sorted(cls, basis: TruncationBasis, rows, cols, vals) -> "TruncatedOperator":
+        """Entries sorted by (row, col), no position repeated, with the exact
+        zeros dropped; masking copies, so the operator owns its arrays."""
         keep = vals != 0
         op = cls.__new__(cls)
         op.basis, op.rows, op.cols, op.vals = basis, rows[keep], cols[keep], vals[keep]
@@ -199,11 +214,12 @@ class TruncatedOperator:
         op.rows, op.cols = self.rows[keep], self.cols[keep]
         return op
 
-    def _merged(self, other: "TruncatedOperator", other_vals: np.ndarray):
-        """The entries of self, then other's positions holding ``other_vals``, unsorted."""
+    def _merged(self, other: "TruncatedOperator", other_vals: np.ndarray) -> list:
+        """``[keys, vals]`` of self's entries, then other's positions holding ``other_vals``."""
         self._require_same_basis(other)
-        pairs = ((self.rows, other.rows), (self.cols, other.cols), (self.vals, other_vals))
-        return tuple(np.concatenate(pair) for pair in pairs)
+        n = self.basis.dimension
+        keys = np.concatenate([self.rows * n + self.cols, other.rows * n + other.cols])
+        return [keys, np.concatenate([self.vals, other_vals])]
 
     def band_lengths(self) -> np.ndarray:
         """Row length minus column length, per entry."""
@@ -211,13 +227,13 @@ class TruncatedOperator:
         return lengths[self.rows] - lengths[self.cols]
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return TruncatedOperator._from_coo(self.basis, *self._merged(other, other.vals))
+        return TruncatedOperator._from_keys(self.basis, self._merged(other, other.vals))
 
     def __neg__(self) -> "TruncatedOperator":
         return self._with_vals(-self.vals)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return TruncatedOperator._from_coo(self.basis, *self._merged(other, -other.vals))
+        return TruncatedOperator._from_keys(self.basis, self._merged(other, -other.vals))
 
     def __mul__(self, scalar: complex) -> "TruncatedOperator":
         return self._with_vals(self.vals * complex(scalar))
@@ -435,12 +451,11 @@ def max_column_deviation(
 
     Only the kept columns' entries of ``a - b`` are summed, as ``a - b`` sums them.
     """
-    rows, cols, vals = a._merged(b, -b.vals)
-    keys = rows * a.basis.dimension + cols
+    coo = a._merged(b, -b.vals)
     if max_col_degree is not None:
-        kept = a.basis.lengths[cols] <= max_col_degree
-        keys, vals = keys[kept], vals[kept]
-    return float(np.abs(_sort_and_sum(keys, vals)[1]).max(initial=0.0))
+        kept = a.basis.lengths[coo[0] % a.basis.dimension] <= max_col_degree
+        coo = [coo[0][kept], coo[1][kept]]
+    return float(np.abs(_sort_and_sum(coo)[1]).max(initial=0.0))
 
 
 def commutant_check(u: Word, v: Word, basis: TruncationBasis) -> bool:

@@ -1,5 +1,5 @@
-"""Finitely supported complex series on a free semigroup, and the
-coefficient-table core they share with cochains.
+"""Finitely supported complex series on a free semigroup, their dict core,
+and the rules for JSON terms that cochains share.
 
 A series plays two roles: a vector in the square-summable sequence space
 over the semigroup, and the symbol of the convolution operator it induces
@@ -9,25 +9,25 @@ there.  The product is convolution,
 
 which on basis elements is concatenation: ``xi_u * xi_v = xi_{uv}``.
 
-``CoefficientTable`` is the one sparse core behind ``Series`` and
-``cohomology.Cochain``: a dict from keys (words, or tuples of words) to
-complex coefficients, with one canonical step -- sum repeated keys, then
-drop coefficients of magnitude at most ``PRUNE_EPS``, so that cancellation
-leaves no dust -- plus the linear structure, equality and the checks of
-the re/im parts of a JSON term.  Keys and coefficients are checked once,
-by the public constructor, which refuses a key over another alphabet and
-a NaN or infinite coefficient.  Results of operations are built from keys
-that are already valid through the internal ``_from_valid`` constructor,
-which runs only the canonical step.  The series reader reads a value in stages, each
-over all its terms -- the term objects, the word texts in one grammar match
-(``words._texts_letters``), the coefficient parts, one canonical step -- and
-refuses a non-finite coefficient after the sum, so terms in float range that
-overflow together are refused too.  ``conjugate_by`` and ``adjoint_shift``
-are one canonical step over the term streams ``_transported`` and
-``_shifted``, which the solver of ``derivations`` walks without a series
-per step.  Cochains are read straight onto the cut codes ``cohomology``
-computes on, and written from them, with the same rules for texts,
-coefficients and sizes; JSON ``true`` is not a size.
+``CoefficientTable`` is the sparse core behind ``Series``: a dict from
+words to complex coefficients, with one canonical step -- sum repeated
+keys, then drop coefficients of magnitude at most ``PRUNE_EPS``, so that
+cancellation leaves no dust -- plus the linear structure and equality.
+Keys and coefficients are checked once, by the public constructor
+(``_checked``, which ``cohomology.Cochain`` runs too), which refuses a key
+over another alphabet and a NaN or infinite coefficient.  Results of
+operations are built from keys that are already valid through the
+internal ``_from_valid`` constructor, which runs only the canonical step.
+The series reader reads a value in stages, each over all its terms -- the
+term objects, the word texts in one grammar match
+(``words._texts_letters``), the coefficient parts, one canonical step --
+and refuses a non-finite coefficient after the sum, so terms in float
+range that overflow together are refused too.  ``conjugate_by`` and
+``adjoint_shift`` are one canonical step over the term streams
+``_transported`` and ``_shifted``, which the solver of ``derivations``
+walks without a series per step.  Cochains store cut codes instead, summed
+and pruned exactly as ``_sum_and_prune`` would; their reader checks parts
+and sizes by this module's rules (JSON ``true`` is not a size).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import chain
-from typing import Hashable, Iterable, ItemsView, Iterator, Mapping, Optional
+from typing import Callable, Hashable, Iterable, ItemsView, Iterator, Mapping, Optional
 
 from .words import Alphabet, Word, _check_letter, _index, _texts_letters, transport
 
@@ -60,6 +60,16 @@ def _sum_and_prune(terms: Terms) -> dict:
     for key in [key for key, c in table.items() if abs(c) <= PRUNE_EPS]:
         del table[key]
     return table
+
+
+def _checked(terms: Terms, check_key: Callable) -> Terms:
+    """The boundary check of a public constructor: each key valid by
+    ``check_key``, each coefficient finite."""
+    for key, value in terms:
+        value = complex(value)
+        if not cmath.isfinite(value):
+            raise ValueError(f"non-finite coefficient {value} at {key}")
+        yield check_key(key), value
 
 
 #: The types ``json`` reads a JSON number as; ``bool`` is not one of them.
@@ -141,15 +151,7 @@ class CoefficientTable:
 
     def __init__(self, alphabet: Alphabet, coeffs: Optional[Mapping] = None):
         self.alphabet = alphabet
-        self.table = _sum_and_prune(self._checked(coeffs.items())) if coeffs else {}
-
-    def _checked(self, terms: Terms) -> Terms:
-        """The boundary check: each key valid, each coefficient finite."""
-        for key, value in terms:
-            value = complex(value)
-            if not cmath.isfinite(value):
-                raise ValueError(f"non-finite coefficient {value} at {key}")
-            yield self._check_key(key), value
+        self.table = _sum_and_prune(_checked(coeffs.items(), self._check_key)) if coeffs else {}
 
     def _shape(self) -> tuple:
         return (self.alphabet,)

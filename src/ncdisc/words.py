@@ -18,9 +18,9 @@ canonical non-negative ints, and ``_texts_letters`` reads the letters of a
 list of texts with one match of that grammar and one bound on the largest
 letter; ``_text_letters`` is its one-text case, and ``Alphabet.parse`` is
 that case plus ``Word._of``.  The series reader reads each value's texts in
-one call.  The cochain reader of ``cohomology`` runs the stages apart: it
-matches its distinct texts with ``_match_texts``, then splits each distinct
-key string, a key's texts joined, with ``_split_letters``.
+one call.  ``cohomology.Cochain.from_json_dict`` runs the stages apart and
+builds no ``Word``: it matches its distinct texts with ``_match_texts``,
+then splits each distinct key string with ``_split_letters``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 import functools
 import json
 import random
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from ncdisc.cohomology import (
     trivialize,
 )
 from ncdisc.series import PRUNE_EPS, Series, _json_coefficients, _sum_and_prune
-from ncdisc.words import Alphabet, enumerate_words
+from ncdisc.words import Alphabet, Word, enumerate_words
 
 A2 = Alphabet(2)
 E = A2.unit()
@@ -263,6 +265,12 @@ def _bits(table_items):
     return [(key, c.real.hex(), c.imag.hex()) for key, c in table_items]
 
 
+def _word_level_difference(table, b):
+    """Reference: ``table - b`` on Word-keyed terms, summed and pruned by the
+    dict core of ``series``."""
+    return _sum_and_prune(chain(table.items(), ((key, -c) for key, c in b.table.items())))
+
+
 def _badly_scaled(rng):
     return complex(
         rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8),
@@ -447,24 +455,24 @@ def test_homotopy_and_residual_match_the_word_level_reference_bit_for_bit():
                 assert _bits(psi.table.items()) == _bits(expected.table.items())
                 psi, residual = trivialize(phi)
                 assert _bits(psi.table.items()) == _bits(expected.table.items())
-                reference = coboundary(expected) - phi
+                reference = _word_level_difference(coboundary(expected).table, phi)
                 assert residual.arity == arity
-                assert _bits(residual.table.items()) == _bits(reference.table.items())
+                assert _bits(residual.table.items()) == _bits(reference.items())
                 outcomes.append("trivialized")
     assert set(outcomes) == {"refused", "trivialized"}
 
 
 def test_residual_of_a_perturbed_homotopy_matches_the_reference():
-    # the residual kernel on psi's codes moved by a scale, by dust on both
+    # coboundary(psi) - phi, on psi's codes moved by a scale, by dust on both
     # sides of PRUNE_EPS, by a dropped key, by a key shrunk to dust and by a
-    # key at new cuts
+    # key at new cuts; psi's codes share phi's string ids
     rng = random.Random(37)
     recut = 0
     for m in (1, 2, 3):
         alphabet = Alphabet(m)
         for arity in (2, 3, 4):
             phi = coboundary(_random_cochain(rng, alphabet, arity - 1, max_len=3, terms=5))
-            codes, psi = cohomology._homotopy_codes(phi)
+            psi = homotopy(phi)._codes
             rows = len(psi.ids)
             assert rows
             k = rng.randrange(rows)
@@ -503,11 +511,12 @@ def test_residual_of_a_perturbed_homotopy_matches_the_reference():
                     )
                 )
             for wrong in wrongs:
-                residual = cohomology._decode(cohomology._residual(wrong, codes))
-                reference = coboundary(cohomology._decode(wrong)) - phi
+                wrong = Cochain._from_codes(wrong)
+                residual = coboundary(wrong) - phi
+                reference = _word_level_difference(_letter_tuple_coboundary(wrong), phi)
                 assert residual.table
-                assert len(residual.table) == len(reference.table)
-                assert _bits(residual.table.items()) == _bits(reference.table.items())
+                assert len(residual) == len(reference)
+                assert _bits(residual.table.items()) == _bits(reference.items())
     assert recut >= 4
 
 
@@ -529,8 +538,8 @@ def test_residual_kernel_stays_exact_past_int64_codes():
     expected = _word_level_homotopy(phi)
     psi, residual = trivialize(phi)
     assert _bits(psi.table.items()) == _bits(expected.table.items())
-    reference = coboundary(expected) - phi
-    assert _bits(residual.table.items()) == _bits(reference.table.items())
+    reference = _word_level_difference(coboundary(expected).table, phi)
+    assert _bits(residual.table.items()) == _bits(reference.items())
 
 
 def test_homotopy_series_route_agrees_on_basis_tuples():
@@ -658,17 +667,15 @@ def test_json_scalar_cochain():
 
 def _word_level_reader(data):
     """Reference: the Word-level cochain reader -- each distinct text parsed
-    once through ``Alphabet.parse``, each key and coefficient checked, and
-    repeated keys summed and pruned by the table core."""
+    once through ``Alphabet.parse``, repeated keys summed and pruned by the
+    dict core, then each key and coefficient checked by the constructor."""
     alphabet = Alphabet(data["alphabet"])
-    out = Cochain(data["arity"], alphabet)
     parse = functools.cache(alphabet.parse)
     terms = (
         (tuple(map(parse, term["words"])), _json_coefficients([term])[0])
         for term in data.get("terms", ())
     )
-    out.table = _sum_and_prune(out._checked(terms))
-    return out
+    return Cochain(data["arity"], alphabet, _sum_and_prune(terms))
 
 
 #: Coefficient parts: JSON integers, exact multiples of the dust unit, dust
@@ -710,17 +717,16 @@ def test_codes_reader_matches_the_word_level_reader_bit_for_bit(data):
     assert (phi.arity, phi.alphabet) == (expected.arity, expected.alphabet)
     # the same keys, in first-occurrence order, with the same bits
     assert _bits(phi.table.items()) == _bits(expected.table.items())
-    # the codes solve as the table does
+    # the codes as read solve as the codes of the table do
     if phi.arity >= 2:
-        codes = cohomology._read_codes(data)
         try:
             psi, residual = trivialize(expected)
         except NonCocycleError as err:
             with pytest.raises(NonCocycleError) as info:
-                trivialize(codes)
+                trivialize(phi)
             assert info.value.witness == err.witness
             return
-        got_psi, got_residual = trivialize(codes)
+        got_psi, got_residual = trivialize(phi)
         assert _bits(got_psi.table.items()) == _bits(psi.table.items())
         assert _bits(got_residual.table.items()) == _bits(residual.table.items())
 
@@ -739,14 +745,14 @@ def _word_level_json(phi):
 def test_cochain_json_written_from_codes_matches_the_word_level_writer(data):
     # json.dumps of a float round-trips its bits and keeps the sign of a zero
     expected = _word_level_reader(data)
-    codes = cohomology._read_codes(data)
-    assert json.dumps(cohomology._json_dict(codes)) == json.dumps(_word_level_json(expected))
+    written = Cochain.from_json_dict(data).to_json_dict()
+    assert json.dumps(written) == json.dumps(_word_level_json(expected))
     assert json.dumps(expected.to_json_dict()) == json.dumps(_word_level_json(expected))
     # psi of a cocycle, written from its codes
     cocycle = coboundary(expected)
     if cocycle.arity >= 2:
-        psi, _ = cohomology._trivialize_codes(cocycle)
-        written = cohomology._json_dict(psi)
+        psi, _ = trivialize(cocycle)
+        written = psi.to_json_dict()
         assert json.dumps(written) == json.dumps(_word_level_json(homotopy(cocycle)))
 
 
@@ -778,9 +784,110 @@ def test_trivialize_cocycle_refuses_each_bad_input_class(tmp_path, capsys, term)
     good = '{"words": ["e", "z1"], "re": 1.0}, ' * 3
     infile.write_text('{"arity": 2, "alphabet": 2, "terms": [%s%s]}' % (good, term))
     with pytest.raises(ValueError):
-        cohomology._read_codes(json.loads(infile.read_text()))
+        Cochain.from_json_dict(json.loads(infile.read_text()))
     code = main(["trivialize-cocycle", "--in", str(infile)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("bad cochain input:")
     assert captured.out == ""
+
+
+# -- one representation: the public functions are the kernels ---------------------------
+
+
+#: The golden solver inputs and outputs of tests/data/solvers.
+SOLVERS = Path(__file__).parent / "data" / "solvers"
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("cocycle", 0), ("repeated_keys", 0), ("float_cocycle_m11_s5", 0), ("non_cocycle", 1)],
+)
+def test_trivialize_cocycle_runs_the_public_kernels(monkeypatch, capsys, case, code):
+    # the module globals are looked up when trivialize runs, so the counting
+    # wrappers see every call on the command's path
+    calls = {"homotopy": 0, "first_cocycle_violation": 0}
+    for name in calls:
+        original = getattr(cohomology, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cohomology, name, counted)
+    assert main(["trivialize-cocycle", "--in", str(SOLVERS / f"{case}.json")]) == code
+    assert capsys.readouterr().out == (SOLVERS / f"{case}.out").read_text()
+    assert calls == {"homotopy": 1, "first_cocycle_violation": 1}
+
+
+def _count_words(monkeypatch):
+    """A counter of the words built through ``Word._of`` and ``Word.__init__``."""
+    built = [0]
+    of, init = Word._of.__func__, Word.__init__
+
+    def counted_of(cls, *args):
+        built[0] += 1
+        return of(cls, *args)
+
+    def counted_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Word, "_of", classmethod(counted_of))
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    return built
+
+
+def test_reading_trivializing_and_writing_a_cocycle_builds_no_word(monkeypatch):
+    data = json.loads((SOLVERS / "float_cocycle_m11_s5.json").read_text())
+    rng = random.Random(43)
+    phi = _random_cochain(rng, Alphabet(3), 2, max_len=3, terms=6)
+    built = _count_words(monkeypatch)
+    cocycle = Cochain.from_json_dict(data)
+    psi, residual = trivialize(cocycle)
+    written = psi.to_json_dict()
+    assert len(residual) == 0 and written["terms"]
+    assert coboundary(coboundary(phi)).is_zero()
+    assert built[0] == 0
+    # the table is decoded on first access only, and then kept
+    assert psi.table is psi.table and built[0] > 0
+
+
+def test_cochain_table_is_read_only():
+    phi = Cochain(2, A2, {(Z0, Z1): 1.0})
+    with pytest.raises(AttributeError):
+        phi.table = {}
+    with pytest.raises(TypeError):
+        phi.table[(Z0, Z1)] = 2.0
+    assert phi.table == {(Z0, Z1): 1 + 0j}
+
+
+@st.composite
+def cochain_pairs(draw):
+    """Two dusty cochains of one shape, the second partly on the first's
+    keys, moved by dust, so that their sums and differences cancel exactly
+    and leave dust on both sides of PRUNE_EPS."""
+    phi = draw(dusty_cochains())
+    table = _table(draw, phi.alphabet, phi.arity, st.integers(-2, 2))
+    for key, c in phi.table.items():
+        if draw(st.booleans()):
+            table[key] = c + draw(st.sampled_from([1, -1, 0, 2])) * DUST
+    return phi, Cochain(phi.arity, phi.alphabet, table)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cochain_pairs(), st.sampled_from([0, 2, -1j, PRUNE_EPS / 4, 0.3 - 1.7j, 1 + DUST]))
+def test_cochain_arithmetic_matches_the_dict_core_bit_for_bit(pair, scalar):
+    phi, psi = pair
+    negated = [(key, -c) for key, c in psi.table.items()]
+    cases = [
+        (phi + psi, chain(phi.table.items(), psi.table.items())),
+        (phi - psi, chain(phi.table.items(), negated)),
+        (-psi, negated),
+        (scalar * phi, [(key, complex(scalar) * c) for key, c in phi.table.items()]),
+    ]
+    for result, terms in cases:
+        expected = _sum_and_prune(terms)
+        assert (result.arity, result.alphabet) == (phi.arity, phi.alphabet)
+        assert len(result) == len(expected)
+        assert _bits(result.table.items()) == _bits(expected.items())
