@@ -7,14 +7,20 @@ function of the ``RunConfig`` that gives the check's suite parameters.  The
 suite is the prefix of the name, and a suite runs its checks in
 registration order.  Every random input is drawn from ``random.Random``
 with a seed among the parameters, so the parameters replay the check.
+
+The four word sweeps run over canonical letter patterns, one member of each
+relabeling class of word tuples (``_pattern_words``), so their cost stops
+growing with the alphabet; ``_word_sweep_instances`` counts them.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,9 +72,9 @@ NORM_CUTOFF = 4
 #: Most words of the basis at ``RunConfig.norm_cutoff`` an operator suite
 #: may hold; the commutant check's sweep of about 4m^3 pairs is bounded by it too.
 MAX_NORM_WORDS = 2048
-#: Most instances the words suite's four sweeps over every word up to a length
-#: may test together: at the defaults m = 8 gives 28.1 million (about a minute),
-#: m = 9 gives 68 million.
+#: Most instances the words suite's four sweeps may test together.  Over
+#: canonical patterns only cancellation's set-level term grows with m: at the
+#: defaults m = 12 gives 27,622, m = 149 29.98 million, m = 150 30.6 million.
 MAX_WORD_INSTANCES = 30_000_000
 
 
@@ -114,20 +120,21 @@ def _check_operator_config(config: RunConfig) -> None:
 
 
 def _word_sweep_instances(config: RunConfig) -> dict[str, int]:
-    """Instances each words check that sweeps every word up to a length tests
-    at ``config``, in closed form from the check's own params."""
+    """Instances each word sweep tests at ``config``, in closed form from its
+    params: one per word tuple of ``_pattern_words`` (two k per power-shift
+    pair), and cancellation's u's times every word up to ``len``."""
 
-    def words(name: str, length: str) -> int:
+    def count(name: str, *spans: tuple[int, str]) -> int:
         params = CHECKS[f"words.{name}"].params(config)
-        return _count_shorter(params["m"], params[length] + 1)
+        return _pattern_count(params["m"], *(range(low, params[key] + 1) for low, key in spans))
 
+    cancel = CHECKS["words.cancellation"].params(config)
     return {
-        "concat_laws": words("concat_laws", "len") ** 3,
-        "cancellation": words("cancellation", "len") ** 2,
-        "power_shift_sweep": 2
-        * (words("power_shift_sweep", "w_max") - 1)
-        * words("power_shift_sweep", "u_max"),
-        "primitive_root_commutation": (words("primitive_root_commutation", "max_len") - 1) ** 2,
+        "concat_laws": count("concat_laws", *[(0, "len")] * 3),
+        "cancellation": count("cancellation", (0, "len"), (0, "len"))
+        + count("cancellation", (0, "len")) * _count_shorter(cancel["m"], cancel["len"] + 1),
+        "power_shift_sweep": 2 * count("power_shift_sweep", (1, "w_max"), (0, "u_max")),
+        "primitive_root_commutation": count("primitive_root_commutation", *[(1, "max_len")] * 2),
     }
 
 
@@ -298,38 +305,93 @@ def _random_cochain(
 # --------------------------------------------------------------------------
 
 
-@_register("words.concat_laws", lambda c: {"m": c.alphabet, "len": min(c.max_len, 2)})
+def _patterns(length: int, letters: Sequence[int], used: int = 0) -> list[tuple[tuple, int]]:
+    """The restricted growth strings of ``length`` in lex order, spelled in
+    ``letters``, each with the count of letters it uses: letter i first appears
+    after every letter below i, and the i-th to appear is ``letters[i]``.
+    Renaming a tuple's letters by first occurrence gives exactly one, so there
+    are sum S(length, k) over k <= len(letters).  With ``used`` > 0 they are
+    the tails of the strings that have used ``used`` letters."""
+    level, k = [((), used)], len(letters)
+    for _ in range(length):
+        level = [(p + (letters[j],), n + (j == n)) for p, n in level for j in range(min(n + 1, k))]
+    return level
+
+
+def _pattern_count(m: int, *spans: range) -> int:
+    """The number of tuples ``_pattern_words`` yields over m letters: per
+    split, sum S(L, k) over k <= m at its total length L, by the recurrence
+    S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)."""
+    rows = [[1]]
+    for n in range(1, sum(max(span, default=0) for span in spans) + 1):
+        last = rows[-1] + [0]
+        rows.append([0] + [k * last[k] + last[k - 1] for k in range(1, n + 1)])
+    return sum(sum(rows[sum(split)][: m + 1]) for split in itertools.product(*spans))
+
+
+def _pattern_words(rng: random.Random, alphabet: Alphabet, *spans: range) -> Iterator[tuple]:
+    """The words cut by each split ``lengths`` in ``product(*spans)`` from
+    each pattern of length ``sum(lengths)``, built part by part from tails.
+    A permutation of the generators is an automorphism of the free semigroup,
+    so an identity whose words are read only through tuple operations holds on
+    a relabeling class when it holds on one member.  Each split's block draws
+    one injective relabeling into the alphabet, so high letters are exercised.
+    """
+    size, word = alphabet.size, functools.cache(functools.partial(Word._of, alphabet))
+    for lengths in itertools.product(*spans):
+        letters = rng.sample(range(size), min(size, sum(lengths)))
+        rows = [((), 0)]
+        for length in lengths:
+            used = {n for _, n in rows}
+            tails = {k: [(word(p), n) for p, n in _patterns(length, letters, k)] for k in used}
+            rows = [(ws + (w,), after) for ws, n in rows for w, after in tails[n]]
+        for ws, _ in rows:
+            yield ws
+
+
+@_register(
+    "words.concat_laws", lambda c: {"m": c.alphabet, "len": min(c.max_len, 2), "seed": c.seed + 4}
+)
 def _check_concat_laws(params: dict) -> Optional[dict]:
+    """Unit, length and associativity laws on one triple up to ``len`` per
+    relabeling class: products read letters only by tuple concatenation."""
     alphabet = Alphabet(params["m"])
-    words = enumerate_words(alphabet, params["len"])
+    rng = random.Random(params["seed"])
     e = alphabet.unit()
-    for u in words:
+    for u, v, w in _pattern_words(rng, alphabet, *[range(params["len"] + 1)] * 3):
         if e * u != u or u * e != u:
             return {"u": str(u)}
-        for v in words:
-            if len((u * v)) != len(u) + len(v):
-                return {"u": str(u), "v": str(v)}
-            for w in words:
-                if (u * v) * w != u * (v * w):
-                    return {"u": str(u), "v": str(v), "w": str(w)}
+        uv = u * v
+        if len(uv) != len(u) + len(v):
+            return {"u": str(u), "v": str(v)}
+        if uv * w != u * (v * w):
+            return {"u": str(u), "v": str(v), "w": str(w)}
     return None
 
 
 @_register(
     "words.cancellation",
-    lambda c: {"m": c.alphabet, "len": min(c.max_len, 5 if c.alphabet <= 2 else 3)},
+    lambda c: {
+        "m": c.alphabet, "len": min(c.max_len, 5 if c.alphabet <= 2 else 3), "seed": c.seed + 5
+    },
 )
 def _check_cancellation(params: dict) -> Optional[dict]:
+    """Division undoes products on one pair of words up to ``len`` per
+    relabeling class, and ``v -> u v`` is injective on all words up to ``len``
+    for one u per class: products and strips read letters only through tuple
+    concatenation, slicing and equality, and a relabeling only permutes the
+    v's, so the set test over every v is exact."""
     alphabet = Alphabet(params["m"])
+    rng = random.Random(params["seed"])
+    lengths = range(params["len"] + 1)
     words = enumerate_words(alphabet, params["len"])
-    for u in words:
-        products = {u * v for v in words}
-        if len(products) != len(words):
+    for (u,) in _pattern_words(rng, alphabet, lengths):
+        if len({u * v for v in words}) != len(words):
             return {"u": str(u)}
-        for v in words:
-            w = u * v
-            if w.strip_prefix(u) != v or w.strip_suffix(v) != u:
-                return {"u": str(u), "v": str(v)}
+    for u, v in _pattern_words(rng, alphabet, lengths, lengths):
+        w = u * v
+        if w.strip_prefix(u) != v or w.strip_suffix(v) != u:
+            return {"u": str(u), "v": str(v)}
     return None
 
 
@@ -387,36 +449,45 @@ def _check_min_staged(params: dict) -> Optional[dict]:
     return None
 
 
-@_register("words.power_shift_sweep", lambda c: {"m": c.alphabet, "w_max": 3, "u_max": 4})
+@_register(
+    "words.power_shift_sweep",
+    lambda c: {"m": c.alphabet, "w_max": 3, "u_max": 4, "seed": c.seed + 6},
+)
 def _check_power_shift_sweep(params: dict) -> Optional[dict]:
+    """The power-shift implication on one pair (w, u), w not the unit, per
+    relabeling class: the check reads letters only by tuple repetition,
+    concatenation and equality, and v is a slice of them."""
     alphabet = Alphabet(params["m"])
-    bases = [w for w in enumerate_words(alphabet, params["w_max"]) if not w.is_unit()]
-    candidates = enumerate_words(alphabet, params["u_max"])
-    for w in bases:
-        for u in candidates:
-            k_min = math.ceil(len(u) / len(w)) + 1
-            for k in (k_min, k_min + 1):
-                # both sides of v w^k = w^k u have length |u| + k|w|, so the
-                # hypothesis forces v to be the |u|-prefix of w^k u; every
-                # other v of length |u| passes vacuously
-                v = Word._of(alphabet, (w.letters * k + u.letters)[: len(u)])
-                if not power_shift_check(w, u, v, k):
-                    return {"w": str(w), "u": str(u), "v": str(v), "k": k}
+    rng = random.Random(params["seed"])
+    spans = range(1, params["w_max"] + 1), range(params["u_max"] + 1)
+    for w, u in _pattern_words(rng, alphabet, *spans):
+        k_min = math.ceil(len(u) / len(w)) + 1
+        for k in (k_min, k_min + 1):
+            # both sides of v w^k = w^k u have length |u| + k|w|, so the
+            # hypothesis forces v to be the |u|-prefix of w^k u; every
+            # other v of length |u| passes vacuously
+            v = Word._of(alphabet, (w.letters * k + u.letters)[: len(u)])
+            if not power_shift_check(w, u, v, k):
+                return {"w": str(w), "u": str(u), "v": str(v), "k": k}
     return None
 
 
 @_register(
     "words.primitive_root_commutation",
-    lambda c: {"m": c.alphabet, "max_len": min(c.max_len, 6 if c.alphabet <= 2 else 4)},
+    lambda c: {
+        "m": c.alphabet, "max_len": min(c.max_len, 6 if c.alphabet <= 2 else 4), "seed": c.seed + 7
+    },
 )
 def _check_primitive_root(params: dict) -> Optional[dict]:
+    """Nonempty words commute exactly when they share a primitive root, on one
+    pair per relabeling class: both read letters only by tuple operations."""
     alphabet = Alphabet(params["m"])
-    words = [w for w in enumerate_words(alphabet, params["max_len"]) if not w.is_unit()]
-    roots = {w: w.primitive_root()[0] for w in words}
-    for u in words:
-        for w in words:
-            if u.commutes_with(w) != (roots[u] == roots[w]):
-                return {"u": str(u), "w": str(w)}
+    rng = random.Random(params["seed"])
+    lengths = range(1, params["max_len"] + 1)
+    root = functools.cache(lambda w: w.primitive_root()[0])
+    for u, w in _pattern_words(rng, alphabet, lengths, lengths):
+        if u.commutes_with(w) != (root(u) == root(w)):
+            return {"u": str(u), "w": str(w)}
     return None
 
 

@@ -108,9 +108,9 @@ def _check_key(arity: int, alphabet: Alphabet, key: WordTuple) -> WordTuple:
 
 
 def _encoded(arity: int, alphabet: Alphabet, terms: Iterable) -> _CutCodes:
-    """Terms ``(key, c)`` with valid keys on cut codes, repeated keys summed
-    and pruned: each key's letter string interned to an int id, and its cut
-    positions."""
+    """Terms ``(key, c)`` with valid keys on cut codes, one row per term, not
+    yet summed or pruned: each key's letter string interned to an int id, and
+    its cut positions."""
     strings: dict[tuple[int, ...], int] = {}
     ids, bounds, coeffs = [], [], []
     for key, c in terms:
@@ -125,7 +125,7 @@ def _encoded(arity: int, alphabet: Alphabet, terms: Iterable) -> _CutCodes:
     bounds = np.array(bounds, dtype=np.int32).reshape(len(ids), arity + 1)
     coeffs = np.array(coeffs, dtype=complex)
     ids = np.array(ids, dtype=np.int64)
-    return _summed(_CutCodes(alphabet, list(strings), texts, ids, bounds, coeffs.real, coeffs.imag))
+    return _CutCodes(alphabet, list(strings), texts, ids, bounds, coeffs.real, coeffs.imag)
 
 
 class Cochain:
@@ -142,7 +142,8 @@ class Cochain:
             raise ValueError("arity must be nonnegative")
         check_key = functools.partial(_check_key, arity, alphabet)
         terms = _checked(table.items(), check_key) if table else ()
-        self._codes = _encoded(arity, alphabet, terms)
+        # a mapping's keys are distinct, so there is nothing to sum
+        self._codes = _pruned(_encoded(arity, alphabet, terms))
         self._table = None
 
     @classmethod
@@ -156,7 +157,7 @@ class Cochain:
     def _from_valid(cls, shape: tuple[int, Alphabet], terms: Iterable) -> "Cochain":
         """Internal constructor: ``(arity, alphabet)`` and terms whose keys
         are valid for it; repeated keys are summed and pruned."""
-        return cls._from_codes(_encoded(*shape, terms))
+        return cls._from_codes(_summed(_encoded(*shape, terms)))
 
     @property
     def arity(self) -> int:
@@ -409,6 +410,15 @@ def _summed(terms: _CutCodes) -> _CutCodes:
     kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
     kept = kept[np.argsort(first[kept])]
     return terms.rows(first[kept], re[kept], im[kept])
+
+
+def _pruned(terms: _CutCodes) -> _CutCodes:
+    """``_summed`` for rows with distinct word tuples, with no grouping: each
+    part plus 0.0, as ``np.bincount`` sums it from 0.0, so a -0.0 part comes
+    out 0.0, and the rows of magnitude at most ``PRUNE_EPS`` dropped."""
+    re, im = terms.re + 0.0, terms.im + 0.0
+    kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
+    return terms.rows(kept, re[kept], im[kept])
 
 
 def _coboundary_terms(phi: _CutCodes) -> _CutCodes:

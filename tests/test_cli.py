@@ -291,7 +291,7 @@ def test_trivialize_cocycle_rejects_low_arity(tmp_path, capsys):
 def test_replay_reruns_a_check(tmp_path, capsys):
     payload = {
         "check": "words.power_shift_sweep",
-        "params": {"m": 2, "w_max": 2, "u_max": 3},
+        "params": {"m": 2, "w_max": 2, "u_max": 3, "seed": 1},
     }
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
@@ -461,10 +461,19 @@ def full_scan_power_shift(params):
 
 
 SWEEP_PARAMS = (
-    {"m": 1, "w_max": 3, "u_max": 5},
-    {"m": 2, "w_max": 2, "u_max": 3},
-    {"m": 3, "w_max": 2, "u_max": 2},
+    {"m": 1, "w_max": 3, "u_max": 5, "seed": 1},
+    {"m": 2, "w_max": 2, "u_max": 3, "seed": 2},
+    {"m": 3, "w_max": 2, "u_max": 2, "seed": 3},
 )
+
+
+def relabeling_class(*words):
+    """The letters of ``words`` renamed by first occurrence, and the words'
+    lengths: equal for two word tuples exactly when a permutation of the
+    generators maps one to the other."""
+    names = {}
+    letters = tuple(names.setdefault(a, len(names)) for w in words for a in w.letters)
+    return letters, tuple(len(w) for w in words)
 
 
 @pytest.mark.parametrize("params", SWEEP_PARAMS)
@@ -489,14 +498,18 @@ def test_power_shift_sweep_reports_the_full_scan_counterexample(monkeypatch, par
     # the planted failure meets the hypothesis, so it is no vacuous instance
     assert v0 * w0**k0 == w0**k0 * u0
     real = checks.power_shift_check
+    orbit = relabeling_class(w0, u0, v0)
 
+    # the sweep tests one member of each relabeling class, so the failure is
+    # planted on the whole class of the instance
     def planted(w, u, v, k):
-        return (w, u, v, k) != (w0, u0, v0, k0) and real(w, u, v, k)
+        return (k != k0 or relabeling_class(w, u, v) != orbit) and real(w, u, v, k)
 
     monkeypatch.setattr(checks, "power_shift_check", planted)
-    expected = {"w": failing[0], "u": failing[1], "v": failing[2], "k": k0}
-    assert full_scan_power_shift(params) == expected
-    assert checks.CHECKS["words.power_shift_sweep"].run(params) == expected
+    sweep = checks.CHECKS["words.power_shift_sweep"].run
+    for found in (full_scan_power_shift(params), sweep(params)):
+        assert found["k"] == k0
+        assert relabeling_class(*(alphabet.parse(found[key]) for key in "wuv")) == orbit
 
 
 def test_crashing_check_is_a_failed_check(monkeypatch, capsys):
@@ -513,33 +526,33 @@ def test_crashing_check_is_a_failed_check(monkeypatch, capsys):
     assert crashed["passed"] is False
     assert crashed["counterexample"] == {"exception": "ZeroDivisionError: planted"}
     # the params stay, so the failure replays
-    assert crashed["params"] == {"m": 2, "len": 2}
+    assert crashed["params"] == {"m": 2, "len": 2, "seed": 46}
     assert all(check["passed"] for check in results.values())
 
 
 def test_words_suite_over_the_instance_budget_is_refused_at_once(capsys):
-    # the norm checks' basis at cutoff 3 holds 1,885 words, so only the words
-    # suite's sweeps (604 million instances) refuse this configuration
-    for argv in (
-        ("verify-words", "--alphabet", "12"),
-        ("report-all", "--alphabet", "12", "--cutoff", "3"),
-    ):
-        start = time.process_time()
-        code = main(list(argv))
-        elapsed = time.process_time() - start
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("bad configuration: the words suite's sweeps test")
-        assert "primitive_root_commutation 511664400" in captured.err
-        assert elapsed < 1.0
+    # the sweeps over canonical patterns test 27,622 instances at 12
+    # generators, so both budgets accept report-all --alphabet 12 --cutoff 3
+    checks._check_words_config(RunConfig(alphabet=12, cutoff=3))
     checks._check_operator_config(RunConfig(alphabet=12, cutoff=3))
+    # cancellation's set-level test still multiplies its 9 canonical u's by
+    # every word up to length 3: 30.6 million instances at 150 generators
+    start = time.process_time()
+    code = main(["verify-words", "--alphabet", "150"])
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad configuration: the words suite's sweeps test")
+    assert "cancellation 30579240" in captured.err
+    assert elapsed < 1.0
 
 
 def test_words_suite_budget_accepts_eight_generators_at_the_defaults():
     instances = checks._word_sweep_instances(RunConfig(alphabet=8))
     assert sum(instances.values()) <= checks.MAX_WORD_INSTANCES
+    checks._check_words_config(RunConfig(alphabet=149))
     with pytest.raises(ValueError, match="words suite"):
-        checks._check_words_config(RunConfig(alphabet=9))
+        checks._check_words_config(RunConfig(alphabet=150))
     for max_len in (0, 1, 6, 100):
         checks._check_words_config(RunConfig(alphabet=8, max_len=max_len))
 
@@ -919,8 +932,8 @@ DEFAULT_PARAMS = [
         {"cutoff": 4, "m": 2, "seed": 47, "tol": 1e-09, "trials": 25},
     ),
     ("operators", "operators.mobius_witness", {"c": 0.9, "cutoff": 120, "lo": 1.8, "tol": 1e-09}),
-    ("words", "words.concat_laws", {"len": 2, "m": 2}),
-    ("words", "words.cancellation", {"len": 5, "m": 2}),
+    ("words", "words.concat_laws", {"len": 2, "m": 2, "seed": 46}),
+    ("words", "words.cancellation", {"len": 5, "m": 2, "seed": 47}),
     ("words", "words.order_invariance", {"m": 2, "max_len": 6, "seed": 42, "trials": 10000}),
     ("words", "words.division_roundtrip", {"m": 2, "max_len": 6, "seed": 43, "trials": 10000}),
     (
@@ -928,8 +941,8 @@ DEFAULT_PARAMS = [
         "words.min_staged_vs_scan",
         {"m": 2, "max_len": 6, "seed": 44, "set_size": 100, "sets": 100},
     ),
-    ("words", "words.power_shift_sweep", {"m": 2, "u_max": 4, "w_max": 3}),
-    ("words", "words.primitive_root_commutation", {"m": 2, "max_len": 6}),
+    ("words", "words.power_shift_sweep", {"m": 2, "seed": 48, "u_max": 4, "w_max": 3}),
+    ("words", "words.primitive_root_commutation", {"m": 2, "max_len": 6, "seed": 49}),
     ("words", "words.transport_roundtrip", {"m": 2, "max_len": 6, "seed": 45, "trials": 1000}),
 ]
 
@@ -984,8 +997,8 @@ CLAMPED_PARAMS = [
         {"cutoff": 2, "m": 3, "seed": 47, "tol": 1e-09, "trials": 25},
     ),
     ("operators", "operators.mobius_witness", {"c": 0.9, "cutoff": 120, "lo": 1.8, "tol": 1e-09}),
-    ("words", "words.concat_laws", {"len": 2, "m": 3}),
-    ("words", "words.cancellation", {"len": 2, "m": 3}),
+    ("words", "words.concat_laws", {"len": 2, "m": 3, "seed": 46}),
+    ("words", "words.cancellation", {"len": 2, "m": 3, "seed": 47}),
     ("words", "words.order_invariance", {"m": 3, "max_len": 2, "seed": 42, "trials": 10000}),
     ("words", "words.division_roundtrip", {"m": 3, "max_len": 2, "seed": 43, "trials": 10000}),
     (
@@ -993,8 +1006,8 @@ CLAMPED_PARAMS = [
         "words.min_staged_vs_scan",
         {"m": 3, "max_len": 2, "seed": 44, "set_size": 100, "sets": 100},
     ),
-    ("words", "words.power_shift_sweep", {"m": 3, "u_max": 4, "w_max": 3}),
-    ("words", "words.primitive_root_commutation", {"m": 3, "max_len": 2}),
+    ("words", "words.power_shift_sweep", {"m": 3, "seed": 48, "u_max": 4, "w_max": 3}),
+    ("words", "words.primitive_root_commutation", {"m": 3, "max_len": 2, "seed": 49}),
     ("words", "words.transport_roundtrip", {"m": 3, "max_len": 2, "seed": 45, "trials": 1000}),
 ]
 

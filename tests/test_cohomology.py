@@ -756,6 +756,39 @@ def test_cochain_json_written_from_codes_matches_the_word_level_writer(data):
         assert json.dumps(written) == json.dumps(_word_level_json(homotopy(cocycle)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cochain_json())
+def test_public_constructor_prunes_as_the_grouping_sum_bit_for_bit(data):
+    # a mapping's keys are distinct: the constructor prunes without grouping,
+    # and its codes keep the bits of the grouping sum, -0.0 parts and dust too
+    alphabet = Alphabet(data["alphabet"])
+    table = {
+        tuple(map(alphabet.parse, term["words"])): complex(term["re"], term.get("im", 0))
+        for term in data["terms"]
+    }
+    shape = (data["arity"], alphabet)
+    pruned = Cochain(*shape, table)._codes
+    summed = cohomology._summed(cohomology._encoded(*shape, table.items()))
+    assert pruned.spelled == summed.spelled and pruned.texts == summed.texts
+    for got, expected in zip(pruned[3:], summed[3:]):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+    summed_table = Cochain._from_valid(shape, table.items()).items()
+    assert _bits(Cochain(*shape, table).items()) == _bits(summed_table)
+
+
+def test_public_constructor_writes_signed_zero_parts_as_positive_zeros():
+    c = Cochain(1, A2, {(A2.generator(0),): complex(-0.0, 1.0), (A2.unit(),): complex(2.0, -0.0)})
+    assert _bits(c.items()) == [
+        ((A2.unit(),), "0x1.0000000000000p+1", "0x0.0p+0"),
+        ((A2.generator(0),), "0x0.0p+0", "0x1.0000000000000p+0"),
+    ]
+    # dust, up to PRUNE_EPS itself, is pruned as the sum prunes it
+    for dust in (complex(0.6 * PRUNE_EPS, -0.0), PRUNE_EPS, complex(0.0, -PRUNE_EPS)):
+        assert Cochain(1, A2, {(A2.unit(),): dust}).is_zero()
+        assert Cochain._from_valid((1, A2), [((A2.unit(),), dust)]).is_zero()
+
+
 #: One bad term for each class of input the cochain reader refuses, added to
 #: a valid arity-2 cochain over m = 2.
 BAD_COCHAIN_TERMS = {
