@@ -189,7 +189,8 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     is ``a + _below(rng.getrandbits, b - a + 1)``, call for call on the same
     bit stream, without the argument checks that ``randrange`` repeats on
     every draw.  Every integer the checks draw follows this rule; only
-    ``_random_words`` writes it out again, inline, for speed.
+    ``_word_stream`` and ``_random_operator`` write it out again, inline, for
+    speed.
     """
     k = n.bit_length()
     r = getrandbits(k)
@@ -198,32 +199,36 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _random_words(
-    rng: random.Random, alphabet: Alphabet, max_len: int, count: int, min_len: int = 0
-) -> list[Word]:
-    """``count`` words, each with a uniform length in ``min_len..max_len``
-    and uniform letters.
+def _word_stream(
+    rng: random.Random, alphabet: Alphabet, max_len: int, min_len: int = 0
+) -> Iterator[Word]:
+    """An endless lazy stream of words, each with a uniform length in
+    ``min_len..max_len`` and uniform letters, drawn only as they are taken.
 
     Each word draws ``rng.randint(min_len, max_len)`` and then one
     ``rng.randrange(alphabet.size)`` per letter, so the words and the
     generator state after them are those of the stdlib calls.  The loop runs
     ``_below``'s rule inline for the length and every letter, which saves a
-    Python call per integer.  The bounds are checked once, before any draw,
-    also when ``count`` is 0: a non-integer bound or an empty range raises
-    ``ValueError`` (the rule would redraw for ever on an empty range).  The
-    letters are in range by construction, so each word is built by
-    ``Word._of``'s recipe, inline.
+    Python call per integer.  The bounds are checked here, before any draw:
+    a non-integer bound or an empty range raises ``ValueError`` (the rule
+    would redraw for ever on an empty range).  The letters are in range by
+    construction, so each word is built by ``Word._of``'s recipe, inline.
     """
     low = _index(min_len, "min_len")
     span = _index(max_len, "max_len") - low + 1
     if span < 1:
         raise ValueError(f"empty length range {min_len}..{max_len}")
-    getrandbits = rng.getrandbits
+    return _drawn_words(rng.getrandbits, alphabet, low, span)
+
+
+def _drawn_words(
+    getrandbits: Callable[[int], int], alphabet: Alphabet, low: int, span: int
+) -> Iterator[Word]:
+    """The draws of ``_word_stream``, whose bounds it has checked."""
     size = alphabet.size
     span_bits, size_bits = span.bit_length(), size.bit_length()
     new = object.__new__
-    words = []
-    for _ in range(count):
+    while True:
         n = getrandbits(span_bits)
         while n >= span:
             n = getrandbits(span_bits)
@@ -237,13 +242,20 @@ def _random_words(
         word.alphabet = alphabet
         word.letters = tuple(letters)
         word._hash = None
-        words.append(word)
-    return words
+        yield word
+
+
+def _random_words(
+    rng: random.Random, alphabet: Alphabet, max_len: int, count: int, min_len: int = 0
+) -> list[Word]:
+    """The first ``count`` words of a new ``_word_stream``; the bounds are
+    checked also when ``count`` is 0."""
+    return list(itertools.islice(_word_stream(rng, alphabet, max_len, min_len), count))
 
 
 def _random_word(rng: random.Random, alphabet: Alphabet, max_len: int, min_len: int = 0) -> Word:
-    """One word of ``_random_words``."""
-    return _random_words(rng, alphabet, max_len, 1, min_len)[0]
+    """The first word of a new ``_word_stream``."""
+    return next(_word_stream(rng, alphabet, max_len, min_len))
 
 
 def _random_coefficient(getrandbits: Callable[[int], int]) -> complex:
@@ -268,19 +280,29 @@ def _random_operator(basis: TruncationBasis, seed: int) -> TruncatedOperator:
     For each column in rank order and each row length 0..cutoff, a row drawn
     uniformly from that length's rank block gets a nonzero
     ``_random_coefficient`` (a zero is redrawn).  So every band of every
-    column is filled, with ``dimension * (cutoff + 1)`` entries.
+    column is filled, with ``dimension * (cutoff + 1)`` entries.  The row
+    and both parts run ``_below``'s rule inline, on the same bit stream.
     """
     getrandbits = random.Random(seed).getrandbits
     offsets = basis.offsets().tolist()
-    blocks = [(start, end - start) for start, end in zip(offsets, offsets[1:])]
+    sizes = [end - start for start, end in zip(offsets, offsets[1:])]
+    blocks = [(start, size, size.bit_length()) for start, size in zip(offsets, sizes)]
     rows, vals = [], []
     for _ in range(basis.dimension):
-        for start, size in blocks:
-            rows.append(start + _below(getrandbits, size))
-            value = _random_coefficient(getrandbits)
-            while not value:
-                value = _random_coefficient(getrandbits)
-            vals.append(value)
+        for start, size, size_bits in blocks:
+            r = getrandbits(size_bits)
+            while r >= size:
+                r = getrandbits(size_bits)
+            rows.append(start + r)
+            re = im = 3  # parts in 0..6, shifted to -3..3; (3, 3) is the zero, redrawn
+            while re == im == 3:
+                re = getrandbits(3)
+                while re >= 7:
+                    re = getrandbits(3)
+                im = getrandbits(3)
+                while im >= 7:
+                    im = getrandbits(3)
+            vals.append(complex(re - 3, im - 3))
     cols = np.repeat(np.arange(basis.dimension), len(blocks))
     return TruncatedOperator._from_coo(basis, rows, cols, vals)
 
@@ -402,8 +424,8 @@ def _check_cancellation(params: dict) -> Optional[dict]:
 def _check_order_invariance(params: dict) -> Optional[dict]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
-    for _ in range(params["trials"]):
-        u, v, w = _random_words(rng, alphabet, params["max_len"], 3)
+    triples = zip(*[_word_stream(rng, alphabet, params["max_len"])] * 3)
+    for u, v, w in itertools.islice(triples, params["trials"]):
         if sum([u < v, u == v, u > v]) != 1:
             return {"u": str(u), "v": str(v)}
         if u < v and not (w * u < w * v and u * w < v * w):
@@ -420,8 +442,8 @@ def _check_order_invariance(params: dict) -> Optional[dict]:
 def _check_division_roundtrip(params: dict) -> Optional[dict]:
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
-    for _ in range(params["trials"]):
-        u, v, x = _random_words(rng, alphabet, params["max_len"], 3)
+    triples = zip(*[_word_stream(rng, alphabet, params["max_len"])] * 3)
+    for u, v, x in itertools.islice(triples, params["trials"]):
         w = u * v
         if w.strip_prefix(u) != v or w.strip_suffix(v) != u:
             return {"u": str(u), "v": str(v)}

@@ -398,6 +398,13 @@ def _group(ids: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return rows[head], inverse
 
 
+def _kept(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Positions of the coefficients of modulus above ``PRUNE_EPS``; a modulus
+    past the float range is inf, so it is kept, without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
+
+
 def _summed(terms: _CutCodes) -> _CutCodes:
     """The dict core's sum and prune on codes: ``np.bincount`` sums each
     key's terms in order from 0.0, and the keys stay in order of first
@@ -407,7 +414,7 @@ def _summed(terms: _CutCodes) -> _CutCodes:
     first, inverse = _group(terms.ids, terms.bounds)
     re = np.bincount(inverse, weights=terms.re)
     im = np.bincount(inverse, weights=terms.im)
-    kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
+    kept = _kept(re, im)
     kept = kept[np.argsort(first[kept])]
     return terms.rows(first[kept], re[kept], im[kept])
 
@@ -417,7 +424,7 @@ def _pruned(terms: _CutCodes) -> _CutCodes:
     part plus 0.0, as ``np.bincount`` sums it from 0.0, so a -0.0 part comes
     out 0.0, and the rows of magnitude at most ``PRUNE_EPS`` dropped."""
     re, im = terms.re + 0.0, terms.im + 0.0
-    kept = np.flatnonzero(~(np.hypot(re, im) <= PRUNE_EPS))
+    kept = _kept(re, im)
     return terms.rows(kept, re[kept], im[kept])
 
 

@@ -64,10 +64,34 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _product(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A x`` for entries ``vals`` at ``(rows, cols)``; rows sum in entry order from 0.0."""
-    terms = vals * x[cols]
-    out = np.zeros(len(x), dtype=terms.dtype)
+def _product(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    x: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    gathered: Optional[np.ndarray] = None,
+    terms: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``A x`` for entries ``vals`` at ``(rows, cols)``; rows sum in entry order from 0.0.
+
+    Each term is ``np.multiply(vals, x[cols])``, in that operand order at
+    every size (the operator ``vals * x[cols]`` is evaluated as
+    ``x[cols] * vals`` from 256 KiB of terms up, and a complex multiply is
+    not bitwise commutative).  Given ``out`` (length n, which may be x
+    itself) and the length-nnz scratch ``gathered`` and ``terms``, the
+    product allocates nothing; the gather then wraps instead of checking,
+    so the caller has checked that every column lies in ``range(len(x))``.
+    """
+    if gathered is None:
+        gathered = x[cols]
+    else:
+        x.take(cols, None, gathered, "wrap")
+    terms = np.multiply(vals, gathered, out=terms)
+    if out is None:
+        out = np.zeros(len(x), dtype=terms.dtype)
+    else:
+        out.fill(0)
     np.add.at(out, rows, terms)
     return out
 
@@ -348,6 +372,16 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     steps in all it raises :class:`PowerIterationError`.  Ritz values never
     exceed the top eigenvalue, so the estimate is a lower bound for the norm
     up to rounding in the products.
+
+    A step allocates no vector: every step writes into one workspace made
+    at entry, two complex arrays of length nnz (the Gram product's gathered
+    terms and its products) and four of length n (the Gram product's
+    output, the scaled vectors of the three-term step, and the two Lanczos
+    vectors, which swap by reference), beside the kept start vector.  Its
+    gathers wrap instead of checking, after one check per call that every
+    entry lies in the basis (``IndexError`` otherwise).  The replays and the
+    certificate, which run only on invariant exits, allocate; they call the
+    same ``_product``, so the same operations give the same bits.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -357,14 +391,23 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     rows, cols, vals, conj_vals = op.rows, op.cols, op.vals, op.vals.conjugate()
     eps = np.finfo(float).eps
 
-    def gram(x: np.ndarray) -> np.ndarray:
-        return _product(cols, rows, conj_vals, _product(rows, cols, vals, x))
+    def gram(x: np.ndarray, out=None, gathered=None, terms=None) -> np.ndarray:
+        """``A^H A x``; into ``out``, through the length-nnz scratch, if they are given."""
+        y = _product(rows, cols, vals, x, out, gathered, terms)
+        return _product(cols, rows, conj_vals, y, out, gathered, terms)
 
-    def advance(w: np.ndarray, q: np.ndarray, before: Optional[np.ndarray], j: int) -> np.ndarray:
-        """Three-term step of row j: ``w - alpha_j q - beta_j before`` in place, read from tri."""
-        w -= tri[j, j] * q
+    def advance(
+        w: np.ndarray,
+        q: np.ndarray,
+        before: Optional[np.ndarray],
+        j: int,
+        scaled: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Three-term step of row j: ``w - alpha_j q - beta_j before`` in place,
+        read from tri; the scaled vectors go into ``scaled`` if it is given."""
+        w -= np.multiply(tri[j, j], q, out=scaled)
         if j:
-            w -= tri[j, j - 1] * before
+            w -= np.multiply(tri[j, j - 1], before, out=scaled)
         return w
 
     def replay(steps: int):
@@ -401,7 +444,18 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
             p = b_p
         return True
 
+    # the one range check that the workspace's wrapping gathers rely on
+    for indices in (rows, cols):
+        if indices.min() < 0 or indices.max() >= n:
+            raise IndexError(f"operator entry outside the {n} basis positions")
     start = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    # the workspace, which every step writes into: the Gram product's two
+    # length-nnz scratch arrays and its output w, the scaled vectors of the
+    # three-term step, and the current Lanczos vector q and the one before it,
+    # which swap by reference (before is not read at a run's first step)
+    scratch = [np.empty(len(vals), dtype=complex) for _ in range(2)]
+    w, scaled, q, before = (np.empty(n, dtype=complex) for _ in range(4))
+    q[:] = start
     # the current run's tridiagonal is tri[:k, :k], written in place and grown
     # by doubling; a restart sets k to 0, and every band entry of the new run
     # is written before it is read
@@ -409,11 +463,10 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     k = 0
     first_run: Optional[float] = None  # top Ritz value of the run before the restart
     previous = None
-    q, before = start, None  # the current Lanczos vector and the one before it
     for _ in range(max_iter):
-        w = gram(q)
+        gram(q, w, *scratch)
         tri[k, k] = np.vdot(q, w).real
-        w = advance(w, q, before, k)
+        advance(w, q, before, k, scaled)
         k += 1
         beta = float(np.linalg.norm(w))
         ritz = float(np.linalg.eigvalsh(tri[:k, :k])[-1])
@@ -431,16 +484,16 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
         if restart:
             # fractional parts of j * golden ratio: deterministic, with no pattern to
             # line up with a structured eigenvector, and no random module to load
-            w = (np.modf(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2))[0] - 0.5).astype(complex)
+            w[:] = np.modf(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2))[0] - 0.5
             for _ in range(2):  # twice is enough against cancellation
                 for earlier in replay(k):
                     w -= np.vdot(earlier, w) * earlier
             first_run, k, previous = best, 0, None
-            q, before = w / np.linalg.norm(w), None
+            np.divide(w, np.linalg.norm(w), out=q)
         else:
             previous = ritz
             tri[k - 1, k] = tri[k, k - 1] = beta
-            q, before = w / tri[k, k - 1], q
+            q, before = np.divide(w, tri[k, k - 1], out=before), q
     raise PowerIterationError(f"Lanczos did not stabilize to {tol} within {max_iter} steps")
 
 

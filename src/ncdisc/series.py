@@ -51,13 +51,19 @@ def _sum_and_prune(terms: Terms) -> dict:
     """The canonical step: sum repeated keys, then drop |c| <= PRUNE_EPS.
 
     A NaN (past the boundary check only an overflow or a non-finite scalar
-    can make one) is kept in sight rather than dropped.
+    can make one) is kept in sight rather than dropped.  A finite coefficient
+    whose modulus is past the float range makes ``abs`` raise; only then is
+    the prune redone with ``math.hypot``, whose modulus is inf, so it is kept.
     """
     table: dict = {}
     for key, value in terms:
         table[key] = table.get(key, 0j) + value
     # dropped in place, so that only the pruned keys are hashed again
-    for key in [key for key, c in table.items() if abs(c) <= PRUNE_EPS]:
+    try:
+        pruned = [key for key, c in table.items() if abs(c) <= PRUNE_EPS]
+    except OverflowError:
+        pruned = [key for key, c in table.items() if math.hypot(c.real, c.imag) <= PRUNE_EPS]
+    for key in pruned:
         del table[key]
     return table
 

@@ -185,7 +185,7 @@ class Word:
 
         The recipe is ``object.__new__`` and the three slot writes, the hash
         left ``None``; ``__mul__``, ``strip_prefix`` and the word loop of
-        ``checks._random_words`` run it inline to save a call per word.
+        ``checks._word_stream`` run it inline to save a call per word.
         """
         word = object.__new__(cls)
         word.alphabet = alphabet

@@ -676,6 +676,35 @@ def test_random_operator_matches_the_stdlib_calls(m, cutoff, seed):
     assert np.array_equal(op.vals, expected.vals)
 
 
+def below_operator(basis, seed):
+    """The random operator spelled with the checks' own ``_below`` and
+    ``_random_coefficient``, which its inline draws must match."""
+    getrandbits = random.Random(seed).getrandbits
+    offsets = basis.offsets().tolist()
+    rows, vals = [], []
+    for _ in range(basis.dimension):
+        for start, end in zip(offsets, offsets[1:]):
+            rows.append(start + checks._below(getrandbits, end - start))
+            value = checks._random_coefficient(getrandbits)
+            while not value:
+                value = checks._random_coefficient(getrandbits)
+            vals.append(value)
+    cols = np.repeat(np.arange(basis.dimension), len(offsets) - 1)
+    return TruncatedOperator._from_coo(basis, rows, cols, vals)
+
+
+# the operator suite's bases at --alphabet 2 and 3 (cutoffs 3 and 5), and blocks
+# of sizes that are and are not powers of two
+@pytest.mark.parametrize("m, cutoff", [(1, 6), (2, 3), (2, 5), (3, 3), (3, 5), (5, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+def test_random_operator_matches_the_below_reference(m, cutoff, seed):
+    basis = TruncationBasis(Alphabet(m), cutoff)
+    op = checks._random_operator(basis, seed)
+    expected = below_operator(basis, seed)
+    for field in ("rows", "cols", "vals"):
+        assert getattr(op, field).tobytes() == getattr(expected, field).tobytes()
+
+
 def test_report_all_matches_its_golden_file(capsys):
     # the report of ``report-all --alphabet 2 --seed 1`` with elapsed_s zeroed
     code, out = run(capsys, "report-all", "--alphabet", "2", "--seed", "1")
@@ -1095,6 +1124,24 @@ def test_series_draws_match_the_stdlib_calls(m, seed):
             assert ours.getstate() == theirs.getstate()
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+@pytest.mark.parametrize("seed", [0, 1, 42, 7919])
+def test_a_word_stream_draws_lazily_on_the_shared_generator(m, seed):
+    # each word is drawn when it is taken, so draws of other kinds may come between
+    alphabet = Alphabet(m)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for min_len, max_len in BOUNDS:
+        stream = checks._word_stream(ours, alphabet, max_len, min_len)
+        assert ours.getstate() == theirs.getstate()
+        for _ in range(5):
+            word = next(stream)
+            expected = stdlib_word(theirs, alphabet, max_len, min_len)
+            assert word.alphabet is alphabet
+            assert word.letters == expected.letters
+            assert ours.getstate() == theirs.getstate()
+            assert ours.randrange(10) == theirs.randrange(10)
+
+
 BAD_BOUNDS = [(0, -1), (4, 3), (0, 2.5), (0, 2.0), (0, "3"), (0.5, 3)]
 
 
@@ -1104,6 +1151,15 @@ def test_word_draw_refuses_bad_bounds_before_drawing(min_len, max_len):
     state = rng.getstate()
     with pytest.raises(ValueError):
         checks._random_word(rng, A2, max_len, min_len)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("min_len, max_len", BAD_BOUNDS)
+def test_word_stream_refuses_bad_bounds_before_its_first_draw(min_len, max_len):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        checks._word_stream(rng, A2, max_len, min_len)
     assert rng.getstate() == state
 
 
@@ -1712,6 +1768,50 @@ OVERFLOWING_SOLVES = {
         {"check": "non_finite", "message": "recovered series leaves float range", "word": None},
     ),
 }
+
+
+#: A finite coefficient whose modulus is past float range (abs() overflows).
+BEYOND_MODULUS = {"re": 1.7e308, "im": 1.7e308}
+
+
+def _command_in_a_child(argv):
+    """``ncdisc`` run as a program, so that a traceback or a warning reaches stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ncdisc", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_solve_derivation_of_a_modulus_past_float_range_is_a_verdict(tmp_path):
+    infile = tmp_path / "derivation.json"
+    term = {"word": "z0z1", **BEYOND_MODULUS}
+    values = {"0": {"alphabet": 2, "terms": [term]}}
+    infile.write_text(json.dumps({"alphabet": 2, "values": values}))
+    result = _command_in_a_child(["solve-derivation", "--in", str(infile)])
+    assert result.returncode == 1
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["error"] == {
+        "check": "residual",
+        "message": (
+            "stabilized sum has weight (1.7e+308+1.7e+308j) at z1z0, not left-divisible by z0"
+        ),
+        "word": "z1z0",
+    }
+
+
+def test_trivialize_cocycle_of_a_modulus_past_float_range_warns_nothing(tmp_path):
+    infile = tmp_path / "cocycle.json"
+    term = {"words": ["z0", "z1"], **BEYOND_MODULUS}
+    infile.write_text(json.dumps({"arity": 2, "alphabet": 2, "terms": [term]}))
+    result = _command_in_a_child(["trivialize-cocycle", "--in", str(infile)])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    [kept] = json.loads(result.stdout)["cochain"]["terms"]
+    assert kept == {"words": ["z0z1"], "re": -1.7e308, "im": -1.7e308}
 
 
 @pytest.mark.parametrize("case", list(OVERFLOWING_SOLVES))

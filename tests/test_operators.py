@@ -477,6 +477,34 @@ def test_product_matches_a_bincount_reference_bit_for_bit():
         assert _same_bits(step, _bincount_product(op.cols, op.rows, magnitudes, mid))
 
 
+def _fresh_product(rows, cols, vals, x):
+    """Reference for ``A x`` with fresh arrays, each term ``np.multiply(vals, x[cols])``:
+    a function call, so numpy never evaluates it as ``x[cols] * vals``."""
+    terms = np.multiply(vals, x[cols])
+    out = np.zeros(len(x), dtype=terms.dtype)
+    np.add.at(out, rows, terms)
+    return out
+
+
+@pytest.mark.parametrize("entries", [100, 20_000])
+def test_product_multiplies_in_one_operand_order_bit_for_bit(entries):
+    # from 16,384 complex entries (256 KiB) up, vals * x[cols] is computed as
+    # x[cols] * vals, whose bits differ; the kernel's order does not depend on size
+    rng = np.random.default_rng(entries)
+    n = entries // 2
+    rows, cols = rng.integers(0, n, entries), rng.integers(0, n, entries)
+    vals = rng.standard_normal(entries) + 1j * rng.standard_normal(entries)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = _fresh_product(rows, cols, vals, x)
+    assert _same_bits(_product(rows, cols, vals, x), expected)
+    gathered, terms = np.empty(entries, dtype=complex), np.empty(entries, dtype=complex)
+    out = np.full(n, np.nan, dtype=complex)  # a used buffer is zeroed first
+    assert _product(rows, cols, vals, x, out, gathered, terms) is out
+    assert _same_bits(out, expected)
+    # the output may be the input vector itself, as in the Gram product's second half
+    assert _same_bits(_product(rows, cols, vals, x.copy(), x, gathered, terms), expected)
+
+
 def test_norm_estimate_lanczos_matches_svd_oracle():
     rng = random.Random(300)
     cases = [
@@ -613,6 +641,129 @@ def test_norm_estimate_over_nested_cutoffs():
             exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
             assert estimate == pytest.approx(exact, abs=1e-8)
         previous = estimate
+
+
+def _lanczos_oracle(op, tol=1e-9, max_iter=10_000):
+    """``norm_estimate`` as it was before its workspace: the same steps, with
+    fresh arrays at every step and every product by ``_fresh_product``."""
+    n = op.basis.dimension
+    rows, cols, vals, conj_vals = op.rows, op.cols, op.vals, op.vals.conjugate()
+    eps = np.finfo(float).eps
+
+    def gram(x):
+        return _fresh_product(cols, rows, conj_vals, _fresh_product(rows, cols, vals, x))
+
+    def advance(w, q, before, j):
+        w -= tri[j, j] * q
+        if j:
+            w -= tri[j, j - 1] * before
+        return w
+
+    def replay(steps):
+        before, q = None, start
+        for j in range(steps):
+            yield q
+            if j + 1 < steps:
+                before, q = q, advance(gram(q), q, before, j) / tri[j + 1, j]
+
+    def may_hide_more(top, steps):
+        magnitudes = np.abs(vals)
+        ritz_vector = np.zeros(n, dtype=complex)
+        for weight, q in zip(np.linalg.eigh(tri[:steps, :steps])[1][:, -1], replay(steps)):
+            ritz_vector += weight * q
+        p = np.abs(ritz_vector)
+        for _ in range(steps):
+            p = p / p.max() + eps
+            b_p = _fresh_product(cols, rows, magnitudes, _fresh_product(rows, cols, magnitudes, p))
+            if (b_p / p).max() <= top * (1 + max(tol, np.sqrt(n) * eps)):
+                return False
+            p = b_p
+        return True
+
+    start = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    tri = np.zeros((16, 16))
+    k, first_run, previous = 0, None, None
+    q, before = start, None
+    for _ in range(max_iter):
+        w = gram(q)
+        tri[k, k] = np.vdot(q, w).real
+        w = advance(w, q, before, k)
+        k += 1
+        beta = float(np.linalg.norm(w))
+        ritz = float(np.linalg.eigvalsh(tri[:k, :k])[-1])
+        best = max(ritz, first_run or 0.0)
+        invariant = beta <= np.sqrt(n) * eps * best
+        settled = previous is not None and abs(ritz - previous) <= tol * max(abs(ritz), 1e-300)
+        restart = invariant and k < n and first_run is None and may_hide_more(best, k)
+        if (invariant or settled) and not restart:
+            return float(np.sqrt(best)), first_run is not None
+        if k == len(tri):
+            grown = np.zeros((2 * k, 2 * k))
+            grown[:k, :k] = tri
+            tri = grown
+        if restart:
+            w = (np.modf(np.arange(1, n + 1) * ((1 + np.sqrt(5)) / 2))[0] - 0.5).astype(complex)
+            for _ in range(2):
+                for earlier in replay(k):
+                    w -= np.vdot(earlier, w) * earlier
+            first_run, k, previous = best, 0, None
+            q, before = w / np.linalg.norm(w), None
+        else:
+            previous = ritz
+            tri[k - 1, k] = tri[k, k - 1] = beta
+            q, before = w / tri[k, k - 1], q
+    raise PowerIterationError("oracle did not stabilize")
+
+
+def test_norm_estimate_matches_the_per_step_oracle_bit_for_bit():
+    # m = 2 left compressions up the ladder; at cutoff 13 they hold 18,430
+    # entries, and there vals * x[cols] would give other bits
+    phi = Series(A2, {E: -1 - 1j, w2(1, 0, 0): 3 - 2j})
+    sizes = []
+    for cutoff in range(6, 14):
+        op = left_matrix(phi, TruncationBasis(A2, cutoff))
+        expected, restarted = _lanczos_oracle(op)
+        assert not restarted
+        assert norm_estimate(op).hex() == expected.hex()
+        sizes.append(op.vals.size)
+    assert max(sizes) >= 16_384
+
+
+def test_norm_estimate_restart_matches_the_per_step_oracle_bit_for_bit():
+    # the Mobius Toeplitz matrix's first run ends in an invariant Krylov space
+    # that the certificate refuses; the kernel start sees only 0 before it restarts
+    one = Alphabet(1)
+    coefficients = mobius_coefficients(0.9, 41)
+    mobius = Series(one, {one.word([0] * k): c for k, c in enumerate(coefficients)})
+    basis = TruncationBasis(A2, 2)
+    matrix = np.zeros((basis.dimension, basis.dimension))
+    matrix[0, 0], matrix[0, 1] = 1.0, -1.0
+    kernel_start = TruncatedOperator.from_dense(basis, matrix)
+    cases = [left_matrix(mobius, TruncationBasis(one, 40)), kernel_start]
+    for op in cases:
+        expected, restarted = _lanczos_oracle(op, 1e-11)
+        assert restarted
+        assert norm_estimate(op, 1e-11).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("cutoff", [6, 8, 13])
+def test_norm_estimate_certified_exit_matches_the_per_step_oracle_bit_for_bit(cutoff):
+    op = left_matrix(xi(0, 1), TruncationBasis(A2, cutoff))
+    expected, restarted = _lanczos_oracle(op, 1e-11)
+    assert not restarted
+    assert norm_estimate(op, 1e-11).hex() == expected.hex()
+
+
+def test_norm_estimate_refuses_an_entry_outside_the_basis():
+    # the workspace's gathers wrap, so the range is checked once, up front
+    basis = TruncationBasis(A2, 2)
+    op = TruncatedOperator.identity(basis)
+    for field in ("rows", "cols"):
+        for bad in (basis.dimension, -1):
+            broken = TruncatedOperator._from_sorted(basis, op.rows, op.cols, op.vals)
+            getattr(broken, field)[-1] = bad
+            with pytest.raises(IndexError):
+                norm_estimate(broken)
 
 
 # -- relation checks -------------------------------------------------------------

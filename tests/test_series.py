@@ -76,6 +76,15 @@ def test_zero_series_and_pruning():
     assert dust.is_zero()
 
 
+def test_a_modulus_past_float_range_is_kept():
+    # abs() of this finite coefficient overflows; the prune keeps it, with
+    # modulus inf, next to a term it drops
+    one = Alphabet(1)
+    huge = complex(1.7e308, 1.7e308)
+    series = Series(one, {one.unit(): huge, one.generator(0): PRUNE_EPS / 2})
+    assert series.table == {one.unit(): huge}
+
+
 def test_mixed_alphabets_rejected():
     with pytest.raises(ValueError):
         xi(0) + Series.basis(A3.generator(0))
