@@ -271,7 +271,7 @@ def _random_series(
         (_random_word(rng, alphabet, max_len, min_len), _random_coefficient(getrandbits))
         for _ in range(1 + _below(getrandbits, max_terms))
     ]
-    return Series._from_valid((alphabet,), terms)
+    return Series._from_valid(alphabet, terms)
 
 
 def _random_operator(basis: TruncationBasis, seed: int) -> TruncatedOperator:

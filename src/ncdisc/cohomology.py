@@ -22,6 +22,9 @@ key once.  Keys as tuples of ``Word`` are built on request only: by
 
 The JSON reader and writer go straight to and from the codes, so
 ``trivialize-cocycle`` builds no ``Word`` for a cocycle or its homotopy.
+The reader checks its key shapes and leaves every later stage to
+``series._json_keyed_terms``, the one reader of series terms too, so a fault
+in a cochain of arity one is refused as in a series.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .operators import TruncationBasis
-from .series import PRUNE_EPS, Series, _checked, _json_int, _json_part_lists, _json_terms
+from .series import PRUNE_EPS, Series, _checked, _json_int, _json_keyed_terms, _json_terms
 from .series import adjoint_shift, first_letter_part
-from .words import Alphabet, Word, _check_letter, _index, _match_texts, _split_letters
+from .words import Alphabet, Word, _index
 from .words import enumerate_words
 
 WordTuple = tuple[Word, ...]
@@ -310,16 +313,12 @@ class Cochain:
         """The cochain of ``data["terms"]``, repeated keys summed and pruned,
         read onto cut codes with no ``Word`` built.
 
-        The arity and the alphabet are sizes, neither JSON ``true``.  The
-        terms are read in stages, each over every term: the term objects;
-        the keys, each a list of ``arity`` strings; the distinct texts, in
-        one grammar match, with their letters counted; the coefficient
-        parts; each distinct key string (its texts joined, units left out),
-        split into letters once and bounded by the size.  A key's cuts are
-        the running letter counts of its texts.  With faults in several
-        terms, the first fault of the earliest stage is refused.  So is a
-        coefficient that is not finite after the sum: finite terms can
-        overflow together.
+        The arity and the alphabet are sizes, neither JSON ``true``.  After
+        the term objects, each key is checked to be a list of ``arity``
+        strings; every later stage is ``_json_keyed_terms``'s, a key's
+        string its texts joined.  A key's cuts are the running letter counts
+        of its texts.  A coefficient that is not finite after the sum is
+        refused: finite terms can overflow together.
         """
         arity = _json_int(data["arity"], "arity")
         if arity < 0:
@@ -335,27 +334,16 @@ class Cochain:
             key = next(key for key in keys if not set(map(type, key)).issubset((str,)))
             raise ValueError(f"cochain key {key!r} holds a text that is not a string")
         distinct = list(dict.fromkeys(texts))
-        _match_texts(distinct)
+        re, im, string_texts, spelled, ids = _json_keyed_terms(
+            alphabet.size, terms, distinct, map("".join, keys)
+        )
         letter_counts = {text: text.count("z") for text in distinct}
-        re, im = _json_part_lists(terms)
-        try:
-            re, im = np.array(re, dtype=float), np.array(im, dtype=float)
-        except OverflowError as err:
-            raise ValueError(f"coefficient out of range: {err}") from None
-        # the key strings, joined and their units dropped in one pass each
-        strings = ",".join(map("".join, keys)).replace("e", "").split(",") if keys else []
-        string_ids = {text: k for k, text in enumerate(dict.fromkeys(strings))}
-        string_texts = list(string_ids)
-        spelled = _split_letters(string_texts)
-        size = alphabet.size
-        if max(map(max, filter(None, spelled)), default=0) >= size:
-            # the first string with a letter past the size names its largest one
-            _check_letter(next(top for s in spelled if (top := max(s, default=0)) >= size), size)
         lengths = np.zeros((len(keys), arity + 1), dtype=np.int32)
         counts = np.fromiter(map(letter_counts.__getitem__, texts), np.int32, len(texts))
         lengths[:, 1:] = counts.reshape(len(keys), arity)
-        ids = np.fromiter(map(string_ids.__getitem__, strings), np.int64, len(strings))
+        ids = np.array(ids, dtype=np.int64)
         bounds = np.cumsum(lengths, axis=1, dtype=np.int32)
+        re, im = np.array(re, dtype=float), np.array(im, dtype=float)
         codes = _summed(_CutCodes(alphabet, spelled, string_texts, ids, bounds, re, im))
         bad = np.flatnonzero(~(np.isfinite(codes.re) & np.isfinite(codes.im)))
         if bad.size:

@@ -70,7 +70,7 @@ def inner_derivation(t: Series, phi: Series) -> Series:
     """The commutator derivation with symbol t: ``phi * t - t * phi``, as one
     canonical step over both products' terms; at ``xi_w``, t's words shifted
     by w on the left less those shifted on the right."""
-    phi._require_same_shape(t)
+    phi._check_operand(t)
     left = ((u * v, a * b) for u, a in phi.table.items() for v, b in t.table.items())
     right = ((v * u, -(b * a)) for v, b in t.table.items() for u, a in phi.table.items())
     return phi._like(chain(left, right))
@@ -125,7 +125,7 @@ class GeneratorDerivation:
         if len(letters) == 1:
             return self.values[letters[0]]
         return Series._from_valid(
-            (alphabet,),
+            alphabet,
             (
                 (Word._of(alphabet, letters[:i] + u.letters + letters[i + 1 :]), c)
                 for i, a in enumerate(letters)

@@ -232,11 +232,7 @@ class TruncatedOperator:
 
     def _with_vals(self, vals: np.ndarray) -> "TruncatedOperator":
         """The same positions holding ``vals``, still sorted; the zeros among them drop out."""
-        keep = vals != 0
-        op = TruncatedOperator.__new__(TruncatedOperator)
-        op.basis, op.vals = self.basis, vals[keep]
-        op.rows, op.cols = self.rows[keep], self.cols[keep]
-        return op
+        return self._from_sorted(self.basis, self.rows, self.cols, vals)
 
     def _merged(self, other: "TruncatedOperator", other_vals: np.ndarray) -> list:
         """``[keys, vals]`` of self's entries, then other's positions holding ``other_vals``."""

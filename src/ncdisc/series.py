@@ -1,5 +1,5 @@
 """Finitely supported complex series on a free semigroup, their dict core,
-and the rules for JSON terms that cochains share.
+and the one reader of JSON terms that cochains share.
 
 A series plays two roles: a vector in the square-summable sequence space
 over the semigroup, and the symbol of the convolution operator it induces
@@ -9,25 +9,23 @@ there.  The product is convolution,
 
 which on basis elements is concatenation: ``xi_u * xi_v = xi_{uv}``.
 
-``CoefficientTable`` is the sparse core behind ``Series``: a dict from
-words to complex coefficients, with one canonical step -- sum repeated
-keys, then drop coefficients of magnitude at most ``PRUNE_EPS``, so that
-cancellation leaves no dust -- plus the linear structure and equality.
-Keys and coefficients are checked once, by the public constructor
-(``_checked``, which ``cohomology.Cochain`` runs too), which refuses a key
-over another alphabet and a NaN or infinite coefficient.  Results of
-operations are built from keys that are already valid through the
-internal ``_from_valid`` constructor, which runs only the canonical step.
-The series reader reads a value in stages, each over all its terms -- the
-term objects, the word texts in one grammar match
-(``words._texts_letters``), the coefficient parts, one canonical step --
-and refuses a non-finite coefficient after the sum, so terms in float
-range that overflow together are refused too.  ``conjugate_by`` and
-``adjoint_shift`` are one canonical step over the term streams
-``_transported`` and ``_shifted``, which the solver of ``derivations``
-walks without a series per step.  Cochains store cut codes instead, summed
-and pruned exactly as ``_sum_and_prune`` would; their reader checks parts
-and sizes by this module's rules (JSON ``true`` is not a size).
+A ``Series`` is a dict from words to complex coefficients, with one
+canonical step -- sum repeated keys, then drop coefficients of magnitude at
+most ``PRUNE_EPS``, so that cancellation leaves no dust -- plus the linear
+structure and equality.  Keys and coefficients are checked once, by the
+public constructor (``_checked``, which ``cohomology.Cochain`` runs too),
+which refuses a key over another alphabet and a NaN or infinite
+coefficient.  Results of operations are built from keys that are already
+valid through the internal ``_from_valid`` constructor, which runs only the
+canonical step.  ``conjugate_by`` and ``adjoint_shift`` are one canonical
+step over the term streams ``_transported`` and ``_shifted``, which the
+solver of ``derivations`` walks without a series per step.
+
+A series term is a key with one slot, so both JSON term formats are read by
+one reader: each format checks its own key shapes, and ``_json_keyed_terms``
+runs every later stage, in the one order its docstring gives.  Cochains
+store cut codes instead, summed and pruned exactly as ``_sum_and_prune``
+would; sizes are read by ``_json_int`` (JSON ``true`` is not a size).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import math
 from itertools import chain
 from typing import Callable, Hashable, Iterable, ItemsView, Iterator, Mapping, Optional
 
-from .words import Alphabet, Word, _check_letter, _index, _texts_letters, transport
+from .words import Alphabet, Word, _check_letter, _index, _match_texts, _split_letters, transport
 
 PRUNE_EPS = 1e-14
 
@@ -110,128 +108,101 @@ def _json_terms(data: Mapping) -> list[dict]:
     return terms
 
 
-def _json_parts(term: Mapping) -> tuple[float, float]:
-    """The coefficient parts of a JSON term: ``re`` and an optional ``im``,
-    each a JSON number, never a string or a boolean."""
-    re, im = term["re"], term.get("im", 0.0)
-    if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
-        raise ValueError(f"coefficient parts {re!r}, {im!r} are not both JSON numbers")
-    return re, im
-
-
-def _json_part_lists(terms: list[Mapping]) -> tuple[list, list]:
-    """The ``re`` parts and the ``im`` parts of JSON terms, checked as
-    ``_json_parts`` checks one term, but in whole-list passes; on a fault,
-    the first faulty term raises its own message."""
+def _json_part_lists(terms: list[Mapping]) -> tuple[list[float], list[float]]:
+    """The ``re`` parts and the optional ``im`` parts of JSON terms, as
+    floats.  Each is a JSON number, never a string or a boolean; then an int
+    past the float range is ``coefficient out of range``.  Checked in
+    whole-list passes; on a fault, the first faulty term raises its own
+    message."""
     try:
         parts = [term["re"] for term in terms], [term.get("im", 0.0) for term in terms]
-        if set(map(type, chain(*parts))).issubset(_JSON_NUMBERS):
-            return parts
+        types = set(map(type, chain(*parts)))
     except KeyError:
-        pass
-    for term in terms:
-        _json_parts(term)
-    raise AssertionError("unreachable: every term has two JSON number parts")
+        types = None  # a term without ``re``: the loop names the first fault
+    if types is None or not types.issubset(_JSON_NUMBERS):
+        for term in terms:
+            re, im = term["re"], term.get("im", 0.0)
+            if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
+                raise ValueError(f"coefficient parts {re!r}, {im!r} are not both JSON numbers")
+        raise AssertionError("unreachable: every term has two JSON number parts")
+    if int in types:  # only an int can be past the float range
+        try:
+            parts = list(map(float, parts[0])), list(map(float, parts[1]))
+        except OverflowError as err:
+            raise ValueError(f"coefficient out of range: {err}") from None
+    return parts
 
 
-def _json_coefficients(terms: list[Mapping]) -> list[complex]:
-    """The coefficients of JSON terms: every term's parts checked by
-    ``_json_part_lists`` first, then each pair made complex."""
-    re, im = _json_part_lists(terms)
-    try:
-        return list(map(complex, re, im))
-    except OverflowError as err:
-        raise ValueError(f"coefficient out of range: {err}") from None
+def _json_keyed_terms(
+    size: int, terms: list[Mapping], texts: list[str], key_texts: Iterable[str]
+) -> tuple[list[float], list[float], list[str], list[tuple[int, ...]], list[int]]:
+    """Every stage of reading JSON terms after the key shapes, which each
+    format checks on its own; a series term is a key with one slot.
 
+    ``texts`` are the word texts of the keys, each a string, every one at
+    least once, and ``key_texts`` each key's texts concatenated.  The stages
+    run in this order, each over every term, so that input with faults in
+    several terms is refused with the first fault of the earliest stage, and
+    within a stage with the earliest term's:
 
-class CoefficientTable:
-    """Immutable finitely supported map from keys to complex coefficients.
+    1. the texts, in one grammar match (``_match_texts``);
+    2. the coefficient parts, read as floats by ``_json_part_lists``;
+    3. each key's string, its texts joined with the units left out,
+       interned, and each distinct string split into letters once
+       (``_split_letters``);
+    4. the letters, bounded by ``size``: the first string with a letter
+       past it names its largest letter.
 
-    A subclass says how a key is checked (``_check_key``) and ordered
-    (``_sort_key``), and how the table is written in JSON (``to_json_dict``).
-    ``_shape`` gives the public constructor's leading arguments; tables of
-    one shape can be added and compared.
+    Returns the ``re`` and ``im`` parts, the distinct key strings in order
+    of first occurrence (``""`` for the unit), their letters, and each
+    term's index into them.  A reader sums repeated keys and only then
+    refuses a coefficient that is not finite: finite terms can overflow
+    together.
     """
+    _match_texts(texts)
+    re, im = _json_part_lists(terms)
+    # the key strings, joined and their units dropped in one pass each
+    strings = ",".join(key_texts).replace("e", "").split(",") if terms else []
+    string_ids = {text: k for k, text in enumerate(dict.fromkeys(strings))}
+    distinct = list(string_ids)
+    spelled = _split_letters(distinct)
+    if max(map(max, filter(None, spelled)), default=0) >= size:
+        # the first string with a letter past the size names its largest one
+        _check_letter(next(top for s in spelled if (top := max(s, default=0)) >= size), size)
+    return re, im, distinct, spelled, list(map(string_ids.__getitem__, strings))
+
+
+class Series:
+    """Immutable finitely supported map from words to complex coefficients."""
 
     __slots__ = ("alphabet", "table")
 
     def __init__(self, alphabet: Alphabet, coeffs: Optional[Mapping] = None):
-        self.alphabet = alphabet
-        self.table = _sum_and_prune(_checked(coeffs.items(), self._check_key)) if coeffs else {}
+        def check_word(word: Word) -> Word:
+            if not isinstance(word, Word) or word.alphabet is not alphabet:
+                raise ValueError(f"coefficient at {word!r}, not a word over {alphabet}")
+            return word
 
-    def _shape(self) -> tuple:
-        return (self.alphabet,)
+        self.alphabet = alphabet
+        self.table = _sum_and_prune(_checked(coeffs.items(), check_word)) if coeffs else {}
 
     @classmethod
-    def _from_valid(cls, shape: tuple, terms: Terms):
-        """Internal constructor: ``shape`` as ``_shape()`` gives it, and keys
-        already valid for it; only the canonical step runs."""
-        out = cls(*shape)
+    def _from_valid(cls, alphabet: Alphabet, terms: Terms) -> "Series":
+        """Internal constructor: terms whose words are over ``alphabet``;
+        only the canonical step runs."""
+        out = object.__new__(cls)
+        out.alphabet = alphabet
         out.table = _sum_and_prune(terms)
         return out
 
-    def _like(self, terms: Terms):
-        """Internal constructor for a result of this table's shape."""
-        return self._from_valid(self._shape(), terms)
+    def _like(self, terms: Terms) -> "Series":
+        """Internal constructor for a result over this series' alphabet."""
+        return Series._from_valid(self.alphabet, terms)
 
-    def _require_same_shape(self, other: "CoefficientTable") -> None:
-        if type(other) is not type(self) or self._shape() != other._shape():
-            raise ValueError(f"{type(self).__name__} operands of different shape")
-
-    # -- inspection ------------------------------------------------------
-
-    def coeff(self, key) -> complex:
-        return self.table.get(key, 0j)
-
-    def items(self) -> list:
-        """Terms sorted by key, for deterministic output."""
-        return sorted(self.table.items(), key=lambda kv: self._sort_key(kv[0]))
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def is_zero(self) -> bool:
-        return not self.table
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is type(self)
-            and self._shape() == other._shape()
-            and self.table == other.table
-        )
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other):
-        self._require_same_shape(other)
-        return self._like(chain(self.table.items(), other.table.items()))
-
-    def __sub__(self, other):
-        self._require_same_shape(other)
-        negated = ((key, -c) for key, c in other.table.items())
-        return self._like(chain(self.table.items(), negated))
-
-    def __neg__(self):
-        return self._like((key, -c) for key, c in self.table.items())
-
-    def scaled(self, scalar: complex):
-        scalar = complex(scalar)
-        return self._like((key, scalar * c) for key, c in self.table.items())
-
-    __mul__ = __rmul__ = scaled
-
-
-class Series(CoefficientTable):
-    """Finitely supported map from words to complex coefficients."""
-
-    __slots__ = ()
-
-    _sort_key = staticmethod(Word.sort_key)
-
-    def _check_key(self, word: Word) -> Word:
-        if not isinstance(word, Word) or word.alphabet is not self.alphabet:
-            raise ValueError(f"coefficient at {word!r}, not a word over {self.alphabet}")
-        return word
+    def _check_operand(self, other: "Series") -> None:
+        """Refuse an operand that is not a series over this alphabet."""
+        if type(other) is not Series or other.alphabet is not self.alphabet:
+            raise ValueError("Series operands of different shape")
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "Series":
@@ -251,24 +222,21 @@ class Series(CoefficientTable):
     def from_json_dict(cls, data: Mapping) -> "Series":
         """The series of ``data["terms"]``; repeated words are summed.
 
-        Read in stages, each over every term: the term objects; the word
-        texts, each a JSON string, matched at once by ``_texts_letters`` and
-        built through ``Word._of``; the coefficient parts by
-        ``_json_coefficients``; then one canonical step.  An input with a
-        fault in one term gets that fault's message; with faults in several,
-        the first fault of the earliest stage.  Coefficients are checked
-        after the sum: finite terms can overflow together, and the prune
-        keeps a NaN in sight.
+        Each term's word is a JSON string (its key shape); the later stages
+        are ``_json_keyed_terms``'s, at one slot per key.  One ``Word`` is
+        built per distinct word, then the canonical step runs, and a
+        coefficient that is not finite after the sum is refused, its word
+        named as a cochain names a key of one slot.
         """
         alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
-        terms = list(_json_terms(data))
+        terms = _json_terms(data)
         texts = [_json_typed(term["word"], str, "a word text") for term in terms]
-        words = [Word._of(alphabet, letters) for letters in _texts_letters(texts, alphabet.size)]
-        out = cls(alphabet)
-        out.table = _sum_and_prune(zip(words, _json_coefficients(terms)))
+        re, im, _, spelled, ids = _json_keyed_terms(alphabet.size, terms, texts, texts)
+        words = [Word._of(alphabet, letters) for letters in spelled]
+        out = cls._from_valid(alphabet, zip(map(words.__getitem__, ids), map(complex, re, im)))
         for word, c in out.table.items():
             if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c} at {word}")
+                raise ValueError(f"non-finite coefficient {c} at ({word})")
         return out
 
     def to_json_dict(self) -> dict:
@@ -277,8 +245,28 @@ class Series(CoefficientTable):
 
     # -- inspection ------------------------------------------------------
 
+    def coeff(self, word: Word) -> complex:
+        return self.table.get(word, 0j)
+
+    def items(self) -> list:
+        """Terms sorted by word, for deterministic output."""
+        return sorted(self.table.items(), key=lambda kv: kv[0].sort_key())
+
     def iter_terms(self) -> ItemsView[Word, complex]:
         return self.table.items()
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def is_zero(self) -> bool:
+        return not self.table
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Series
+            and self.alphabet is other.alphabet
+            and self.table == other.table
+        )
 
     def support(self) -> frozenset[Word]:
         return frozenset(self.table)
@@ -304,6 +292,26 @@ class Series(CoefficientTable):
         body = " + ".join(f"({c})*{w}" for w, c in self.items())
         return f"Series({body})"
 
+    # -- linear structure --------------------------------------------------
+
+    def __add__(self, other: "Series") -> "Series":
+        self._check_operand(other)
+        return self._like(chain(self.table.items(), other.table.items()))
+
+    def __sub__(self, other: "Series") -> "Series":
+        self._check_operand(other)
+        negated = ((key, -c) for key, c in other.table.items())
+        return self._like(chain(self.table.items(), negated))
+
+    def __neg__(self) -> "Series":
+        return self._like((key, -c) for key, c in self.table.items())
+
+    def scaled(self, scalar: complex) -> "Series":
+        scalar = complex(scalar)
+        return self._like((key, scalar * c) for key, c in self.table.items())
+
+    __rmul__ = scaled
+
     def __mul__(self, other):
         if isinstance(other, Series):
             return convolve(self, other)
@@ -312,7 +320,7 @@ class Series(CoefficientTable):
 
 def convolve(phi: Series, psi: Series) -> Series:
     """Convolution product; the bilinear extension of ``xi_u * xi_v = xi_{uv}``."""
-    phi._require_same_shape(psi)
+    phi._check_operand(psi)
     return phi._like(
         (u * v, a * b) for u, a in phi.table.items() for v, b in psi.table.items()
     )
@@ -390,6 +398,6 @@ def first_letter_part(phi: Series, letter: int) -> Series:
 
 def max_coeff_diff(phi: Series, psi: Series) -> float:
     """Largest coefficientwise deviation between two series."""
-    phi._require_same_shape(psi)
+    phi._check_operand(psi)
     a, b = phi.table, psi.table
     return max((abs(a.get(w, 0j) - b.get(w, 0j)) for w in set(a) | set(b)), default=0.0)

@@ -12,15 +12,15 @@ in canonical decimal.  There is one ``Alphabet`` per size, so alphabets
 compare by identity.  ``_check_letter`` is the one letter bound: the public
 ``Word`` constructor, the text reader, ``series`` and the generator keys of
 ``derivations`` call it, and products, powers and slices of valid words skip
-it through ``Word._of`` or its recipe inline.  One rule
-reads text: ``_letter_count`` applies the grammar, whose indices are
-canonical non-negative ints, and ``_texts_letters`` reads the letters of a
-list of texts with one match of that grammar and one bound on the largest
-letter; ``_text_letters`` is its one-text case, and ``Alphabet.parse`` is
-that case plus ``Word._of``.  The series reader reads each value's texts in
-one call.  ``cohomology.Cochain.from_json_dict`` runs the stages apart and
-builds no ``Word``: it matches its distinct texts with ``_match_texts``,
-then splits each distinct key string with ``_split_letters``.
+it through ``Word._of`` or its recipe inline.
+
+One rule reads text: ``_letter_count`` applies the grammar, whose indices
+are canonical non-negative ints.  A list of texts is matched at once by
+``_match_texts``, and texts that met the grammar, or their concatenations,
+are split into letters by ``_split_letters``.  ``Alphabet.parse`` runs the
+two on one text, bounds its largest letter and builds the ``Word``; the one
+JSON term reader, ``series._json_keyed_terms``, runs them on the texts and
+the distinct key strings of a whole series or cochain.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _check_letter(letter: int, size: int) -> None:
         raise ValueError(f"letter {letter} outside alphabet of size {size}")
 
 
-#: Joins the texts ``_texts_letters`` matches at once; no word text holds it.
+#: Joins the texts ``_match_texts`` matches at once; no word text holds it.
 _SEPARATOR = ","
 _TEXT = f"(?:e|{_WORD_GRAMMAR.pattern})"
 _TEXTS_GRAMMAR = re.compile(f"{_TEXT}(?:{_SEPARATOR}{_TEXT})*")
@@ -90,22 +90,6 @@ def _split_letters(texts: list[str]) -> list[tuple[int, ...]]:
     """The letters of texts that met the grammar, or of their concatenations
     with the units left out: one split per text that has letters."""
     return [tuple(map(int, rest.split("z"))) if (rest := text[1:]) else () for text in texts]
-
-
-def _texts_letters(texts: list[str], size: int) -> list[tuple[int, ...]]:
-    """The letters of each word text in ``texts``, every letter below ``size``:
-    one ``_match_texts``, one ``_split_letters`` and one bound on the largest
-    letter."""
-    _match_texts(texts)
-    letters = _split_letters(texts)
-    _check_letter(max(itertools.chain.from_iterable(letters), default=0), size)
-    return letters
-
-
-def _text_letters(text: str, size: int) -> tuple[int, ...]:
-    """The letters of a word's text form, each below ``size``: the one-text
-    case of ``_texts_letters``."""
-    return _texts_letters([text], size)[0]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -147,7 +131,10 @@ class Alphabet:
 
     def parse(self, text: str) -> "Word":
         """Inverse of ``str(word)``: ``e`` or a run of ``z<i>`` letters."""
-        return Word._of(self, _text_letters(text, self.size))
+        _match_texts([text])
+        (letters,) = _split_letters([text])
+        _check_letter(max(letters, default=0), self.size)
+        return Word._of(self, letters)
 
 
 def _mixed_alphabets() -> NoReturn:

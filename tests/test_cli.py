@@ -1079,7 +1079,7 @@ def stdlib_series(rng, alphabet, max_len, max_terms=5, min_len=0):
         )
         for _ in range(rng.randint(1, max_terms))
     ]
-    return Series._from_valid((alphabet,), terms)
+    return Series._from_valid(alphabet, terms)
 
 
 BOUNDS = [(0, 0), (3, 3), (1, 6), (0, 1), (0, 4), (2, 9)]
@@ -1555,6 +1555,67 @@ def test_cochain_faults_in_several_terms_report_the_earliest_stage(tmp_path, cap
     infile.write_text('{"arity": 2, "alphabet": 2, "terms": [%s]}' % terms)
     assert main(["trivialize-cocycle", "--in", str(infile)]) == 2
     assert capsys.readouterr().err == f"bad cochain input: {message}\n"
+
+
+#: Two faults in one series input, the later term's in an earlier stage,
+#: and the refusal that names it: the stages of the cochain reader.
+SERIES_FAULT_PAIRS = {
+    # key shapes come before texts
+    "key_before_text": (
+        '{"word": "z0q", "re": 1.0}, {"word": 5, "re": 1.0}',
+        "a word text must be a JSON string, not 5",
+    ),
+    # coefficient parts come before the letter bound
+    "part_before_letter": (
+        '{"word": "z5", "re": 1.0}, {"word": "z0", "re": true}',
+        "coefficient parts True, 0.0 are not both JSON numbers",
+    ),
+    # within a stage, the earlier term's fault
+    "first_letter_bound": (
+        '{"word": "z3", "re": 1.0}, {"word": "z9", "re": 1.0}',
+        "letter 3 outside alphabet of size 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SERIES_FAULT_PAIRS))
+def test_series_faults_in_several_terms_report_the_earliest_stage(tmp_path, capsys, case):
+    terms, message = SERIES_FAULT_PAIRS[case]
+    infile = tmp_path / "input.json"
+    infile.write_text(_in_derivation('{"alphabet": 2, "terms": [%s]}' % terms))
+    assert main(["solve-derivation", "--in", str(infile)]) == 2
+    assert capsys.readouterr().err == f"bad derivation input: {message}\n"
+
+
+#: (word, re) terms with one fault each, as a series and as a cochain of arity 1.
+ONE_SLOT_FAULTS = {
+    "bad_text": [("z0q", 1.0)],
+    "text_with_separator": [("z1", 1.0), ("z0,z1", 1.0)],
+    "part_not_a_number": [("z0", "1")],
+    "part_past_float_range": [("z0", 10**400)],
+    "letter_past_size": [("z1", 1.0), ("z0z7", 1.0)],
+    "sum_past_float_range": [("z0z1", 1e308), ("e", 1.0), ("z0z1", 1e308)],
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_SLOT_FAULTS))
+def test_series_and_cochain_readers_refuse_a_fault_alike(tmp_path, capsys, case):
+    terms = ONE_SLOT_FAULTS[case]
+    series = {"alphabet": 2, "terms": [{"word": w, "re": re} for w, re in terms]}
+    cochain = {"arity": 1, "alphabet": 2, "terms": [{"words": [w], "re": re} for w, re in terms]}
+    messages = []
+    for reader, data in [
+        ("derivation", {"alphabet": 2, "values": {"0": series}}),
+        ("cochain", cochain),
+    ]:
+        argv, refusal = READERS[reader]
+        infile = tmp_path / "input.json"
+        infile.write_text(json.dumps(data))
+        assert main([*argv, str(infile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{refusal} ")
+        messages.append(err.removeprefix(f"{refusal} "))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize(

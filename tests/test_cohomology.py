@@ -26,7 +26,7 @@ from ncdisc.cohomology import (
     one_cocycle_dimension,
     trivialize,
 )
-from ncdisc.series import PRUNE_EPS, Series, _json_coefficients, _sum_and_prune
+from ncdisc.series import PRUNE_EPS, Series, _json_part_lists, _sum_and_prune
 from ncdisc.words import Alphabet, Word, enumerate_words
 
 A2 = Alphabet(2)
@@ -667,13 +667,18 @@ def test_json_scalar_cochain():
 
 def _word_level_reader(data):
     """Reference: the Word-level cochain reader -- each distinct text parsed
-    once through ``Alphabet.parse``, repeated keys summed and pruned by the
-    dict core, then each key and coefficient checked by the constructor."""
+    once through ``Alphabet.parse``, each term's parts checked on their own,
+    repeated keys summed and pruned by the dict core, then each key and
+    coefficient checked by the constructor."""
     alphabet = Alphabet(data["alphabet"])
     parse = functools.cache(alphabet.parse)
+
+    def coefficient(term):
+        (re,), (im,) = _json_part_lists([term])
+        return complex(re, im)
+
     terms = (
-        (tuple(map(parse, term["words"])), _json_coefficients([term])[0])
-        for term in data.get("terms", ())
+        (tuple(map(parse, term["words"])), coefficient(term)) for term in data.get("terms", ())
     )
     return Cochain(data["arity"], alphabet, _sum_and_prune(terms))
 

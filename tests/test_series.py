@@ -413,7 +413,7 @@ def test_json_reader_refuses_a_bad_text_after_many_repeats(tmp_path, capsys, bad
     assert captured.out == ""
 
 
-# -- the shared coefficient-table core -------------------------------------------
+# -- the dict core that series and cochains share ---------------------------------
 
 
 def test_constructor_rejects_non_finite_coefficients():

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncdisc import checks
+from ncdisc.series import _json_keyed_terms
 from ncdisc.words import (
     Alphabet,
     Word,
-    _texts_letters,
     enumerate_words,
     min_word,
     power_shift_check,
@@ -292,11 +292,20 @@ TEXT_LISTS = st.integers(1, 13).flatmap(
 )
 
 
+def _read_texts(texts, size):
+    """The letters of each text as the JSON term reader reads a series' words."""
+    terms = [{"re": 1.0}] * len(texts)
+    *_, spelled, ids = _json_keyed_terms(size, terms, texts, texts)
+    return [spelled[k] for k in ids]
+
+
 @settings(max_examples=200)
 @given(TEXT_LISTS)
 def test_bulk_text_rule_reads_each_text_as_the_one_text_rule(case):
     size, texts = case
-    assert _texts_letters(texts, size) == [_reference_letters(text, size) for text in texts]
+    expected = [_reference_letters(text, size) for text in texts]
+    assert _read_texts(texts, size) == expected
+    assert [Alphabet(size).parse(text).letters for text in texts] == expected
 
 
 @pytest.mark.parametrize("bad", ["z0,z1", "z0,", ",z0", ",", "e,e"])
@@ -304,17 +313,23 @@ def test_bulk_text_rule_refuses_a_text_that_holds_the_separator(bad):
     # joined, "z0,z1" would split into two valid texts
     for texts in ([bad], ["z1", bad], [bad, "e"]):
         with pytest.raises(ValueError, match=re.escape(f"not a word: {bad!r}")):
-            _texts_letters(texts, 2)
+            _read_texts(texts, 2)
+    with pytest.raises(ValueError, match=re.escape(f"not a word: {bad!r}")):
+        A2.parse(bad)
 
 
 def test_bulk_text_rule_names_the_first_bad_text():
     with pytest.raises(ValueError, match="not a word: 'z0x'"):
-        _texts_letters(["z1", "z0x", "q", 5], 2)
+        _read_texts(["z1", "z0x", "q", 5], 2)
     with pytest.raises(ValueError, match="not a word: 5"):
-        _texts_letters(["z1", 5, "q"], 2)
+        _read_texts(["z1", 5, "q"], 2)
+    with pytest.raises(ValueError, match="not a word: 5"):
+        A2.parse(5)
     with pytest.raises(ValueError, match="letter 7 outside alphabet of size 3"):
-        _texts_letters(["z1", "z7z0", "e"], 3)
-    assert _texts_letters([], 2) == []
+        _read_texts(["z1", "z7z0", "e"], 3)
+    with pytest.raises(ValueError, match="letter 7 outside alphabet of size 3"):
+        A3.parse("z7z0")
+    assert _read_texts([], 2) == []
 
 
 # -- interned alphabets and checked letters ------------------------------------
