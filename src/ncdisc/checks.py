@@ -9,8 +9,9 @@ registration order.  Every random input is drawn from ``random.Random``
 with a seed among the parameters, so the parameters replay the check.
 
 The four word sweeps run over canonical letter patterns, one member of each
-relabeling class of word tuples (``_pattern_words``), so their cost stops
-growing with the alphabet; ``_word_sweep_instances`` counts them.
+relabeling class of word tuples (``_pattern_words``), and cancellation's
+set-level term runs over the letters a collision can use, so no word sweep's
+cost grows with the alphabet.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .derivations import (
 from .operators import (
     TruncatedOperator,
     TruncationBasis,
-    _count_shorter,
     basis_dimension,
     cesaro_op,
     commutant_check,
@@ -72,10 +72,6 @@ NORM_CUTOFF = 4
 #: Most words of the basis at ``RunConfig.norm_cutoff`` an operator suite
 #: may hold; the commutant check's sweep of about 4m^3 pairs is bounded by it too.
 MAX_NORM_WORDS = 2048
-#: Most instances the words suite's four sweeps may test together.  Over
-#: canonical patterns only cancellation's set-level term grows with m: at the
-#: defaults m = 12 gives 27,622, m = 149 29.98 million, m = 150 30.6 million.
-MAX_WORD_INSTANCES = 30_000_000
 
 
 @dataclass
@@ -116,37 +112,6 @@ def _check_operator_config(config: RunConfig) -> None:
         raise ValueError(
             f"the norm checks' basis at cutoff {config.norm_cutoff} holds "
             f"{words} words, over {MAX_NORM_WORDS}"
-        )
-
-
-def _word_sweep_instances(config: RunConfig) -> dict[str, int]:
-    """Instances each word sweep tests at ``config``, in closed form from its
-    params: one per word tuple of ``_pattern_words`` (two k per power-shift
-    pair), and cancellation's u's times every word up to ``len``."""
-
-    def count(name: str, *spans: tuple[int, str]) -> int:
-        params = CHECKS[f"words.{name}"].params(config)
-        return _pattern_count(params["m"], *(range(low, params[key] + 1) for low, key in spans))
-
-    cancel = CHECKS["words.cancellation"].params(config)
-    return {
-        "concat_laws": count("concat_laws", *[(0, "len")] * 3),
-        "cancellation": count("cancellation", (0, "len"), (0, "len"))
-        + count("cancellation", (0, "len")) * _count_shorter(cancel["m"], cancel["len"] + 1),
-        "power_shift_sweep": 2 * count("power_shift_sweep", (1, "w_max"), (0, "u_max")),
-        "primitive_root_commutation": count("primitive_root_commutation", *[(1, "max_len")] * 2),
-    }
-
-
-def _check_words_config(config: RunConfig) -> None:
-    """Refuse, before any word is built, a words suite whose sweeps do not fit."""
-    counts = _word_sweep_instances(config)
-    total = sum(counts.values())
-    if total > MAX_WORD_INSTANCES:
-        listed = ", ".join(f"{name} {count}" for name, count in counts.items())
-        raise ValueError(
-            f"the words suite's sweeps test {total} instances ({listed}), "
-            f"over {MAX_WORD_INSTANCES}"
         )
 
 
@@ -340,17 +305,6 @@ def _patterns(length: int, letters: Sequence[int], used: int = 0) -> list[tuple[
     return level
 
 
-def _pattern_count(m: int, *spans: range) -> int:
-    """The number of tuples ``_pattern_words`` yields over m letters: per
-    split, sum S(L, k) over k <= m at its total length L, by the recurrence
-    S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)."""
-    rows = [[1]]
-    for n in range(1, sum(max(span, default=0) for span in spans) + 1):
-        last = rows[-1] + [0]
-        rows.append([0] + [k * last[k] + last[k - 1] for k in range(1, n + 1)])
-    return sum(sum(rows[sum(split)][: m + 1]) for split in itertools.product(*spans))
-
-
 def _pattern_words(rng: random.Random, alphabet: Alphabet, *spans: range) -> Iterator[tuple]:
     """The words cut by each split ``lengths`` in ``product(*spans)`` from
     each pattern of length ``sum(lengths)``, built part by part from tails.
@@ -399,16 +353,21 @@ def _check_concat_laws(params: dict) -> Optional[dict]:
 )
 def _check_cancellation(params: dict) -> Optional[dict]:
     """Division undoes products on one pair of words up to ``len`` per
-    relabeling class, and ``v -> u v`` is injective on all words up to ``len``
+    relabeling class, and ``v -> u v`` is injective on the words up to ``len``
     for one u per class: products and strips read letters only through tuple
-    concatenation, slicing and equality, and a relabeling only permutes the
-    v's, so the set test over every v is exact."""
+    concatenation, slicing and equality, so a relabeling maps a collision to a
+    collision.  The v's of the set test are spelled in u's letters and the
+    ``2 len`` lowest others, which is exact: a collision ``u v1 == u v2`` uses
+    at most ``2 len`` letters outside u, and a relabeling that fixes u's
+    letters moves them there."""
     alphabet = Alphabet(params["m"])
     rng = random.Random(params["seed"])
     lengths = range(params["len"] + 1)
-    words = enumerate_words(alphabet, params["len"])
     for (u,) in _pattern_words(rng, alphabet, lengths):
-        if len({u * v for v in words}) != len(words):
+        fresh = (a for a in alphabet.letters() if a not in u.letters)
+        letters = sorted({*u.letters, *itertools.islice(fresh, 2 * params["len"])})
+        vs = [Word._of(alphabet, t) for n in lengths for t in itertools.product(letters, repeat=n)]
+        if len({u * v for v in vs}) != len(vs):
             return {"u": str(u)}
     for u, v in _pattern_words(rng, alphabet, lengths, lengths):
         w = u * v

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Callable, Collection, Iterator, Optional, TextIO
 
-from .checks import CHECKS, CheckFn, RunConfig, _check_operator_config, _check_words_config
+from .checks import CHECKS, CheckFn, RunConfig, _check_operator_config
 from .cohomology import Cochain, NonCocycleError, trivialize
 from .derivations import GeneratorDerivation, InconsistentDerivationError, _solve_with_deviations
 from .operators import PowerIterationError, TruncationBasis, left_matrix, write_csv
@@ -244,8 +244,6 @@ def _cmd_verify(args: argparse.Namespace, suites: Collection[str]) -> int:
         config = _config_from_args(args)
         if "operators" in suites:
             _check_operator_config(config)
-        if "words" in suites:
-            _check_words_config(config)
     except ValueError as err:
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2

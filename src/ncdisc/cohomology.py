@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .operators import TruncationBasis
+from .operators import basis_dimension
 from .series import PRUNE_EPS, Series, _checked, _json_int, _json_keyed_terms, _json_terms
 from .series import adjoint_shift, first_letter_part
 from .words import Alphabet, Word, _index
@@ -563,30 +563,15 @@ def generator_cocycles(alphabet: Alphabet) -> list[Cochain]:
     ]
 
 
-def one_cocycle_constraints(
-    alphabet: Alphabet, max_len: int
-) -> tuple[np.ndarray, list[Word]]:
-    """Linear system cutting out the one-cocycles supported on short words.
-
-    Variables are the coefficients at words of length <= max_len; each row
-    is the cocycle condition at a pair (u, v) with every term inside the
-    support window.  Returns the constraint matrix and the variable order.
-    """
-    basis = TruncationBasis(alphabet, max_len)
-    lengths = basis.lengths
-    # the pairs (u, v) of ranks with |u| + |v| <= max_len, in row-major order
-    u, v = np.nonzero(lengths[:, None] + lengths <= max_len)
-    rows = np.arange(u.size)
-    matrix = np.zeros((u.size, basis.dimension))
-    matrix[rows, basis.concat(u, v)] -= 1.0
-    matrix[rows[u == 0], v[u == 0]] += 1.0
-    matrix[rows[v == 0], u[v == 0]] += 1.0
-    return matrix, enumerate_words(alphabet, max_len)
-
-
 def one_cocycle_dimension(alphabet: Alphabet, max_len: int) -> int:
     """Dimension of the space of one-cocycles supported on words of length
-    <= max_len; equals the number of generators."""
-    matrix, words = one_cocycle_constraints(alphabet, max_len)
-    rank = int(np.linalg.matrix_rank(matrix))
-    return len(words) - rank
+    <= max_len; equals the number of generators.
+
+    The coboundary of the basis cochain at w spells only w, so a sum of
+    them is a cocycle exactly when each of its terms is one.  The count is
+    the words less the strings the coboundary of their sum spells.
+    """
+    words = basis_dimension(alphabet.size, max_len)
+    basis = [((w,), 1.0) for w in enumerate_words(alphabet, max_len)]
+    spelled = np.bincount(coboundary(Cochain._from_valid((1, alphabet), basis))._codes.ids)
+    return words - int(np.count_nonzero(spelled))
