@@ -544,6 +544,16 @@ def test_words_suite_runs_at_any_alphabet(capsys):
         assert elapsed < 1.0
 
 
+def test_words_suite_budget_accepts_eight_generators_at_the_defaults(capsys):
+    # the words suite has no budget left to refuse it: eight generators run
+    # at the defaults and at any max length
+    for extra in ([], *(["--max-len", str(n)] for n in (0, 1, 6, 100))):
+        code = main(["verify-words", "--alphabet", "8", *extra])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["passed"] and all(check["passed"] for check in report["checks"])
+
+
 def test_word_sweeps_make_the_same_calls_at_twelve_and_a_million_letters(monkeypatch):
     # the sweeps' tuples use at most 8 letters and cancellation's set test at
     # most 9, so from 9 letters on the alphabet only relabels them; the

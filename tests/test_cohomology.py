@@ -613,15 +613,34 @@ def test_one_cocycle_dimension_matches_generator_count():
         one_cocycle_dimension(A2, 30)
 
 
-def test_span_membership_of_short_supported_cocycles():
-    # a one-cochain on words of length <= 3 is a cocycle iff it is a
-    # combination of the generator cocycles: the basis cochain at w is a
-    # cocycle exactly when |w| = 1 (exhaustive over a small grid)
+def test_one_cocycles_vanish_off_generators():
+    # the coboundary of the basis cochain at w spells only w, and is empty
+    # exactly when |w| = 1, so a one-cochain on words of length <= 3 is a
+    # cocycle only when it vanishes off the generators
     for m in (1, 2, 3):
         alphabet = Alphabet(m)
-        for w in enumerate_words(alphabet, 3):
-            assert is_cocycle(Cochain(1, alphabet, {(w,): 1.0})) == (len(w) == 1)
+        words = enumerate_words(alphabet, 3)
+        for w in words:
+            delta = coboundary(Cochain(1, alphabet, {(w,): 1.0}))
+            assert delta.is_zero() == (len(w) == 1)
+            assert all(u * v == w for u, v in delta.table)
+        generators = {(w,): 1.0 + i for i, w in enumerate(words) if len(w) == 1}
+        assert len(generators) == m
+        assert is_cocycle(Cochain(1, alphabet, generators))
+        for w in words:
+            if len(w) != 1:
+                assert not is_cocycle(Cochain(1, alphabet, {**generators, (w,): 1e-3}))
+
+
+def test_span_membership_of_short_supported_cocycles():
+    # a one-cochain on words of length <= 3 is a cocycle iff it is a
+    # combination of the generator cocycles (exhaustive over a small grid)
     deltas = generator_cocycles(A2)
+    words = enumerate_words(A2, 2)
+    for w in words:
+        single = Cochain(1, A2, {(w,): 1.0})
+        in_span = len(w) == 1
+        assert is_cocycle(single) == in_span
     combo = 2 * deltas[0] - 3j * deltas[1]
     assert is_cocycle(combo)
 

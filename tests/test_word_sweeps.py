@@ -89,6 +89,17 @@ def stirling2(n, k):
     return sum(terms) // math.factorial(k)
 
 
+def pattern_count(m, *spans, weight=lambda k: 1):
+    """The tuples ``_pattern_words`` yields over m letters, each weighted by
+    the number k of letters its pattern uses: S(L, k) patterns per split of
+    total length L."""
+    return sum(
+        stirling2(sum(split), k) * weight(k)
+        for split in itertools.product(*spans)
+        for k in range(min(m, sum(split)) + 1)
+    )
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("length", range(7))
 def test_every_letter_tuple_renames_to_exactly_one_pattern(m, length):
@@ -117,10 +128,7 @@ def test_pattern_words_cover_every_relabeling_class_once(m):
     spans = (range(1, 3), range(3))
     found = list(checks._pattern_words(random.Random(m), alphabet, *spans))
     classes = [canonical(u.letters + v.letters) + (len(u),) for u, v in found]
-    counts = sum(
-        stirling2(a + b, k) for a, b in itertools.product(*spans) for k in range(min(m, a + b) + 1)
-    )
-    assert len(set(classes)) == len(classes) == counts
+    assert len(set(classes)) == len(classes) == pattern_count(m, *spans)
     expected = {
         canonical(u.letters + v.letters) + (len(u),)
         for u in enumerate_words(alphabet, 2)
@@ -136,6 +144,61 @@ def test_relabelings_reach_high_letters():
     for words in checks._pattern_words(random.Random(1), alphabet, range(4), range(4)):
         letters.update(a for w in words for a in w.letters)
     assert max(letters) >= 30
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 12])
+def test_instance_counts_are_the_instances_the_sweeps_run(monkeypatch, m):
+    params = {name.split(".")[1]: checks.CHECKS[name].params(RunConfig(alphabet=m)) for name in FULL}
+    n = params["cancellation"]["len"]
+    lengths = range(n + 1)
+
+    def set_test_vs(k):
+        # the v's up to length n spelled in u's k letters and 2n others; at
+        # m = 12 they leave letters out
+        return sum(min(m, k + 2 * n) ** j for j in lengths)
+
+    expected = {
+        "concat_laws": pattern_count(m, *[range(params["concat_laws"]["len"] + 1)] * 3),
+        "cancellation": pattern_count(m, lengths, lengths)
+        + pattern_count(m, lengths, weight=set_test_vs),
+        "power_shift_sweep": 2
+        * pattern_count(
+            m,
+            range(1, params["power_shift_sweep"]["w_max"] + 1),
+            range(params["power_shift_sweep"]["u_max"] + 1),
+        ),
+        "primitive_root_commutation": pattern_count(
+            m, *[range(1, params["primitive_root_commutation"]["max_len"] + 1)] * 2
+        ),
+    }
+    calls = {"mul": 0, "commutes": 0, "power_shift": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Word, "__mul__", counted("mul", Word.__mul__))
+    monkeypatch.setattr(Word, "commutes_with", counted("commutes", Word.commutes_with))
+    monkeypatch.setattr(
+        checks, "power_shift_check", counted("power_shift", checks.power_shift_check)
+    )
+    seen = {}
+    for name in FULL:
+        calls.update(dict.fromkeys(calls, 0))
+        check = checks.CHECKS[name]
+        assert check.run(check.params(RunConfig(alphabet=m))) is None
+        seen[name.split(".")[1]] = dict(calls)
+    # a triple takes six products: both unit laws, u v, (u v) w, v w, u (v w)
+    assert seen["concat_laws"]["mul"] == 6 * expected["concat_laws"]
+    # one product per pair and per set-level product
+    assert seen["cancellation"]["mul"] == expected["cancellation"]
+    assert seen["power_shift_sweep"]["power_shift"] == expected["power_shift_sweep"]
+    assert (
+        seen["primitive_root_commutation"]["commutes"] == expected["primitive_root_commutation"]
+    )
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
