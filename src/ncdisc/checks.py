@@ -11,7 +11,15 @@ with a seed among the parameters, so the parameters replay the check.
 The four word sweeps run over canonical letter patterns, one member of each
 relabeling class of word tuples (``_pattern_words``), and cancellation's
 set-level term runs over the letters a collision can use, so no word sweep's
-cost grows with the alphabet.
+cost grows with the alphabet.  The same reduction serves three checks past
+the words layer.  The commutant check tests one pair (u, v) per pattern of
+the string uv: a permutation of the letters is a unitary P on the basis with
+``P L_u P* = L_{su}`` and ``P R_v P* = R_{sv}`` for the relabeling s.  The
+derivation screens and the stabilization check spell their probes in the
+letters of the trial's symbol t and the lowest others, one probe per class
+under the permutations that fix t's letters, which map the inner derivation
+D_t to itself (``_probe_words``).  So the number of pairs and probes does
+not grow with the alphabet.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +69,7 @@ from .operators import (
     q_projection,
 )
 from .series import Series, conjugate_by, convolve, first_letter_part, max_coeff_diff
-from .words import Alphabet, Word, _index, enumerate_words, min_word, power_shift_check, transport
+from .words import Alphabet, Word, _index, min_word, power_shift_check, transport
 
 DEFAULT_TRIALS = 10_000
 #: Smallest cutoff the operator suite's specs fit: the conjugation check
@@ -70,7 +78,7 @@ MIN_OPERATOR_CUTOFF = 2
 #: Cutoff of the operator checks that estimate many norms of random operators.
 NORM_CUTOFF = 4
 #: Most words of the basis at ``RunConfig.norm_cutoff`` an operator suite
-#: may hold; the commutant check's sweep of about 4m^3 pairs is bounded by it too.
+#: may hold: the norm checks estimate the norms of random operators on it.
 MAX_NORM_WORDS = 2048
 
 
@@ -325,6 +333,11 @@ def _pattern_words(rng: random.Random, alphabet: Alphabet, *spans: range) -> Ite
             yield ws
 
 
+def _fresh(alphabet: Alphabet, used: Collection[int], count: int) -> list[int]:
+    """The ``count`` lowest letters of the alphabet not in ``used``, ascending."""
+    return list(itertools.islice((a for a in alphabet.letters() if a not in used), count))
+
+
 @_register(
     "words.concat_laws", lambda c: {"m": c.alphabet, "len": min(c.max_len, 2), "seed": c.seed + 4}
 )
@@ -364,8 +377,7 @@ def _check_cancellation(params: dict) -> Optional[dict]:
     rng = random.Random(params["seed"])
     lengths = range(params["len"] + 1)
     for (u,) in _pattern_words(rng, alphabet, lengths):
-        fresh = (a for a in alphabet.letters() if a not in u.letters)
-        letters = sorted({*u.letters, *itertools.islice(fresh, 2 * params["len"])})
+        letters = sorted({*u.letters, *_fresh(alphabet, u.letters, 2 * params["len"])})
         vs = [Word._of(alphabet, t) for n in lengths for t in itertools.product(letters, repeat=n)]
         if len({u * v for v in vs}) != len(vs):
             return {"u": str(u)}
@@ -512,16 +524,23 @@ def _check_isometry(params: dict) -> Optional[dict]:
 
 @_register(
     "operators.commutant",
-    lambda c: {"m": c.alphabet, "cutoff": c.cutoff, "pair_max": min(3, c.cutoff)},
+    lambda c: {
+        "m": c.alphabet, "cutoff": c.cutoff, "pair_max": min(3, c.cutoff), "seed": c.seed + 6
+    },
 )
 def _check_commutant(params: dict) -> Optional[dict]:
+    """Left and right shifts commute on one pair (u, v) with ``|u| + |v| <=
+    pair_max`` per relabeling class of the string uv: a permutation s of the
+    letters is a unitary P on the basis with ``P L_u P* = L_{su}`` and
+    ``P R_v P* = R_{sv}``, so the pair (su, sv) passes when (u, v) does."""
     alphabet = Alphabet(params["m"])
     basis = TruncationBasis(alphabet, params["cutoff"])
-    pairs = enumerate_words(alphabet, params["pair_max"])
-    for u in pairs:
-        for v in pairs:
-            if len(u) + len(v) > params["pair_max"]:
-                continue
+    rng = random.Random(params["seed"])
+    pair_max = params["pair_max"]
+    if pair_max < 0:
+        raise ValueError("negative length bound")
+    for n in range(pair_max + 1):
+        for u, v in _pattern_words(rng, alphabet, range(n, n + 1), range(pair_max - n + 1)):
             if not commutant_check(u, v, basis):
                 return {"u": str(u), "v": str(v)}
     return None
@@ -721,19 +740,34 @@ def _check_inner_roundtrip(params: dict) -> Optional[dict]:
     return None
 
 
+def _probe_words(alphabet: Alphabet, symbol: Series, max_len: int) -> list[Word]:
+    """One word of each relabeling class of the nonunit words up to
+    ``max_len`` under the permutations that fix the symbol's letters, which
+    map its inner derivation to itself: the words spelled in the symbol's
+    letters and the ``max_len`` lowest others in which those others first
+    appear in ascending order (``_patterns`` with the symbol's letters
+    counted as used), ascending in the graded-lex order."""
+    used = sorted(symbol.letters_used())
+    letters = used + _fresh(alphabet, used, max_len)
+    return [
+        Word._of(alphabet, p)
+        for n in range(1, max_len + 1)
+        for p, _ in sorted(_patterns(n, letters, len(used)))
+    ]
+
+
 @_register(
     "derivations.screens", lambda c: {"m": c.alphabet, "deg": 3, "seed": c.seed + 1, "trials": 10}
 )
 def _check_screens(params: dict) -> Optional[dict]:
+    """Both screens pass on an inner derivation at every probe of length up
+    to 3 (``_probe_words``), and the solver refuses unit weight."""
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
-    probe_words = [
-        w for w in enumerate_words(alphabet, 3) if not w.is_unit()
-    ]
     for trial in range(params["trials"]):
         symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
-        for w in probe_words:
+        for w in _probe_words(alphabet, symbol, 3):
             if not commuting_support_vanishes(derivation, w):
                 return {"trial": trial, "w": str(w), "screen": "commuting"}
             if not short_support_vanishes(derivation, w):
@@ -754,13 +788,15 @@ def _check_screens(params: dict) -> Optional[dict]:
     lambda c: {"m": c.alphabet, "deg": 3, "seed": c.seed + 2, "trials": 10},
 )
 def _check_stabilization(params: dict) -> Optional[dict]:
+    """The conjugate iterates of an inner derivation's value vanish in time
+    and their sum stabilizes, at every probe of length up to 2
+    (``_probe_words``)."""
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
-    probes = [w for w in enumerate_words(alphabet, 2) if not w.is_unit()]
     for trial in range(params["trials"]):
         symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
-        for w in probes:
+        for w in _probe_words(alphabet, symbol, 2):
             value = derivation.of_word(w)
             if value.is_zero():
                 continue

@@ -67,6 +67,12 @@ def module_left(gamma: complex, phi: Series) -> complex:
     return complex(gamma) * phi.coeff(phi.alphabet.unit())
 
 
+#: Most words ``one_cocycle_dimension`` may index.  It builds a word, a
+#: cochain row and its coboundary's terms per word, about 2.2 kB at m = 2:
+#: a tracemalloc peak of 146 MB at this bound (``max_len`` 15), where the
+#: norm path's ``MAX_DIMENSION`` admits 4,194,304 words, an estimated 10 GB.
+MAX_COCYCLE_WORDS = 1 << 16
+
 #: Largest int64; a cut code that could pass it is re-ranked first.
 _CODE_MAX = int(np.iinfo(np.int64).max)
 
@@ -569,9 +575,15 @@ def one_cocycle_dimension(alphabet: Alphabet, max_len: int) -> int:
 
     The coboundary of the basis cochain at w spells only w, so a sum of
     them is a cocycle exactly when each of its terms is one.  The count is
-    the words less the strings the coboundary of their sum spells.
+    the words less the strings the coboundary of their sum spells.  Past
+    ``MAX_COCYCLE_WORDS`` words it is refused before any word is built.
     """
     words = basis_dimension(alphabet.size, max_len)
+    if words > MAX_COCYCLE_WORDS:
+        raise ValueError(
+            f"one-cocycles over {alphabet.size} generators up to length {max_len} "
+            f"are indexed by {words} words, over {MAX_COCYCLE_WORDS}"
+        )
     basis = [((w,), 1.0) for w in enumerate_words(alphabet, max_len)]
     spelled = np.bincount(coboundary(Cochain._from_valid((1, alphabet), basis))._codes.ids)
     return words - int(np.count_nonzero(spelled))

@@ -584,6 +584,82 @@ def test_word_sweeps_make_the_same_calls_at_twelve_and_a_million_letters(monkeyp
     assert set(seen[0]) == {"mul", "commutes", "power_shift"}
 
 
+def test_relabeled_checks_make_the_same_calls_at_twelve_and_forty_letters(monkeypatch):
+    # the commutant tests 9 pairs at pair_max 2 from two letters on; the
+    # derivation checks probe one word per class under the permutations that
+    # fix the symbol's letters, spelled in them and up to 3 others, so with
+    # the same symbols the probes are the same.  The symbols are drawn from
+    # the alphabet, so here they are drawn over the first 8 letters at both
+    # sizes, which leaves 3 others at 12 letters
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    real_series = checks._random_series
+
+    def drawn_over_eight_letters(rng, alphabet, *args, **kwargs):
+        terms = real_series(rng, Alphabet(8), *args, **kwargs).iter_terms()
+        return Series._from_valid(alphabet, [(Word._of(alphabet, w.letters), c) for w, c in terms])
+
+    monkeypatch.setattr(checks, "_random_series", drawn_over_eight_letters)
+    monkeypatch.setattr(checks, "commutant_check", counted("commutant", checks.commutant_check))
+    monkeypatch.setattr(
+        GeneratorDerivation, "of_word", counted("of_word", GeneratorDerivation.of_word)
+    )
+    seen = []
+    for m in (12, 40):
+        calls.clear()
+        for name in ("operators.commutant", "derivations.screens", "derivations.stabilization"):
+            check = checks.CHECKS[name]
+            assert check.run(check.params(RunConfig(alphabet=m, cutoff=2))) is None
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[0]["commutant"] == 9
+    # with 8 letters in the symbol, at most 848 probes of length <= 3 (against
+    # 65,640 words at 40 letters) and 91 of length <= 2, each read at most
+    # twice in each of the 10 trials
+    assert 0 < seen[0]["of_word"] <= 10 * 2 * (848 + 91)
+
+
+def test_report_all_runs_at_forty_four_letters(capsys):
+    # the largest alphabet whose norm checks' basis at cutoff 2 fits
+    # MAX_NORM_WORDS (1,981 words); the derivations suite runs with the others
+    start = time.process_time()
+    code = main(["report-all", "--alphabet", "44", "--cutoff", "2"])
+    elapsed = time.process_time() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    suites = {rep["suite"]: rep for rep in report["reports"]}
+    assert set(suites) == {"cohomology", "derivations", "operators", "words"}
+    assert all(check["passed"] for rep in suites.values() for check in rep["checks"])
+    assert elapsed < 10.0
+
+
+def test_h1_dimension_past_the_cocycle_bound_is_refused_before_allocation(tmp_path, capsys):
+    # at two letters, length 21 gives 4,194,303 words: under the norm path's
+    # MAX_DIMENSION, but about 10 GB of cochain rows
+    params = {"max_m": 3, "max_len": 21, "seed": 44}
+    payload = {"check": "cohomology.h1_dimension", "params": params}
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        code = main(["report-all", "--replay", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("bad replay payload:")
+    assert "over 65536" in captured.err
+    assert peak < 2**20
+
+
 def test_operator_suite_over_the_norm_word_budget_is_refused_before_allocation(capsys):
     # 2,625,641 words pass the basis budget, but the norm checks' basis at
     # cutoff 4 is over 2048 words: the suite is refused before any basis is built
@@ -960,7 +1036,7 @@ DEFAULT_PARAMS = [
     ("derivations", "derivations.stabilization", {"deg": 3, "m": 2, "seed": 44, "trials": 10}),
     ("derivations", "derivations.normal_approx", {"deg": 4, "m": 2, "seed": 45, "trials": 50}),
     ("operators", "operators.isometry_relations", {"cutoff": 5, "m": 2}),
-    ("operators", "operators.commutant", {"cutoff": 5, "m": 2, "pair_max": 3}),
+    ("operators", "operators.commutant", {"cutoff": 5, "m": 2, "pair_max": 3, "seed": 48}),
     (
         "operators",
         "operators.band_projections",
@@ -1025,7 +1101,7 @@ CLAMPED_PARAMS = [
     ("derivations", "derivations.stabilization", {"deg": 3, "m": 3, "seed": 44, "trials": 10}),
     ("derivations", "derivations.normal_approx", {"deg": 4, "m": 3, "seed": 45, "trials": 50}),
     ("operators", "operators.isometry_relations", {"cutoff": 2, "m": 3}),
-    ("operators", "operators.commutant", {"cutoff": 2, "m": 3, "pair_max": 2}),
+    ("operators", "operators.commutant", {"cutoff": 2, "m": 3, "pair_max": 2, "seed": 48}),
     (
         "operators",
         "operators.band_projections",
