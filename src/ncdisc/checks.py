@@ -46,10 +46,9 @@ from .derivations import (
     GeneratorDerivation,
     InconsistentDerivationError,
     conjugate_vanishing_index,
-    commuting_support_vanishes,
+    first_screen_violation,
     inner_derivation,
     normal_approx_check,
-    short_support_vanishes,
     solve_inner_symbol,
     stabilized_conjugate_sum,
 )
@@ -768,10 +767,10 @@ def _check_screens(params: dict) -> Optional[dict]:
         symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         for w in _probe_words(alphabet, symbol, 3):
-            if not commuting_support_vanishes(derivation, w):
-                return {"trial": trial, "w": str(w), "screen": "commuting"}
-            if not short_support_vanishes(derivation, w):
-                return {"trial": trial, "w": str(w), "screen": "short"}
+            violation = first_screen_violation(w, derivation.of_word(w))
+            if violation is not None:
+                screen = violation[0].removesuffix("_support")
+                return {"trial": trial, "w": str(w), "screen": screen}
     poisoned = GeneratorDerivation(alphabet, {0: Series.unit(alphabet)})
     try:
         solve_inner_symbol(poisoned)
@@ -800,11 +799,10 @@ def _check_stabilization(params: dict) -> Optional[dict]:
             value = derivation.of_word(w)
             if value.is_zero():
                 continue
-            cap = int(value.degree()) + 3
-            index = conjugate_vanishing_index(w, value, cap)
+            index = conjugate_vanishing_index(w, value)
             if index > value.degree() / len(w) + 2:
                 return {"trial": trial, "w": str(w), "index": index}
-            total = stabilized_conjugate_sum(derivation, w)
+            total = stabilized_conjugate_sum(w, value)
             if value != total - conjugate_by(w, total):
                 return {"trial": trial, "w": str(w), "reason": "sum identity"}
     return None

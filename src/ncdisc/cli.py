@@ -1,9 +1,11 @@
 """Batch driver exposing the verification suites and solvers as subcommands.
 
-Subcommands: ``verify-words``, ``verify-operators``, ``solve-derivation``,
-``trivialize-cocycle``, ``report-all``.  Reports are machine readable
-(JSON, optionally CSV), deterministic for a fixed configuration up to the
-timing fields, and every failing check carries a replayable payload.
+Subcommands: ``verify-<suite>`` for each suite of ``checks.CHECKS``
+(``verify-words``, ``verify-operators``, ``verify-derivations``,
+``verify-cohomology``), ``report-all``, ``solve-derivation`` and
+``trivialize-cocycle``.  Reports are machine readable (JSON, optionally
+CSV), deterministic for a fixed configuration up to the timing fields, and
+every failing check carries a replayable payload.
 
 The checks and their suite parameters live in ``checks``; this module runs
 them, turns a crash into a failed check, and writes the reports.  The two
@@ -238,6 +240,8 @@ def _cmd_replay(path: str) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, suites: Collection[str]) -> int:
+    if getattr(args, "dump_matrix", None):
+        return _cmd_dump_matrix(args)
     if getattr(args, "replay", None):
         return _cmd_replay(args.replay)
     try:
@@ -298,12 +302,6 @@ def _cmd_dump_matrix(args: argparse.Namespace) -> int:
     else:
         write_csv(op, sys.stdout)
     return 0
-
-
-def _cmd_verify_operators(args: argparse.Namespace) -> int:
-    if getattr(args, "dump_matrix", None):
-        return _cmd_dump_matrix(args)
-    return _cmd_verify(args, ["operators"])
 
 
 def _run_solver(
@@ -407,18 +405,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify-words", parents=[shared]).set_defaults(
-        handler=lambda args: _cmd_verify(args, ["words"])
-    )
-    operators_parser = sub.add_parser("verify-operators", parents=[shared])
-    operators_parser.add_argument(
-        "--dump-matrix",
-        metavar="SERIES_JSON",
-        help="instead of verifying, dump the left compression of this series as CSV",
-    )
-    operators_parser.set_defaults(handler=lambda args: _cmd_verify_operators(args))
+    suites = list(dict.fromkeys(name.partition(".")[0] for name in CHECKS))
+    for suite in suites:
+        verify = sub.add_parser(f"verify-{suite}", parents=[shared])
+        verify.set_defaults(handler=lambda args, suite=suite: _cmd_verify(args, [suite]))
+        if suite == "operators":
+            verify.add_argument(
+                "--dump-matrix",
+                metavar="SERIES_JSON",
+                help="instead of verifying, dump the left compression of this series as CSV",
+            )
     sub.add_parser("report-all", parents=[shared]).set_defaults(
-        handler=lambda args: _cmd_verify(args, {name.partition(".")[0] for name in CHECKS})
+        handler=lambda args: _cmd_verify(args, suites)
     )
 
     solve = sub.add_parser("solve-derivation")

@@ -54,19 +54,6 @@ class NonCocycleError(ValueError):
         self.witness = witness
 
 
-def cut(w: Word) -> tuple[Word, Word]:
-    """Split off the first letter: ``w == first * rest``, with first the unit
-    only for the unit word."""
-    return Word._of(w.alphabet, w.letters[:1]), Word._of(w.alphabet, w.letters[1:])
-
-
-def module_left(gamma: complex, phi: Series) -> complex:
-    """Module action of a series on a scalar: multiply by the unit weight.
-
-    The right action is the same product, so the bimodule is symmetric."""
-    return complex(gamma) * phi.coeff(phi.alphabet.unit())
-
-
 #: Most words ``one_cocycle_dimension`` may index.  It builds a word, a
 #: cochain row and its coboundary's terms per word, about 2.2 kB at m = 2:
 #: a tracemalloc peak of 146 MB at this bound (``max_len`` 15), where the
@@ -151,8 +138,7 @@ class Cochain:
             raise ValueError("arity must be nonnegative")
         check_key = functools.partial(_check_key, arity, alphabet)
         terms = _checked(table.items(), check_key) if table else ()
-        # a mapping's keys are distinct, so there is nothing to sum
-        self._codes = _pruned(_encoded(arity, alphabet, terms))
+        self._codes = _summed(_encoded(arity, alphabet, terms))
         self._table = None
 
     @classmethod
@@ -411,15 +397,6 @@ def _summed(terms: _CutCodes) -> _CutCodes:
     kept = _kept(re, im)
     kept = kept[np.argsort(first[kept])]
     return terms.rows(first[kept], re[kept], im[kept])
-
-
-def _pruned(terms: _CutCodes) -> _CutCodes:
-    """``_summed`` for rows with distinct word tuples, with no grouping: each
-    part plus 0.0, as ``np.bincount`` sums it from 0.0, so a -0.0 part comes
-    out 0.0, and the rows of magnitude at most ``PRUNE_EPS`` dropped."""
-    re, im = terms.re + 0.0, terms.im + 0.0
-    kept = _kept(re, im)
-    return terms.rows(kept, re[kept], im[kept])
 
 
 def _coboundary_terms(phi: _CutCodes) -> _CutCodes:

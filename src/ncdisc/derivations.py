@@ -11,10 +11,12 @@ The solver sums conjugate-transport iterates of the value at the first
 generator, exact on finitely supported consistent data; it peels each other
 generator b from ``D(z_b) - [xi_{z_b}, t]`` for the t found so far, and
 computes each final commutator ``[xi_{z_a}, t]`` once, to screen t and to
-report its deviation.  Typed errors surface the necessary conditions: no
-weight on words commuting with the base word or below its length, and, once
-the first generator is trivialized, the other values pair words against its
-powers with opposite weights.
+report its deviation.  The screen and the conjugate sums take ``(w, value)``
+with value the expanded D(w), in the order of ``conjugate_by(w, phi)``, so
+a caller expands each value once.  Typed errors surface the necessary
+conditions: no weight on words commuting with the base word or below its
+length, and, once the first generator is trivialized, the other values pair
+words against its powers with opposite weights.
 """
 
 from __future__ import annotations
@@ -174,30 +176,36 @@ class GeneratorDerivation:
         return cls(alphabet, values)
 
 
-def commuting_support_vanishes(derivation: GeneratorDerivation, w: Word) -> bool:
-    """The value at w carries no weight on words commuting with w.
+def first_screen_violation(w: Word, value: Series) -> Optional[tuple[str, Word, complex]]:
+    """The first term of the value D(w) that a necessary screen refuses, as
+    ``(check, word, coefficient)``, or None when both screens pass.
 
-    A necessary condition: weight on a commuting word grows linearly along
-    powers of w, contradicting boundedness.
+    Weight on a word commuting with w (``commuting_support``) grows linearly
+    along powers of w, contradicting boundedness; no weight may sit below the
+    length of w either (``short_support``).  One pass over the terms; a
+    commuting term is reported before any short one.
     """
-    return all(
-        not u.commutes_with(w) for u, _ in derivation.of_word(w).iter_terms()
-    )
+    n = len(w)
+    short = None
+    for u, c in value.iter_terms():
+        if u.commutes_with(w):
+            return "commuting_support", u, c
+        if short is None and len(u) < n:
+            short = "short_support", u, c
+    return short
 
 
-def short_support_vanishes(derivation: GeneratorDerivation, w: Word) -> bool:
-    """The value at w carries no weight on words shorter than w."""
-    return all(len(u) >= len(w) for u, _ in derivation.of_word(w).iter_terms())
-
-
-def _conjugate_iterates(w: Word, phi: Series, cap: int) -> list[list[tuple[Word, complex]]]:
+def _conjugate_iterates(w: Word, phi: Series) -> list[list[tuple[Word, complex]]]:
     """The terms of the conjugate-transport iterates of phi along w before the
-    first empty one.  Raises when none of the first ``cap + 1`` is empty, which
-    happens exactly when phi has weight on a word commuting with w.
+    first empty one.  For consistent data they die within about ``deg / |w|``
+    steps; the cap is ``deg + 3``.  Raises when none of the first ``cap + 1``
+    is empty, which happens exactly when phi has weight on a word commuting
+    with w.
 
     Transport is injective and keeps phi's canonical coefficients, so each
     iterate is the term list of ``conjugate_by`` with no canonical step.
     """
+    cap = (0 if phi.is_zero() else int(phi.degree())) + 3
     iterates = []
     terms = list(phi.iter_terms())
     for _ in range(cap + 1):
@@ -213,25 +221,22 @@ def _conjugate_iterates(w: Word, phi: Series, cap: int) -> list[list[tuple[Word,
     )
 
 
-def conjugate_vanishing_index(w: Word, phi: Series, cap: int) -> int:
+def conjugate_vanishing_index(w: Word, phi: Series) -> int:
     """Smallest m with the m-fold conjugate transport of phi empty; raises
     when no iterate vanishes by the cap."""
-    return len(_conjugate_iterates(w, phi, cap))
+    return len(_conjugate_iterates(w, phi))
 
 
-def stabilized_conjugate_sum(derivation: GeneratorDerivation, w: Word) -> Series:
-    """Sum of the conjugate-transport iterates of the value at w.
+def stabilized_conjugate_sum(w: Word, value: Series) -> Series:
+    """Sum of the conjugate-transport iterates of the value D(w).
 
     The partial sums stabilize once an iterate vanishes; the stabilized sum
     s, taken in one canonical step over the iterates in order, satisfies
-    ``D(w) = s - conjugate_by(w, s)`` exactly.  For consistent data the
-    iterates die within about ``deg / |w|`` steps; the cap is ``deg + 3``.
+    ``D(w) = s - conjugate_by(w, s)`` exactly.
     """
     if w.is_unit():
         raise ValueError("the unit has value zero; no sum to stabilize")
-    phi = derivation.of_word(w)
-    k_max = (0 if phi.is_zero() else int(phi.degree())) + 3
-    return phi._like(chain.from_iterable(_conjugate_iterates(w, phi, k_max)))
+    return value._like(chain.from_iterable(_conjugate_iterates(w, value)))
 
 
 def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:
@@ -245,7 +250,8 @@ def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:
     """
     if w.is_unit():
         raise ValueError("cannot solve at the unit")
-    total = stabilized_conjugate_sum(derivation, w)
+    value = derivation.of_word(w)
+    total = stabilized_conjugate_sum(w, value)
     terms = []
     for u, c in total.iter_terms():
         rest = u.strip_prefix(w)
@@ -260,9 +266,8 @@ def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:
         elif rest.letters:
             terms.append((rest, c))
     t = total._like(terms)
-    expected = derivation.of_word(w)
     produced = inner_derivation(t, Series.basis(w))
-    if max_coeff_diff(produced, expected) > CHECK_TOL:
+    if max_coeff_diff(produced, value) > CHECK_TOL:
         raise InconsistentDerivationError(
             "local_commutator",
             f"commutator with the recovered series does not reproduce the value at {w}",
@@ -319,15 +324,17 @@ def _solve_with_deviations(derivation: GeneratorDerivation) -> tuple[Series, lis
     ``max_coeff_diff([xi_{z_a}, t], D(z_a))`` its last screen computes."""
     alphabet = derivation.alphabet
     for a in alphabet.letters():
-        gen = alphabet.generator(a)
-        for u, c in derivation.value(a).iter_terms():
-            if u.commutes_with(gen):
-                raise InconsistentDerivationError(
-                    "commuting_support",
-                    f"value at generator z{a} has weight {c} at {u}, which commutes with z{a}",
-                    word=u,
-                    coefficient=c,
-                )
+        violation = first_screen_violation(alphabet.generator(a), derivation.value(a))
+        if violation is not None:
+            # the only word shorter than a generator is the unit, which commutes
+            # with it, so the violation is always ``commuting_support``
+            check, u, c = violation
+            raise InconsistentDerivationError(
+                check,
+                f"value at generator z{a} has weight {c} at {u}, which commutes with z{a}",
+                word=u,
+                coefficient=c,
+            )
 
     generators = [Series.basis(alphabet.generator(a)) for a in alphabet.letters()]
     symbol = solve_local_inner(derivation, alphabet.generator(0))
@@ -375,12 +382,13 @@ def normal_approx_check(
     smoothed = cesaro(phi, k)
     projected = conditional_expectation(smoothed, letters)
     approx = inner_derivation(t, projected)
+    exact = inner_derivation(t, smoothed)
     ok = True
     if letters >= phi.letters_used():
         ok = ok and projected == smoothed
-        ok = ok and approx == inner_derivation(t, smoothed)
+        ok = ok and approx == exact
     if not phi.is_zero():
-        error = (inner_derivation(t, smoothed) - inner_derivation(t, phi)).l2_norm()
+        error = (exact - inner_derivation(t, phi)).l2_norm()
         bound = 2.0 * t.l1_norm() * (phi.degree() / k) * phi.l2_norm()
         ok = ok and error <= bound + CHECK_TOL
     return ok

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ncdisc
 from ncdisc import checks, cli
 from ncdisc.checks import RunConfig
 from ncdisc.cli import main
@@ -78,6 +80,27 @@ def test_verify_operators_passes(capsys):
     code, out = run(capsys, "verify-operators", "--cutoff", "4")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_verify_derivations_runs_where_the_operator_suite_is_refused(capsys):
+    argv = ("--alphabet", "44", "--cutoff", "5")
+    code, out = run(capsys, "verify-derivations", *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["suite"] == "derivations"
+    names = [check["name"] for check in report["checks"]]
+    assert names == [name for name in checks.CHECKS if name.startswith("derivations.")]
+    assert all(check["passed"] for check in report["checks"])
+    assert main(["report-all", *argv]) == 2
+    assert capsys.readouterr().err.startswith("bad configuration:")
+
+
+def test_verify_cohomology_passes(capsys):
+    code, out = run(capsys, "verify-cohomology")
+    assert code == 0
+    report = json.loads(out)
+    assert report["suite"] == "cohomology"
+    assert report["passed"] is True
 
 
 def test_report_all_passes_and_merges_sorted(capsys):
@@ -621,9 +644,9 @@ def test_relabeled_checks_make_the_same_calls_at_twelve_and_forty_letters(monkey
     assert seen[0] == seen[1]
     assert seen[0]["commutant"] == 9
     # with 8 letters in the symbol, at most 848 probes of length <= 3 (against
-    # 65,640 words at 40 letters) and 91 of length <= 2, each read at most
-    # twice in each of the 10 trials
-    assert 0 < seen[0]["of_word"] <= 10 * 2 * (848 + 91)
+    # 65,640 words at 40 letters) and 91 of length <= 2, each read once in
+    # each of the 10 trials
+    assert 0 < seen[0]["of_word"] <= 10 * (848 + 91)
 
 
 def test_report_all_runs_at_forty_four_letters(capsys):
@@ -932,6 +955,19 @@ def test_unwritable_trivialize_cocycle_out_is_exit_2(tmp_path, capsys):
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_verify_commands_and_public_names_match_their_registries():
+    (commands,) = (
+        action.choices
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    verify = {name for name in commands if name.startswith("verify-")}
+    assert verify == {f"verify-{name.partition('.')[0]}" for name in checks.CHECKS}
+    missing = [name for name in ncdisc.__all__ if not hasattr(ncdisc, name)]
+    assert missing == []
+    assert len(set(ncdisc.__all__)) == len(ncdisc.__all__)
 
 
 def test_repeated_calls_do_not_share_options(tmp_path, capsys):

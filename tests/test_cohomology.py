@@ -15,13 +15,11 @@ from ncdisc.cohomology import (
     Cochain,
     NonCocycleError,
     coboundary,
-    cut,
     first_cocycle_violation,
     generator_cocycles,
     homotopy,
     homotopy_on_series,
     is_cocycle,
-    module_left,
     one_cocycle_dimension,
     trivialize,
 )
@@ -36,39 +34,6 @@ Z1 = A2.generator(1)
 
 def w2(*letters):
     return A2.word(letters)
-
-
-# -- module actions and cutting -----------------------------------------------
-
-
-def test_module_action_examples():
-    phi = 3 * Series.unit(A2) + Series.basis(Z0)
-    assert module_left(2, phi) == 6
-    assert module_left(5, Series.basis(Z0)) == 0
-
-
-def test_module_actions_agree():
-    rng = random.Random(1)
-    for _ in range(20):
-        gamma = complex(rng.randint(-3, 3), rng.randint(-3, 3))
-        table = {_random_word(rng, A2, 2): rng.randint(-3, 3) for _ in range(3)}
-        phi = Series(A2, table)
-        assert module_left(gamma, phi) == phi.coeff(E) * gamma
-
-
-def test_cut_examples():
-    assert cut(w2(0, 1, 0)) == (Z0, w2(1, 0))
-    assert cut(Z0) == (Z0, E)
-    assert cut(E) == (E, E)
-
-
-def test_cut_reassembles():
-    rng = random.Random(2)
-    for _ in range(30):
-        w = _random_word(rng, A2, 5)
-        first, rest = cut(w)
-        assert first * rest == w
-        assert (first == E) == (w == E)
 
 
 # -- cochains -------------------------------------------------------------------

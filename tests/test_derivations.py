@@ -10,11 +10,10 @@ from ncdisc.checks import _random_series, _random_word
 from ncdisc.derivations import (
     GeneratorDerivation,
     InconsistentDerivationError,
-    commuting_support_vanishes,
     conjugate_vanishing_index,
+    first_screen_violation,
     inner_derivation,
     normal_approx_check,
-    short_support_vanishes,
     solve_inner_symbol,
     solve_local_inner,
     stabilized_conjugate_sum,
@@ -189,21 +188,31 @@ def test_screens_pass_for_inner_data():
     for _ in range(10):
         derivation = GeneratorDerivation.inner(_random_series(rng, A2, 3, max_terms=4, min_len=1))
         for w in probes:
-            assert commuting_support_vanishes(derivation, w)
-            assert short_support_vanishes(derivation, w)
+            assert first_screen_violation(w, derivation.of_word(w)) is None
 
 
 def test_screens_catch_unit_weight():
     poisoned = GeneratorDerivation(A2, {0: Series.unit(A2)})
-    assert not commuting_support_vanishes(poisoned, Z0)
-    assert not short_support_vanishes(poisoned, Z0)
+    # the unit is short and commutes with every word: the commuting screen wins
+    assert first_screen_violation(Z0, poisoned.of_word(Z0)) == ("commuting_support", E, 1)
+
+
+def test_short_screen_reports_the_first_short_term_after_every_commuting_check():
+    value = xi(1) * 2 + xi(0, 1, 0) - xi(0)
+    # z1 and z0 are short at z0z1 and no term commutes with it: the first is reported
+    assert first_screen_violation(w2(0, 1), value) == ("short_support", w2(1), 2)
+    # a later commuting term is reported before an earlier short one
+    assert first_screen_violation(w2(0, 1), value + xi(0, 1) * 3) == (
+        "commuting_support",
+        w2(0, 1),
+        3,
+    )
 
 
 def test_zero_derivation_passes_screens():
     zero = GeneratorDerivation(A2, {})
     for w in (Z0, w2(0, 1)):
-        assert commuting_support_vanishes(zero, w)
-        assert short_support_vanishes(zero, w)
+        assert first_screen_violation(w, zero.of_word(w)) is None
 
 
 # -- conjugate sums ----------------------------------------------------------------
@@ -215,8 +224,9 @@ def test_stabilized_sum_identity():
         symbol = _random_series(rng, A2, 3, max_terms=4, min_len=1)
         derivation = GeneratorDerivation.inner(symbol)
         for w in (Z0, Z1, w2(0, 1)):
-            total = stabilized_conjugate_sum(derivation, w)
-            assert derivation.of_word(w) == total - conjugate_by(w, total)
+            value = derivation.of_word(w)
+            total = stabilized_conjugate_sum(w, value)
+            assert value == total - conjugate_by(w, total)
 
 
 def _reference_stabilized_sum(derivation, w):
@@ -249,14 +259,14 @@ def test_stabilized_sum_keeps_the_bits_of_the_iterate_sum_on_float_data(case):
     alphabet = derivation.alphabet
     for w in enumerate_words(alphabet, 2)[1:]:
         expected = _reference_stabilized_sum(derivation, w)
-        assert _bits(stabilized_conjugate_sum(derivation, w)) == _bits(expected)
+        assert _bits(stabilized_conjugate_sum(w, derivation.of_word(w))) == _bits(expected)
 
 
 def test_stabilized_sum_zero_value():
     derivation = GeneratorDerivation(A2, {})
-    assert stabilized_conjugate_sum(derivation, Z0).is_zero()
+    assert stabilized_conjugate_sum(Z0, derivation.of_word(Z0)).is_zero()
     with pytest.raises(ValueError):
-        stabilized_conjugate_sum(derivation, E)
+        stabilized_conjugate_sum(E, derivation.of_word(E))
 
 
 def test_stabilization_index_bound():
@@ -268,7 +278,7 @@ def test_stabilization_index_bound():
             value = derivation.of_word(w)
             if value.is_zero():
                 continue
-            index = conjugate_vanishing_index(w, value, int(value.degree()) + 3)
+            index = conjugate_vanishing_index(w, value)
             assert index <= value.degree() / len(w) + 2
 
 
@@ -276,7 +286,7 @@ def test_persistent_conjugates_reported():
     # weight on a commuting word never dies under transport
     poisoned = GeneratorDerivation(A2, {0: xi(0, 0)})
     with pytest.raises(InconsistentDerivationError) as info:
-        stabilized_conjugate_sum(poisoned, Z0)
+        stabilized_conjugate_sum(Z0, poisoned.of_word(Z0))
     assert info.value.check == "persistent_conjugates"
 
 
@@ -287,7 +297,7 @@ def test_solve_local_worked_example():
     # symbol xi_{z0z1}: the stabilized sum at z0 telescopes to xi_{z0z0z1}
     symbol = xi(0, 1)
     derivation = GeneratorDerivation.inner(symbol)
-    assert stabilized_conjugate_sum(derivation, Z0) == xi(0, 0, 1)
+    assert stabilized_conjugate_sum(Z0, derivation.of_word(Z0)) == xi(0, 0, 1)
     recovered = solve_local_inner(derivation, Z0)
     assert recovered == symbol
     assert inner_derivation(recovered, xi(0)) == derivation.value(0)

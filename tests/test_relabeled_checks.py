@@ -49,10 +49,10 @@ def full_screens(params):
     probes = nonunit_words(Alphabet(params["m"]), 3)
     for trial, derivation in trial_derivations(params):
         for w in probes:
-            if not checks.commuting_support_vanishes(derivation, w):
-                return {"trial": trial, "w": str(w), "screen": "commuting"}
-            if not checks.short_support_vanishes(derivation, w):
-                return {"trial": trial, "w": str(w), "screen": "short"}
+            violation = checks.first_screen_violation(w, derivation.of_word(w))
+            if violation is not None:
+                screen = violation[0].removesuffix("_support")
+                return {"trial": trial, "w": str(w), "screen": screen}
     return None
 
 
@@ -63,10 +63,10 @@ def full_stabilization(params):
             value = derivation.of_word(w)
             if value.is_zero():
                 continue
-            index = checks.conjugate_vanishing_index(w, value, int(value.degree()) + 3)
+            index = checks.conjugate_vanishing_index(w, value)
             if index > value.degree() / len(w) + 2:
                 return {"trial": trial, "w": str(w), "index": index}
-            total = checks.stabilized_conjugate_sum(derivation, w)
+            total = checks.stabilized_conjugate_sum(w, value)
             if value != total - conjugate_by(w, total):
                 return {"trial": trial, "w": str(w), "reason": "sum identity"}
     return None
@@ -197,6 +197,24 @@ def test_reduced_and_full_derivation_checks_pass(m, name):
     assert FULL[name](params) is None
 
 
+@pytest.mark.parametrize("m", [2, 3, 12])
+@pytest.mark.parametrize("name", list(FULL))
+def test_derivation_checks_expand_each_probe_once(monkeypatch, m, name):
+    probes = []
+    real_probes = checks._probe_words
+
+    def probe_words(*args):
+        words = real_probes(*args)
+        probes.extend(words)
+        return words
+
+    monkeypatch.setattr(checks, "_probe_words", probe_words)
+    expanded = counting(monkeypatch, GeneratorDerivation, "of_word")
+    check = checks.CHECKS[name]
+    assert check.run(check.params(RunConfig(alphabet=m))) is None
+    assert [w for _, w in expanded] == probes
+
+
 @pytest.mark.parametrize("m", [3, 12, 40])
 def test_probes_are_one_word_of_each_relabeling_class(m):
     # each trial's probes meet every class of the nonunit words up to length
@@ -225,14 +243,19 @@ def short_screen_ignoring_weight_off_the_symbols_letters(monkeypatch):
         symbols.append(t)
         return real_inner(cls, t)
 
-    def planted(derivation, w):
-        terms = list(derivation.of_word(w).iter_terms())
+    real_screen = checks.first_screen_violation
+
+    def planted(w, value):
+        violation = real_screen(w, value)
+        terms = list(value.iter_terms())
         letters = symbols[-1].letters_used()
         kept = [abs(c) for u, c in terms if len(u) >= len(w) and letters.issuperset(u.letters)]
-        return sum(kept) == sum(abs(c) for _, c in terms)
+        if violation is not None or sum(kept) == sum(abs(c) for _, c in terms):
+            return violation
+        return ("short_support",) + terms[0]
 
     monkeypatch.setattr(GeneratorDerivation, "inner", classmethod(inner))
-    monkeypatch.setattr(checks, "short_support_vanishes", planted)
+    monkeypatch.setattr(checks, "first_screen_violation", planted)
     return symbols
 
 

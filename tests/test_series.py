@@ -5,7 +5,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ncdisc
 from ncdisc.checks import _random_series
 from ncdisc.cli import main
 from ncdisc.cohomology import Cochain, coboundary, homotopy
@@ -486,9 +485,3 @@ def test_cochain_results_are_canonical(pair, scalar):
     boundary = coboundary(phi)
     for result in (phi + psi, phi - psi, -phi, scalar * phi, boundary, homotopy(boundary)):
         assert_canonical(result)
-
-
-def test_every_public_name_resolves():
-    missing = [name for name in ncdisc.__all__ if not hasattr(ncdisc, name)]
-    assert missing == []
-    assert len(set(ncdisc.__all__)) == len(ncdisc.__all__)
