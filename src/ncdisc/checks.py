@@ -45,12 +45,12 @@ from .cohomology import (
 from .derivations import (
     GeneratorDerivation,
     InconsistentDerivationError,
-    conjugate_vanishing_index,
+    _conjugate_iterates,
+    _iterate_sum,
     first_screen_violation,
     inner_derivation,
     normal_approx_check,
     solve_inner_symbol,
-    stabilized_conjugate_sum,
 )
 from .operators import (
     TruncatedOperator,
@@ -789,7 +789,7 @@ def _check_screens(params: dict) -> Optional[dict]:
 def _check_stabilization(params: dict) -> Optional[dict]:
     """The conjugate iterates of an inner derivation's value vanish in time
     and their sum stabilizes, at every probe of length up to 2
-    (``_probe_words``)."""
+    (``_probe_words``); one iterate list per probe gives the index and the sum."""
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
     for trial in range(params["trials"]):
@@ -799,10 +799,10 @@ def _check_stabilization(params: dict) -> Optional[dict]:
             value = derivation.of_word(w)
             if value.is_zero():
                 continue
-            index = conjugate_vanishing_index(w, value)
-            if index > value.degree() / len(w) + 2:
-                return {"trial": trial, "w": str(w), "index": index}
-            total = stabilized_conjugate_sum(w, value)
+            iterates = _conjugate_iterates(w, value)
+            if len(iterates) > value.degree() / len(w) + 2:
+                return {"trial": trial, "w": str(w), "index": len(iterates)}
+            total = _iterate_sum(value, iterates)
             if value != total - conjugate_by(w, total):
                 return {"trial": trial, "w": str(w), "reason": "sum identity"}
     return None

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Callable, Collection, Iterator, Optional, TextIO
 
 from .checks import CHECKS, CheckFn, RunConfig, _check_operator_config
-from .cohomology import Cochain, NonCocycleError, trivialize
+from .cohomology import Cochain, NonCocycleError, _check_homotopy_arity, trivialize
 from .derivations import GeneratorDerivation, InconsistentDerivationError, _solve_with_deviations
 from .operators import PowerIterationError, TruncationBasis, left_matrix, write_csv
 from .series import Series, _json_typed
@@ -352,10 +352,7 @@ def _solve_derivation(derivation: GeneratorDerivation) -> tuple[dict, Optional[t
 
 
 def _read_cocycle(data: dict) -> Cochain:
-    phi = Cochain.from_json_dict(data)
-    if phi.arity < 2:
-        raise ValueError("homotopy needs arity at least 2")
-    return phi
+    return _check_homotopy_arity(Cochain.from_json_dict(data))
 
 
 def _trivialize(phi: Cochain) -> tuple[dict, Optional[tuple]]:

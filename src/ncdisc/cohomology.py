@@ -12,19 +12,20 @@ A cochain stores one encoding, its cut codes: each key's words
 concatenate to a letter string, interned to an int id, and the key is
 that id and its cut positions.  The coboundary's and the homotopy's terms
 keep their key's string and move only its cuts, so :func:`coboundary`,
-:func:`first_cocycle_violation`, :func:`homotopy`, :func:`trivialize` and
-the sums of cochains are numpy kernels on the codes.  A sum groups its
-terms by string id and cuts in the order they come and prunes exactly as
-the dict core of ``series`` would.  The public constructor checks each
-key once.  Keys as tuples of ``Word`` are built on request only: by
-``table``, decoded on first access and kept, so by ``items``, ``coeff``,
-``evaluate`` and ``==``, and for the witness of a non-cocycle.
+:func:`homotopy`, :func:`trivialize` and the sums of cochains are numpy
+kernels on the codes.  A sum groups its terms by string id and cuts in the
+order they come and prunes exactly as the dict core of ``series`` would.
+The public constructor checks each key word once (``words._check_word``).
 
-The JSON reader and writer go straight to and from the codes, so
-``trivialize-cocycle`` builds no ``Word`` for a cocycle or its homotopy.
-The reader checks its key shapes and leaves every later stage to
-``series._json_keyed_terms``, the one reader of series terms too, so a fault
-in a cochain of arity one is refused as in a series.
+One key order, ``_row_keys``, is read from the codes: ``items``, the JSON
+writer and :func:`first_cocycle_violation` sort by it.  Keys as tuples of
+``Word`` are built by ``_decoded`` only, for ``table`` (on first access,
+then kept) and for the one row of a witness or of a refused coefficient.
+The JSON writer writes each slot by ``words._text``, and the reader leaves
+every stage after its key shapes to ``series._json_keyed_terms``, the one
+reader of series terms too, so ``trivialize-cocycle`` builds no ``Word``
+for a cocycle or its homotopy, and a fault in a cochain of arity one is
+refused as in a series.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ import numpy as np
 from .operators import basis_dimension
 from .series import PRUNE_EPS, Series, _checked, _json_int, _json_keyed_terms, _json_terms
 from .series import adjoint_shift, first_letter_part
-from .words import Alphabet, Word, _index
-from .words import enumerate_words
+from .words import Alphabet, Word, _check_word, _index, _text, enumerate_words
 
 WordTuple = tuple[Word, ...]
 
@@ -67,8 +67,7 @@ _CODE_MAX = int(np.iinfo(np.int64).max)
 class _CutCodes(NamedTuple):
     """A cochain table on cut codes, one row per term, in the table's order.
 
-    Row k spells the letter string ``spelled[ids[k]]``, whose text is
-    ``texts[ids[k]]`` (``""`` for the unit), cut at
+    Row k spells the letter string ``spelled[ids[k]]``, cut at
     ``bounds[k] = (0, |w1|, |w1 w2|, ..., |S|)``, with coefficient
     ``re[k] + i im[k]``.  Two rows have the same word tuple exactly when
     they have the same string id and the same bounds.  Bounds are int32,
@@ -77,7 +76,6 @@ class _CutCodes(NamedTuple):
 
     alphabet: Alphabet
     spelled: list[tuple[int, ...]]
-    texts: list[str]
     ids: np.ndarray
     bounds: np.ndarray
     re: np.ndarray
@@ -87,8 +85,10 @@ class _CutCodes(NamedTuple):
     def arity(self) -> int:
         return self.bounds.shape[1] - 1
 
-    def rows(self, at: np.ndarray, re: np.ndarray, im: np.ndarray) -> "_CutCodes":
-        """The rows ``at`` with the coefficients ``re + i im``."""
+    def rows(self, at, re=None, im=None) -> "_CutCodes":
+        """The rows ``at`` (indices), with their own coefficients or with the
+        coefficients ``re + i im``."""
+        re, im = (self.re[at], self.im[at]) if re is None else (re, im)
         return self._replace(ids=self.ids[at], bounds=self.bounds[at], re=re, im=im)
 
 
@@ -98,8 +98,7 @@ def _check_key(arity: int, alphabet: Alphabet, key: WordTuple) -> WordTuple:
     if len(key) != arity:
         raise ValueError(f"key {key} does not have arity {arity}")
     for w in key:
-        if not isinstance(w, Word) or w.alphabet is not alphabet:
-            raise ValueError(f"key word {w!r} is not a word over {alphabet}")
+        _check_word(alphabet, w)
     return key
 
 
@@ -117,11 +116,29 @@ def _encoded(arity: int, alphabet: Alphabet, terms: Iterable) -> _CutCodes:
             bounds.append(len(letters))
         ids.append(strings.setdefault(letters, len(strings)))
         coeffs.append(c)
-    texts = ["z" + "z".join(map(str, s)) if s else "" for s in strings]
     bounds = np.array(bounds, dtype=np.int32).reshape(len(ids), arity + 1)
     coeffs = np.array(coeffs, dtype=complex)
     ids = np.array(ids, dtype=np.int64)
-    return _CutCodes(alphabet, list(strings), texts, ids, bounds, coeffs.real, coeffs.imag)
+    return _CutCodes(alphabet, list(strings), ids, bounds, coeffs.real, coeffs.imag)
+
+
+def _row_keys(codes: _CutCodes) -> list[tuple]:
+    """Each row's key in the cochain order, read from the codes: per slot
+    ``(length, letters)``, its word's ``Word.sort_key``, so that keys compare
+    tuple-lexicographically in the word order."""
+    spelled = codes.spelled
+    return [
+        tuple([(b - a, s[a:b]) for a, b in zip(row, row[1:])])
+        for s, row in zip(map(spelled.__getitem__, codes.ids.tolist()), codes.bounds.tolist())
+    ]
+
+
+def _decoded(codes: _CutCodes) -> dict[WordTuple, complex]:
+    """The map from word tuples to coefficients in row order, the words read
+    from the row keys, one ``Word`` per distinct letter tuple."""
+    word = functools.cache(functools.partial(Word._of, codes.alphabet))
+    rows = zip(_row_keys(codes), codes.re.tolist(), codes.im.tolist())
+    return {tuple([word(letters) for _, letters in key]): complex(re, im) for key, re, im in rows}
 
 
 class Cochain:
@@ -168,23 +185,10 @@ class Cochain:
     @property
     def table(self) -> Mapping[WordTuple, complex]:
         """The read-only map from word tuples to coefficients in row order,
-        decoded on first access (one ``Word`` per letter tuple) and kept."""
+        decoded on first access and kept."""
         if self._table is None:
-            codes = self._codes
-            word = functools.cache(functools.partial(Word._of, codes.alphabet))
-            spelled = codes.spelled
-            table = {}
-            rows = zip(*(a.tolist() for a in (codes.ids, codes.bounds, codes.re, codes.im)))
-            for k, row, re, im in rows:
-                s = spelled[k]
-                table[tuple(word(s[a:b]) for a, b in zip(row, row[1:]))] = complex(re, im)
-            self._table = MappingProxyType(table)
+            self._table = MappingProxyType(_decoded(self._codes))
         return self._table
-
-    @staticmethod
-    def _sort_key(key: WordTuple) -> tuple:
-        """Tuple-lexicographic in the word order."""
-        return tuple(w.sort_key() for w in key)
 
     @classmethod
     def scalar(cls, alphabet: Alphabet, value: complex) -> "Cochain":
@@ -196,8 +200,10 @@ class Cochain:
         return self.table.get(key, 0j)
 
     def items(self) -> list:
-        """Terms sorted by key, for deterministic output."""
-        return sorted(self.table.items(), key=lambda kv: self._sort_key(kv[0]))
+        """Terms sorted by key (``_row_keys``), for deterministic output."""
+        terms = list(self.table.items())
+        keys = _row_keys(self._codes)
+        return [terms[k] for k in sorted(range(len(terms)), key=keys.__getitem__)]
 
     def __len__(self) -> int:
         return self._codes.ids.size
@@ -236,11 +242,9 @@ class Cochain:
             raise ValueError("Cochain operands of different shape")
         a, b = self._codes, other._codes
         strings = dict(zip(a.spelled, range(len(a.spelled))))
-        texts = a.texts + [text for s, text in zip(b.spelled, b.texts) if s not in strings]
         ids = np.array([strings.setdefault(s, len(strings)) for s in b.spelled], dtype=np.int64)
         merged = a._replace(
             spelled=list(strings),
-            texts=texts,
             ids=np.concatenate([a.ids, ids[b.ids]]),
             bounds=np.concatenate([a.bounds, b.bounds]),
             re=np.concatenate([a.re, sign * b.re]),
@@ -271,33 +275,17 @@ class Cochain:
     # -- interchange format --------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """The cochain JSON, terms in ``items()`` order, with no ``Word`` built.
-
-        Each slot's text is sliced from its string's text.  The rows' texts
-        are joined, each followed by a ``z``, so a row's ``z``s mark where
-        each of its letters starts and, last, where its text ends: a cut at
-        letter j is the row's j-th ``z``, counted from 0.
-        """
+        """The cochain JSON, terms in ``items()`` order, with no ``Word`` built:
+        each slot's text is ``words._text`` of the letters its row key holds,
+        written once per distinct letter tuple."""
         codes = self._codes
-        spelled, texts = codes.spelled, codes.texts
-        ids = codes.ids.tolist()
-        blob = "".join([texts[k] + "z" for k in ids])
-        marks = np.flatnonzero(np.frombuffer(blob.encode("ascii"), np.uint8) == ord("z"))
-        counts = codes.bounds[:, -1] + 1
-        firsts = np.cumsum(counts) - counts
-        rows = []
-        for k, row, at, re, im in zip(
-            ids,
-            codes.bounds.tolist(),
-            marks[firsts[:, None] + codes.bounds].tolist(),
-            codes.re.tolist(),
-            codes.im.tolist(),
-        ):
-            s = spelled[k]
-            key = tuple([(b - a, s[a:b]) for a, b in zip(row, row[1:])])
-            rows.append((key, [blob[a:b] or "e" for a, b in zip(at, at[1:])], re, im))
-        rows.sort(key=itemgetter(0))
-        terms = [{"words": words, "re": re, "im": im} for _, words, re, im in rows]
+        text = functools.cache(_text)
+        keys = _row_keys(codes)
+        re, im = codes.re.tolist(), codes.im.tolist()
+        terms = [
+            {"words": [text(letters) for _, letters in keys[k]], "re": re[k], "im": im[k]}
+            for k in sorted(range(len(keys)), key=keys.__getitem__)
+        ]
         return {"arity": codes.arity, "alphabet": codes.alphabet.size, "terms": terms}
 
     @classmethod
@@ -326,7 +314,7 @@ class Cochain:
             key = next(key for key in keys if not set(map(type, key)).issubset((str,)))
             raise ValueError(f"cochain key {key!r} holds a text that is not a string")
         distinct = list(dict.fromkeys(texts))
-        re, im, string_texts, spelled, ids = _json_keyed_terms(
+        re, im, spelled, ids = _json_keyed_terms(
             alphabet.size, terms, distinct, map("".join, keys)
         )
         letter_counts = {text: text.count("z") for text in distinct}
@@ -336,11 +324,10 @@ class Cochain:
         ids = np.array(ids, dtype=np.int64)
         bounds = np.cumsum(lengths, axis=1, dtype=np.int32)
         re, im = np.array(re, dtype=float), np.array(im, dtype=float)
-        codes = _summed(_CutCodes(alphabet, spelled, string_texts, ids, bounds, re, im))
+        codes = _summed(_CutCodes(alphabet, spelled, ids, bounds, re, im))
         bad = np.flatnonzero(~(np.isfinite(codes.re) & np.isfinite(codes.im)))
         if bad.size:
-            at = bad[:1]
-            ((key, c),) = cls._from_codes(codes.rows(at, codes.re[at], codes.im[at])).table.items()
+            ((key, c),) = _decoded(codes.rows(bad[:1])).items()
             raise ValueError(f"non-finite coefficient {c} at ({', '.join(map(str, key))})")
         return cls._from_codes(codes)
 
@@ -461,10 +448,22 @@ def is_cocycle(phi: Cochain) -> bool:
 
 
 def first_cocycle_violation(phi: Cochain) -> Optional[WordTuple]:
-    """Least tuple where the coboundary is nonzero, or None for a cocycle;
-    ``Word`` objects are built only for a non-cocycle's coboundary."""
-    boundary = coboundary(phi)
-    return min(boundary.table, key=Cochain._sort_key) if len(boundary) else None
+    """Least tuple where the coboundary is nonzero, or None for a cocycle.
+    The least row is found by its key (``_row_keys``), and only its words
+    are built."""
+    codes = coboundary(phi)._codes
+    if not codes.ids.size:
+        return None
+    keys = _row_keys(codes)
+    (witness,) = _decoded(codes.rows([min(range(len(keys)), key=keys.__getitem__)]))
+    return witness
+
+
+def _check_homotopy_arity(phi: Cochain) -> Cochain:
+    """``phi``, refused unless it has a first word to cut and a slot to spare."""
+    if phi.arity < 2:
+        raise ValueError("homotopy needs arity at least 2")
+    return phi
 
 
 def homotopy(phi: Cochain) -> Cochain:
@@ -482,8 +481,7 @@ def homotopy(phi: Cochain) -> Cochain:
     the second yields the only keys with a unit first word), so a sum would
     only add each coefficient to 0.0, which ``+ 0.0`` repeats.
     """
-    if phi.arity < 2:
-        raise ValueError("homotopy needs arity at least 2")
+    _check_homotopy_arity(phi)
     witness = first_cocycle_violation(phi)
     if witness is not None:
         raise NonCocycleError(

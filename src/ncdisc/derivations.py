@@ -22,7 +22,6 @@ words against its powers with opposite weights.
 from __future__ import annotations
 
 import cmath
-import re
 from itertools import chain
 from typing import Mapping, Optional
 
@@ -36,7 +35,7 @@ from .series import (
     conditional_expectation,
     max_coeff_diff,
 )
-from .words import Alphabet, Word, _check_letter
+from .words import _INDEX, Alphabet, Word, _check_letter
 
 #: Coefficient deviations below this are treated as zero in solver checks.
 CHECK_TOL = 1e-12
@@ -76,11 +75,6 @@ def inner_derivation(t: Series, phi: Series) -> Series:
     left = ((u * v, a * b) for u, a in phi.table.items() for v, b in t.table.items())
     right = ((v * u, -(b * a)) for v, b in t.table.items() for u, a in phi.table.items())
     return phi._like(chain(left, right))
-
-
-#: A generator key is its index in canonical decimal, the rule of word
-#: letters: one spelling per generator, so no key can silently replace another.
-_GENERATOR_KEY = re.compile(r"0|[1-9][0-9]*")
 
 
 class GeneratorDerivation:
@@ -167,7 +161,7 @@ class GeneratorDerivation:
         table = _json_typed(data.get("values", {}), dict, "the values")
         values: dict[int, Series] = {}
         for key, sub in table.items():
-            if not isinstance(key, str) or not _GENERATOR_KEY.fullmatch(key):
+            if not isinstance(key, str) or not _INDEX.fullmatch(key):
                 raise ValueError(f"generator key {key!r} is not a canonical decimal index")
             series = Series.from_json_dict(_json_typed(sub, dict, f"the value of generator {key}"))
             if series.alphabet is not alphabet:
@@ -227,6 +221,11 @@ def conjugate_vanishing_index(w: Word, phi: Series) -> int:
     return len(_conjugate_iterates(w, phi))
 
 
+def _iterate_sum(value: Series, iterates: list[list[tuple[Word, complex]]]) -> Series:
+    """The iterates of ``_conjugate_iterates`` in one canonical step, in order."""
+    return value._like(chain.from_iterable(iterates))
+
+
 def stabilized_conjugate_sum(w: Word, value: Series) -> Series:
     """Sum of the conjugate-transport iterates of the value D(w).
 
@@ -236,7 +235,7 @@ def stabilized_conjugate_sum(w: Word, value: Series) -> Series:
     """
     if w.is_unit():
         raise ValueError("the unit has value zero; no sum to stabilize")
-    return value._like(chain.from_iterable(_conjugate_iterates(w, value)))
+    return _iterate_sum(value, _conjugate_iterates(w, value))
 
 
 def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:

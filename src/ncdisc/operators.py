@@ -602,6 +602,8 @@ def mobius_witness_ratio(c: float, cutoff: int, tol: float = 1e-9) -> float:
     basis = TruncationBasis(alphabet, cutoff)
     filtered = first_letter_part(symbol, 0)
     denominator = norm_estimate(left_matrix(symbol, basis), tol)
+    if denominator == 0:
+        raise ValueError(f"the Mobius symbol at c={c} has zero compression at cutoff {cutoff}")
     numerator = norm_estimate(left_matrix(filtered, basis), tol)
     return numerator / denominator
 

@@ -14,28 +14,33 @@ canonical step -- sum repeated keys, then drop coefficients of magnitude at
 most ``PRUNE_EPS``, so that cancellation leaves no dust -- plus the linear
 structure and equality.  Keys and coefficients are checked once, by the
 public constructor (``_checked``, which ``cohomology.Cochain`` runs too),
-which refuses a key over another alphabet and a NaN or infinite
-coefficient.  Results of operations are built from keys that are already
-valid through the internal ``_from_valid`` constructor, which runs only the
-canonical step.  ``conjugate_by`` and ``adjoint_shift`` are one canonical
-step over the term streams ``_transported`` and ``_shifted``, which the
-solver of ``derivations`` walks without a series per step.
+which refuses a key that is not a word over the alphabet
+(``words._check_word``) and a NaN or infinite coefficient.  Results of
+operations are built from keys that are already valid through the internal
+``_from_valid`` constructor, which runs only the canonical step.
+``conjugate_by`` and ``adjoint_shift`` are one canonical step over the term
+streams ``_transported`` and ``_shifted``, which the solver of
+``derivations`` walks without a series per step.
 
 A series term is a key with one slot, so both JSON term formats are read by
 one reader: each format checks its own key shapes, and ``_json_keyed_terms``
-runs every later stage, in the one order its docstring gives.  Cochains
-store cut codes instead, summed and pruned exactly as ``_sum_and_prune``
-would; sizes are read by ``_json_int`` (JSON ``true`` is not a size).
+runs every later stage, in the one order its docstring gives, and returns
+the letters of each distinct key string, never its text: a writer derives
+texts by ``words._text``.  Cochains store cut codes instead, summed and
+pruned exactly as ``_sum_and_prune`` would; sizes are read by ``_json_int``
+(JSON ``true`` is not a size).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from itertools import chain
 from typing import Callable, Hashable, Iterable, ItemsView, Iterator, Mapping, Optional
 
-from .words import Alphabet, Word, _check_letter, _index, _match_texts, _split_letters, transport
+from .words import Alphabet, Word, _check_letter, _check_word, _index, _match_texts, _split_letters
+from .words import transport
 
 PRUNE_EPS = 1e-14
 
@@ -135,7 +140,7 @@ def _json_part_lists(terms: list[Mapping]) -> tuple[list[float], list[float]]:
 
 def _json_keyed_terms(
     size: int, terms: list[Mapping], texts: list[str], key_texts: Iterable[str]
-) -> tuple[list[float], list[float], list[str], list[tuple[int, ...]], list[int]]:
+) -> tuple[list[float], list[float], list[tuple[int, ...]], list[int]]:
     """Every stage of reading JSON terms after the key shapes, which each
     format checks on its own; a series term is a key with one slot.
 
@@ -153,23 +158,21 @@ def _json_keyed_terms(
     4. the letters, bounded by ``size``: the first string with a letter
        past it names its largest letter.
 
-    Returns the ``re`` and ``im`` parts, the distinct key strings in order
-    of first occurrence (``""`` for the unit), their letters, and each
-    term's index into them.  A reader sums repeated keys and only then
-    refuses a coefficient that is not finite: finite terms can overflow
-    together.
+    Returns the ``re`` and ``im`` parts, the letters of the distinct key
+    strings in order of first occurrence, and each term's index into them.
+    A reader sums repeated keys and only then refuses a coefficient that is
+    not finite: finite terms can overflow together.
     """
     _match_texts(texts)
     re, im = _json_part_lists(terms)
     # the key strings, joined and their units dropped in one pass each
     strings = ",".join(key_texts).replace("e", "").split(",") if terms else []
     string_ids = {text: k for k, text in enumerate(dict.fromkeys(strings))}
-    distinct = list(string_ids)
-    spelled = _split_letters(distinct)
+    spelled = _split_letters(list(string_ids))
     if max(map(max, filter(None, spelled)), default=0) >= size:
         # the first string with a letter past the size names its largest one
         _check_letter(next(top for s in spelled if (top := max(s, default=0)) >= size), size)
-    return re, im, distinct, spelled, list(map(string_ids.__getitem__, strings))
+    return re, im, spelled, list(map(string_ids.__getitem__, strings))
 
 
 class Series:
@@ -178,11 +181,7 @@ class Series:
     __slots__ = ("alphabet", "table")
 
     def __init__(self, alphabet: Alphabet, coeffs: Optional[Mapping] = None):
-        def check_word(word: Word) -> Word:
-            if not isinstance(word, Word) or word.alphabet is not alphabet:
-                raise ValueError(f"coefficient at {word!r}, not a word over {alphabet}")
-            return word
-
+        check_word = functools.partial(_check_word, alphabet)
         self.alphabet = alphabet
         self.table = _sum_and_prune(_checked(coeffs.items(), check_word)) if coeffs else {}
 
@@ -231,7 +230,7 @@ class Series:
         alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
         terms = _json_terms(data)
         texts = [_json_typed(term["word"], str, "a word text") for term in terms]
-        re, im, _, spelled, ids = _json_keyed_terms(alphabet.size, terms, texts, texts)
+        re, im, spelled, ids = _json_keyed_terms(alphabet.size, terms, texts, texts)
         words = [Word._of(alphabet, letters) for letters in spelled]
         out = cls._from_valid(alphabet, zip(map(words.__getitem__, ids), map(complex, re, im)))
         for word, c in out.table.items():

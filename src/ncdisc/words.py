@@ -6,21 +6,24 @@ provides the graded-lexicographic well-order, prefix/suffix division,
 commutation and primitive roots, the transport relation ``u*w == w*v``
 used to conjugate convolution symbols, and deterministic enumeration.
 
-Words are immutable, hashable value objects; the text form is ``e`` for
-the unit and concatenated letters like ``z0z1z0`` otherwise, each index
-in canonical decimal.  There is one ``Alphabet`` per size, so alphabets
-compare by identity.  ``_check_letter`` is the one letter bound: the public
-``Word`` constructor, the text reader, ``series`` and the generator keys of
-``derivations`` call it, and products, powers and slices of valid words skip
-it through ``Word._of`` or its recipe inline.
+Words are immutable, hashable value objects.  There is one ``Alphabet``
+per size, so alphabets compare by identity.  Each rule is stated once here
+and called wherever it applies:
 
-One rule reads text: ``_letter_count`` applies the grammar, whose indices
-are canonical non-negative ints.  A list of texts is matched at once by
-``_match_texts``, and texts that met the grammar, or their concatenations,
-are split into letters by ``_split_letters``.  ``Alphabet.parse`` runs the
-two on one text, bounds its largest letter and builds the ``Word``; the one
-JSON term reader, ``series._json_keyed_terms``, runs them on the texts and
-the distinct key strings of a whole series or cochain.
+- ``_INDEX``, the canonical decimal index: the word grammar and the
+  generator keys of ``derivations`` are built from it;
+- ``_text``, the text of letters (``e``, or ``z<i>`` per letter, like
+  ``z0z1z0``): ``str(word)`` and the cochain JSON writer;
+- ``_check_letter``, the letter bound, and ``_check_word``, a word over an
+  alphabet: the public constructors of words, series and cochains.
+  Products, powers and slices of valid words skip the checks through
+  ``Word._of`` or its recipe inline.
+
+Text is read by ``_match_texts``, one grammar match over a list of texts,
+and ``_split_letters``, which splits texts that met it, or their
+concatenations, into letters.  ``Alphabet.parse`` runs the two on one text;
+the one JSON term reader, ``series._json_keyed_terms``, on the texts and the
+distinct key strings of a whole series or cochain.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import re
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, NoReturn, Optional
 
-#: A letter is ``z`` and a generator index in canonical decimal: no sign,
-#: no leading zero, ASCII digits only, so ``str(parse(t)) == t``.
-_WORD_GRAMMAR = re.compile(r"(?:z(?:0|[1-9][0-9]*))+")
+#: A generator index in canonical decimal (no sign, no leading zero, ASCII
+#: digits only); a letter is ``z`` and an index, so ``str(parse(t)) == t``.
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+_WORD_GRAMMAR = re.compile(f"(?:z(?:{_INDEX.pattern}))+")
 
 
 def _index(value: object, what: str) -> int:
@@ -44,20 +48,15 @@ def _index(value: object, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
-def _letter_count(text: object) -> int:
-    """The number of letters of a word's text form: ``e``, or a run of
-    ``z<i>`` letters that meets ``_WORD_GRAMMAR``; anything else is refused."""
-    if text == "e":
-        return 0
-    if not isinstance(text, str) or not _WORD_GRAMMAR.fullmatch(text):
-        raise ValueError(f"not a word: {text!r}")
-    return text.count("z")
-
-
 def _check_letter(letter: int, size: int) -> None:
     """Refuse a letter that is not a generator index below ``size``."""
     if not 0 <= letter < size:
         raise ValueError(f"letter {letter} outside alphabet of size {size}")
+
+
+def _text(letters: tuple[int, ...]) -> str:
+    """The text of a word's letters: ``e`` for none, else ``z<i>`` per letter."""
+    return "z" + "z".join(map(str, letters)) if letters else "e"
 
 
 #: Joins the texts ``_match_texts`` matches at once; no word text holds it.
@@ -79,11 +78,10 @@ def _match_texts(texts: list[str]) -> None:
     try:
         joined = _SEPARATOR.join(texts)
     except TypeError:
-        joined = ""  # a text that is not a string: no match, so the loop names it
+        joined = ""  # a text that is not a string: no match, so the search names it
     if joined.count(_SEPARATOR) != len(texts) - 1 or not _TEXTS_GRAMMAR.fullmatch(joined):
-        for text in texts:
-            _letter_count(text)
-        raise AssertionError("unreachable: every text met the grammar")
+        bad = next(t for t in texts if not isinstance(t, str) or not re.fullmatch(_TEXT, t))
+        raise ValueError(f"not a word: {bad!r}")
 
 
 def _split_letters(texts: list[str]) -> list[tuple[int, ...]]:
@@ -295,12 +293,17 @@ class Word:
         raise AssertionError("unreachable: every word is its own root")
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        return "z" + "z".join(map(str, self.letters))
+        return _text(self.letters)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
+
+
+def _check_word(alphabet: Alphabet, word: object) -> Word:
+    """``word``, refused unless it is a ``Word`` over ``alphabet``."""
+    if not isinstance(word, Word) or word.alphabet is not alphabet:
+        raise ValueError(f"{word!r} is not a word over {alphabet}")
+    return word
 
 
 def min_word(words: Iterable[Word]) -> Word:

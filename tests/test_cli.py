@@ -330,6 +330,18 @@ def test_replay_rejects_unknown_check(tmp_path, capsys):
     assert code == 2
 
 
+def test_replaying_the_mobius_witness_on_a_zero_symbol_is_a_bad_payload(tmp_path, capsys):
+    # c = 0 truncated at cutoff 0 is the zero symbol: its norm ratio has no value
+    params = {"c": 0.0, "cutoff": 0, "lo": 1.8, "tol": 1e-9}
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"check": "operators.mobius_witness", "params": params}))
+    code = main(["verify-operators", "--replay", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("bad replay payload:")
+    assert "zero compression" in captured.err
+
+
 def test_replay_rejects_params_its_check_refuses(tmp_path, capsys):
     payload = {
         "check": "operators.conjugation",

@@ -326,6 +326,33 @@ def test_first_cocycle_violation():
     assert witness == (Z0, Z1)
 
 
+def _word_order(key):
+    """A key's place in the cochain order, from its words: ``Word.sort_key``
+    per slot."""
+    return tuple(w.sort_key() for w in key)
+
+
+def test_witness_is_the_least_coboundary_row_and_only_its_words_are_built(monkeypatch):
+    rng = random.Random(31)
+    for m in (1, 2, 3):
+        for arity in (0, 1, 2, 3):
+            phi = _seeded_cochain(rng, Alphabet(m), arity)
+            boundary = coboundary(phi)
+            if arity == 0:
+                assert first_cocycle_violation(phi) is None and boundary.is_zero()
+                continue
+            assert len(boundary) > 0
+            expected = min(boundary.table, key=_word_order)
+            built = _count_words(monkeypatch)
+            witness = first_cocycle_violation(phi)
+            words_built = built[0]
+            monkeypatch.undo()
+            assert witness == expected
+            # one row of arity + 1 slots; a letter tuple met twice is built once
+            assert 0 < words_built <= arity + 1
+            assert words_built == len({w.letters for w in witness})
+
+
 # -- homotopy -------------------------------------------------------------------------
 
 
@@ -733,6 +760,41 @@ def test_cochain_json_written_from_codes_matches_the_word_level_writer(data):
         assert json.dumps(written) == json.dumps(_word_level_json(homotopy(cocycle)))
 
 
+@st.composite
+def cut_cochains(draw):
+    """Cochains of arity 0-3 over m = 1, 2 or 11 whose keys cut a few shared
+    letter strings at drawn positions, so that strings repeat across keys
+    and slots are often the unit."""
+    m = draw(st.sampled_from([1, 2, 11]))
+    alphabet = Alphabet(m)
+    arity = draw(st.integers(0, 3))
+    letters = st.lists(st.integers(0, m - 1), max_size=4)
+    strings = draw(st.lists(letters, min_size=1, max_size=3)) if arity else [[]]
+    table = {}
+    for _ in range(draw(st.integers(0, 8))):
+        s = draw(st.sampled_from(strings))
+        slots = max(arity - 1, 0)
+        cuts = draw(st.lists(st.integers(0, len(s)), min_size=slots, max_size=slots))
+        bounds = [0, *sorted(cuts), len(s)] if arity else [0]
+        key = tuple(alphabet.word(s[a:b]) for a, b in zip(bounds, bounds[1:]))
+        # exact multiples of the dust unit, so that the coboundary is a cocycle
+        table[key] = complex(draw(_part(st.integers(-2, 2))), draw(_part(st.integers(-2, 2))))
+    return Cochain(arity, alphabet, table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cut_cochains())
+def test_json_writer_and_items_follow_the_word_order_and_word_texts(phi):
+    # the cochain, its coboundary and a sum on shared strings, and the homotopy
+    # of the coboundary, whose strings include ones no row uses
+    cochains = [phi, coboundary(phi), phi - phi.scaled(0.5)]
+    if phi.arity >= 1:
+        cochains.append(homotopy(coboundary(phi)))
+    for cochain in cochains:
+        assert cochain.items() == sorted(cochain.table.items(), key=lambda kv: _word_order(kv[0]))
+        assert json.dumps(cochain.to_json_dict()) == json.dumps(_word_level_json(cochain))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(cochain_json())
 def test_public_constructor_prunes_as_the_grouping_sum_bit_for_bit(data):
@@ -746,8 +808,9 @@ def test_public_constructor_prunes_as_the_grouping_sum_bit_for_bit(data):
     shape = (data["arity"], alphabet)
     pruned = Cochain(*shape, table)._codes
     summed = cohomology._summed(cohomology._encoded(*shape, table.items()))
-    assert pruned.spelled == summed.spelled and pruned.texts == summed.texts
-    for got, expected in zip(pruned[3:], summed[3:]):
+    assert pruned.spelled == summed.spelled
+    for name in ("ids", "bounds", "re", "im"):
+        got, expected = getattr(pruned, name), getattr(summed, name)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
     summed_table = Cochain._from_valid(shape, table.items()).items()

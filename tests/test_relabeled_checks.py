@@ -12,9 +12,13 @@ import random
 
 import pytest
 
-from ncdisc import checks
+from ncdisc import checks, derivations
 from ncdisc.checks import RunConfig
-from ncdisc.derivations import GeneratorDerivation
+from ncdisc.derivations import (
+    GeneratorDerivation,
+    conjugate_vanishing_index,
+    stabilized_conjugate_sum,
+)
 from ncdisc.operators import TruncationBasis
 from ncdisc.series import Series, conjugate_by
 from ncdisc.words import Alphabet, Word, enumerate_words
@@ -63,10 +67,10 @@ def full_stabilization(params):
             value = derivation.of_word(w)
             if value.is_zero():
                 continue
-            index = checks.conjugate_vanishing_index(w, value)
+            index = conjugate_vanishing_index(w, value)
             if index > value.degree() / len(w) + 2:
                 return {"trial": trial, "w": str(w), "index": index}
-            total = checks.stabilized_conjugate_sum(w, value)
+            total = stabilized_conjugate_sum(w, value)
             if value != total - conjugate_by(w, total):
                 return {"trial": trial, "w": str(w), "reason": "sum identity"}
     return None
@@ -213,6 +217,26 @@ def test_derivation_checks_expand_each_probe_once(monkeypatch, m, name):
     check = checks.CHECKS[name]
     assert check.run(check.params(RunConfig(alphabet=m))) is None
     assert [w for _, w in expanded] == probes
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_stabilization_builds_one_iterate_list_per_nonzero_probe(monkeypatch, m):
+    # the iterate list gives both the vanishing index and the stabilized sum
+    nonzero = []
+    real_of_word = GeneratorDerivation.of_word
+
+    def of_word(self, w):
+        value = real_of_word(self, w)
+        if not value.is_zero():
+            nonzero.append(w)
+        return value
+
+    monkeypatch.setattr(GeneratorDerivation, "of_word", of_word)
+    calls = counting(monkeypatch, derivations, "_conjugate_iterates")
+    monkeypatch.setattr(checks, "_conjugate_iterates", derivations._conjugate_iterates, raising=False)
+    check = checks.CHECKS["derivations.stabilization"]
+    assert check.run(check.params(RunConfig(alphabet=m))) is None
+    assert nonzero and [w for w, _ in calls] == nonzero
 
 
 @pytest.mark.parametrize("m", [3, 12, 40])
