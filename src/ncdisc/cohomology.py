@@ -46,6 +46,18 @@ from .words import Alphabet, Word, _check_word, _index, _text, enumerate_words
 WordTuple = tuple[Word, ...]
 
 
+def _check_arity(arity: int) -> int:
+    """``arity``, refused if negative."""
+    if arity < 0:
+        raise ValueError("arity must be nonnegative")
+    return arity
+
+
+def _key_text(key: WordTuple) -> str:
+    """A cochain key as messages write it: ``(w1, w2, ...)``."""
+    return f"({', '.join(map(str, key))})"
+
+
 class NonCocycleError(ValueError):
     """A cochain whose coboundary is nonzero where a cocycle was required."""
 
@@ -150,9 +162,7 @@ class Cochain:
     __slots__ = ("_codes", "_table")
 
     def __init__(self, arity: int, alphabet: Alphabet, table: Optional[Mapping] = None):
-        arity = _index(arity, "arity")
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
+        arity = _check_arity(_index(arity, "arity"))
         check_key = functools.partial(_check_key, arity, alphabet)
         terms = _checked(table.items(), check_key) if table else ()
         self._codes = _summed(_encoded(arity, alphabet, terms))
@@ -300,9 +310,7 @@ class Cochain:
         of its texts.  A coefficient that is not finite after the sum is
         refused: finite terms can overflow together.
         """
-        arity = _json_int(data["arity"], "arity")
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
+        arity = _check_arity(_json_int(data["arity"], "arity"))
         alphabet = Alphabet(_json_int(data["alphabet"], "alphabet size"))
         terms = _json_terms(data)
         keys = list(map(itemgetter("words"), terms))
@@ -328,7 +336,7 @@ class Cochain:
         bad = np.flatnonzero(~(np.isfinite(codes.re) & np.isfinite(codes.im)))
         if bad.size:
             ((key, c),) = _decoded(codes.rows(bad[:1])).items()
-            raise ValueError(f"non-finite coefficient {c} at ({', '.join(map(str, key))})")
+            raise ValueError(f"non-finite coefficient {c} at {_key_text(key)}")
         return cls._from_codes(codes)
 
 
@@ -485,7 +493,7 @@ def homotopy(phi: Cochain) -> Cochain:
     witness = first_cocycle_violation(phi)
     if witness is not None:
         raise NonCocycleError(
-            f"not a cocycle: coboundary is nonzero at ({', '.join(str(w) for w in witness)})",
+            f"not a cocycle: coboundary is nonzero at {_key_text(witness)}",
             witness=witness,
         )
     codes = phi._codes

@@ -163,10 +163,8 @@ class GeneratorDerivation:
         for key, sub in table.items():
             if not isinstance(key, str) or not _INDEX.fullmatch(key):
                 raise ValueError(f"generator key {key!r} is not a canonical decimal index")
-            series = Series.from_json_dict(_json_typed(sub, dict, f"the value of generator {key}"))
-            if series.alphabet is not alphabet:
-                raise ValueError("generator value over a different alphabet")
-            values[int(key)] = series
+            value = _json_typed(sub, dict, f"the value of generator {key}")
+            values[int(key)] = Series.from_json_dict(value)
         return cls(alphabet, values)
 
 

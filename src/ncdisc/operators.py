@@ -349,35 +349,25 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     """Largest singular value via Lanczos on the Gram operator ``A^H A``.
 
     The Gram operator is applied matrix-free from the coordinate arrays.
-    Lanczos runs the plain three-term recurrence from the deterministic
-    all-ones vector, holding only the last two Lanczos vectors and the
-    tridiagonal, so its memory is O(n + nnz).  Without reorthogonalization
-    the top Ritz value still converges to rounding (Paige 1980), and by
-    Cauchy interlacing it never decreases from one step to the next.  It
-    stops when that value changes by at most ``tol`` (relative) between
-    steps, or when the next Lanczos vector vanishes to rounding level, so the
-    Krylov space is invariant and the Ritz value exact on it.  The spectrum
-    on the complement of that space is unseen, so an invariant exit with
-    fewer than n vectors returns only if a Collatz-Wielandt bound certifies
-    the Ritz value to ``tol``; otherwise Lanczos restarts once, from a
-    deterministic vector without structure made orthogonal to the first
-    run's vectors (in general position it meets every eigenspace of the
-    complement), and the larger top Ritz value of the two runs is returned.
-    The certificate's Ritz vector and the restart's orthogonalization get the
-    first run's vectors by replaying its recurrence.  Past ``max_iter``
-    steps in all it raises :class:`PowerIterationError`.  Ritz values never
-    exceed the top eigenvalue, so the estimate is a lower bound for the norm
-    up to rounding in the products.
+    One run of the plain three-term recurrence starts from the normalized
+    fractional parts of ``j * golden ratio`` minus 1/2: deterministic, and
+    in general position, so it meets the top eigenspace (Paige 1980; Parlett
+    1998).  It holds the last two Lanczos vectors and the tridiagonal, so
+    its memory is O(n + nnz).  Without reorthogonalization the top Ritz
+    value still converges to rounding, and by Cauchy interlacing it never
+    decreases.  The run stops when that value changes by at most ``tol``
+    (relative) between steps, or when the next Lanczos vector vanishes to
+    rounding level, so the Krylov space is invariant and the Ritz value
+    exact on it; past ``max_iter`` steps it raises
+    :class:`PowerIterationError`.  Ritz values never exceed the top
+    eigenvalue, so the estimate is a lower bound for the norm up to rounding.
 
-    A step allocates no vector: every step writes into one workspace made
-    at entry, two complex arrays of length nnz (the Gram product's gathered
-    terms and its products) and four of length n (the Gram product's
-    output, the scaled vectors of the three-term step, and the two Lanczos
-    vectors, which swap by reference), beside the kept start vector.  Its
-    gathers wrap instead of checking, after one check per call that every
-    entry lies in the basis (``IndexError`` otherwise).  The replays and the
-    certificate, which run only on invariant exits, allocate; they call the
-    same ``_product``, so the same operations give the same bits.
+    Inner products and norms are numpy reductions of fixed order, not BLAS
+    calls, so the bits do not depend on the BLAS thread count.  A step
+    allocates no vector: it writes into one workspace made at entry, two
+    complex arrays of length nnz and four of length n.  Its gathers wrap
+    instead of checking, after one check per call that every entry lies in
+    the basis (``IndexError`` otherwise).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -386,110 +376,47 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     n = op.basis.dimension
     rows, cols, vals, conj_vals = op.rows, op.cols, op.vals, op.vals.conjugate()
     eps = np.finfo(float).eps
-
-    def gram(x: np.ndarray, out=None, gathered=None, terms=None) -> np.ndarray:
-        """``A^H A x``; into ``out``, through the length-nnz scratch, if they are given."""
-        y = _product(rows, cols, vals, x, out, gathered, terms)
-        return _product(cols, rows, conj_vals, y, out, gathered, terms)
-
-    def advance(
-        w: np.ndarray,
-        q: np.ndarray,
-        before: Optional[np.ndarray],
-        j: int,
-        scaled: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Three-term step of row j: ``w - alpha_j q - beta_j before`` in place,
-        read from tri; the scaled vectors go into ``scaled`` if it is given."""
-        w -= np.multiply(tri[j, j], q, out=scaled)
-        if j:
-            w -= np.multiply(tri[j, j - 1], before, out=scaled)
-        return w
-
-    def replay(steps: int):
-        """The first run's Lanczos vectors 0 .. steps-1, two held at a time.
-
-        Repeats the run's own operations on the alphas and betas kept in tri,
-        so every vector comes back bit for bit.
-        """
-        before, q = None, start
-        for j in range(steps):
-            yield q
-            if j + 1 < steps:
-                before, q = q, advance(gram(q), q, before, j) / tri[j + 1, j]
-
-    def may_hide_more(top: float, steps: int) -> bool:
-        """Whether ``A^H A`` may have an eigenvalue above ``top * (1 + tol)``.
-
-        Collatz-Wielandt: ``||A||^2 <= rho(B) <= max_j (B p)_j / p_j`` for
-        ``B = |A|^T |A|`` and every positive p, and a power step ``p <- B p``
-        never raises the bound.  p starts at the modulus of the top Ritz
-        vector, floored to stay positive, and gets one power step per
-        Lanczos step taken, so the test costs about twice the run it checks.
-        """
-        magnitudes = np.abs(vals)
-        ritz_vector = np.zeros(n, dtype=complex)
-        for weight, q in zip(np.linalg.eigh(tri[:steps, :steps])[1][:, -1], replay(steps)):
-            ritz_vector += weight * q
-        p = np.abs(ritz_vector)
-        for _ in range(steps):
-            p = p / p.max() + eps
-            b_p = _product(cols, rows, magnitudes, _product(rows, cols, magnitudes, p))
-            if (b_p / p).max() <= top * (1 + max(tol, math.sqrt(n) * eps)):
-                return False
-            p = b_p
-        return True
-
     # the one range check that the workspace's wrapping gathers rely on
     for indices in (rows, cols):
         if indices.min() < 0 or indices.max() >= n:
             raise IndexError(f"operator entry outside the {n} basis positions")
-    start = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    # the workspace, which every step writes into: the Gram product's two
-    # length-nnz scratch arrays and its output w, the scaled vectors of the
-    # three-term step, and the current Lanczos vector q and the one before it,
-    # which swap by reference (before is not read at a run's first step)
+    # the workspace: the Gram product's length-nnz scratch and its output w,
+    # the scaled vectors and the inner products' terms, and the current
+    # Lanczos vector q and the one before it, which swap by reference
     scratch = [np.empty(len(vals), dtype=complex) for _ in range(2)]
     w, scaled, q, before = (np.empty(n, dtype=complex) for _ in range(4))
-    q[:] = start
-    # the current run's tridiagonal is tri[:k, :k], written in place and grown
-    # by doubling; a restart sets k to 0, and every band entry of the new run
-    # is written before it is read
+    terms = scaled.view(float)
+
+    def inner(x: np.ndarray, y: np.ndarray) -> float:
+        """``Re <x, y>``: the parts' products, in ``terms``, summed in numpy's fixed order."""
+        return float(np.add.reduce(np.multiply(x.view(float), y.view(float), out=terms)))
+
+    q[:] = np.modf(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2))[0] - 0.5
+    q /= math.sqrt(inner(q, q))
+    # tri[:k + 1, :k + 1] is the tridiagonal after step k, grown by doubling
     tri = np.zeros((16, 16))
-    k = 0
-    first_run: Optional[float] = None  # top Ritz value of the run before the restart
     previous = None
-    for _ in range(max_iter):
-        gram(q, w, *scratch)
-        tri[k, k] = np.vdot(q, w).real
-        advance(w, q, before, k, scaled)
-        k += 1
-        beta = float(np.linalg.norm(w))
-        ritz = float(np.linalg.eigvalsh(tri[:k, :k])[-1])
-        best = max(ritz, first_run or 0.0)
+    for k in range(max_iter):
+        # w = A^H (A q)
+        _product(cols, rows, conj_vals, _product(rows, cols, vals, q, w, *scratch), w, *scratch)
+        tri[k, k] = inner(q, w)
+        w -= np.multiply(tri[k, k], q, out=scaled)
+        if k:  # before is not read at the first step
+            w -= np.multiply(tri[k, k - 1], before, out=scaled)
+        beta = math.sqrt(inner(w, w))
+        ritz = float(np.linalg.eigvalsh(tri[: k + 1, : k + 1])[-1])
         # rounding in one Gram product is about sqrt(n) eps times its norm
-        invariant = beta <= math.sqrt(n) * eps * best
+        invariant = beta <= math.sqrt(n) * eps * ritz
         settled = previous is not None and abs(ritz - previous) <= tol * max(abs(ritz), 1e-300)
-        restart = invariant and k < n and first_run is None and may_hide_more(best, k)
-        if (invariant or settled) and not restart:
-            return math.sqrt(best)
-        if k == len(tri):
-            grown = np.zeros((2 * k, 2 * k))
-            grown[:k, :k] = tri
+        if invariant or settled:
+            return math.sqrt(max(ritz, 0.0))
+        if k + 1 == len(tri):
+            grown = np.zeros((2 * len(tri), 2 * len(tri)))
+            grown[: k + 1, : k + 1] = tri
             tri = grown
-        if restart:
-            # fractional parts of j * golden ratio: deterministic, with no pattern to
-            # line up with a structured eigenvector, and no random module to load
-            w[:] = np.modf(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2))[0] - 0.5
-            for _ in range(2):  # twice is enough against cancellation
-                for earlier in replay(k):
-                    w -= np.vdot(earlier, w) * earlier
-            first_run, k, previous = best, 0, None
-            np.divide(w, np.linalg.norm(w), out=q)
-        else:
-            previous = ritz
-            tri[k - 1, k] = tri[k, k - 1] = beta
-            q, before = np.divide(w, tri[k, k - 1], out=before), q
+        tri[k, k + 1] = tri[k + 1, k] = beta
+        q, before = np.divide(w, beta, out=before), q
+        previous = ritz
     raise PowerIterationError(f"Lanczos did not stabilize to {tol} within {max_iter} steps")
 
 

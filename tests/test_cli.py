@@ -1384,6 +1384,24 @@ def test_solve_derivation_refuses_a_generator_outside_the_alphabet(tmp_path, cap
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "values, refusal",
+    [
+        # the letter is checked before the value's alphabet, both in __init__
+        ({"5": {"alphabet": 3, "terms": []}}, "letter 5 outside alphabet of size 2"),
+        ({"1": {"alphabet": 3, "terms": []}}, "generator value over a different alphabet"),
+    ],
+)
+def test_solve_derivation_refuses_a_value_over_another_alphabet(tmp_path, capsys, values, refusal):
+    infile = tmp_path / "derivation.json"
+    infile.write_text(json.dumps({"alphabet": 2, "values": values}))
+    code = main(["solve-derivation", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"bad derivation input: {refusal}\n"
+    assert captured.out == ""
+
+
 COMMUTATOR_TEXT = json.dumps(COMMUTATOR)
 ZERO_TEXT = json.dumps(ZERO_SERIES)
 

@@ -1,8 +1,10 @@
 """Rules the package states once are written once in its source.
 
 Each folded rule has one statement that every caller uses: the canonical
-decimal index, the text of a word's letters and the homotopy's arity
-message.  A second copy of one of them in ``src/ncdisc`` fails here.
+decimal index, the text of a word's letters, the homotopy's and the
+cochain's arity messages, the text of a cochain key and the alphabet of a
+derivation's generator values.  A second copy of one of them in
+``src/ncdisc`` fails here.
 """
 
 from pathlib import Path
@@ -21,6 +23,9 @@ SOURCES = sorted(Path(ncdisc.__file__).parent.glob("*.py"))
         "0|[1-9][0-9]*",  # words._INDEX
         '"z" + "z".join(map(str, ',  # words._text
         '"homotopy needs arity at least 2"',  # cohomology._check_homotopy_arity
+        '"arity must be nonnegative"',  # cohomology._check_arity
+        "', '.join(",  # cohomology._key_text
+        '"generator value over a different alphabet"',  # GeneratorDerivation.__init__
     ],
 )
 def test_each_folded_rule_is_written_once(rule):
