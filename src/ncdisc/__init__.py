@@ -24,7 +24,6 @@ from .series import (
     conditional_expectation,
     conjugate_by,
     convolve,
-    degree_part,
     first_letter_part,
     max_coeff_diff,
 )
@@ -49,7 +48,6 @@ from .operators import (
 from .derivations import (
     GeneratorDerivation,
     InconsistentDerivationError,
-    conjugate_vanishing_index,
     first_screen_violation,
     inner_derivation,
     normal_approx_check,
@@ -89,11 +87,9 @@ __all__ = [
     "commutant_check",
     "conditional_expectation",
     "conjugate_by",
-    "conjugate_vanishing_index",
     "conjugation_check",
     "convolve",
     "degree_band",
-    "degree_part",
     "enumerate_words",
     "first_cocycle_violation",
     "first_letter_part",

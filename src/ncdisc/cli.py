@@ -25,7 +25,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Callable, Collection, Iterator, Optional, TextIO
 
@@ -39,32 +39,6 @@ SCHEMA_VERSION = 1
 
 #: Errors of unreadable or malformed input, JSON syntax errors included: exit 2.
 _BAD_INPUT = (OSError, ValueError, KeyError, TypeError)
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    params: dict
-    counterexample: Optional[dict]
-    elapsed_s: float
-
-
-@dataclass
-class Report:
-    suite: str
-    passed: bool
-    config: dict
-    checks: list[CheckResult] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "suite": self.suite,
-            "passed": self.passed,
-            "config": self.config,
-            "checks": [asdict(c) for c in self.checks],
-        }
 
 
 # --------------------------------------------------------------------------
@@ -91,8 +65,9 @@ def _call_check(
         return {"exception": f"{type(err).__name__}: {err}"}
 
 
-def _run_suite(suite: str, config: RunConfig) -> Report:
-    results = []
+def _run_suite(suite: str, config: RunConfig) -> dict:
+    """The report of one suite, as the dict that ``_json_text`` writes."""
+    checks = []
     for name, check in CHECKS.items():
         if not name.startswith(suite + "."):
             continue
@@ -100,13 +75,22 @@ def _run_suite(suite: str, config: RunConfig) -> Report:
         start = time.perf_counter()
         counterexample = _call_check(check.run, params)
         elapsed = time.perf_counter() - start
-        results.append(CheckResult(name, counterexample is None, params, counterexample, elapsed))
-    return Report(
-        suite=suite,
-        passed=all(r.passed for r in results),
-        config=asdict(config),
-        checks=results,
-    )
+        checks.append(
+            {
+                "name": name,
+                "passed": counterexample is None,
+                "params": params,
+                "counterexample": counterexample,
+                "elapsed_s": elapsed,
+            }
+        )
+    return {
+        "schema": SCHEMA_VERSION,
+        "suite": suite,
+        "passed": all(check["passed"] for check in checks),
+        "config": asdict(config),
+        "checks": checks,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -253,13 +237,13 @@ def _cmd_verify(args: argparse.Namespace, suites: Collection[str]) -> int:
         return 2
     reports = [_run_suite(name, config) for name in sorted(suites)]
     if len(reports) == 1:
-        merged = reports[0].to_json_dict()
+        (merged,) = reports
     else:
         merged = {
             "schema": SCHEMA_VERSION,
             "suite": "all",
-            "passed": all(r.passed for r in reports),
-            "reports": [r.to_json_dict() for r in reports],
+            "passed": all(report["passed"] for report in reports),
+            "reports": reports,
         }
     if not _emit_report(merged, args):
         return 2

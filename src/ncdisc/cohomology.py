@@ -524,6 +524,10 @@ def homotopy_on_series(phi: Cochain, args: Sequence[Series]) -> complex:
     feed both through the cocycle; the unit weight of the first argument
     contributes through the doubled-unit slot.  Agrees with the multilinear
     extension of :func:`homotopy` on every argument tuple.
+
+    Only the letters that begin a word of the first argument are fed, in
+    ascending order: any other letter's term is an exact zero, and
+    subtracting it keeps every bit of the sum.
     """
     if len(args) != phi.arity - 1:
         raise ValueError(f"expected {phi.arity - 1} arguments, got {len(args)}")
@@ -531,7 +535,7 @@ def homotopy_on_series(phi: Cochain, args: Sequence[Series]) -> complex:
     first = args[0]
     rest = args[1:]
     total = 0j
-    for a in alphabet.letters():
+    for a in sorted({w.letters[0] for w in first.table if w.letters}):
         gen = alphabet.generator(a)
         stripped = adjoint_shift(gen, first_letter_part(first, a))
         total -= phi.evaluate(Series.basis(gen), stripped, *rest)

@@ -50,21 +50,14 @@ MAX_GENERATORS = 4096
 class InconsistentDerivationError(ValueError):
     """Generator data that cannot extend to a derivation with series values.
 
-    ``check`` names the violated screen; ``word`` and ``coefficient`` carry
-    the offending term when one exists.
+    ``check`` names the violated screen and ``word`` the offending word when
+    one exists; where one term is at fault, the message gives its coefficient.
     """
 
-    def __init__(
-        self,
-        check: str,
-        message: str,
-        word: Optional[Word] = None,
-        coefficient: Optional[complex] = None,
-    ):
+    def __init__(self, check: str, message: str, word: Optional[Word] = None):
         super().__init__(message)
         self.check = check
         self.word = word
-        self.coefficient = coefficient
 
 
 def inner_derivation(t: Series, phi: Series) -> Series:
@@ -127,19 +120,6 @@ class GeneratorDerivation:
                 for i, a in enumerate(letters)
                 for u, c in self.values[a].iter_terms()
             ),
-        )
-
-    def of_word_power(self, w: Word, k: int) -> Series:
-        """Value at ``w**k`` as the k-term sum of ``w``-power sandwiches."""
-        if k < 1:
-            raise ValueError("power must be positive")
-        alphabet = self.alphabet
-        letters = w.letters
-        dw = self.of_word(w)
-        return dw._like(
-            (Word._of(alphabet, letters * (k - 1 - m) + u.letters + letters * m), c)
-            for m in range(k)
-            for u, c in dw.iter_terms()
         )
 
     def to_json_dict(self) -> dict:
@@ -213,12 +193,6 @@ def _conjugate_iterates(w: Word, phi: Series) -> list[list[tuple[Word, complex]]
     )
 
 
-def conjugate_vanishing_index(w: Word, phi: Series) -> int:
-    """Smallest m with the m-fold conjugate transport of phi empty; raises
-    when no iterate vanishes by the cap."""
-    return len(_conjugate_iterates(w, phi))
-
-
 def _iterate_sum(value: Series, iterates: list[list[tuple[Word, complex]]]) -> Series:
     """The iterates of ``_conjugate_iterates`` in one canonical step, in order."""
     return value._like(chain.from_iterable(iterates))
@@ -258,7 +232,6 @@ def solve_local_inner(derivation: GeneratorDerivation, w: Word) -> Series:
                     "residual",
                     f"stabilized sum has weight {c} at {u}, not left-divisible by {w}",
                     word=u,
-                    coefficient=c,
                 )
         elif rest.letters:
             terms.append((rest, c))
@@ -293,14 +266,12 @@ def _check_pair_structure(value: Series, beta: int, alpha: int) -> None:
                 f"value at generator z{beta} has weight {c} at {u}, outside the "
                 f"family pairing z{beta} with powers of z{alpha}",
                 word=u,
-                coefficient=c,
             )
         if abs(value.coeff(partner) + c) > CHECK_TOL:
             raise InconsistentDerivationError(
                 "pair_structure",
                 f"weight {c} at {u} is not matched by the opposite weight at {partner}",
                 word=u,
-                coefficient=c,
             )
 
 
@@ -330,7 +301,6 @@ def _solve_with_deviations(derivation: GeneratorDerivation) -> tuple[Series, lis
                 check,
                 f"value at generator z{a} has weight {c} at {u}, which commutes with z{a}",
                 word=u,
-                coefficient=c,
             )
 
     generators = [Series.basis(alphabet.generator(a)) for a in alphabet.letters()]

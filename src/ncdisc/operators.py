@@ -211,15 +211,6 @@ class TruncatedOperator:
     def identity(cls, basis: TruncationBasis) -> "TruncatedOperator":
         return cls._from_coo(basis, *np.diag_indices(basis.dimension), np.ones(basis.dimension))
 
-    @classmethod
-    def from_dense(cls, basis: TruncationBasis, matrix: np.ndarray) -> "TruncatedOperator":
-        matrix = np.asarray(matrix)
-        n = basis.dimension
-        if matrix.shape != (n, n):
-            raise ValueError(f"matrix shape {matrix.shape} does not match dimension {n}")
-        rows, cols = np.nonzero(matrix)
-        return cls._from_coo(basis, rows, cols, matrix[rows, cols])
-
     @property
     def entries(self) -> Entries:
         """Read-only ``{(row, col): value}`` view, built on each access."""
@@ -282,12 +273,6 @@ class TruncatedOperator:
             vector[basis.rank(w)] = c
         out = _product(self.rows, self.cols, self.vals, vector)
         return Series(basis.alphabet, {basis.word(i): out[i] for i in np.flatnonzero(out)})
-
-    def to_dense(self) -> np.ndarray:
-        n = self.basis.dimension
-        out = np.zeros((n, n), dtype=complex)
-        out[self.rows, self.cols] = self.vals
-        return out
 
 
 def _convolution_matrix(phi: Series, basis: TruncationBasis, on_left: bool) -> TruncatedOperator:

@@ -357,11 +357,6 @@ def conjugate_by(w: Word, phi: Series) -> Series:
     return phi._like(_transported(w, phi.table.items()))
 
 
-def degree_part(phi: Series, j: int) -> Series:
-    """Restriction of phi to words of length exactly j."""
-    return phi._like((w, c) for w, c in phi.table.items() if len(w) == j)
-
-
 def cesaro(phi: Series, k: int) -> Series:
     """Fejer-weighted truncation: degree-j part scaled by ``1 - j/k`` for j < k."""
     if k < 1:

@@ -23,12 +23,10 @@ from ncdisc.cohomology import (
 )
 from ncdisc.derivations import (
     GeneratorDerivation,
-    conjugate_vanishing_index,
     inner_derivation,
     solve_inner_symbol,
 )
 from ncdisc.operators import (
-    TruncatedOperator,
     TruncationBasis,
     cesaro_op,
     left_matrix,
@@ -46,6 +44,8 @@ from ncdisc.series import (
 )
 from ncdisc.words import Alphabet, enumerate_words, power_shift_check
 
+from oracles import conjugate_vanishing_index, from_dense
+
 A2 = Alphabet(2)
 E2 = A2.unit()
 
@@ -55,7 +55,7 @@ def _dense_gaussian(basis, seed):
     gen = np.random.default_rng(seed)
     n = basis.dimension
     matrix = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    return TruncatedOperator.from_dense(basis, matrix)
+    return from_dense(basis, matrix)
 
 
 def _line(criterion, label, ok):

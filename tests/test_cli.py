@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import json
 import math
@@ -980,6 +981,20 @@ def test_verify_commands_and_public_names_match_their_registries():
     missing = [name for name in ncdisc.__all__ if not hasattr(ncdisc, name)]
     assert missing == []
     assert len(set(ncdisc.__all__)) == len(ncdisc.__all__)
+
+
+def test_every_public_name_is_used_by_the_package_itself():
+    # a name only the tests call belongs in the tests (``tests/oracles.py``)
+    loaded = set()
+    for path in Path(ncdisc.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    assert [name for name in ncdisc.__all__ if name not in loaded] == []
 
 
 def test_repeated_calls_do_not_share_options(tmp_path, capsys):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncdisc import cohomology
-from ncdisc.checks import _random_cochain, _random_word
+from ncdisc import checks, cohomology
+from ncdisc.checks import RunConfig, _random_cochain, _random_word
 from ncdisc.cli import main
 from ncdisc.cohomology import (
     Cochain,
@@ -23,7 +23,14 @@ from ncdisc.cohomology import (
     one_cocycle_dimension,
     trivialize,
 )
-from ncdisc.series import PRUNE_EPS, Series, _json_part_lists, _sum_and_prune
+from ncdisc.series import (
+    PRUNE_EPS,
+    Series,
+    _json_part_lists,
+    _sum_and_prune,
+    adjoint_shift,
+    first_letter_part,
+)
 from ncdisc.words import Alphabet, Word, enumerate_words
 
 A2 = Alphabet(2)
@@ -581,6 +588,90 @@ def test_homotopy_series_route_norm_proxy_bound():
             for series in args:
                 bound *= series.l2_norm()
             assert abs(value) <= bound + 1e-9
+
+
+def _homotopy_on_series_over_every_letter(phi, args):
+    """Reference: the series route with a term for every letter of the
+    alphabet, in ascending order."""
+    alphabet = phi.alphabet
+    first, rest = args[0], args[1:]
+    total = 0j
+    for a in alphabet.letters():
+        gen = alphabet.generator(a)
+        stripped = adjoint_shift(gen, first_letter_part(first, a))
+        total -= phi.evaluate(Series.basis(gen), stripped, *rest)
+    unit = Series.unit(alphabet)
+    total += first.coeff(alphabet.unit()) * phi.evaluate(unit, unit, *rest)
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 44])
+def test_homotopy_series_route_matches_the_every_letter_sum_bit_for_bit(m):
+    # a letter that begins no word of the first argument adds an exact zero
+    alphabet = Alphabet(m)
+    rng = random.Random(37 + m)
+    nonzero = 0
+    for arity in (2, 3):
+        for _ in range(5):
+            phi = _seeded_cochain(rng, alphabet, arity)
+            keys = list(phi.table)
+            firsts = [key[0] * key[1] for key in keys] + [_random_word(rng, alphabet, 3)]
+            slots = [firsts] + [[key[i] for key in keys] for i in range(2, arity)]
+            args = [Series(alphabet, {w: _badly_scaled(rng) for w in words}) for words in slots]
+            value = homotopy_on_series(phi, args)
+            reference = _homotopy_on_series_over_every_letter(phi, args)
+            assert (value.real.hex(), value.imag.hex()) == (
+                reference.real.hex(),
+                reference.imag.hex(),
+            )
+            nonzero += value != 0
+    assert nonzero
+
+
+def test_homotopy_roundtrip_checks_each_cocycle_once(monkeypatch):
+    # the homotopy refuses a non-cocycle itself; the check runs no second test
+    calls = []
+    real = cohomology.first_cocycle_violation
+
+    def counted(phi):
+        calls.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(cohomology, "first_cocycle_violation", counted)
+    check = checks.CHECKS["cohomology.homotopy_roundtrip"]
+    params = check.params(RunConfig(alphabet=3))
+    assert check.run(params) is None
+    assert len(calls) == 2 * params["trials"]  # arities 2 and 3
+
+
+@pytest.mark.parametrize("m", [44, 2000])
+def test_verify_cohomology_evaluates_each_probe_at_most_twice_at_any_alphabet(
+    monkeypatch, capsys, m
+):
+    # one evaluation at the letter that begins the probe's first word, if
+    # any, and one at the unit; none at the other letters
+    evaluations = []
+    real_evaluate = Cochain.evaluate
+
+    def evaluate(self, *args):
+        evaluations.append(args)
+        return real_evaluate(self, *args)
+
+    per_probe = []
+    real_route = checks.homotopy_on_series
+
+    def route(phi, args):
+        before = len(evaluations)
+        value = real_route(phi, args)
+        per_probe.append(len(evaluations) - before)
+        return value
+
+    monkeypatch.setattr(Cochain, "evaluate", evaluate)
+    monkeypatch.setattr(checks, "homotopy_on_series", route)
+    assert main(["verify-cohomology", "--alphabet", str(m)]) == 0
+    capsys.readouterr()
+    assert per_probe and set(per_probe) <= {1, 2}
+    assert sum(per_probe) == len(evaluations)
 
 
 # -- first cohomology at desk scale -----------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncdisc.checks import _random_operator, _random_series
+from ncdisc import checks
+from ncdisc.checks import RunConfig, _random_operator, _random_series
 from ncdisc.operators import (
     MAX_DIMENSION,
     PowerIterationError,
@@ -37,11 +38,12 @@ from ncdisc.series import (
     cesaro,
     conjugate_by,
     convolve,
-    degree_part,
     first_letter_part,
     max_coeff_diff,
 )
 from ncdisc.words import Alphabet, enumerate_words
+
+from oracles import degree_part, from_dense, to_dense
 
 A2 = Alphabet(2)
 E = A2.unit()
@@ -54,7 +56,7 @@ def _dense_gaussian(basis, seed):
     gen = np.random.default_rng(seed)
     n = basis.dimension
     matrix = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    return TruncatedOperator.from_dense(basis, matrix)
+    return from_dense(basis, matrix)
 
 
 def w2(*letters):
@@ -186,12 +188,12 @@ def test_operator_arithmetic_matches_dense():
     rng = random.Random(43)
     a = left_matrix(_random_series(rng, basis.alphabet, 2, max_terms=6), basis)
     b = right_matrix(_random_series(rng, basis.alphabet, 2, max_terms=6), basis)
-    da, db = a.to_dense(), b.to_dense()
-    assert np.allclose((a @ b).to_dense(), da @ db, rtol=0, atol=1e-12)
-    assert np.array_equal((a + b).to_dense(), da + db)
-    assert np.array_equal((a - b).to_dense(), da - db)
-    assert np.array_equal((2j * a).to_dense(), 2j * da)
-    assert np.array_equal(a.adjoint().to_dense(), da.conj().T)
+    da, db = to_dense(a), to_dense(b)
+    assert np.allclose(to_dense(a @ b), da @ db, rtol=0, atol=1e-12)
+    assert np.array_equal(to_dense(a + b), da + db)
+    assert np.array_equal(to_dense(a - b), da - db)
+    assert np.array_equal(to_dense(2j * a), 2j * da)
+    assert np.array_equal(to_dense(a.adjoint()), da.conj().T)
     for op in (a @ b, a + b, a.adjoint()):
         assert np.all(np.diff(op.rows * basis.dimension + op.cols) > 0)
         assert np.all(op.vals != 0)
@@ -211,7 +213,7 @@ def test_right_matrix_acts_on_the_right():
     basis = TruncationBasis(A2, 4)
     op = right_matrix(xi(1), basis)
     assert op.apply(xi(0, 1)) == xi(0, 1, 1)
-    dense = op.to_dense()
+    dense = to_dense(op)
     assert dense[basis.rank(w2(0, 1, 1)), basis.rank(w2(0, 1))] == 1
     assert np.count_nonzero(dense[:, basis.rank(w2(0, 1))]) == 1
 
@@ -267,8 +269,8 @@ def test_every_producer_returns_a_canonical_operator(m, cutoff):
         _assert_canonical(q_projection(basis, k))
     _assert_canonical(TruncatedOperator.identity(basis))
     _assert_canonical(TruncatedOperator.zero(basis))
-    dense = a.to_dense()
-    _assert_canonical(TruncatedOperator.from_dense(basis, dense), dense, *_arrays(a))
+    dense = to_dense(a)
+    _assert_canonical(from_dense(basis, dense), dense, *_arrays(a))
 
 
 def test_from_coo_sums_cancels_and_copies():
@@ -290,7 +292,7 @@ def test_from_coo_sums_cancels_and_copies():
 def _dense_deviation(a, b, limit):
     """``max |da - db|`` over the columns of degree <= limit, from dense matrices."""
     columns = a.basis.lengths <= (a.basis.cutoff if limit is None else limit)
-    return float(np.abs(a.to_dense() - b.to_dense())[:, columns].max(initial=0.0))
+    return float(np.abs(to_dense(a) - to_dense(b))[:, columns].max(initial=0.0))
 
 
 @pytest.mark.parametrize("m, cutoff", [(1, 5), (2, 3), (3, 2)])
@@ -420,7 +422,7 @@ def _rank_one(basis):
     """3 times the matrix unit from ``z1`` to ``z0z1``."""
     matrix = np.zeros((basis.dimension, basis.dimension))
     matrix[basis.rank(w2(0, 1)), basis.rank(Z1)] = 3.0
-    return TruncatedOperator.from_dense(basis, matrix)
+    return from_dense(basis, matrix)
 
 
 def test_norm_estimate_examples():
@@ -438,7 +440,7 @@ def test_norm_estimate_matches_svd_oracle():
     basis = TruncationBasis(A2, 3)
     for trial in range(5):
         op = _dense_gaussian(basis, 200 + trial)
-        exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+        exact = float(np.linalg.svd(to_dense(op), compute_uv=False)[0])
         estimate = norm_estimate(op, tol=1e-12)
         assert estimate == pytest.approx(exact, rel=1e-6)
         assert estimate <= exact + 1e-9
@@ -511,7 +513,7 @@ def test_norm_estimate_lanczos_matches_svd_oracle():
     ]
     cases.append(_dense_gaussian(TruncationBasis(A2, 3), 300))
     for op in cases:
-        exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+        exact = float(np.linalg.svd(to_dense(op), compute_uv=False)[0])
         estimate = norm_estimate(op, tol=1e-11)
         assert estimate == pytest.approx(exact, rel=1e-8)
         assert estimate <= exact * (1 + 1e-12)
@@ -532,7 +534,7 @@ def test_norm_estimate_invariant_subspace_is_exact():
     rank_one = _rank_one(basis)
     assert norm_estimate(rank_one, tol=1e-15, max_iter=2) == pytest.approx(3.0, abs=1e-14)
     # a cap far above the dimension sizes no storage
-    scalar = TruncatedOperator.from_dense(TruncationBasis(Alphabet(1), 0), [[3 - 4j]])
+    scalar = from_dense(TruncationBasis(Alphabet(1), 0), [[3 - 4j]])
     tracemalloc.start()
     try:
         value = norm_estimate(scalar, tol=1e-15, max_iter=10**9)
@@ -548,8 +550,8 @@ def test_norm_estimate_when_all_ones_is_in_the_kernel():
     basis = TruncationBasis(A2, 2)
     matrix = np.zeros((basis.dimension, basis.dimension))
     matrix[0, 0], matrix[0, 1] = 1.0, -1.0
-    op = TruncatedOperator.from_dense(basis, matrix)
-    exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+    op = from_dense(basis, matrix)
+    exact = float(np.linalg.svd(to_dense(op), compute_uv=False)[0])
     assert exact == pytest.approx(np.sqrt(2), rel=1e-15)
     assert norm_estimate(op, tol=1e-12) == pytest.approx(exact, rel=1e-12)
 
@@ -559,8 +561,8 @@ def test_norm_estimate_when_the_top_eigenvector_is_orthogonal_to_all_ones():
     # that vector would see only the eigenvalue 1
     basis = TruncationBasis(A2, 1)
     x = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
-    op = TruncatedOperator.from_dense(basis, np.eye(3) + 2 * np.outer(x, x))
-    exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+    op = from_dense(basis, np.eye(3) + 2 * np.outer(x, x))
+    exact = float(np.linalg.svd(to_dense(op), compute_uv=False)[0])
     assert exact == pytest.approx(3.0, rel=1e-15)
     assert norm_estimate(op, tol=1e-12) == pytest.approx(exact, rel=1e-12)
 
@@ -576,7 +578,7 @@ def test_norm_estimate_invariant_exits_match_svd_oracle():
     mobius = Series(one, {one.word([0] * k): c for k, c in enumerate(coefficients)})
     cases.append(left_matrix(mobius, TruncationBasis(one, 40)))
     for op in cases:
-        exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+        exact = float(np.linalg.svd(to_dense(op), compute_uv=False)[0])
         assert norm_estimate(op, tol=1e-11) == pytest.approx(exact, rel=1e-10)
 
 
@@ -586,7 +588,7 @@ def test_norm_estimate_certified_invariant_exit_matches_svd_oracle(cutoff):
     # so its Krylov space is invariant after two steps
     op = left_matrix(xi(0, 1), TruncationBasis(A2, cutoff))
     estimate = norm_estimate(op, tol=1e-11)
-    exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+    exact = float(np.linalg.svd(to_dense(op), compute_uv=False)[0])
     assert estimate == pytest.approx(exact, rel=1e-10)
 
 
@@ -626,7 +628,7 @@ def test_norm_estimate_over_nested_cutoffs():
         estimate = norm_estimate(op, 1e-9)
         assert estimate >= previous
         if op.basis.dimension <= 1023:
-            exact = float(np.linalg.svd(op.to_dense(), compute_uv=False)[0])
+            exact = float(np.linalg.svd(to_dense(op), compute_uv=False)[0])
             assert estimate == pytest.approx(exact, abs=1e-8)
         previous = estimate
 
@@ -676,7 +678,7 @@ def test_norm_estimate_matches_the_per_step_oracle_bit_for_bit():
     matrix = np.zeros((basis.dimension, basis.dimension))
     matrix[0, 0], matrix[0, 1] = 1.0, -1.0
     cases.append((left_matrix(mobius, TruncationBasis(one, 40)), 1e-11))
-    cases.append((TruncatedOperator.from_dense(basis, matrix), 1e-11))
+    cases.append((from_dense(basis, matrix), 1e-11))
     cases += [(left_matrix(xi(0, 1), TruncationBasis(A2, c)), 1e-11) for c in (6, 8, 13)]
     for op, tol in cases:
         assert norm_estimate(op, tol).hex() == _lanczos_oracle(op, tol).hex()
@@ -695,7 +697,7 @@ def test_norm_estimate_of_every_band_of_random_operators_matches_svd():
             op = _random_operator(basis, seed)
             for j in range(-cutoff, cutoff + 1):
                 band = degree_band(op, j)
-                exact = float(np.linalg.svd(band.to_dense(), compute_uv=False)[0])
+                exact = float(np.linalg.svd(to_dense(band), compute_uv=False)[0])
                 assert norm_estimate(band, tol=1e-12) == pytest.approx(exact, rel=1e-9)
                 count += 1
     assert count == 105
@@ -838,6 +840,49 @@ def test_filter_norm_upper_bound():
         for a in range(2):
             filtered = norm_estimate(left_matrix(first_letter_part(phi, a), basis))
             assert filtered <= 2 * reference + 1e-6
+
+
+def test_compression_product_check_builds_each_compression_once(monkeypatch):
+    # phi's compression serves both the product and the matrix action
+    built = []
+    real = checks.left_matrix
+
+    def counted(phi, basis):
+        built.append(phi)
+        return real(phi, basis)
+
+    monkeypatch.setattr(checks, "left_matrix", counted)
+    check = checks.CHECKS["operators.compression_product"]
+    params = check.params(RunConfig())
+    assert check.run(params) is None
+    assert len(built) == 3 * params["trials"]  # phi, psi and their convolution
+
+
+def test_filter_norm_check_estimates_only_the_filters_of_letters_that_begin_a_word(monkeypatch):
+    # any other letter gives the zero filter, of norm 0, which never fails the bound
+    events = []
+    real_series, real_norm = checks._random_series, checks.norm_estimate
+
+    def drawn(*args, **kwargs):
+        phi = real_series(*args, **kwargs)
+        events.append(phi)
+        return phi
+
+    def estimated(*args):
+        events.append("norm")
+        return real_norm(*args)
+
+    monkeypatch.setattr(checks, "_random_series", drawn)
+    monkeypatch.setattr(checks, "norm_estimate", estimated)
+    check = checks.CHECKS["operators.filter_norm_bound"]
+    params = check.params(RunConfig(alphabet=12, cutoff=2))
+    assert check.run(params) is None
+    trials = [i for i, event in enumerate(events) if event != "norm"]
+    assert len(trials) == params["trials"]
+    for start, end in zip(trials, trials[1:] + [len(events)]):
+        phi = events[start]
+        firsts = {w.letters[0] for w in phi.support() if w.letters}
+        assert end - start - 1 == 1 + len(firsts) <= 1 + len(phi)
 
 
 # -- export ------------------------------------------------------------------------

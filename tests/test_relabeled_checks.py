@@ -14,14 +14,12 @@ import pytest
 
 from ncdisc import checks, derivations
 from ncdisc.checks import RunConfig
-from ncdisc.derivations import (
-    GeneratorDerivation,
-    conjugate_vanishing_index,
-    stabilized_conjugate_sum,
-)
+from ncdisc.derivations import GeneratorDerivation, stabilized_conjugate_sum
 from ncdisc.operators import TruncationBasis
 from ncdisc.series import Series, conjugate_by
 from ncdisc.words import Alphabet, Word, enumerate_words
+
+from oracles import conjugate_vanishing_index
 
 
 def full_commutant(params):

@@ -17,11 +17,12 @@ from ncdisc.series import (
     conditional_expectation,
     conjugate_by,
     convolve,
-    degree_part,
     first_letter_part,
     max_coeff_diff,
 )
 from ncdisc.words import Alphabet, Word, transport
+
+from oracles import degree_part
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
