@@ -29,8 +29,8 @@ Entries = Mapping[tuple[int, int], complex]
 #: Largest basis built (m = 2 fits up to cutoff 21): ranks are int64
 #: arithmetic, and the norm path's memory is O(n + nnz).  A five-term m = 2
 #: symbol at cutoff 21 (n = 4,194,303, 9,961,467 entries) builds and
-#: estimates in 67 s of CPU at 1.2 GB peak RSS on a 2-CPU, 8 GB machine;
-#: at cutoff 19, 12 s and 342 MB.
+#: estimates in 47 s of CPU at 1,025 MB peak RSS on a 2-CPU, 8 GB machine
+#: with BLAS on one thread; at cutoff 19, 9.8 s and 291 MB.
 MAX_DIMENSION = 1 << 22
 
 
@@ -349,13 +349,24 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
 
     Inner products and norms are numpy reductions of fixed order, not BLAS
     calls, so the bits do not depend on the BLAS thread count.  A step
-    allocates no vector: it writes into one workspace made at entry, two
-    complex arrays of length nnz and four of length n.  Its gathers wrap
-    instead of checking, after one check per call that every entry lies in
-    the basis (``IndexError`` otherwise).
+    allocates no vector: it writes into one workspace made at entry, a
+    complex array of length nnz, one of length max(n, nnz) shared by the
+    Gram product's terms and the step's scaled vectors, and three complex
+    vectors of length n, next to the conjugate values (length nnz); the
+    start vector is built in place, with the range 1..n as its one
+    temporary.  The vectors are held as float parts and only the Gram
+    product sees them as complex, so every step operation with a real
+    scalar is a float operation.  That keeps the bits: numpy computes
+    complex / real as ``(a + b*0) * (1/beta)`` and complex * real as
+    ``(alpha + 0j) * q``, which differ from the float forms only in the
+    sign of an exact zero, and no later sum from 0.0 keeps that sign.  Its
+    gathers wrap instead of checking, after one check per call that every
+    entry lies in the basis (``IndexError`` otherwise).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if not op.vals.size:
         return 0.0
     n = op.basis.dimension
@@ -365,29 +376,40 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
     for indices in (rows, cols):
         if indices.min() < 0 or indices.max() >= n:
             raise IndexError(f"operator entry outside the {n} basis positions")
-    # the workspace: the Gram product's length-nnz scratch and its output w,
-    # the scaled vectors and the inner products' terms, and the current
+    # the workspace: the Gram product's gather scratch; one buffer for its
+    # terms, then for the step's scaled vectors and inner products' terms;
+    # and three vectors held as float parts, real and imaginary interleaved:
+    # the product's output w, whose complex view is ``gram``, and the current
     # Lanczos vector q and the one before it, which swap by reference
-    scratch = [np.empty(len(vals), dtype=complex) for _ in range(2)]
-    w, scaled, q, before = (np.empty(n, dtype=complex) for _ in range(4))
-    terms = scaled.view(float)
+    shared = np.empty(max(n, len(vals)), dtype=complex)
+    scratch = (np.empty(len(vals), dtype=complex), shared[: len(vals)])
+    terms = shared[:n].view(float)
+    w, q, before = (np.empty(2 * n) for _ in range(3))
+    gram = w.view(complex)
 
     def inner(x: np.ndarray, y: np.ndarray) -> float:
-        """``Re <x, y>``: the parts' products, in ``terms``, summed in numpy's fixed order."""
-        return float(np.add.reduce(np.multiply(x.view(float), y.view(float), out=terms)))
+        """``Re <x, y>`` of two vectors' parts: their products, in ``terms``,
+        summed in numpy's fixed order."""
+        return float(np.add.reduce(np.multiply(x, y, out=terms)))
 
-    q[:] = np.modf(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2))[0] - 0.5
-    q /= math.sqrt(inner(q, q))
+    # the start, built in q's real parts; the integral parts go to w, which
+    # the first product overwrites, so its one temporary is the range 1..n
+    q.fill(0)
+    start = np.multiply(np.arange(1.0, n + 1), (1 + math.sqrt(5)) / 2, out=q[::2])
+    np.modf(start, out=(start, w[::2]))
+    start -= 0.5
+    q *= 1.0 / math.sqrt(inner(q, q))
     # tri[:k + 1, :k + 1] is the tridiagonal after step k, grown by doubling
     tri = np.zeros((16, 16))
     previous = None
     for k in range(max_iter):
-        # w = A^H (A q)
-        _product(cols, rows, conj_vals, _product(rows, cols, vals, q, w, *scratch), w, *scratch)
+        # w = A^H (A q), through the complex views
+        _product(rows, cols, vals, q.view(complex), gram, *scratch)
+        _product(cols, rows, conj_vals, gram, gram, *scratch)
         tri[k, k] = inner(q, w)
-        w -= np.multiply(tri[k, k], q, out=scaled)
+        w -= np.multiply(q, tri[k, k], out=terms)
         if k:  # before is not read at the first step
-            w -= np.multiply(tri[k, k - 1], before, out=scaled)
+            w -= np.multiply(before, tri[k, k - 1], out=terms)
         beta = math.sqrt(inner(w, w))
         ritz = float(np.linalg.eigvalsh(tri[: k + 1, : k + 1])[-1])
         # rounding in one Gram product is about sqrt(n) eps times its norm
@@ -400,7 +422,8 @@ def norm_estimate(op: TruncatedOperator, tol: float = 1e-9, max_iter: int = 10_0
             grown[: k + 1, : k + 1] = tri
             tri = grown
         tri[k, k + 1] = tri[k + 1, k] = beta
-        q, before = np.divide(w, beta, out=before), q
+        np.multiply(w, 1.0 / beta, out=before)
+        q, before = before, q
         previous = ritz
     raise PowerIterationError(f"Lanczos did not stabilize to {tol} within {max_iter} steps")
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -355,6 +356,44 @@ def test_replay_rejects_params_its_check_refuses(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("bad replay payload:")
     assert "Traceback" not in captured.err
+
+
+class _StillRunning(BaseException):
+    """Raised by the alarm below; not an Exception, so no check's handler catches it."""
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        # a NaN tolerance never settled: the run went on to max_iter steps
+        ("operators.cesaro_contraction",
+         {"m": 2, "cutoff": 3, "seed": 1, "trials": 1, "tol": math.nan}),
+        # an infinite one settled after two steps and failed the check
+        ("operators.mobius_witness", {"c": 0.9, "cutoff": 20, "lo": 1.0, "tol": math.inf}),
+    ],
+    ids=["nan", "infinity"],
+)
+def test_replay_with_a_tolerance_that_is_not_finite_is_a_bad_payload(
+    tmp_path, capsys, name, params
+):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"name": name, "params": params}))  # as NaN and Infinity
+
+    def interrupt(signum, frame):
+        raise _StillRunning
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code = main(["verify-operators", "--replay", str(path)])
+    except _StillRunning:
+        pytest.fail("the replay was still running after 10 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("bad replay payload: tolerance must be positive and finite")
 
 
 def test_basis_over_the_dimension_budget_is_a_bad_configuration(tmp_path, capsys):

@@ -436,6 +436,19 @@ def test_norm_estimate_examples():
         norm_estimate(rank_one, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_norm_estimate_refuses_a_tolerance_that_is_not_finite(tol):
+    # a NaN tolerance never settled, so the run went on to max_iter steps;
+    # an infinite one settled after two steps, at any estimate
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        norm_estimate(_rank_one(TruncationBasis(A2, 2)), tol=tol)
+
+
+def test_norm_estimate_refuses_a_step_cap_below_one():
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        norm_estimate(TruncatedOperator.identity(TruncationBasis(A2, 1)), max_iter=0)
+
+
 def test_norm_estimate_matches_svd_oracle():
     basis = TruncationBasis(A2, 3)
     for trial in range(5):
@@ -618,6 +631,32 @@ def test_norm_estimate_memory_is_linear(cutoff):
         assert peak <= budget
 
 
+#: Symbols whose right compressions have fewer entries than basis words, and more.
+FEWER_ENTRIES = Series(A2, {w2(1): 1 + 3j, w2(0, 1): 2 - 1j})
+MORE_ENTRIES = Series(A2, {E: -1 - 1j, w2(1): 2 + 1j, w2(0, 1, 1): 3 - 2j})
+
+
+@pytest.mark.parametrize("phi", [FEWER_ENTRIES, MORE_ENTRIES], ids=["fewer", "more"])
+def test_norm_estimate_workspace_is_the_documented_arrays(phi):
+    # 16 bytes per complex value: the gather scratch and the conjugate values
+    # (nnz each), the buffer shared by the terms and the scaled vectors
+    # (max(n, nnz)), and w, q and before (n each); the start's one temporary
+    # is the float range 1..n.  A complex vector made at every step would add
+    # 16 n bytes, 262 KB here, past the slack that the tridiagonal and
+    # eigvalsh take
+    basis = TruncationBasis(A2, 13)
+    op = right_matrix(phi, basis)
+    n, nnz = basis.dimension, op.vals.size
+    documented = 16 * (2 * nnz + max(n, nnz) + 3 * n) + 8 * n
+    tracemalloc.start()
+    try:
+        norm_estimate(op, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert documented <= peak <= documented + 2**16
+
+
 def test_norm_estimate_over_nested_cutoffs():
     # the compressions are nested, so their norms cannot fall as the cutoff
     # grows; this symbol's norms rise at every rung
@@ -683,6 +722,27 @@ def test_norm_estimate_matches_the_per_step_oracle_bit_for_bit():
     for op, tol in cases:
         assert norm_estimate(op, tol).hex() == _lanczos_oracle(op, tol).hex()
     assert max(op.vals.size for op, _ in cases) >= 16_384
+
+
+def test_norm_estimate_matches_the_oracle_on_exact_zeros_and_both_buffer_shapes():
+    # the steps scale float parts, where an exact zero may change sign:
+    # the degree bands of random m = 3 operators have zero rows, which put
+    # exact zeros in their Lanczos vectors.  The right compressions have
+    # fewer entries than basis words and more, the two shapes of the buffer
+    # shared by the Gram product's terms and the scaled vectors
+    cases = []
+    for cutoff in (2, 3, 4):
+        basis = TruncationBasis(Alphabet(3), cutoff)
+        for seed in range(3):
+            op = _random_operator(basis, seed)
+            cases += [(degree_band(op, j), 1e-12) for j in range(-cutoff, cutoff + 1)]
+    for cutoff in (12, 13):
+        basis = TruncationBasis(A2, cutoff)
+        pair = [right_matrix(FEWER_ENTRIES, basis), right_matrix(MORE_ENTRIES, basis)]
+        assert pair[0].vals.size < basis.dimension < pair[1].vals.size
+        cases += [(op, 1e-9) for op in pair]
+    for op, tol in cases:
+        assert norm_estimate(op, tol).hex() == _lanczos_oracle(op, tol).hex()
 
 
 def test_norm_estimate_of_every_band_of_random_operators_matches_svd():
