@@ -18,8 +18,9 @@ the string uv: a permutation of the letters is a unitary P on the basis with
 derivation screens and the stabilization check spell their probes in the
 letters of the trial's symbol t and the lowest others, one probe per class
 under the permutations that fix t's letters, which map the inner derivation
-D_t to itself (``_probe_words``).  So the number of pairs and probes does
-not grow with the alphabet.
+D_t to itself (``_probe_words``), and read D_t(w) by its definition.  Two
+pairs of generators decide the shift relations (``isometry_relations``).
+So no count of pairs, probes or values grows with the alphabet.
 """
 
 from __future__ import annotations
@@ -768,9 +769,8 @@ def _check_screens(params: dict) -> Optional[dict]:
     alphabet = Alphabet(params["m"])
     for trial in range(params["trials"]):
         symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
-        derivation = GeneratorDerivation.inner(symbol)
         for w in _probe_words(alphabet, symbol, 3):
-            violation = first_screen_violation(w, derivation.of_word(w))
+            violation = first_screen_violation(w, inner_derivation(symbol, Series.basis(w)))
             if violation is not None:
                 screen = violation[0].removesuffix("_support")
                 return {"trial": trial, "w": str(w), "screen": screen}
@@ -790,16 +790,15 @@ def _check_screens(params: dict) -> Optional[dict]:
     lambda c: {"m": c.alphabet, "deg": 3, "seed": c.seed + 2, "trials": 10},
 )
 def _check_stabilization(params: dict) -> Optional[dict]:
-    """The conjugate iterates of an inner derivation's value vanish in time
-    and their sum stabilizes, at every probe of length up to 2
+    """The conjugate iterates of an inner derivation's value D_t(w) vanish in
+    time and their sum stabilizes, at every probe of length up to 2
     (``_probe_words``); one iterate list per probe gives the index and the sum."""
     rng = random.Random(params["seed"])
     alphabet = Alphabet(params["m"])
     for trial in range(params["trials"]):
         symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
-        derivation = GeneratorDerivation.inner(symbol)
         for w in _probe_words(alphabet, symbol, 2):
-            value = derivation.of_word(w)
+            value = inner_derivation(symbol, Series.basis(w))
             if value.is_zero():
                 continue
             iterates = _conjugate_iterates(w, value)
@@ -822,10 +821,8 @@ def _check_normal_approx(params: dict) -> Optional[dict]:
         symbol = _random_series(rng, alphabet, params["deg"], max_terms=4, min_len=1)
         phi = _random_series(rng, alphabet, params["deg"])
         k = 1 + _below(rng.getrandbits, 32)
-        full = frozenset(alphabet.letters())
-        subset = frozenset(
-            a for a in alphabet.letters() if rng.random() < 0.5
-        )
+        full = phi.letters_used()  # the restriction reads no other letter
+        subset = frozenset(a for a in sorted(full) if rng.random() < 0.5)
         if not normal_approx_check(symbol, phi, k, full):
             return {"trial": trial, "k": k, "letters": sorted(full)}
         if not normal_approx_check(symbol, phi, k, subset):

@@ -297,18 +297,18 @@ def _run_solver(
 ) -> int:
     """The solver protocol around ``read`` and ``solve``.
 
-    Input that ``read`` refuses is exit 2 with ``bad <what> input:``.
+    Input that ``read`` or ``solve`` refuses, as a size past a kernel's
+    bound, is exit 2 with ``bad <what> input:``.
     ``solve`` returns its report fields and the result as ``(key, data)``,
     or no result when the input is refused, which prints the error report
     alone and exits 1.  The result goes to ``--out``, or to stdout as
     ``{key: data, "report": report}``.
     """
     try:
-        problem = read(_load_json(args.infile))
+        summary, result = solve(read(_load_json(args.infile)))
     except _BAD_INPUT as err:
         print(f"bad {what} input: {err}", file=sys.stderr)
         return 2
-    summary, result = solve(problem)
     report = {"schema": SCHEMA_VERSION, "suite": suite, **summary}
     if result is None:
         print(_json_text(report), end="")

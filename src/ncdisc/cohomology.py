@@ -40,7 +40,7 @@ import numpy as np
 
 from .operators import basis_dimension
 from .series import PRUNE_EPS, Series, _checked, _json_int, _json_keyed_terms, _json_terms
-from .series import adjoint_shift, first_letter_part
+from .series import adjoint_shift
 from .words import Alphabet, Word, _check_word, _index, _text, enumerate_words
 
 WordTuple = tuple[Word, ...]
@@ -71,6 +71,14 @@ class NonCocycleError(ValueError):
 #: a tracemalloc peak of 146 MB at this bound (``max_len`` 15), where the
 #: norm path's ``MAX_DIMENSION`` admits 4,194,304 words, an estimated 10 GB.
 MAX_COCYCLE_WORDS = 1 << 16
+
+#: Most cells the coboundary's term matrix may hold: an input row of string
+#: S at arity n gives |S| + n + 2 terms of n + 2 cuts each.  The kernels
+#: loop over the cut columns, so a term costs more as the arity grows; per
+#: cell the coboundary takes about 40 ns of CPU and 8-24 bytes of peak memory
+#: at arities 2 to 1,024 (2 CPUs), so about 1.3 s and up to 0.8 GB at this
+#: bound.  A 146,799-term arity-3 cocycle at m = 3 needs 10.4 million cells.
+MAX_COBOUNDARY_CELLS = 1 << 25
 
 #: Largest int64; a cut code that could pass it is re-ranked first.
 _CODE_MAX = int(np.iinfo(np.int64).max)
@@ -401,11 +409,20 @@ def _coboundary_terms(phi: _CutCodes) -> _CutCodes:
     then for each slot i the cuts p = ``bounds[k, i] .. bounds[k, i + 1]``
     at offset ``1 + i + p``, then the trailing unit.  The two units have the
     keys of slot 0 cut at 0 and of slot n-1 cut at |S|.  A term spells its
-    row's string, with the row's bounds and p inserted after slot i.
+    row's string, with the row's bounds and p inserted after slot i.  Terms
+    past ``MAX_COBOUNDARY_CELLS`` cells are refused before any is built.
     """
     bounds = phi.bounds
     n = bounds.shape[1] - 1
     sizes = bounds[:, n] + (n + 2)
+    cells = int(sizes.sum(dtype=np.int64)) * (n + 2)
+    if cells > MAX_COBOUNDARY_CELLS:
+        raise ValueError(
+            f"the coboundary of {len(sizes)} terms at arity {n} has {cells} cut cells, "
+            f"over {MAX_COBOUNDARY_CELLS}"
+        )
+    if not cells:
+        return phi._replace(bounds=np.empty((0, n + 2), dtype=bounds.dtype))
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(sizes)), sizes)
     inner = bounds.take(owner, axis=0)
@@ -503,7 +520,7 @@ def homotopy(phi: Cochain) -> Cochain:
     return Cochain._from_codes(
         codes._replace(
             ids=codes.ids[at],
-            bounds=codes.bounds[at].take([0, *range(2, codes.arity + 1)], axis=1),
+            bounds=np.delete(codes.bounds[at], 1, axis=1),
             re=sign * codes.re[at] + 0.0,
             im=sign * codes.im[at] + 0.0,
         )
@@ -520,10 +537,10 @@ def trivialize(phi: Cochain) -> tuple[Cochain, Cochain]:
 def homotopy_on_series(phi: Cochain, args: Sequence[Series]) -> complex:
     """Evaluate the homotopy of a cocycle on series arguments directly.
 
-    Filter the first argument by its leading letter, strip that letter, and
-    feed both through the cocycle; the unit weight of the first argument
-    contributes through the doubled-unit slot.  Agrees with the multilinear
-    extension of :func:`homotopy` on every argument tuple.
+    Strip each leading letter off the first argument by its adjoint shift,
+    which keeps just the words it begins, and feed both through the cocycle;
+    the unit weight of the first argument contributes through the doubled-unit
+    slot.  Agrees with the multilinear extension of :func:`homotopy` on every argument tuple.
 
     Only the letters that begin a word of the first argument are fed, in
     ascending order: any other letter's term is an exact zero, and
@@ -537,8 +554,7 @@ def homotopy_on_series(phi: Cochain, args: Sequence[Series]) -> complex:
     total = 0j
     for a in sorted({w.letters[0] for w in first.table if w.letters}):
         gen = alphabet.generator(a)
-        stripped = adjoint_shift(gen, first_letter_part(first, a))
-        total -= phi.evaluate(Series.basis(gen), stripped, *rest)
+        total -= phi.evaluate(Series.basis(gen), adjoint_shift(gen, first), *rest)
     unit = Series.unit(alphabet)
     total += first.coeff(alphabet.unit()) * phi.evaluate(unit, unit, *rest)
     return total

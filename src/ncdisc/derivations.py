@@ -35,15 +35,15 @@ from .series import (
     conditional_expectation,
     max_coeff_diff,
 )
-from .words import _INDEX, Alphabet, Word, _check_letter
+from .words import _INDEX, Alphabet, Word, _check_letter, _index
 
 #: Coefficient deviations below this are treated as zero in solver checks.
 CHECK_TOL = 1e-12
 
 #: Most generators a derivation read from JSON may have.  A derivation holds
-#: a value per generator and the solver peels and screens each one, so its
-#: cost grows with the alphabet whatever the input's size: about 30 us and
-#: 0.5 kB per generator, 0.13 s at this budget for the zero derivation.
+#: only its nonzero values, but the solver screens and peels every generator,
+#: so its cost grows with the alphabet whatever the input's size: about 16 us
+#: and 0.5 kB per generator, 0.065 s at this budget for the zero derivation.
 MAX_GENERATORS = 4096
 
 
@@ -71,23 +71,19 @@ def inner_derivation(t: Series, phi: Series) -> Series:
 
 
 class GeneratorDerivation:
-    """A derivation given by one finitely supported series per generator."""
+    """A derivation given by one series per generator; ``values`` holds the nonzero ones."""
 
     __slots__ = ("alphabet", "values")
 
     def __init__(self, alphabet: Alphabet, values: Mapping[int, Series]):
-        for key in values:
-            _check_letter(key, alphabet.size)
-        table: dict[int, Series] = {}
-        for a in alphabet.letters():
-            value = values.get(a)
-            if value is None:
-                value = Series.zero(alphabet)
-            elif value.alphabet is not alphabet:
+        letters = [_index(key, "generator index") for key in values]
+        for a in letters:
+            _check_letter(a, alphabet.size)
+        for value in values.values():
+            if value.alphabet is not alphabet:
                 raise ValueError("generator value over a different alphabet")
-            table[a] = value
         self.alphabet = alphabet
-        self.values = table
+        self.values = {a: v for a, v in sorted(zip(letters, values.values())) if not v.is_zero()}
 
     @classmethod
     def inner(cls, t: Series) -> "GeneratorDerivation":
@@ -102,32 +98,35 @@ class GeneratorDerivation:
         )
 
     def value(self, letter: int) -> Series:
-        return self.values[letter]
+        """The value at generator ``letter``: the stored one, or zero."""
+        try:
+            return self.values[letter]
+        except KeyError:
+            _check_letter(letter, self.alphabet.size)
+            return Series.zero(self.alphabet)
 
     def of_word(self, w: Word) -> Series:
         """Leibniz expansion: sum over positions of prefix * value * suffix.
 
-        The unit maps to zero, and a generator to its stored value.
+        The unit maps to zero, and a generator to its value.
         """
-        alphabet = self.alphabet
+        alphabet, value = self.alphabet, self.value
         letters = w.letters
         if len(letters) == 1:
-            return self.values[letters[0]]
+            return value(letters[0])
         return Series._from_valid(
             alphabet,
             (
                 (Word._of(alphabet, letters[:i] + u.letters + letters[i + 1 :]), c)
                 for i, a in enumerate(letters)
-                for u, c in self.values[a].iter_terms()
+                for u, c in value(a).iter_terms()
             ),
         )
 
     def to_json_dict(self) -> dict:
         return {
             "alphabet": self.alphabet.size,
-            "values": {
-                str(a): self.values[a].to_json_dict() for a in self.alphabet.letters()
-            },
+            "values": {str(a): value.to_json_dict() for a, value in self.values.items()},
         }
 
     @classmethod

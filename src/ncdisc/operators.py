@@ -466,7 +466,9 @@ def isometry_relations(basis: TruncationBasis) -> dict[str, float]:
     ``orthogonality``: adjoint of one generator shift against another is the
     identity or zero; ``range_sum``: the shift ranges sum to the complement
     of the unit vector; ``unit_defect``: the complement has full weight at
-    the unit.  All three vanish exactly away from the top degree.
+    the unit.  All three vanish exactly away from the top degree.  A letter
+    permutation s is a unitary P with ``P L_a P* = L_{sa}`` that keeps column
+    degrees, so the pairs (top, top) and (top, 0) decide orthogonality.
     """
     if basis.cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -474,12 +476,13 @@ def isometry_relations(basis: TruncationBasis) -> dict[str, float]:
     inner_limit = basis.cutoff - 1
     shifts = [left_matrix(Series.basis(alphabet.generator(a)), basis) for a in alphabet.letters()]
     identity, zero = TruncatedOperator.identity(basis), TruncatedOperator.zero(basis)
+    top = shifts[-1]
     orthogonality = max(
-        max_column_deviation(sa.adjoint() @ sb, identity if a == b else zero, inner_limit)
-        for a, sa in enumerate(shifts)
-        for b, sb in enumerate(shifts)
+        max_column_deviation(top.adjoint() @ sb, identity if sb is top else zero, inner_limit)
+        for sb in (top, shifts[0])
     )
-    range_sum = sum((sa @ sa.adjoint() for sa in shifts), zero)
+    ranges = [(p.rows, p.cols, p.vals) for p in (sa @ sa.adjoint() for sa in shifts)]
+    range_sum = TruncatedOperator._from_coo(basis, *map(np.concatenate, zip(*ranges)))
     # the unit vector spans the range of the length-0 projection
     complement = identity - q_projection(basis, 0)
     unit_weight = (identity - range_sum).apply(Series.unit(alphabet)).coeff(alphabet.unit())

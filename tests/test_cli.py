@@ -362,6 +362,23 @@ class _StillRunning(BaseException):
     """Raised by the alarm below; not an Exception, so no check's handler catches it."""
 
 
+def main_within(seconds, argv):
+    """``main(argv)``, failed when it is still running after ``seconds``."""
+
+    def interrupt(signum, frame):
+        raise _StillRunning
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return main(argv)
+    except _StillRunning:
+        pytest.fail(f"{argv[0]} was still running after {seconds} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize(
     "name, params",
     [
@@ -378,19 +395,7 @@ def test_replay_with_a_tolerance_that_is_not_finite_is_a_bad_payload(
 ):
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"name": name, "params": params}))  # as NaN and Infinity
-
-    def interrupt(signum, frame):
-        raise _StillRunning
-
-    previous = signal.signal(signal.SIGALRM, interrupt)
-    signal.setitimer(signal.ITIMER_REAL, 10.0)
-    try:
-        code = main(["verify-operators", "--replay", str(path)])
-    except _StillRunning:
-        pytest.fail("the replay was still running after 10 s")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    code = main_within(10.0, ["verify-operators", "--replay", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("bad replay payload: tolerance must be positive and finite")
@@ -683,9 +688,7 @@ def test_relabeled_checks_make_the_same_calls_at_twelve_and_forty_letters(monkey
 
     monkeypatch.setattr(checks, "_random_series", drawn_over_eight_letters)
     monkeypatch.setattr(checks, "commutant_check", counted("commutant", checks.commutant_check))
-    monkeypatch.setattr(
-        GeneratorDerivation, "of_word", counted("of_word", GeneratorDerivation.of_word)
-    )
+    monkeypatch.setattr(checks, "inner_derivation", counted("value", checks.inner_derivation))
     seen = []
     for m in (12, 40):
         calls.clear()
@@ -698,7 +701,102 @@ def test_relabeled_checks_make_the_same_calls_at_twelve_and_forty_letters(monkey
     # with 8 letters in the symbol, at most 848 probes of length <= 3 (against
     # 65,640 words at 40 letters) and 91 of length <= 2, each read once in
     # each of the 10 trials
-    assert 0 < seen[0]["of_word"] <= 10 * (848 + 91)
+    assert 0 < seen[0]["value"] <= 10 * (848 + 91)
+
+
+def test_verify_derivations_makes_the_same_calls_at_44_and_20000_letters(monkeypatch, capsys):
+    # every value the screens and the stabilization check read is one
+    # commutator at a probe of its trial's symbol; with the symbols drawn over
+    # the first 8 letters at both sizes, the calls are the same
+    calls = []
+    real_series, real_inner, real_probes = (
+        checks._random_series, checks.inner_derivation, checks._probe_words
+    )
+
+    def drawn_over_eight_letters(rng, alphabet, *args, **kwargs):
+        terms = real_series(rng, Alphabet(8), *args, **kwargs).iter_terms()
+        return Series._from_valid(alphabet, [(Word._of(alphabet, w.letters), c) for w, c in terms])
+
+    def spelled(phi):
+        return sorted((w.letters, c.real, c.imag) for w, c in phi.iter_terms())
+
+    def inner_derivation(t, phi):
+        calls.append(("value", spelled(t), spelled(phi)))
+        return real_inner(t, phi)
+
+    def probe_words(alphabet, symbol, max_len):
+        words = real_probes(alphabet, symbol, max_len)
+        calls.append(("probes", spelled(symbol), max_len, len(words)))
+        return words
+
+    monkeypatch.setattr(checks, "_random_series", drawn_over_eight_letters)
+    monkeypatch.setattr(checks, "inner_derivation", inner_derivation)
+    monkeypatch.setattr(checks, "_probe_words", probe_words)
+    seen = []
+    for m in ("44", "20000"):
+        calls.clear()
+        assert main(["verify-derivations", "--alphabet", m]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        seen.append(list(calls))
+    assert seen[0] == seen[1]
+    probes = [call[-1] for call in seen[0] if call[0] == "probes"]
+    assert len(probes) == 2 * 10
+    # one value per probe, and the round trip's generator values at 2 and 3
+    # letters in each of its 25 trials
+    assert len(seen[0]) - len(probes) == sum(probes) + 25 * (2 + 3)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("derivations.screens", {"m": 10**7, "deg": 3, "seed": 43, "trials": 10}),
+        ("derivations.stabilization", {"m": 10**7, "deg": 3, "seed": 44, "trials": 10}),
+        ("derivations.normal_approx", {"m": 10**7, "deg": 4, "seed": 45, "trials": 50}),
+    ],
+)
+def test_derivation_replays_at_ten_million_letters(tmp_path, capsys, name, params):
+    # no derivation check builds a value or a letter set per generator
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"check": name, "params": params}))
+    start = time.process_time()
+    code = main_within(10.0, ["verify-derivations", "--replay", str(path)])
+    elapsed = time.process_time() - start
+    assert code == 0 and json.loads(capsys.readouterr().out)["passed"]
+    assert elapsed < 2.0
+
+
+def test_trivialize_cocycle_at_a_large_arity_ends_in_seconds(tmp_path, capsys):
+    # the kernels loop over the cut columns: the zero cochain builds nothing
+    # at any arity, and a coboundary past MAX_COBOUNDARY_CELLS is refused
+    # before any term is built (20,000 units: 400 million cells; 545 terms
+    # at arity 256: 74 million)
+    rng = random.Random(1)
+
+    def word():
+        return A2.word(rng.randrange(2) for _ in range(rng.randrange(3)))
+
+    wide = coboundary(Cochain(255, A2, {tuple(word() for _ in range(255)): 1.0 for _ in range(4)}))
+    assert len(wide) == 545
+    units = {"words": ["e"] * 20_000, "re": 1.0}
+    inputs = [
+        ({"arity": 2_000_000, "alphabet": 2, "terms": []}, 0),
+        ({"arity": 20_000, "alphabet": 2, "terms": [units]}, 2),
+        (wide.to_json_dict(), 2),
+    ]
+    for data, expected in inputs:
+        infile = tmp_path / "cochain.json"
+        infile.write_text(json.dumps(data))
+        start = time.process_time()
+        code = main_within(10.0, ["trivialize-cocycle", "--in", str(infile)])
+        elapsed = time.process_time() - start
+        captured = capsys.readouterr()
+        assert code == expected and elapsed < 2.0
+        if expected:
+            assert captured.err.startswith("bad cochain input: the coboundary of")
+            assert captured.err.rstrip().endswith("cut cells, over 33554432")
+        else:
+            result = json.loads(captured.out)
+            assert result["cochain"] == {"alphabet": 2, "arity": 1_999_999, "terms": []}
 
 
 def test_report_all_runs_at_forty_four_letters(capsys):

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 
@@ -313,6 +314,26 @@ def test_coboundary_kernel_stays_exact_past_int64_codes():
     boundary = coboundary(phi)
     expected = _letter_tuple_coboundary(phi)
     assert _bits(boundary.table.items()) == _bits(expected.items())
+
+
+def test_coboundary_past_the_cell_bound_is_refused_before_allocation():
+    # 64 keys at arity 1,024, each a six-letter word and 1,023 units: 64 *
+    # (6 + 1,026) terms of 1,026 cuts, 67.8 million cells, about 0.5 GB
+    keys = [(A2.word((k >> i) & 1 for i in range(6)),) + (E,) * 1023 for k in range(64)]
+    phi = Cochain(1024, A2, dict.fromkeys(keys, 1.0))
+    for kernel in (coboundary, is_cocycle, homotopy, trivialize):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="67765248 cut cells, over 33554432"):
+                kernel(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    # the zero cochain builds nothing at any arity
+    zero = Cochain(10**7, A2)
+    assert coboundary(zero).arity == 10**7 + 1 and coboundary(zero).is_zero()
+    assert trivialize(zero)[0].arity == 10**7 - 1
 
 
 # -- cocycles -------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,6 +126,34 @@ def test_generator_derivation_construction():
         GeneratorDerivation(A2, {2: xi(0)})
     with pytest.raises(ValueError):
         GeneratorDerivation(A2, {0: Series.basis(A3.generator(0))})
+
+
+def test_generator_derivation_stores_only_its_nonzero_values():
+    derivation = GeneratorDerivation(A2, {1: Series.zero(A2), 0: xi(1)})
+    assert derivation.values == {0: xi(1)}
+    # xi(0) commutes with z0, so the inner derivation is zero there
+    inner = GeneratorDerivation.inner(xi(0))
+    assert list(inner.values) == [1]
+    assert inner.value(0) == Series.zero(A2)
+    assert inner.value(1) == xi(1, 0) - xi(0, 1)
+    assert inner.of_word(w2(0, 0)).is_zero()
+    assert not GeneratorDerivation(Alphabet(10**5), {}).values
+
+
+@pytest.mark.parametrize("letter", [2, -1])
+def test_generator_derivation_refuses_a_letter_past_the_alphabet(letter):
+    derivation = GeneratorDerivation(A2, {0: xi(1)})
+    with pytest.raises(ValueError, match=f"letter {letter} outside alphabet of size 2"):
+        derivation.value(letter)
+
+
+def test_generator_derivation_keys_its_values_by_int_letters():
+    # a key is stored as the letter it names, so its JSON key reads back
+    derivation = GeneratorDerivation(A2, {np.int64(1): xi(0)})
+    assert list(derivation.values) == [1] and type(next(iter(derivation.values))) is int
+    assert list(derivation.to_json_dict()["values"]) == ["1"]
+    with pytest.raises(ValueError, match="generator index 1.0 is not an integer"):
+        GeneratorDerivation(A2, {1.0: xi(0)})
 
 
 def test_of_word_base_cases():
@@ -523,6 +552,15 @@ def test_json_roundtrip():
     loaded = GeneratorDerivation.from_json_dict(data)
     for a in range(2):
         assert loaded.value(a) == derivation.value(a)
+
+
+def test_json_writes_and_reads_only_the_stored_values():
+    derivation = GeneratorDerivation.inner(xi(1))
+    data = json.loads(json.dumps(derivation.to_json_dict()))
+    assert list(data["values"]) == ["0"]
+    loaded = GeneratorDerivation.from_json_dict(data)
+    assert loaded.values == derivation.values
+    assert loaded.to_json_dict() == data
 
 
 def test_json_rejects_mismatched_alphabet():

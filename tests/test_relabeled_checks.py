@@ -1,25 +1,28 @@
-"""The commutant, screens and stabilization checks over relabeling classes.
+"""The commutant, screens, stabilization and shift relations over
+relabeling classes.
 
 The commutant check tests one pair per letter pattern of the string uv; the
 screens and the stabilization check spell their probes in the letters of the
-trial's symbol and a few fresh ones.  The full sweeps below test every pair
-or probe and serve as their oracles: both pass on the real code and both
-fail under planted faults.
+trial's symbol and a few fresh ones; the shift relations test two pairs of
+generators.  The full sweeps below, and ``oracles.full_isometry_relations``,
+test every pair or probe and serve as their oracles: both pass on the real
+code and both fail under planted faults.
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from ncdisc import checks, derivations
+from ncdisc import checks, derivations, operators
 from ncdisc.checks import RunConfig
 from ncdisc.derivations import GeneratorDerivation, stabilized_conjugate_sum
-from ncdisc.operators import TruncationBasis
+from ncdisc.operators import TruncatedOperator, TruncationBasis, isometry_relations
 from ncdisc.series import Series, conjugate_by
 from ncdisc.words import Alphabet, Word, enumerate_words
 
-from oracles import conjugate_vanishing_index
+from oracles import conjugate_vanishing_index, full_isometry_relations
 
 
 def full_commutant(params):
@@ -211,25 +214,26 @@ def test_derivation_checks_expand_each_probe_once(monkeypatch, m, name):
         return words
 
     monkeypatch.setattr(checks, "_probe_words", probe_words)
-    expanded = counting(monkeypatch, GeneratorDerivation, "of_word")
+    values = counting(monkeypatch, checks, "inner_derivation")
     check = checks.CHECKS[name]
     assert check.run(check.params(RunConfig(alphabet=m))) is None
-    assert [w for _, w in expanded] == probes
+    assert [xi for _, xi in values] == [Series.basis(w) for w in probes]
 
 
 @pytest.mark.parametrize("m", [2, 3, 12])
 def test_stabilization_builds_one_iterate_list_per_nonzero_probe(monkeypatch, m):
     # the iterate list gives both the vanishing index and the stabilized sum
     nonzero = []
-    real_of_word = GeneratorDerivation.of_word
+    real_inner = checks.inner_derivation
 
-    def of_word(self, w):
-        value = real_of_word(self, w)
+    def inner_derivation(t, xi):
+        value = real_inner(t, xi)
         if not value.is_zero():
+            (w,) = xi.table
             nonzero.append(w)
         return value
 
-    monkeypatch.setattr(GeneratorDerivation, "of_word", of_word)
+    monkeypatch.setattr(checks, "inner_derivation", inner_derivation)
     calls = counting(monkeypatch, derivations, "_conjugate_iterates")
     monkeypatch.setattr(checks, "_conjugate_iterates", derivations._conjugate_iterates, raising=False)
     check = checks.CHECKS["derivations.stabilization"]
@@ -255,15 +259,21 @@ def test_probes_are_one_word_of_each_relabeling_class(m):
 
 def short_screen_ignoring_weight_off_the_symbols_letters(monkeypatch):
     """Plant a short screen that weighs the value's long words only over the
-    letters of the last symbol made inner, against the value's whole weight:
+    letters of the last trial's symbol, against the value's whole weight:
     a probe with a letter outside them fails it whenever its value is nonzero.
-    Returns the list of the symbols made inner."""
+    Returns the list of the trials' symbols: the reduced screen spells each
+    one's probes, and the full sweep makes each one inner."""
     symbols = []
     real_inner = GeneratorDerivation.inner.__func__
+    real_probes = checks._probe_words
 
     def inner(cls, t):
         symbols.append(t)
         return real_inner(cls, t)
+
+    def probe_words(alphabet, t, max_len):
+        symbols.append(t)
+        return real_probes(alphabet, t, max_len)
 
     real_screen = checks.first_screen_violation
 
@@ -277,6 +287,7 @@ def short_screen_ignoring_weight_off_the_symbols_letters(monkeypatch):
         return ("short_support",) + terms[0]
 
     monkeypatch.setattr(GeneratorDerivation, "inner", classmethod(inner))
+    monkeypatch.setattr(checks, "_probe_words", probe_words)
     monkeypatch.setattr(checks, "first_screen_violation", planted)
     return symbols
 
@@ -293,3 +304,46 @@ def test_reduced_and_full_screens_fail_on_weight_off_the_symbols_letters(monkeyp
     # the fresh letters catch it: probes spelled in the symbol's letters alone miss it
     monkeypatch.setattr(checks, "_fresh", lambda alphabet, used, count: [])
     assert checks.CHECKS["derivations.screens"].run(params) is None
+
+
+@pytest.mark.parametrize("m, cutoff", [(1, 4), (2, 3), (3, 2), (12, 2)])
+def test_reduced_and_full_shift_relations_agree(m, cutoff):
+    basis = TruncationBasis(Alphabet(m), cutoff)
+    exact = {"orthogonality": 0.0, "range_sum": 0.0, "unit_defect": 0.0}
+    assert isometry_relations(basis) == full_isometry_relations(basis) == exact
+
+
+def planted_shift_fault(fault):
+    """Edit the entry (z5, e) of the shift by z5, a middle letter of 12."""
+
+    def edit(rows, cols, vals):
+        at = int(np.flatnonzero(cols == 0)[0])
+        if fault == "dropped":
+            return np.delete(rows, at), np.delete(cols, at), np.delete(vals, at)
+        if fault == "moved":
+            rows = rows.copy()
+            rows[at] += 1  # the row of z6
+            return rows, cols, vals
+        vals = vals.copy()
+        vals[at] *= 2
+        return rows, cols, vals
+
+    return edit
+
+
+@pytest.mark.parametrize("fault", ["dropped", "moved", "scaled"])
+def test_reduced_and_full_shift_relations_catch_a_fault_in_one_shift(monkeypatch, fault):
+    basis = TruncationBasis(Alphabet(12), 2)
+    real_left = operators.left_matrix
+    edit = planted_shift_fault(fault)
+    z5 = Series.basis(basis.alphabet.generator(5))
+
+    def left_matrix(phi, basis):
+        op = real_left(phi, basis)
+        if phi != z5:
+            return op
+        return TruncatedOperator._from_coo(basis, *edit(op.rows, op.cols, op.vals))
+
+    monkeypatch.setattr(operators, "left_matrix", left_matrix)
+    for relations in (isometry_relations, full_isometry_relations):
+        assert max(relations(basis).values()) > 0
