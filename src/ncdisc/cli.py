@@ -2,15 +2,19 @@
 
 Subcommands: ``verify-<suite>`` for each suite of ``checks.CHECKS``
 (``verify-words``, ``verify-operators``, ``verify-derivations``,
-``verify-cohomology``), ``report-all``, ``solve-derivation`` and
-``trivialize-cocycle``.  Reports are machine readable (JSON, optionally
-CSV), deterministic for a fixed configuration up to the timing fields, and
+``verify-cohomology``) and ``report-all`` run the checks at a
+configuration; ``replay`` re-runs the one check a payload names;
+``solve-derivation``, ``trivialize-cocycle`` and ``dump-matrix`` read
+``--in``.  Reports are machine readable (JSON, optionally CSV),
+deterministic for a fixed configuration up to the timing fields, and
 every failing check carries a replayable payload.
 
 The checks and their suite parameters live in ``checks``; this module runs
-them, turns a crash into a failed check, and writes the reports.  The two
-solvers share ``_run_solver``, which owns reading ``--in``, the exit codes
-and the output.  One writer, ``_json_text``, gives the JSON of every
+them, turns a crash into a failed check, and writes the reports.  A check
+outcome has one shape, the report entry ``_check_entry`` builds, whether
+a suite or a replay ran it, and a report entry replays as it stands.  The
+two solvers share ``_run_solver``, which owns reading ``--in``, the exit
+codes and the output.  One writer, ``_json_text``, gives the JSON of every
 report and result.
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 bad input or
@@ -29,8 +33,8 @@ from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Callable, Collection, Iterator, Optional, TextIO
 
-from .checks import CHECKS, CheckFn, RunConfig, _check_operator_config
-from .cohomology import Cochain, NonCocycleError, _check_homotopy_arity, trivialize
+from .checks import CHECKS, RunConfig, _check_operator_config
+from .cohomology import Cochain, NonCocycleError, trivialize
 from .derivations import GeneratorDerivation, InconsistentDerivationError, _solve_with_deviations
 from .operators import PowerIterationError, TruncationBasis, left_matrix, write_csv
 from .series import Series, _json_typed
@@ -46,44 +50,39 @@ _BAD_INPUT = (OSError, ValueError, KeyError, TypeError)
 # --------------------------------------------------------------------------
 
 
-def _call_check(
-    fn: CheckFn, params: dict, refused: tuple[type[Exception], ...] = ()
-) -> Optional[dict]:
-    """Run one check and return its counterexample, or None when it passes;
-    a crash is a failed check whose params replay it.
+def _check_entry(name: str, params: dict, refused: tuple[type[Exception], ...] = ()) -> dict:
+    """Run the check ``name`` on ``params`` and return its report entry; a
+    crash is a failed check whose params replay it.
 
     Exceptions of the ``refused`` types propagate: replay turns them into a
     refusal of the payload.
     """
+    run = CHECKS[name].run
+    start = time.perf_counter()
     try:
-        return fn(params)
+        counterexample = run(params)
     except refused:
         raise
     except PowerIterationError as err:
-        return {"non_convergence": str(err)}
+        counterexample = {"non_convergence": str(err)}
     except Exception as err:
-        return {"exception": f"{type(err).__name__}: {err}"}
+        counterexample = {"exception": f"{type(err).__name__}: {err}"}
+    return {
+        "name": name,
+        "passed": counterexample is None,
+        "params": params,
+        "counterexample": counterexample,
+        "elapsed_s": time.perf_counter() - start,
+    }
 
 
 def _run_suite(suite: str, config: RunConfig) -> dict:
     """The report of one suite, as the dict that ``_json_text`` writes."""
-    checks = []
-    for name, check in CHECKS.items():
-        if not name.startswith(suite + "."):
-            continue
-        params = check.params(config)
-        start = time.perf_counter()
-        counterexample = _call_check(check.run, params)
-        elapsed = time.perf_counter() - start
-        checks.append(
-            {
-                "name": name,
-                "passed": counterexample is None,
-                "params": params,
-                "counterexample": counterexample,
-                "elapsed_s": elapsed,
-            }
-        )
+    checks = [
+        _check_entry(name, check.params(config))
+        for name, check in CHECKS.items()
+        if name.startswith(suite + ".")
+    ]
     return {
         "schema": SCHEMA_VERSION,
         "suite": suite,
@@ -96,12 +95,6 @@ def _run_suite(suite: str, config: RunConfig) -> dict:
 # --------------------------------------------------------------------------
 # command plumbing
 # --------------------------------------------------------------------------
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-    config.validate()
-    return config
 
 
 def _suite_checks(report_dict: dict) -> Iterator[tuple[str, dict]]:
@@ -194,42 +187,44 @@ def _write_out(path: str, write: Callable[[TextIO], object], newline: Optional[s
     return True
 
 
-def _emit_report(report_dict: dict, args: argparse.Namespace) -> bool:
-    """Print or write the report; False when ``--out`` cannot be written."""
+def _emit_report(report_dict: dict, args: argparse.Namespace) -> int:
+    """Print or write the report; the exit code, 2 when ``--out`` cannot be written."""
     text = _report_text(report_dict, args.format)
     if args.out:
         if not _write_out(args.out, lambda handle: handle.write(text)):
-            return False
+            return 2
         for suite, check in _suite_checks(report_dict):
             status = "pass" if check["passed"] else "FAIL"
             print(f"{status}  {suite}: {check['name']}")
     else:
         print(text, end="")
-    return True
+    return 0 if report_dict["passed"] else 1
 
 
-def _cmd_replay(path: str) -> int:
+def _cmd_replay(args: argparse.Namespace) -> int:
     """Re-run one check from ``{"check": <name>, "params": {...}}`` or from a
-    report's check entry, which says ``name``; params it refuses are a bad payload."""
+    report's check entry, which says ``name``, and report it as a one-check
+    suite; params it refuses are a bad payload."""
     try:
-        payload = _load_json(path)
+        payload = _load_json(args.infile)
         name = payload.get("check", payload.get("name"))
-        counterexample = _call_check(CHECKS[name].run, payload.get("params"), _BAD_INPUT)
+        entry = _check_entry(name, payload.get("params"), _BAD_INPUT)
     except _BAD_INPUT as err:
         print(f"bad replay payload: {err}", file=sys.stderr)
         return 2
-    passed = counterexample is None
-    print(_json_text({"check": name, "passed": passed, "counterexample": counterexample}), end="")
-    return 0 if passed else 1
+    report = {
+        "schema": SCHEMA_VERSION,
+        "suite": name.partition(".")[0],
+        "passed": entry["passed"],
+        "checks": [entry],
+    }
+    return _emit_report(report, args)
 
 
 def _cmd_verify(args: argparse.Namespace, suites: Collection[str]) -> int:
-    if getattr(args, "dump_matrix", None):
-        return _cmd_dump_matrix(args)
-    if getattr(args, "replay", None):
-        return _cmd_replay(args.replay)
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+        config.validate()
         if "operators" in suites:
             _check_operator_config(config)
     except ValueError as err:
@@ -245,9 +240,7 @@ def _cmd_verify(args: argparse.Namespace, suites: Collection[str]) -> int:
             "passed": all(report["passed"] for report in reports),
             "reports": reports,
         }
-    if not _emit_report(merged, args):
-        return 2
-    return 0 if merged["passed"] else 1
+    return _emit_report(merged, args)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -269,13 +262,12 @@ def _load_json(path: str) -> dict:
 def _cmd_dump_matrix(args: argparse.Namespace) -> int:
     """Write the left compression of a series as a word-labelled CSV."""
     try:
-        series = Series.from_json_dict(_load_json(args.dump_matrix))
+        series = Series.from_json_dict(_load_json(args.infile))
     except _BAD_INPUT as err:
         print(f"bad series input: {err}", file=sys.stderr)
         return 2
     try:
-        config = _config_from_args(args)
-        basis = TruncationBasis(series.alphabet, config.cutoff)
+        basis = TruncationBasis(series.alphabet, args.cutoff)
     except ValueError as err:
         print(f"bad configuration: {err}", file=sys.stderr)
         return 2
@@ -335,10 +327,6 @@ def _solve_derivation(derivation: GeneratorDerivation) -> tuple[dict, Optional[t
     return report, ("series", symbol.to_json_dict())
 
 
-def _read_cocycle(data: dict) -> Cochain:
-    return _check_homotopy_arity(Cochain.from_json_dict(data))
-
-
 def _trivialize(phi: Cochain) -> tuple[dict, Optional[tuple]]:
     try:
         psi, residual = trivialize(phi)
@@ -356,29 +344,35 @@ def _cmd_solve_derivation(args: argparse.Namespace) -> int:
 
 
 def _cmd_trivialize_cocycle(args: argparse.Namespace) -> int:
-    return _run_solver(args, "trivialize-cocycle", "cochain", _read_cocycle, _trivialize)
+    return _run_solver(args, "trivialize-cocycle", "cochain", Cochain.from_json_dict, _trivialize)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Each handler is looked up
+    """The argument parser, built once per process: one definition per flag,
+    and each command lists the flags it reads.  Each handler is looked up
     in this module when it runs, so a rebound ``_cmd_*`` is honoured."""
     defaults = RunConfig()
-    shared = argparse.ArgumentParser(add_help=False)
-    for flag, help_text in (
-        ("--alphabet", "number of generators"),
-        ("--max-len", "word length bound for sweeps"),
-        ("--cutoff", "matrix truncation degree"),
-        ("--seed", "seed for randomized checks"),
-        ("--tol", "norm estimation tolerance"),
-    ):
-        default = getattr(defaults, flag[2:].replace("-", "_"))
-        shared.add_argument(flag, type=type(default), default=default, help=help_text)
-    shared.add_argument("--out", help="write the report or result to this path")
-    shared.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    shared.add_argument("--replay", help="re-run a single check from a failure payload")
+    config = {
+        f"--{name.replace('_', '-')}": {
+            "type": type(getattr(defaults, name)),
+            "default": getattr(defaults, name),
+            "help": help_text,
+        }
+        for name, help_text in (
+            ("alphabet", "number of generators"),
+            ("max_len", "word length bound for sweeps"),
+            ("cutoff", "matrix truncation degree"),
+            ("seed", "seed for randomized checks"),
+            ("tol", "norm estimation tolerance"),
+        )
+    }
+    flags = {
+        **config,
+        "--in": {"dest": "infile", "required": True, "help": "the JSON input"},
+        "--out": {"help": "write the report or result to this path"},
+        "--format": {"choices": ("json", "csv"), "default": "json", "help": "report format"},
+    }
 
     parser = argparse.ArgumentParser(
         prog="ncdisc",
@@ -386,29 +380,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, handler: Callable[[argparse.Namespace], int], *names: str) -> None:
+        command_parser = sub.add_parser(name)
+        for flag in names:
+            command_parser.add_argument(flag, **flags[flag])
+        command_parser.set_defaults(handler=handler)
+
+    run_flags = (*config, "--out", "--format")
     suites = list(dict.fromkeys(name.partition(".")[0] for name in CHECKS))
     for suite in suites:
-        verify = sub.add_parser(f"verify-{suite}", parents=[shared])
-        verify.set_defaults(handler=lambda args, suite=suite: _cmd_verify(args, [suite]))
-        if suite == "operators":
-            verify.add_argument(
-                "--dump-matrix",
-                metavar="SERIES_JSON",
-                help="instead of verifying, dump the left compression of this series as CSV",
-            )
-    sub.add_parser("report-all", parents=[shared]).set_defaults(
-        handler=lambda args: _cmd_verify(args, suites)
-    )
-
-    solve = sub.add_parser("solve-derivation")
-    solve.add_argument("--in", dest="infile", required=True, help="derivation JSON input")
-    solve.add_argument("--out", help="write the recovered series JSON to this path")
-    solve.set_defaults(handler=lambda args: _cmd_solve_derivation(args))
-
-    trivialize = sub.add_parser("trivialize-cocycle")
-    trivialize.add_argument("--in", dest="infile", required=True, help="cochain JSON input")
-    trivialize.add_argument("--out", help="write the trivializing cochain JSON to this path")
-    trivialize.set_defaults(handler=lambda args: _cmd_trivialize_cocycle(args))
+        command(f"verify-{suite}", lambda args, suite=suite: _cmd_verify(args, [suite]), *run_flags)
+    command("report-all", lambda args: _cmd_verify(args, suites), *run_flags)
+    command("replay", lambda args: _cmd_replay(args), "--in", "--out", "--format")
+    command("solve-derivation", lambda args: _cmd_solve_derivation(args), "--in", "--out")
+    command("trivialize-cocycle", lambda args: _cmd_trivialize_cocycle(args), "--in", "--out")
+    command("dump-matrix", lambda args: _cmd_dump_matrix(args), "--in", "--cutoff", "--out")
     return parser
 
 

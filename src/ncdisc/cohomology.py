@@ -484,13 +484,6 @@ def first_cocycle_violation(phi: Cochain) -> Optional[WordTuple]:
     return witness
 
 
-def _check_homotopy_arity(phi: Cochain) -> Cochain:
-    """``phi``, refused unless it has a first word to cut and a slot to spare."""
-    if phi.arity < 2:
-        raise ValueError("homotopy needs arity at least 2")
-    return phi
-
-
 def homotopy(phi: Cochain) -> Cochain:
     """For a cocycle of arity n >= 2, an (n-1)-cochain psi with coboundary phi.
 
@@ -506,7 +499,8 @@ def homotopy(phi: Cochain) -> Cochain:
     the second yields the only keys with a unit first word), so a sum would
     only add each coefficient to 0.0, which ``+ 0.0`` repeats.
     """
-    _check_homotopy_arity(phi)
+    if phi.arity < 2:  # no first word to cut, or no slot to spare
+        raise ValueError("homotopy needs arity at least 2")
     witness = first_cocycle_violation(phi)
     if witness is not None:
         raise NonCocycleError(

@@ -170,7 +170,7 @@ def test_small_cutoffs_are_bad_configurations(capsys):
 def test_dump_matrix_at_cutoff_zero(tmp_path, capsys):
     infile = tmp_path / "series.json"
     infile.write_text(json.dumps(Series(A2, {A2.unit(): 2.0}).to_json_dict()))
-    code, out = run(capsys, "verify-operators", "--cutoff", "0", "--dump-matrix", str(infile))
+    code, out = run(capsys, "dump-matrix", "--in", str(infile), "--cutoff", "0")
     assert code == 0
     assert out.strip().splitlines() == ["row,col,re,im", "e,e,2.0,0.0"]
 
@@ -306,11 +306,15 @@ def test_solver_output_matches_its_golden_file(case, capsys):
 
 
 def test_trivialize_cocycle_rejects_low_arity(tmp_path, capsys):
-    low = Cochain(1, A2, {(A2.generator(0),): 1.0})
-    infile = tmp_path / "low.json"
-    infile.write_text(json.dumps(low.to_json_dict()))
-    code, _ = run(capsys, "trivialize-cocycle", "--in", str(infile))
-    assert code == 2
+    # the homotopy's own refusal, before any coboundary is formed
+    for arity in (0, 1):
+        low = Cochain(arity, A2, {(A2.generator(0),) * arity: 1.0})
+        infile = tmp_path / "low.json"
+        infile.write_text(json.dumps(low.to_json_dict()))
+        code = main(["trivialize-cocycle", "--in", str(infile)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "bad cochain input: homotopy needs arity at least 2\n"
 
 
 def test_replay_reruns_a_check(tmp_path, capsys):
@@ -320,15 +324,21 @@ def test_replay_reruns_a_check(tmp_path, capsys):
     }
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
-    code, out = run(capsys, "verify-words", "--replay", str(path))
+    code, out = run(capsys, "replay", "--in", str(path))
     assert code == 0
     assert json.loads(out)["passed"] is True
+    # --format csv prints the one check's row
+    code, out = run(capsys, "replay", "--in", str(path), "--format", "csv")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "suite,check,passed,elapsed_s"
+    assert row.startswith("words,words.power_shift_sweep,True,")
 
 
 def test_replay_rejects_unknown_check(tmp_path, capsys):
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"check": "words.no_such_check", "params": {}}))
-    code, _ = run(capsys, "verify-words", "--replay", str(path))
+    code, _ = run(capsys, "replay", "--in", str(path))
     assert code == 2
 
 
@@ -337,7 +347,7 @@ def test_replaying_the_mobius_witness_on_a_zero_symbol_is_a_bad_payload(tmp_path
     params = {"c": 0.0, "cutoff": 0, "lo": 1.8, "tol": 1e-9}
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"check": "operators.mobius_witness", "params": params}))
-    code = main(["verify-operators", "--replay", str(path)])
+    code = main(["replay", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("bad replay payload:")
@@ -351,7 +361,7 @@ def test_replay_rejects_params_its_check_refuses(tmp_path, capsys):
     }
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
-    code = main(["verify-operators", "--replay", str(path)])
+    code = main(["replay", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("bad replay payload:")
@@ -395,7 +405,7 @@ def test_replay_with_a_tolerance_that_is_not_finite_is_a_bad_payload(
 ):
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"name": name, "params": params}))  # as NaN and Infinity
-    code = main_within(10.0, ["verify-operators", "--replay", str(path)])
+    code = main_within(10.0, ["replay", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("bad replay payload: tolerance must be positive and finite")
@@ -408,7 +418,8 @@ def test_basis_over_the_dimension_budget_is_a_bad_configuration(tmp_path, capsys
         ("verify-operators", "--cutoff", "40"),
         ("report-all", "--cutoff", "40"),
         ("verify-operators", "--alphabet", "3", "--cutoff", "1000000000"),
-        ("verify-operators", "--cutoff", "40", "--dump-matrix", str(infile)),
+        ("dump-matrix", "--in", str(infile), "--cutoff", "40"),
+        ("dump-matrix", "--in", str(infile), "--cutoff", "-1"),
     ):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -424,9 +435,9 @@ def test_dump_matrix(tmp_path, capsys):
     infile.write_text(json.dumps(series.to_json_dict()))
     code, _ = run(
         capsys,
-        "verify-operators",
+        "dump-matrix",
+        "--in", str(infile),
         "--cutoff", "1",
-        "--dump-matrix", str(infile),
         "--out", str(outfile),
     )
     assert code == 0
@@ -445,17 +456,14 @@ def test_report_written_to_file(tmp_path, capsys):
     assert len(out.strip().splitlines()) == len(report["checks"])
 
 
-def test_bad_seed_and_tolerance_are_bad_configurations(tmp_path, capsys):
+def test_bad_seed_and_tolerance_are_bad_configurations(capsys):
     # a negative seed crashed numpy's generator; a NaN tolerance switched off
     # the Lanczos stop test
-    infile = tmp_path / "series.json"
-    infile.write_text(json.dumps(Series.unit(A2).to_json_dict()))
     for argv in (
         ("verify-operators", "--seed", "-5"),
         ("verify-words", "--seed", "-1"),
         ("verify-operators", "--tol", "nan"),
         ("report-all", "--tol", "inf"),
-        ("verify-operators", "--dump-matrix", str(infile), "--seed", "-1"),
     ):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -476,7 +484,7 @@ def test_non_finite_coefficients_are_bad_input(tmp_path, capsys):
         for argv, data, message in (
             (("solve-derivation", "--in"), {"alphabet": 2, "values": {"0": series}}, "derivation"),
             (("trivialize-cocycle", "--in"), cochain, "cochain"),
-            (("verify-operators", "--dump-matrix"), series, "series"),
+            (("dump-matrix", "--in"), series, "series"),
         ):
             infile.write_text(json.dumps(data))
             code = main([*argv, str(infile)])
@@ -759,7 +767,7 @@ def test_derivation_replays_at_ten_million_letters(tmp_path, capsys, name, param
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"check": name, "params": params}))
     start = time.process_time()
-    code = main_within(10.0, ["verify-derivations", "--replay", str(path)])
+    code = main_within(10.0, ["replay", "--in", str(path)])
     elapsed = time.process_time() - start
     assert code == 0 and json.loads(capsys.readouterr().out)["passed"]
     assert elapsed < 2.0
@@ -822,7 +830,7 @@ def test_h1_dimension_past_the_cocycle_bound_is_refused_before_allocation(tmp_pa
     path.write_text(json.dumps(payload))
     tracemalloc.start()
     try:
-        code = main(["report-all", "--replay", str(path)])
+        code = main(["replay", "--in", str(path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1008,11 +1016,14 @@ def test_every_check_replays_from_the_golden_report(tmp_path, capsys, name):
         check for report in golden["reports"] for check in report["checks"] if check["name"] == name
     ]
     path = tmp_path / "payload.json"
-    path.write_text(json.dumps({"check": name, "params": entry["params"]}))
-    code, out = run(capsys, "report-all", "--replay", str(path))
+    path.write_text(json.dumps(entry))
+    code, out = run(capsys, "replay", "--in", str(path))
     assert code == 0
     assert '"passed": true' in out and '"counterexample": null' in out
-    assert json.loads(out) == {"check": name, "passed": True, "counterexample": None}
+    # the replay reports the entry as a suite run wrote it, up to its timing
+    suite = name.partition(".")[0]
+    expected = {"schema": 1, "suite": suite, "passed": True, "checks": [scrub_timings(entry)]}
+    assert scrub_timings(json.loads(out)) == expected
 
 
 def test_replaying_a_crashing_check_reports_the_failed_check(tmp_path, monkeypatch, capsys):
@@ -1026,15 +1037,17 @@ def test_replaying_a_crashing_check_reports_the_failed_check(tmp_path, monkeypat
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"check": crashed["name"], "params": crashed["params"]}))
 
-    code = main(["verify-words", "--replay", str(path)])
+    code = main(["replay", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
-    replayed = json.loads(captured.out)
+    # the replayed entry is the suite's entry, up to its timing
+    replayed = scrub_timings(json.loads(captured.out))
     assert replayed == {
-        "check": "words.concat_laws",
+        "schema": 1,
+        "suite": "words",
         "passed": False,
-        "counterexample": crashed["counterexample"],
+        "checks": [scrub_timings(crashed)],
     }
 
 
@@ -1045,12 +1058,55 @@ def test_replaying_a_non_converging_check_reports_the_failed_check(tmp_path, mon
     plant(monkeypatch, "operators.commutant", stall)
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"check": "operators.commutant", "params": {}}))
-    code = main(["verify-operators", "--replay", str(path)])
+    code = main(["replay", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 1
-    assert json.loads(captured.out)["counterexample"] == {
-        "non_convergence": "no convergence in 3 steps"
-    }
+    (entry,) = json.loads(captured.out)["checks"]
+    assert entry["counterexample"] == {"non_convergence": "no convergence in 3 steps"}
+
+
+def test_replay_writes_its_one_check_report_to_out(tmp_path, monkeypatch, capsys):
+    # a replay honours --out as a suite does: the report goes to the file,
+    # and stdout carries the check's status line
+    plant(monkeypatch, "words.concat_laws", lambda params: {"planted": params["seed"]})
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"check": "words.concat_laws", "params": {"seed": 3}}))
+    out_path = tmp_path / "replay.json"
+    code, out = run(capsys, "replay", "--in", str(path), "--out", str(out_path))
+    assert code == 1
+    assert out == "FAIL  words: words.concat_laws\n"
+    report = json.loads(out_path.read_text())
+    assert set(report) == {"schema", "suite", "passed", "checks"}
+    (entry,) = report["checks"]
+    assert set(entry) == {"name", "passed", "params", "counterexample", "elapsed_s"}
+    assert (report["suite"], report["passed"]) == ("words", False)
+    assert entry["counterexample"] == {"planted": 3}
+    # the entry replays as it stands, with the same outcome
+    entry_path = tmp_path / "entry.json"
+    entry_path.write_text(json.dumps(entry))
+    code, out = run(capsys, "replay", "--in", str(entry_path))
+    assert code == 1
+    assert scrub_timings(json.loads(out)) == scrub_timings(report)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report-all", "--replay", "payload.json"],
+        ["verify-words", "--replay", "payload.json"],
+        ["verify-operators", "--dump-matrix", "series.json"],
+        ["replay", "--in", "payload.json", "--alphabet", "7"],
+        ["dump-matrix", "--in", "series.json", "--seed", "1"],
+        ["solve-derivation", "--in", "derivation.json", "--format", "csv"],
+    ],
+    ids=["report-all", "verify-words", "verify-operators", "replay", "dump-matrix", "solver"],
+)
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
+    # no flag is accepted and then ignored
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _assert_unwritable(capsys, code):
@@ -1074,7 +1130,7 @@ def test_unwritable_dump_matrix_out_is_exit_2(tmp_path, capsys):
     infile.write_text(json.dumps(Series.basis(A2.generator(0)).to_json_dict()))
     out_path = tmp_path / "missing" / "x.json"
     code = main(
-        ["verify-operators", "--dump-matrix", str(infile), "--cutoff", "2", "--out", str(out_path)]
+        ["dump-matrix", "--in", str(infile), "--cutoff", "2", "--out", str(out_path)]
     )
     captured = _assert_unwritable(capsys, code)
     assert captured.out == ""
@@ -1118,6 +1174,20 @@ def test_verify_commands_and_public_names_match_their_registries():
     missing = [name for name in ncdisc.__all__ if not hasattr(ncdisc, name)]
     assert missing == []
     assert len(set(ncdisc.__all__)) == len(ncdisc.__all__)
+
+
+def test_every_readme_command_parses():
+    # the command block of the README's "Command line" section, parsed
+    # without running, so the docs and the command line cannot drift
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.partition("#")[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["ncdisc"]]
+    assert commands and len(commands) == len(lines)
+    for argv in commands:
+        args = cli._build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_every_public_name_is_used_by_the_package_itself():
@@ -1485,7 +1555,7 @@ def test_replay_with_bad_word_length_bounds_is_exit_2(tmp_path, capsys, max_len)
     }
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
-    code = main(["verify-words", "--replay", str(path)])
+    code = main(["replay", "--in", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("bad replay payload:")
@@ -1569,7 +1639,7 @@ ZERO_TEXT = json.dumps(ZERO_SERIES)
         ),
         # plain json.load dumped this as alphabet 3 with the entry z2,e,5.0,0.0
         (
-            ["verify-operators", "--cutoff", "1", "--dump-matrix"],
+            ["dump-matrix", "--cutoff", "1", "--in"],
             '{"alphabet": 2, "alphabet": 3,'
             ' "terms": [{"word": "z2", "re": 1.0, "im": 0.0, "re": 5.0}]}',
             "bad series input:",
@@ -1581,7 +1651,7 @@ ZERO_TEXT = json.dumps(ZERO_SERIES)
             "bad cochain input:",
         ),
         (
-            ["verify-words", "--replay"],
+            ["replay", "--in"],
             '{"check": "words.power_shift_sweep",'
             ' "params": {"m": 2, "w_max": 2, "u_max": 3, "m": 3}}',
             "bad replay payload:",
@@ -1641,7 +1711,7 @@ OVERFLOWING_SUMS = [
         },
     ),
     (
-        ["verify-operators", "--cutoff", "2", "--dump-matrix"],
+        ["dump-matrix", "--cutoff", "2", "--in"],
         "bad series input:",
         {"alphabet": 2, "terms": [{"word": "z0z1", **HUGE}, {"word": "z0z1", **HUGE}]},
     ),
@@ -1688,7 +1758,7 @@ def test_derivation_values_that_are_not_an_object_are_bad_input(tmp_path, capsys
             '{"arity": 2, "alphabet": true, "terms": []}',
         ),
         (
-            ["verify-operators", "--cutoff", "2", "--dump-matrix"],
+            ["dump-matrix", "--cutoff", "2", "--in"],
             "bad series input:",
             '{"alphabet": true, "terms": [{"word": "z0", "re": 1.0}]}',
         ),
@@ -1709,7 +1779,7 @@ def test_json_true_is_not_a_size(tmp_path, capsys, argv, refusal, text):
 READERS = {
     "derivation": (["solve-derivation", "--in"], "bad derivation input:"),
     "cochain": (["trivialize-cocycle", "--in"], "bad cochain input:"),
-    "series": (["verify-operators", "--cutoff", "2", "--dump-matrix"], "bad series input:"),
+    "series": (["dump-matrix", "--cutoff", "2", "--in"], "bad series input:"),
 }
 
 
@@ -2060,7 +2130,7 @@ def test_derivation_over_the_generator_budget_is_refused_before_allocation(tmp_p
 def test_replay_payload_that_is_not_an_object_is_bad_input(tmp_path, capsys):
     infile = tmp_path / "payload.json"
     infile.write_text('["words.concat_laws", {}]')
-    code = main(["verify-words", "--replay", str(infile)])
+    code = main(["replay", "--in", str(infile)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("bad replay payload: the input must be a JSON object")

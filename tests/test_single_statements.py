@@ -22,7 +22,7 @@ SOURCES = sorted(Path(ncdisc.__file__).parent.glob("*.py"))
     [
         "0|[1-9][0-9]*",  # words._INDEX
         '"z" + "z".join(map(str, ',  # words._text
-        '"homotopy needs arity at least 2"',  # cohomology._check_homotopy_arity
+        '"homotopy needs arity at least 2"',  # cohomology.homotopy
         '"arity must be nonnegative"',  # cohomology._check_arity
         "', '.join(",  # cohomology._key_text
         '"generator value over a different alphabet"',  # GeneratorDerivation.__init__
